@@ -78,6 +78,17 @@ def _read_json(path):
         raise DomainError(f"invalid JSON in {path}: {exc}")
 
 
+def _int_knob(obj, name, default):
+    """An integer knob, given as a JSON integer or a string of one."""
+    value = obj.get(name, default)
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _load_config(path):
     """SessionConfig file: geometry keys plus optional seed/cap/precision knobs."""
     obj = _read_json(path)
@@ -85,10 +96,10 @@ def _load_config(path):
         raise DomainError(f"configuration in {path} must be a JSON object")
     v, fam = load_configuration(obj)
     knobs = {
-        "seed": int(obj.get("seed", 0)),
-        "subset_cap": int(obj.get("subset_cap", DEFAULT_SUBSET_CAP)),
-        "oracle_cap": int(obj.get("oracle_cap", DEFAULT_ORACLE_CAP)),
-        "precision": int(obj.get("precision", _DEFAULT_PRECISION)),
+        "seed": _int_knob(obj, "seed", 0),
+        "subset_cap": _int_knob(obj, "subset_cap", DEFAULT_SUBSET_CAP),
+        "oracle_cap": _int_knob(obj, "oracle_cap", DEFAULT_ORACLE_CAP),
+        "precision": _int_knob(obj, "precision", _DEFAULT_PRECISION),
     }
     for name in ("subset_cap", "oracle_cap", "precision"):
         if knobs[name] < 1:
@@ -104,6 +115,8 @@ def _load_ideal(path):
         raw = obj["polys"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path} needs ambient and polys: {exc}")
+    if not isinstance(raw, list):
+        raise DomainError(f"polys in {path} must be a list, got {type(raw).__name__}")
     num_vars = ambient + 1
     polys = [parse_poly(e, num_vars) if isinstance(e, str) else poly_from_json(e)
              for e in raw]

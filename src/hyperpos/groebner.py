@@ -1,21 +1,34 @@
 """Buchberger engine: reduced bases, normal forms, dimension, degree, Hilbert data.
 
-Everything here is exact rational arithmetic.  Dimensions come out of the
-leading-term ideal combinatorially, so no primary decomposition or radical
-computation is ever needed.
+Bases, normal forms and Hilbert data are exact rational arithmetic.
+Dimensions come out of the leading-term ideal combinatorially, so no primary
+decomposition or radical computation is ever needed.
+
+`projective_dimension` is the one place that answers "what is dim V(gens)?".
+It first runs a lean Buchberger loop over the integers mod MODULUS.  For
+integer generators the Macaulay matrix has rank mod p at most its rank over Q
+in every degree, so H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod
+p is therefore EMPTY over Q, and a dim_p equal to a proven lower bound is the
+exact dimension.  Every other query falls back to the exact basis over Q.
+
+The on-disk cache holds two record kinds under versioned keys: reduced bases
+(`groebner_basis`) and settled dimensions (`projective_dimension`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
+from . import __version__
 from .errors import DomainError
 from .polyring import (
     EmptyInput,
@@ -112,10 +125,6 @@ LEX = MonomialOrder("lex")
 
 def weighted_order(weights) -> MonomialOrder:
     return MonomialOrder("weighted", weights)
-
-
-def order_to_json(order: MonomialOrder):
-    return order.tag()
 
 
 def order_from_json(obj) -> MonomialOrder:
@@ -231,9 +240,7 @@ def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
-                   num_vars: Optional[int] = None) -> GroebnerBasis:
-    """Reduced Groebner basis of <gens>, deterministic for fixed input."""
+def _ring_size(gens, num_vars):
     sizes = {g.nvars for g in gens}
     if num_vars is not None:
         sizes.add(num_vars)
@@ -241,12 +248,17 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
         raise MixedAmbient(f"generators live in different ambient rings: {sorted(sizes)}")
     if not sizes:
         raise EmptyInput("no generators and no ambient size given")
-    nv = sizes.pop()
+    return sizes.pop()
 
+
+def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
+                   num_vars: Optional[int] = None) -> GroebnerBasis:
+    """Reduced Groebner basis of <gens>, deterministic for fixed input."""
+    nv = _ring_size(gens, num_vars)
     basis = [g.content_free() for g in gens if not g.is_zero]
     key = cache_key(basis, order, nv) if _CACHE_DIR is not None else None
     cached = _cache_fetch(key)
-    if cached is not None:
+    if cached is not None and cached.order == order and cached.num_vars == nv:
         return cached
     lms = [leading_monomial(g, order) for g in basis]
     reducers = [(lm, g.terms[lm], g.terms) for lm, g in zip(lms, basis)]
@@ -366,13 +378,8 @@ class IdealProfile:
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
-        cone = _cone_dimension(gb.leading_monomials, gb.num_vars)
-        self.projective_dimension = EMPTY if cone <= 0 else cone - 1
+        self.projective_dimension = _dimension_of_leads(gb.leading_monomials, gb.num_vars)
         self._degree = None
-
-    @property
-    def hilbert_values(self):
-        return gb_hilbert_cache(self.gb)
 
     @property
     def degree(self):
@@ -385,10 +392,6 @@ class IdealProfile:
 
     def __repr__(self):
         return f"IdealProfile(dim={self.projective_dimension!r})"
-
-
-def gb_hilbert_cache(gb: GroebnerBasis):
-    return gb._hilbert
 
 
 def _interpolated_degree(gb: GroebnerBasis, dim: int) -> int:
@@ -415,12 +418,148 @@ def ideal_profile(gb: GroebnerBasis) -> IdealProfile:
 
 
 # ---------------------------------------------------------------------------
+# certified dimensions: a mod-p pass, settled by a proven lower bound
+
+# largest prime below 2^30, so residues and their products stay small ints
+MODULUS = 1073741789
+# How each projective_dimension query was settled: "cached", "modp" or "exact".
+DIMENSION_COUNTS = Counter()
+
+# Monomials in the mod-p loop are exponent fields packed into one int, x_0 in
+# the lowest field.  For two monomials of one degree the smaller packed int is
+# the larger one in grevlex, monomial products are sums, and the spare top bit
+# of every field lets one subtraction test divisibility.
+_FIELD_BITS = 16
+_FIELD_TOP = 1 << (_FIELD_BITS - 1)
+
+
+def _modp_lead_monomials(polys, num_vars):
+    """Leading monomials of a grevlex Groebner basis of <polys> mod MODULUS.
+
+    `polys` are dicts from exponent tuple to int.  Returns None when a degree
+    would overflow a packed field; the caller then has no mod-p answer.
+    """
+    p = MODULUS
+    shifts = [_FIELD_BITS * i for i in range(num_vars)]
+    guard = sum(_FIELD_TOP << s for s in shifts)
+    leads = []      # packed leading monomial of each basis element
+    lead_exps = []  # the same as exponent tuples
+    tails = []      # the rest of each monic element, as (monomial, -coefficient)
+    pairs = []      # heap of (lcm degree, packed lcm, i, j)
+    pending = set()
+
+    def pack(mono):
+        return sum(e << s for e, s in zip(mono, shifts))
+
+    def reduce(work):
+        rest = {}
+        while work:
+            mono = min(work)
+            coef = work.pop(mono)
+            probe = mono | guard
+            for lead, tail in zip(leads, tails):
+                if (probe - lead) & guard == guard:
+                    shift = mono - lead
+                    for t, neg in tail:
+                        t += shift
+                        v = (work.get(t, 0) + coef * neg) % p
+                        if v:
+                            work[t] = v
+                        else:
+                            del work[t]
+                    break
+            else:
+                rest[mono] = coef
+        return rest
+
+    def add(poly):
+        lead = min(poly)
+        inv = pow(poly[lead], -1, p)
+        exps = tuple((lead >> s) & (_FIELD_TOP - 1) for s in shifts)
+        new = len(leads)
+        for j, other in enumerate(lead_exps):
+            lcm = tuple(a if a > b else b for a, b in zip(exps, other))
+            heapq.heappush(pairs, (sum(lcm), pack(lcm), j, new))
+            pending.add((j, new))
+        leads.append(lead)
+        lead_exps.append(exps)
+        tails.append([(m, (-c * inv) % p) for m, c in poly.items() if m != lead])
+
+    for poly in polys:
+        if sum(next(iter(poly))) >= _FIELD_TOP:
+            return None
+        rest = reduce({pack(m): c % p for m, c in poly.items() if c % p})
+        if rest:
+            add(rest)
+    while pairs:
+        degree, lcm, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        if degree >= _FIELD_TOP:
+            return None
+        if all(a == 0 or b == 0 for a, b in zip(lead_exps[i], lead_exps[j])):
+            continue  # coprime leading monomials
+        probe = lcm | guard
+        if any(k != i and k != j and (probe - leads[k]) & guard == guard
+               and _pair(i, k) not in pending and _pair(j, k) not in pending
+               for k in range(len(leads))):
+            continue  # chain criterion
+        # S-polynomial of two monic elements: the leads cancel, the tails remain
+        work = {t + lcm - leads[i]: p - neg for t, neg in tails[i]}
+        shift = lcm - leads[j]
+        for t, neg in tails[j]:
+            t += shift
+            v = (work.get(t, 0) + neg) % p
+            if v:
+                work[t] = v
+            else:
+                del work[t]
+        rest = reduce(work)
+        if rest:
+            add(rest)
+    return lead_exps
+
+
+def _dimension_of_leads(lead_monomials, num_vars):
+    cone = _cone_dimension(lead_monomials, num_vars)
+    return EMPTY if cone <= 0 else cone - 1
+
+
+def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
+                         lower: Optional[int] = None):
+    """Projective dimension of V(gens) over Q, or EMPTY.
+
+    `lower`, when given, must be a proven lower bound on the answer, such as
+    dim W - 1 for V(gens) = W cut by one more hypersurface (Hartshorne I.7.2).
+    The mod-p dimension is an upper bound, so it is the answer when it is
+    EMPTY or equals `lower`; otherwise the reduced basis over Q decides.
+    Settled dimensions are cached as dimension records.
+    """
+    nv = _ring_size(gens, num_vars)
+    basis = [g.content_free() for g in gens if not g.is_zero]
+    key = cache_key(basis, GREVLEX, nv, DIMENSION) if _CACHE_DIR is not None else None
+    dim = _cache_fetch(key, DIMENSION)
+    if dim is not None:
+        DIMENSION_COUNTS["cached"] += 1
+        return dim
+    leads = _modp_lead_monomials(
+        [{m: c.numerator for m, c in g.terms.items()} for g in basis], nv)
+    dim = None if leads is None else _dimension_of_leads(leads, nv)
+    if dim is not None and (dim is EMPTY or dim == lower):
+        DIMENSION_COUNTS["modp"] += 1
+    else:
+        DIMENSION_COUNTS["exact"] += 1
+        dim = ideal_profile(groebner_basis(basis, GREVLEX, num_vars=nv)).projective_dimension
+    _cache_store(key, dim, DIMENSION)
+    return dim
+
+
+# ---------------------------------------------------------------------------
 # serialization and on-disk cache
 
 def gb_to_json(gb: GroebnerBasis) -> dict:
     return {
         "vars": gb.num_vars,
-        "order": order_to_json(gb.order),
+        "order": gb.order.tag(),
         "reduced": gb.reduced,
         "generators": [poly_to_json(g) for g in gb.generators],
     }
@@ -436,21 +575,29 @@ def gb_from_json(obj: dict) -> GroebnerBasis:
 
 
 _CACHE_DIR = None
+# bump when the layout of a record or the meaning of a key changes
+CACHE_FORMAT = "hyperpos-cache/2"
+BASIS = "basis"
+DIMENSION = "dimension"
 
 
 def set_cache_dir(path: Optional[str]) -> None:
-    """Enable (or with None disable) the on-disk basis cache."""
+    """Enable (or with None disable) the on-disk basis and dimension cache."""
     global _CACHE_DIR
     _CACHE_DIR = path
     if path is not None:
         os.makedirs(path, exist_ok=True)
 
 
-def cache_key(gens: Sequence[HomoPoly], order: MonomialOrder, num_vars: int) -> str:
+def cache_key(gens: Sequence[HomoPoly], order: MonomialOrder, num_vars: int,
+              kind: str = BASIS) -> str:
     payload = json.dumps(
         {
+            "format": CACHE_FORMAT,
+            "version": __version__,
+            "kind": kind,
             "vars": num_vars,
-            "order": order_to_json(order),
+            "order": order.tag(),
             "generators": sorted(
                 json.dumps(poly_to_json(g), sort_keys=True, separators=(",", ":"))
                 for g in gens
@@ -462,27 +609,53 @@ def cache_key(gens: Sequence[HomoPoly], order: MonomialOrder, num_vars: int) -> 
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_fetch(key):
+def _encode_record(kind, value):
+    if kind == BASIS:
+        return gb_to_json(value)
+    return "EMPTY" if value is EMPTY else value
+
+
+def _decode_record(kind, body):
+    if kind == BASIS:
+        return gb_from_json(body)
+    if body == "EMPTY":
+        return EMPTY
+    if type(body) is not int or body < 0:
+        raise ValueError(f"bad dimension record {body!r}")
+    return body
+
+
+def _cache_fetch(key, kind=BASIS):
+    """The record of `kind` stored under `key`; None for a miss.
+
+    A record repeats its own key and kind.  A file that does not, or that
+    fails to decode, is a miss and gets recomputed.
+    """
     if _CACHE_DIR is None or key is None:
         return None
     path = os.path.join(_CACHE_DIR, key + ".json")
     try:
         with open(path, encoding="utf-8") as handle:
-            return gb_from_json(json.load(handle))
-    except (OSError, ValueError, KeyError):
+            record = json.load(handle)
+        if record["key"] != key or record["kind"] != kind:
+            return None
+        return _decode_record(kind, record["value"])
+    except (OSError, ValueError, KeyError, TypeError, DomainError):
         return None
 
 
-def _cache_store(key, gb):
+def _cache_store(key, value, kind=BASIS):
     if _CACHE_DIR is None or key is None:
         return
+    # called only after a miss, so this also replaces a malformed record
     path = os.path.join(_CACHE_DIR, key + ".json")
-    if os.path.exists(path):
-        return  # write-once
+    # json.dumps runs the C encoder; json.dump would stream through the Python one
+    text = json.dumps({"key": key, "kind": kind, "value": _encode_record(kind, value)},
+                      sort_keys=True)
     fd, tmp = tempfile.mkstemp(dir=_CACHE_DIR, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(gb_to_json(gb), handle, sort_keys=True)
+            handle.write(text)
         os.replace(tmp, path)
     except OSError:
         try:

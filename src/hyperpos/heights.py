@@ -390,10 +390,15 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
 
 
 def summarize_margins(reports) -> MarginSummary:
+    """Smallest approximate slack, and the points whose slack is negative.
+
+    The sign is decided exactly, rhs < lhs on LogRationals; the float slack
+    is for display only.
+    """
     if not reports:
         return MarginSummary(None, ())
     return MarginSummary(min(r.slack for r in reports),
-                         tuple(r.point for r in reports if r.slack < 0))
+                         tuple(r.point for r in reports if r.rhs < r.lhs))
 
 
 # ---------------------------------------------------------------------------

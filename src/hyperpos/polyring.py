@@ -265,6 +265,8 @@ class HomoPoly:
         num = 0
         for c in self.terms.values():
             num = gcd(num, abs(c.numerator * (den // c.denominator)))
+        if den == num == 1:
+            return self  # already integer-primitive
         return self.scale(Fraction(den, num))
 
     # printing -------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 The distributive constant, position classes, and dimension profiles all
 reduce to projective dimensions of subset intersections, which come from
-the Groebner layer.  Subset dimensions are memoized per family, and any
-subset containing a known-void one is void without further work.
+`groebner.projective_dimension`.  Subset dimensions are memoized per family.
+The walks enumerate subsets by size, so the immediate subsets S - {i} of S
+are usually memoized already: if one is void, S is void without further
+work, and otherwise max_i dim(S - {i}) - 1 is a proven lower bound that lets
+the mod-p pass settle dim S.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .groebner import EMPTY, GREVLEX, groebner_basis, ideal_profile, normal_form
+from .groebner import (EMPTY, GREVLEX, groebner_basis, ideal_profile, normal_form,
+                       projective_dimension)
 from .polyring import EmptyInput, HomoPoly, lcm_degree, parse_poly, poly_from_json
 
 
@@ -140,14 +144,21 @@ def _subset_dim(v, fam, idxs):
     key = (v, idxs)
     if key in memo:
         return memo[key]
-    for (other_v, other), val in memo.items():
-        if other_v is v and val is EMPTY and other <= idxs:
+    # projective dimension theorem: each member cuts at most one dimension,
+    # so n - |S| bounds dim S from below, and so does dim(S - {i}) - 1;
+    # an immediate subset that was never computed only weakens the bound
+    lower = v.dim_n - len(idxs)
+    for i in idxs:
+        parent = memo.get((v, idxs - {i}))
+        if parent is EMPTY:
             memo[key] = EMPTY
             return EMPTY
+        if parent is not None:
+            lower = max(lower, parent - 1)
     gens = list(v.generators) + [fam.members[i] for i in sorted(idxs)]
-    prof = ideal_profile(groebner_basis(gens, GREVLEX, num_vars=v.num_vars))
-    memo[key] = prof.projective_dimension
-    return prof.projective_dimension
+    dim = projective_dimension(gens, v.num_vars, lower if lower >= 0 else None)
+    memo[key] = dim
+    return dim
 
 
 def intersection_dimension(v: Variety, fam: HypersurfaceFamily, subset):
@@ -351,6 +362,9 @@ def load_configuration(obj: dict):
         family_raw = obj["family"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"configuration needs ambient, variety, family: {exc}")
+    for name, raw in (("variety", variety_raw), ("family", family_raw)):
+        if not isinstance(raw, (list, tuple)):
+            raise DomainError(f"{name} must be a list, got {type(raw).__name__}")
     num_vars = ambient + 1
     if num_vars < 2:
         raise DomainError("ambient dimension must be at least 1")

@@ -16,7 +16,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import DomainError
-from .groebner import EMPTY, GREVLEX, groebner_basis, ideal_profile, normal_form
+from .groebner import EMPTY, normal_form, projective_dimension
 from .polyring import DimensionMismatch, HomoPoly, poly_combine
 from .position import DimensionProfile, HypersurfaceFamily, Variety
 
@@ -137,9 +137,10 @@ def _spiral_values(bound):
     return out
 
 
-def _prefix_dim(v, polys):
-    gb = groebner_basis(list(v.generators) + list(polys), GREVLEX, num_vars=v.num_vars)
-    return ideal_profile(gb).projective_dimension
+def _prefix_dim(v, polys, parent_dim):
+    """dim of V meet the prefix; `parent_dim` is the dimension without its last member."""
+    lower = None if parent_dim is EMPTY or parent_dim < 1 else parent_dim - 1
+    return projective_dimension(list(v.generators) + list(polys), v.num_vars, lower)
 
 
 def _dim_at_most(dim, bound):
@@ -163,17 +164,19 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
     ordered = [fam.members[i] for i in order]
     width = profile.l_value + 1
 
-    def accept(candidate, prefix, level):
+    def accept(candidate, prefix, prefix_dim, level):
         combined = poly_combine(candidate, ordered[:len(candidate)])
         if combined.is_zero or normal_form(combined, v.gb).is_zero:
             return None
-        if _dim_at_most(_prefix_dim(v, prefix + [combined]), n - level - 1):
-            return combined
+        dim = _prefix_dim(v, prefix + [combined], prefix_dim)
+        if _dim_at_most(dim, n - level - 1):
+            return combined, dim
         return None
 
     rows = [tuple(Fraction(1 if j == 0 else 0) for j in range(width))]
     replacements = [ordered[0]]
-    if not _dim_at_most(_prefix_dim(v, replacements), n - 1):
+    prefix_dim = _prefix_dim(v, replacements, n)
+    if not _dim_at_most(prefix_dim, n - 1):
         raise SearchExhausted("leading member does not cut the variety; profile is stale")
     for u in range(1, n + 1):
         t_u = profile.t_values[u]
@@ -197,15 +200,15 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
         for cand in candidates():
             if all(c == 0 for c in cand):
                 continue
-            combined = accept(cand, replacements, u)
-            if combined is not None:
-                hit = (cand, combined)
+            accepted = accept(cand, replacements, prefix_dim, u)
+            if accepted is not None:
+                hit = (cand,) + accepted
                 break
         if hit is None:
             raise SearchExhausted(
                 f"no admissible combination at step {u} after spiral bound {max_bound} "
                 f"and random spread {_RANDOM_STAGES[-1][0]}")
-        cand, combined = hit
+        cand, combined, prefix_dim = hit
         replacements.append(combined)
         rows.append(tuple(Fraction(c) for c in cand) + (Fraction(0),) * (width - len(cand)))
     return ReplacementSystem(tuple(replacements), tuple(rows), profile, fam)
@@ -232,7 +235,7 @@ def verify_replacement(v: Variety, sys: ReplacementSystem) -> ReplacementVerdict
     dims = []
     met = []
     for t in range(n + 1):
-        dim = _prefix_dim(v, sys.replacements[:t + 1])
+        dim = _prefix_dim(v, sys.replacements[:t + 1], dims[-1] if dims else n)
         dims.append(dim)
         met.append(_dim_at_most(dim, n - t - 1))
     combo_ok = len(sys.replacements) == n + 1 and len(sys.coeff_matrix) == n + 1

@@ -21,8 +21,8 @@ from .groebner import (
     GREVLEX,
     groebner_basis,
     hilbert_function,
-    ideal_profile,
     normal_form,
+    projective_dimension,
     standard_monomials,
     weighted_order,
 )
@@ -171,7 +171,7 @@ def ef_lower_bound_check(v: Variety, u: int, c, coord_subset) -> EfCheckResult:
     if u <= delta:
         raise UTooSmall(f"u must exceed the variety degree {delta}, got {u}")
     gens = list(v.generators) + [HomoPoly.variable(v.num_vars, i) for i in subset]
-    dim = ideal_profile(groebner_basis(gens, GREVLEX, num_vars=v.num_vars)).projective_dimension
+    dim = projective_dimension(gens, v.num_vars)
     if dim is not EMPTY:
         raise SubsetNotEmptyOnV(
             f"variety meets the coordinate subspace {subset} in dimension {dim}")

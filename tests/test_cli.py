@@ -400,6 +400,40 @@ class TestInputHandling:
         assert code == 0
         assert report["payload"]["delta"] == "1/1"
 
+    @pytest.mark.parametrize("knobs", [{"seed": "abc"}, {"subset_cap": []},
+                                       {"precision": 2.5}, {"seed": True}])
+    def test_non_integer_knob_is_domain_error(self, runj, tmp_path, knobs):
+        path = tmp_path / "knobs.json"
+        path.write_text(json.dumps({"ambient": 2, "variety": [],
+                                    "family": ["x0", "x1", "x2"], **knobs}))
+        code, report = runj("delta", "--config", str(path), "--no-cache")
+        assert code == 2
+        assert "must be an integer" in report["payload"]["message"]
+
+    def test_integer_string_knob_accepted(self, runj, tmp_path):
+        path = tmp_path / "knobs.json"
+        path.write_text(json.dumps({"ambient": 2, "variety": [],
+                                    "family": ["x0", "x1", "x2"], "subset_cap": "2"}))
+        code, report = runj("delta", "--config", str(path), "--no-cache")
+        assert report["payload"]["error"] == "SubsetCapExceeded"
+
+    @pytest.mark.parametrize("key", ["family", "variety"])
+    def test_config_string_for_list_is_domain_error(self, runj, tmp_path, key):
+        config = {"ambient": 2, "variety": [], "family": ["x0", "x1", "x2"]}
+        config[key] = "x0"
+        path = tmp_path / "stringy.json"
+        path.write_text(json.dumps(config))
+        code, report = runj("delta", "--config", str(path), "--no-cache")
+        assert code == 2
+        assert f"{key} must be a list" in report["payload"]["message"]
+
+    def test_ideal_string_for_list_is_domain_error(self, runj, tmp_path):
+        path = tmp_path / "stringy.json"
+        path.write_text(json.dumps({"ambient": 2, "polys": "x0"}))
+        code, report = runj("dim", "--ideal", str(path), "--no-cache")
+        assert code == 2
+        assert "must be a list" in report["payload"]["message"]
+
     def test_bad_place_is_usage_error(self, capsys):
         code = cli.main(["weil", "--poly", "x0", "--nvars", "1",
                          "--point", "1", "--place", "six", "--no-cache"])

@@ -1,12 +1,16 @@
 """Groebner engine: bases, normal forms, dimension, degree, Hilbert counts."""
 
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 from conftest import certify, parse_many
 
+from hyperpos import groebner
 from hyperpos.groebner import (
+    DIMENSION,
+    DIMENSION_COUNTS,
     EMPTY,
     GREVLEX,
     LEX,
@@ -20,6 +24,7 @@ from hyperpos.groebner import (
     ideal_profile,
     leading_monomial,
     normal_form,
+    projective_dimension,
     s_polynomial,
     set_cache_dir,
     standard_monomials,
@@ -306,6 +311,85 @@ class TestDiskCache:
         gb = groebner_basis(gens, GREVLEX)
         entry = next(tmp_path.glob("*.json"))
         entry.write_text("{broken")
+        assert groebner_basis(gens, GREVLEX) == gb
+
+
+class TestCacheRecords:
+    # two lines in the plane: dimension at least 2 - 2 = 0, and 0 mod p
+    GENS = ("x0", "x1")
+
+    def dim_record(self, tmp_path):
+        set_cache_dir(str(tmp_path))
+        assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
+        (entry,) = tmp_path.glob("*.json")
+        return entry, json.loads(entry.read_text())
+
+    def test_dimension_record_repeats_its_key(self, tmp_path):
+        entry, record = self.dim_record(tmp_path)
+        assert record == {"key": entry.stem, "kind": DIMENSION, "value": 0}
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
+        assert DIMENSION_COUNTS == {"cached": 1}
+
+    def test_empty_dimension_record(self, tmp_path):
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(["x0", "x1", "x2"], 3)
+        assert projective_dimension(gens, 3) is EMPTY
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 3) is EMPTY
+        assert DIMENSION_COUNTS == {"cached": 1}
+
+    def test_key_carries_version_format_and_kind(self, monkeypatch):
+        gens = parse_many(self.GENS, 3)
+        base = groebner.cache_key(gens, GREVLEX, 3)
+        assert groebner.cache_key(gens, GREVLEX, 3, DIMENSION) != base
+        monkeypatch.setattr(groebner, "CACHE_FORMAT", "other")
+        assert groebner.cache_key(gens, GREVLEX, 3) != base
+        monkeypatch.undo()
+        monkeypatch.setattr(groebner, "__version__", "0.0.0")
+        assert groebner.cache_key(gens, GREVLEX, 3) != base
+
+    def test_record_under_other_tag_never_read(self, tmp_path, monkeypatch):
+        gens = parse_many(self.GENS, 3)
+        monkeypatch.setattr(groebner, "CACHE_FORMAT", "other")
+        stale_key = groebner.cache_key(gens, GREVLEX, 3, DIMENSION)
+        monkeypatch.undo()
+        key = groebner.cache_key(gens, GREVLEX, 3, DIMENSION)
+        set_cache_dir(str(tmp_path))
+        # a wrong answer filed under the current key, but labelled with the old one
+        (tmp_path / f"{key}.json").write_text(json.dumps(
+            {"key": stale_key, "kind": DIMENSION, "value": 2}))
+        (tmp_path / f"{stale_key}.json").write_text(json.dumps(
+            {"key": stale_key, "kind": DIMENSION, "value": 2}))
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 3, 0) == 0
+        assert DIMENSION_COUNTS == {"modp": 1}
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: {**r, "key": "0" * 64},
+        lambda r: {**r, "kind": "basis"},
+        lambda r: {**r, "value": -3},
+        lambda r: {**r, "value": "2"},
+        lambda r: {**r, "value": True},
+        lambda r: {"key": r["key"], "kind": r["kind"]},
+        lambda r: [r],
+    ])
+    def test_edited_record_is_a_miss(self, tmp_path, edit):
+        entry, record = self.dim_record(tmp_path)
+        entry.write_text(json.dumps(edit(record)))
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
+        assert DIMENSION_COUNTS == {"modp": 1}
+        assert json.loads(entry.read_text()) == record  # rewritten
+
+    def test_basis_record_of_other_kind_is_a_miss(self, tmp_path):
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(["x0 + x1", "x0 - x1"], 2)
+        gb = groebner_basis(gens, GREVLEX)
+        entry = next(tmp_path.glob("*.json"))
+        record = json.loads(entry.read_text())
+        assert record["key"] == entry.stem and record["kind"] == "basis"
+        entry.write_text(json.dumps({**record, "kind": DIMENSION, "value": 0}))
         assert groebner_basis(gens, GREVLEX) == gb
 
 

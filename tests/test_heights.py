@@ -13,6 +13,7 @@ from hyperpos.heights import (
     INFINITE,
     LOG_ONE,
     LogRational,
+    MarginReport,
     Place,
     PointNotOnVariety,
     PointOnHypersurface,
@@ -269,6 +270,16 @@ class TestMargin:
         summary = summarize_margins(theorem15_margin(p1, fam3, 1, F(1, 2), None, pts))
         assert summary.min_slack == pytest.approx(-math.log(3) / 2, abs=1e-12)
         assert summary.negative_points == (RationalPoint((2, 3)),)
+
+    def test_summary_sign_is_exact(self):
+        # log(10^60) - log(10^60 + 1) is about -1e-60: zero as a float
+        below, tie = RationalPoint((1, 2)), RationalPoint((1, 3))
+        lhs, rhs = LogRational(10 ** 60 + 1), LogRational(10 ** 60)
+        slack = float(rhs.value() - lhs.value())
+        assert slack == 0.0
+        reports = [MarginReport(below, lhs, rhs, slack),
+                   MarginReport(tie, LogRational(4, 2), LogRational(2), 0.0)]
+        assert summarize_margins(reports).negative_points == (below,)
 
     def test_empty_summary(self):
         summary = summarize_margins([])
