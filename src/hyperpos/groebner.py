@@ -185,6 +185,29 @@ def s_polynomial(f: HomoPoly, g: HomoPoly, order: MonomialOrder) -> HomoPoly:
     return a - b
 
 
+def _s_terms(red_f, red_g, big):
+    """Term dict of the S-polynomial of two (lm, lc, terms) reducer triples.
+
+    `big` is the lcm of the two leads.  Equals `s_polynomial(f, g).terms`
+    without building any intermediate HomoPoly; the leads cancel exactly.
+    """
+    lmf, lcf, tf = red_f
+    lmg, lcg, tg = red_g
+    shift = mono_div(big, lmf)
+    out = {mono_mul(m, shift): c / lcf for m, c in tf.items() if m != lmf}
+    shift = mono_div(big, lmg)
+    for m, c in tg.items():
+        if m == lmg:
+            continue
+        mm = mono_mul(m, shift)
+        v = out.get(mm, 0) - c / lcg
+        if v:
+            out[mm] = v
+        else:
+            del out[mm]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Groebner bases
 
@@ -257,32 +280,50 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
     nv = _ring_size(gens, num_vars)
     basis = [g.content_free() for g in gens if not g.is_zero]
     key = cache_key(basis, order, nv) if _CACHE_DIR is not None else None
-    cached = _cache_fetch(key)
+    cached = _cache_fetch(key, BASIS, basis)
     if cached is not None and cached.order == order and cached.num_vars == nv:
         return cached
     lms = [leading_monomial(g, order) for g in basis]
     reducers = [(lm, g.terms[lm], g.terms) for lm, g in zip(lms, basis)]
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
-    while pending:
-        i, j = min(pending,
-                   key=lambda ij: (order.key(mono_lcm(lms[ij[0]], lms[ij[1]])), ij))
+    # normal selection: a heap of (lcm key, i, j, lcm), each key computed once
+    # when the pair is formed; it pops in the order of the smallest key with
+    # ties broken by (i, j).  `pending` mirrors the heap for the chain criterion.
+    queue = []
+    for j in range(len(basis)):
+        for i in range(j):
+            big = mono_lcm(lms[i], lms[j])
+            queue.append((order.key(big), i, j, big))
+    heapq.heapify(queue)
+    pending = {(i, j) for _, i, j, _ in queue}
+    counts = Counter(pairs=len(queue))
+    while queue:
+        _, i, j, big = heapq.heappop(queue)
         pending.discard((i, j))
-        big = mono_lcm(lms[i], lms[j])
         if big == mono_mul(lms[i], lms[j]):
-            continue  # coprime leading monomials
+            counts["coprime"] += 1
+            continue
         if any(k != i and k != j and mono_divides(lms[k], big)
                and _pair(i, k) not in pending and _pair(j, k) not in pending
                for k in range(len(basis))):
-            continue  # chain criterion
-        s = s_polynomial(basis[i], basis[j], order)
-        red = _reduce_terms(s.terms, reducers, order)
-        if red:
-            h = HomoPoly(nv, red).content_free()
-            lm = leading_monomial(h, order)
-            pending.update((k, len(basis)) for k in range(len(basis)))
-            basis.append(h)
-            lms.append(lm)
-            reducers.append((lm, h.terms[lm], h.terms))
+            counts["chain"] += 1
+            continue
+        red = _reduce_terms(_s_terms(reducers[i], reducers[j], big), reducers, order)
+        if not red:
+            counts["zero"] += 1
+            continue
+        h = HomoPoly(nv, red).content_free()
+        lm = leading_monomial(h, order)
+        new = len(basis)
+        for k in range(new):
+            big = mono_lcm(lms[k], lm)
+            heapq.heappush(queue, (order.key(big), k, new, big))
+            pending.add((k, new))
+        counts["pairs"] += new
+        counts["generators"] += 1
+        basis.append(h)
+        lms.append(lm)
+        reducers.append((lm, h.terms[lm], h.terms))
+    PAIR_COUNTS.update(counts)
 
     # minimalize: ascending scan keeps only generators with undominated leads
     basis.sort(key=lambda g: order.key(leading_monomial(g, order)))
@@ -424,6 +465,10 @@ def ideal_profile(gb: GroebnerBasis) -> IdealProfile:
 MODULUS = 1073741789
 # How each projective_dimension query was settled: "cached", "modp" or "exact".
 DIMENSION_COUNTS = Counter()
+# Work of the Buchberger loop over Q, summed over groebner_basis runs: "pairs"
+# formed, pairs skipped as "coprime" or by the "chain" criterion, S-polynomials
+# reduced to "zero", and new "generators".
+PAIR_COUNTS = Counter()
 
 # Monomials in the mod-p loop are exponent fields packed into one int, x_0 in
 # the lowest field.  For two monomials of one degree the smaller packed int is
@@ -625,11 +670,28 @@ def _decode_record(kind, body):
     return body
 
 
-def _cache_fetch(key, kind=BASIS):
+def _is_reduced_basis_of(gb: GroebnerBasis, gens) -> bool:
+    """True when `gb` is monic and reduced and every one of `gens` reduces to zero.
+
+    Catches a stale, damaged or edited basis record.  A reduced basis of a
+    strictly larger ideal would pass; telling it apart needs a basis of `gens`.
+    """
+    leads = gb.leading_monomials
+    for idx, (lm, lc, terms) in enumerate(gb._reducers):
+        if lc != 1:
+            return False
+        if any(k != idx and mono_divides(other, m)
+               for m in terms for k, other in enumerate(leads)):
+            return False
+    return all(not _reduce_terms(g.terms, gb._reducers, gb.order) for g in gens)
+
+
+def _cache_fetch(key, kind=BASIS, gens=()):
     """The record of `kind` stored under `key`; None for a miss.
 
     A record repeats its own key and kind.  A file that does not, or that
-    fails to decode, is a miss and gets recomputed.
+    fails to decode, is a miss and gets recomputed.  So is a basis record that
+    is not a monic reduced basis in which every one of `gens` reduces to zero.
     """
     if _CACHE_DIR is None or key is None:
         return None
@@ -639,7 +701,10 @@ def _cache_fetch(key, kind=BASIS):
             record = json.load(handle)
         if record["key"] != key or record["kind"] != kind:
             return None
-        return _decode_record(kind, record["value"])
+        value = _decode_record(kind, record["value"])
+        if kind == BASIS and not _is_reduced_basis_of(value, gens):
+            return None
+        return value
     except (OSError, ValueError, KeyError, TypeError, DomainError):
         return None
 

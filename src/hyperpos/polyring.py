@@ -58,6 +58,25 @@ class ZeroPolynomial(DomainError):
     code = "ZeroPolynomial"
 
 
+# Largest total degree accepted at the input boundary or produced by `**` and
+# `lcm_degree`.  Hilbert data, standard monomials and point heights all grow
+# with the degree, so a larger one is refused before any work is done.
+MAX_DEGREE = 1000
+
+
+class DegreeBudgetExceeded(DomainError):
+    code = "DegreeBudgetExceeded"
+
+    def __init__(self, degree, what="degree"):
+        self.degree = degree
+        super().__init__(f"{what} {degree} exceeds the budget of {MAX_DEGREE}")
+
+
+def _check_degree(degree, what="degree"):
+    if degree > MAX_DEGREE:
+        raise DegreeBudgetExceeded(degree, what)
+
+
 # ---------------------------------------------------------------------------
 # monomials
 
@@ -226,6 +245,8 @@ class HomoPoly:
     def __pow__(self, k):
         if k < 0:
             raise DomainError("negative power")
+        if k and not self.is_zero:
+            _check_degree(self.degree * k, "degree of the power")
         out = HomoPoly(self.nvars, {(0,) * self.nvars: Fraction(1)})
         base = self
         while k:
@@ -345,7 +366,10 @@ class _Scanner:
             raise PolySyntaxError(start, what)
         s = self.text[start:self.pos]
         self.skip_ws()
-        return int(s)
+        try:
+            return int(s)
+        except ValueError:  # longer than the interpreter's int digit limit
+            raise PolySyntaxError(start, what, f"{what} at position {start} has too many digits")
 
 
 def _parse_factor(sc: _Scanner, num_vars):
@@ -424,6 +448,7 @@ def parse_poly(text: str, num_vars: int) -> HomoPoly:
     for _, mono in terms[1:]:
         if mono_degree(mono) != degree:
             raise NotHomogeneous(degree, mono_degree(mono))
+    _check_degree(degree)
     merged = {}
     for coef, mono in terms:
         merged[mono] = merged.get(mono, Fraction(0)) + coef
@@ -482,6 +507,7 @@ def lcm_degree(family: Sequence[HomoPoly]) -> LcmLift:
     d = 1
     for di in degrees:
         d = lcm(d, di)
+    _check_degree(d, "lcm of the degrees")
     lifted = tuple(p ** (d // di) for p, di in zip(family, degrees))
     return LcmLift(d, lifted)
 
@@ -509,5 +535,6 @@ def poly_from_json(obj: dict) -> HomoPoly:
             raise DimensionMismatch(f"exponent vector {exp} has length {len(exp)}, ring has {nvars} variables")
         if exp in terms:
             raise PolySyntaxError(0, "distinct exponent vectors", f"duplicate exponent {exp}")
+        _check_degree(sum(exp))
         terms[exp] = rat_from_str(row["coef"])
     return HomoPoly(nvars, terms)

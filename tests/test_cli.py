@@ -116,6 +116,17 @@ class TestExitCodes:
         assert code == 2
         assert report["payload"]["error"] == "ZeroInput"
 
+    @pytest.mark.parametrize("poly, error", [
+        ("x0^99999999", "DegreeBudgetExceeded"),
+        ("x0^600*x1^401", "DegreeBudgetExceeded"),
+        # more digits than int() converts
+        ("x0^" + "9" * 5000, "SyntaxError"),
+    ])
+    def test_oversized_exponent_is_two(self, runj, poly, error):
+        code, report = runj("parse", "--poly", poly, "--nvars", "2", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == error
+
     def test_not_sorted_surfaces_verbatim(self, runj):
         code, report = runj("ineq", "--t", "0,1,2", "--a", "1,3/2", "--no-cache")
         assert code == 2

@@ -6,6 +6,8 @@ from math import comb
 
 import pytest
 from conftest import certify, parse_many
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpos import groebner
 from hyperpos.groebner import (
@@ -14,6 +16,7 @@ from hyperpos.groebner import (
     EMPTY,
     GREVLEX,
     LEX,
+    PAIR_COUNTS,
     GroebnerBasis,
     MixedAmbient,
     MonomialOrder,
@@ -30,7 +33,7 @@ from hyperpos.groebner import (
     standard_monomials,
     weighted_order,
 )
-from hyperpos.polyring import HomoPoly, parse_poly
+from hyperpos.polyring import HomoPoly, mono_lcm, parse_poly
 
 
 def P(text, nvars):
@@ -314,6 +317,123 @@ class TestDiskCache:
         assert groebner_basis(gens, GREVLEX) == gb
 
 
+class TestPairQueue:
+    TWISTED_CUBIC = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
+
+    def counts(self, texts, nvars):
+        PAIR_COUNTS.clear()
+        groebner_basis(parse_many(texts, nvars), GREVLEX)
+        counts = dict(PAIR_COUNTS)
+        # every formed pair ends in exactly one of the four outcomes
+        assert counts["pairs"] == sum(counts.get(k, 0)
+                                      for k in ("coprime", "chain", "zero", "generators"))
+        return counts
+
+    def test_twisted_cubic_counts(self):
+        # already a grevlex basis: no new generator, every S-polynomial is zero
+        assert self.counts(self.TWISTED_CUBIC, 4) == {"pairs": 3, "coprime": 1, "zero": 2}
+
+    def test_counts_with_chain_and_new_generator(self):
+        texts = ("x0^2 - x1*x2", "x1^2 - x0*x2", "x0^2 - x1^2")
+        assert self.counts(texts, 3) == {
+            "pairs": 6, "coprime": 3, "chain": 1, "zero": 1, "generators": 1}
+
+    def test_cache_hit_forms_no_pairs(self, tmp_path):
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(self.TWISTED_CUBIC, 4)
+        groebner_basis(gens, GREVLEX)
+        PAIR_COUNTS.clear()
+        groebner_basis(gens, GREVLEX)
+        assert not +PAIR_COUNTS
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, weighted_order([0, 1, 2])])
+    def test_s_terms_match_s_polynomial(self, order):
+        gens = [g.scale(Fraction(k + 2, 3)) for k, g in enumerate(
+            parse_many(["x0^2 - 3*x1*x2", "2*x1^2 - x0*x2 + x2^2", "x0*x1 - 5*x2^2"], 3))]
+        for f, g in [(a, b) for a in gens for b in gens if a is not b]:
+            lmf, lmg = leading_monomial(f, order), leading_monomial(g, order)
+            got = groebner._s_terms((lmf, f.terms[lmf], f.terms),
+                                    (lmg, g.terms[lmg], g.terms),
+                                    mono_lcm(lmf, lmg))
+            assert got == s_polynomial(f, g, order).terms
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def small_ideals(draw):
+    """1-3 homogeneous forms of degree 1-2 in 2-4 variables, small integer coefficients."""
+    nvars = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 2))
+        monos = list(groebner._all_monomials(nvars, degree))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coefs = draw(st.lists(st.integers(-4, 4).filter(bool),
+                              min_size=len(chosen), max_size=len(chosen)))
+        gens.append(HomoPoly(nvars, dict(zip(chosen, coefs))))
+    return nvars, gens
+
+
+def _monic_terms(gb):
+    return {frozenset(g.terms.items()) for g in gb.generators}
+
+
+class TestSympyOracle:
+    """Reduced bases against sympy's, which is an independent implementation."""
+
+    @staticmethod
+    def sympy_basis(sympy, gens, nvars, order):
+        xs = sympy.symbols(f"x0:{nvars}")
+        exprs = [sum(int(c) * sympy.prod(x ** e for x, e in zip(xs, m))
+                     for m, c in g.terms.items()) for g in gens]
+        out = set()
+        for poly in sympy.groebner(exprs, *xs, order=order, domain="QQ").polys:
+            terms = poly.terms(order=order)
+            lead = terms[0][1]
+            out.add(frozenset((m, Fraction(int(c.p), int(c.q)) / Fraction(int(lead.p), int(lead.q)))
+                              for m, c in terms))
+        return out
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(small_ideals())
+    def test_grevlex_and_lex_match_sympy(self, sympy, case):
+        nvars, gens = case
+        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+            gb = groebner_basis(gens, order)
+            certify(gb)
+            assert _monic_terms(gb) == self.sympy_basis(sympy, gens, nvars, name), name
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(small_ideals())
+    def test_weighted_with_zero_weight_spans_the_same_ideal(self, sympy, case):
+        nvars, gens = case
+        # x0 weighs nothing, so ties on the weight fall through to grevlex
+        gb = groebner_basis(gens, weighted_order([0] + [1] * (nvars - 1)))
+        certify(gb)
+        reference = groebner_basis(gens, GREVLEX)
+        assert _monic_terms(reference) == self.sympy_basis(sympy, gens, nvars, "grevlex")
+        assert all(normal_form(g, gb).is_zero for g in gens)
+        assert all(normal_form(h, reference).is_zero for h in gb.generators)
+
+
+def _scale_first(record):
+    for row in record["value"]["generators"][0]["terms"]:
+        row["coef"] = str(2 * Fraction(row["coef"]))
+
+
+def _bend_first_tail(record):
+    record["value"]["generators"][0]["terms"][1]["coef"] = "-2/1"
+
+
+def _unreduce_last(record):
+    # x0*x1*x2 sits below the lead x1^3 but is divisible by the lead x0*x1
+    record["value"]["generators"][2]["terms"].append({"coef": "1/1", "exp": [1, 1, 1]})
+
+
 class TestCacheRecords:
     # two lines in the plane: dimension at least 2 - 2 = 0, and 0 mod p
     GENS = ("x0", "x1")
@@ -380,6 +500,27 @@ class TestCacheRecords:
         DIMENSION_COUNTS.clear()
         assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
         assert DIMENSION_COUNTS == {"modp": 1}
+        assert json.loads(entry.read_text()) == record  # rewritten
+
+    # the basis of these two is [x0*x1 - x2^2, x0^2 - x1^2, x1^3 - x0*x2^2]
+    BASIS_GENS = ("x0^2 - x1^2", "x0*x1 - x2^2")
+
+    @pytest.mark.parametrize("edit", [_scale_first, _bend_first_tail, _unreduce_last],
+                             ids=["not monic", "input not in ideal", "not reduced"])
+    def test_edited_basis_record_is_recomputed(self, tmp_path, edit):
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(self.BASIS_GENS, 3)
+        gb = groebner_basis(gens, GREVLEX)
+        (entry,) = tmp_path.glob("*.json")
+        record = json.loads(entry.read_text())
+        edited = json.loads(entry.read_text())
+        edit(edited)
+        entry.write_text(json.dumps(edited))
+        # the edited record still decodes: only the integrity check rejects it
+        assert gb_from_json(edited["value"]) != gb
+        PAIR_COUNTS.clear()
+        assert groebner_basis(gens, GREVLEX) == gb
+        assert PAIR_COUNTS["pairs"] > 0  # recomputed, not read
         assert json.loads(entry.read_text()) == record  # rewritten
 
     def test_basis_record_of_other_kind_is_a_miss(self, tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpos.polyring import (
+    MAX_DEGREE,
+    DegreeBudgetExceeded,
     DegreeMismatch,
     DimensionMismatch,
     EmptyInput,
@@ -202,6 +204,31 @@ class TestLcmDegree:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             lcm_degree(())
+
+
+class TestDegreeBudget:
+    def test_parse_at_and_over_budget(self):
+        assert P(f"x0^{MAX_DEGREE}", 2).degree == MAX_DEGREE
+        with pytest.raises(DegreeBudgetExceeded):
+            P(f"x0^{MAX_DEGREE} * x1", 2)
+
+    def test_json_over_budget(self):
+        obj = {"vars": 2, "terms": [{"exp": [MAX_DEGREE, 1], "coef": "1/1"}]}
+        with pytest.raises(DegreeBudgetExceeded):
+            poly_from_json(obj)
+
+    def test_power_checked_before_multiplying(self, monkeypatch):
+        monkeypatch.setattr(HomoPoly, "__mul__", lambda *args: pytest.fail("multiplied"))
+        with pytest.raises(DegreeBudgetExceeded):
+            P("x0 + x1", 2) ** (10 ** 12)
+        with pytest.raises(DegreeBudgetExceeded):
+            P("x0^2 + x1^2", 2) ** (MAX_DEGREE // 2 + 1)
+
+    def test_lcm_degree_checked_before_lifting(self, monkeypatch):
+        monkeypatch.setattr(HomoPoly, "__pow__", lambda *args: pytest.fail("lifted"))
+        # lcm(31, 37) = 1147
+        with pytest.raises(DegreeBudgetExceeded):
+            lcm_degree((P("x0^31", 2), P("x1^37", 2)))
 
 
 @given(
