@@ -8,10 +8,11 @@ one, so the normalized norm is the plain absolute value at each place.
 
 from __future__ import annotations
 
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -404,21 +405,114 @@ def summarize_margins(reports) -> MarginSummary:
 # ---------------------------------------------------------------------------
 # point sampling
 
+# Most coordinate prefixes one sample_points call may walk.  In P^N, shell s
+# has (2s+1)^N prefixes of the first N coordinates; a shell that would take
+# the running total past this budget is refused before it is enumerated.
+MAX_SAMPLE_PREFIXES = 10 ** 7
+
+# Work of sample_points, summed over runs: "prefixes" of the first N
+# coordinates solved for the last one, "candidates" (coprime tuples that reach
+# the check of every generator) and "points" kept.
+SAMPLE_COUNTS = Counter()
+
+
+class SampleBudgetExceeded(DomainError):
+    code = "SampleBudgetExceeded"
+
+
+def _prefixes(shell: int, length: int):
+    """Tuples in [-shell, shell]^length whose first nonzero entry is positive,
+    and the zero tuple, in lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for rest in _prefixes(shell, length - 1):
+        yield (0,) + rest
+    full = range(-shell, shell + 1)
+    yield from iter_product(range(1, shell + 1), *[full] * (length - 1))
+
+
+def _pivot_terms(pivot: HomoPoly) -> tuple:
+    """The pivot with cleared denominators, as (k, coef, ((i, e), ...)) per
+    term: an integer coef times x_last^k times the prefix powers x_i^e."""
+    den = lcm(*(c.denominator for c in pivot.terms.values()))
+    return tuple((m[-1], int(c * den), tuple((i, e) for i, e in enumerate(m[:-1]) if e))
+                 for m, c in pivot.terms.items())
+
+
+def _horner(a: list, t: int) -> int:
+    val = 0
+    for c in reversed(a):
+        val = val * t + c
+    return val
+
+
+def _last_coordinates(terms, degree, prefix, shell) -> Sequence:
+    """Values t of the last coordinate that keep prefix + (t,) on the shell
+    with a positive first entry, narrowed to the integer roots of the pivot."""
+    norm = max(map(abs, prefix), default=0)
+    if norm == shell:
+        allowed = range(-shell, shell + 1)
+    else:
+        allowed = (-shell, shell) if norm else (shell,)
+    if terms is None:
+        return allowed
+    a = [0] * (degree + 1)
+    for k, c, powers in terms:
+        for i, e in powers:
+            c *= prefix[i] ** e
+        a[k] += c
+    k = next((k for k, c in enumerate(a) if c), None)
+    if k is None:
+        return allowed
+    # a nonzero root divides the lowest nonzero coefficient a_k; 0 is a root iff k > 0
+    ak = a[k]
+    if norm == shell:
+        divisors = [d for d in range(1, min(shell, abs(ak)) + 1) if ak % d == 0]
+        ts = sorted([-d for d in divisors] + ([0] if k else []) + divisors)
+    else:
+        ts = [t for t in allowed if ak % t == 0]
+    return [t for t in ts if _horner(a, t) == 0]
+
+
 def sample_points(v: Variety, count: int, max_shell: int = 64) -> tuple:
-    """First `count` canonical rational points on V, enumerated by max-norm."""
+    """First `count` canonical rational points on V, enumerated by max-norm.
+
+    Shell by shell, each in lexicographic order of the coordinates.  Only the
+    surface of each shell is walked: the first N coordinates run over the
+    shell's cube and the last one is solved for as an integer root of the
+    first generator (the pivot).  The pivot only narrows the candidates; every
+    generator is still checked exactly on each of them.
+    """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
+    gens = v.generators
+    length = v.num_vars - 1
+    terms = _pivot_terms(gens[0]) if gens else None
+    degree = gens[0].degree if gens else 0
     found = []
-    for shell in range(1, max_shell + 1):
-        for tup in iter_product(range(-shell, shell + 1), repeat=v.num_vars):
-            if max(abs(t) for t in tup) != shell:
-                continue
-            lead = next((t for t in tup if t != 0), 0)
-            if lead < 0 or gcd(*tup) != 1:
-                continue
-            if any(g.evaluate(tup) != 0 for g in v.generators):
-                continue
-            found.append(RationalPoint(tup))
-            if len(found) == count:
-                return tuple(found)
+    walked = 0
+    counts = Counter()
+    try:
+        for shell in range(1, max_shell + 1):
+            walked += (2 * shell + 1) ** length
+            if walked > MAX_SAMPLE_PREFIXES:
+                raise SampleBudgetExceeded(
+                    f"shell {shell} would take the walk to {walked} coordinate prefixes, "
+                    f"past the budget of {MAX_SAMPLE_PREFIXES}")
+            for prefix in _prefixes(shell, length):
+                counts["prefixes"] += 1
+                for t in _last_coordinates(terms, degree, prefix, shell):
+                    tup = prefix + (t,)
+                    if gcd(*tup) != 1:
+                        continue
+                    counts["candidates"] += 1
+                    if any(g.evaluate(tup) != 0 for g in gens):
+                        continue
+                    found.append(RationalPoint(tup))
+                    counts["points"] += 1
+                    if len(found) == count:
+                        return tuple(found)
+    finally:
+        SAMPLE_COUNTS.update(counts)
     raise DomainError(f"only {len(found)} points found within max-norm {max_shell}")

@@ -528,9 +528,17 @@ def poly_from_json(obj: dict) -> HomoPoly:
         rows = obj["terms"]
     except (KeyError, TypeError, ValueError):
         raise PolySyntaxError(0, 'object with "vars" and "terms"')
+    if not isinstance(rows, list):
+        raise PolySyntaxError(0, '"terms" as a list', f"terms must be a list, got {type(rows).__name__}")
     terms = {}
     for row in rows:
-        exp = tuple(int(e) for e in row["exp"])
+        if not (isinstance(row, dict) and isinstance(row.get("exp"), list)
+                and isinstance(row.get("coef"), str)):
+            raise PolySyntaxError(0, 'term row {"exp": [integers], "coef": "a/b"}', f"bad term row {row!r}")
+        try:
+            exp = tuple(int(e) for e in row["exp"])
+        except (TypeError, ValueError):
+            raise PolySyntaxError(0, "integer exponents", f"bad exponent vector {row['exp']!r}")
         if len(exp) != nvars:
             raise DimensionMismatch(f"exponent vector {exp} has length {len(exp)}, ring has {nvars} variables")
         if exp in terms:

@@ -445,6 +445,20 @@ class TestInputHandling:
         assert code == 2
         assert "must be a list" in report["payload"]["message"]
 
+    @pytest.mark.parametrize("poly", [
+        {"vars": 3, "terms": [{"exp": ["a", 1, 1], "coef": "1/1"}]},
+        {"vars": 3, "terms": [{"exp": [2, 0, 0]}]},
+        {"vars": 3, "terms": 5},
+        {"vars": 3, "terms": [{"exp": [2, 0, 0], "coef": 1}]},
+        {"vars": 3, "terms": [{"exp": "200", "coef": "1/1"}]},
+    ])
+    def test_malformed_json_poly_is_syntax_error(self, runj, tmp_path, poly):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"ambient": 2, "polys": [poly]}))
+        code, report = runj("dim", "--ideal", str(path), "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "SyntaxError"
+
     def test_bad_place_is_usage_error(self, capsys):
         code = cli.main(["weil", "--poly", "x0", "--nvars", "1",
                          "--point", "1", "--place", "six", "--no-cache"])

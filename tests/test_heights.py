@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperpos.errors import DomainError
+import hyperpos.heights as heights
 from hyperpos.heights import (
     INFINITE,
     LOG_ONE,
@@ -17,7 +19,9 @@ from hyperpos.heights import (
     Place,
     PointNotOnVariety,
     PointOnHypersurface,
+    SAMPLE_COUNTS,
     RationalPoint,
+    SampleBudgetExceeded,
     ZeroInput,
     default_places,
     height_point,
@@ -337,9 +341,77 @@ class TestSamplePoints:
 
     def test_pointless_conic_exhausts(self):
         v = build_variety([parse_poly("x0^2 + x1^2 + x2^2", 3)])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="only 0 points found within max-norm 6"):
             sample_points(v, 1, max_shell=6)
 
     def test_rejects_bad_count(self, p1):
         with pytest.raises(DomainError):
             sample_points(p1, 0)
+
+
+def cube_scan(v, count, max_shell=64):
+    """Reference enumeration: every tuple of each shell's full cube, in order."""
+    found = []
+    for shell in range(1, max_shell + 1):
+        for tup in product(range(-shell, shell + 1), repeat=v.num_vars):
+            if max(abs(t) for t in tup) != shell:
+                continue
+            lead = next((t for t in tup if t != 0), 0)
+            if lead < 0 or math.gcd(*tup) != 1:
+                continue
+            if any(g.evaluate(tup) != 0 for g in v.generators):
+                continue
+            found.append(tup)
+            if len(found) == count:
+                return found
+    raise DomainError(f"only {len(found)} points found within max-norm {max_shell}")
+
+
+def variety(texts, nvars):
+    return build_variety([parse_poly(t, nvars) for t in texts], num_vars=nvars)
+
+
+class TestSampleOracle:
+    @pytest.mark.parametrize("texts, nvars, count", [
+        ((), 2, 60),
+        ((), 3, 60),
+        (("x0*x2 - x1^2",), 3, 20),
+        (("x0*x3 - x1*x2",), 4, 60),
+        (("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"), 4, 6),
+        (("x0^2 + x1^2 - x2^2",), 3, 20),
+        # the reduced basis is x1^2 - 2/3*x0*x2: the pivot has a denominator
+        (("2*x0*x2 - 3*x1^2",), 3, 12),
+        # the pivot does not involve the last variable
+        (("x0^2 - x1^2",), 3, 30),
+        # y^2 z = x^3 - x z^2: 0 is a root of the pivot where x = 0
+        (("x1^2*x2 - x0^3 + x0*x2^2",), 3, 4),
+    ])
+    def test_same_points_as_cube_scan(self, texts, nvars, count):
+        v = variety(texts, nvars)
+        assert [p.coords for p in sample_points(v, count)] == cube_scan(v, count)
+
+    def test_counts_on_conic(self):
+        SAMPLE_COUNTS.clear()
+        sample_points(variety(["x0*x2 - x1^2"], 3), 12)
+        # shells 1..8 solve 2s^2 + 2s + 1 prefixes each (488); the 12th point,
+        # (4:6:9), is reached at the 83rd prefix of shell 9
+        assert SAMPLE_COUNTS == {"prefixes": 571, "candidates": 12, "points": 12}
+
+
+class TestSampleBudget:
+    def test_shell_past_budget_is_refused(self, monkeypatch):
+        # the conic's 12th point lies on shell 9; shells 1..9 cost 3^2 + ... + 19^2 = 1329
+        v = variety(["x0*x2 - x1^2"], 3)
+        monkeypatch.setattr(heights, "MAX_SAMPLE_PREFIXES", 1329)
+        assert len(sample_points(v, 12)) == 12
+        monkeypatch.setattr(heights, "MAX_SAMPLE_PREFIXES", 1328)
+        with pytest.raises(SampleBudgetExceeded, match="shell 9"):
+            sample_points(v, 12)
+
+    def test_many_variables_refused_before_walking(self):
+        # 20 variables: shell 1 alone has 3^19 prefixes, far past the budget
+        v = variety([" + ".join(f"x{i}^2" for i in range(20))], 20)
+        SAMPLE_COUNTS.clear()
+        with pytest.raises(SampleBudgetExceeded, match="shell 1 "):
+            sample_points(v, 1)
+        assert not +SAMPLE_COUNTS
