@@ -392,12 +392,32 @@ def hilbert_function(gb: GroebnerBasis, u: int) -> int:
     return total
 
 
+# Most degree-u monomials one enumeration may list.  There are
+# comb(num_vars - 1 + u, num_vars - 1) of them; a larger count is refused
+# before the first one is made.
+MAX_STANDARD_MONOMIALS = 10 ** 6
+
+
+class MonomialBudgetExceeded(DomainError):
+    code = "MonomialBudgetExceeded"
+
+
 def _all_monomials(num_vars, u):
+    """Every degree-u monomial in num_vars variables, lexicographically descending."""
+    count = comb(num_vars - 1 + u, num_vars - 1)
+    if count > MAX_STANDARD_MONOMIALS:
+        raise MonomialBudgetExceeded(
+            f"{count} monomials of degree {u} in {num_vars} variables exceed the budget "
+            f"of {MAX_STANDARD_MONOMIALS}")
+    return _monomials(num_vars, u)
+
+
+def _monomials(num_vars, u):
     if num_vars == 1:
         yield (u,)
         return
     for head in range(u, -1, -1):
-        for tail in _all_monomials(num_vars - 1, u - head):
+        for tail in _monomials(num_vars - 1, u - head):
             yield (head,) + tail
 
 

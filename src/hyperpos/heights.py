@@ -12,7 +12,7 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -369,6 +369,13 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
         raise DomainError("duplicate places in S")
     lift = fam.lcm_d
     multiplier = delta * (v.dim_n + 1) + eps
+    # lhs is the product over places and members of weil_function(Q_j, x, v)
+    # raised to lift/d_j, with each factor computed where it varies:
+    #   |x|_v^(sum_j d_j e_j) * prod_j |Q_j|_v^e_j / |prod_j Q_j(x)^e_j|_v
+    exponents = [lift // d for d in fam.degrees]
+    point_power = sum(d * e for d, e in zip(fam.degrees, exponents))
+    coefficient_norms = [prod(_poly_norm(m, place) ** e for m, e in zip(fam.members, exponents))
+                         for place in places]
     reports = []
     for x in points:
         if x.ambient + 1 != v.num_vars:
@@ -376,13 +383,15 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
         for g in v.generators:
             if g.evaluate(x.coords) != 0:
                 raise PointNotOnVariety(f"{x!r} does not satisfy a defining equation")
-        for j, member in enumerate(fam.members):
-            if member.evaluate(x.coords) == 0:
+        value = 1
+        for j, (member, e) in enumerate(zip(fam.members, exponents)):
+            val = member.evaluate(x.coords)
+            if val == 0:
                 raise PointOnHypersurface(f"{x!r} lies on family member {j + 1}")
+            value *= val ** e
         arg = Fraction(1)
-        for place in places:
-            for member, d in zip(fam.members, fam.degrees):
-                arg *= weil_function(member, x, place).argument ** (lift // d)
+        for place, norm in zip(places, coefficient_norms):
+            arg *= _point_norm(x, place) ** point_power * norm / normalized_abs(value, place)
         lhs = LogRational(arg, lift)
         rhs = height_point(x).scale(multiplier)
         slack = float(rhs.value() - lhs.value())

@@ -10,9 +10,9 @@ permanent cross-check, not a scaffold.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial, floor
+from math import comb, factorial, floor, gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -91,8 +91,24 @@ def hilbert_weight(v: Variety, u: int, c) -> HilbertWeightReport:
 DEFAULT_ORACLE_CAP = 16
 
 
+# Work of hilbert_weight_bruteforce, summed over runs: residue "rows" reduced
+# against a chosen prefix, "dependent" rows that cut their branch, and "bases"
+# (independent subsets of full size) weighed.
+ORACLE_COUNTS = Counter()
+
+
 def hilbert_weight_bruteforce(v: Variety, u: int, c, cap: int = DEFAULT_ORACLE_CAP) -> Fraction:
-    """Exhaustive S(u,c): try every independent monomial subset of full size."""
+    """Exhaustive S(u,c): the largest c-weight of any independent subset of the
+    degree-u monomials whose size is the Hilbert value.
+
+    A depth-first walk picks monomial indices in increasing order.  It keeps an
+    echelon form of the residues of the chosen prefix and enters a branch only
+    when the next residue stays nonzero after reduction against it.  Every
+    subset of an independent set is independent, so cutting a branch at a
+    dependent prefix loses no independent subset of full size: the walk weighs
+    exactly the subsets that a scan of every combination would keep.  Rank is
+    decided exactly over the integers; weight never prunes a branch.
+    """
     if u < 1:
         raise DomainError(f"u must be positive, got {u}")
     c = _weight_vector(v, c)
@@ -106,18 +122,56 @@ def hilbert_weight_bruteforce(v: Variety, u: int, c, cap: int = DEFAULT_ORACLE_C
     residues = []
     for m in monos:
         nf = normal_form(HomoPoly(v.num_vars, {m: Fraction(1)}), v.gb)
-        vec = [Fraction(0)] * size
+        den = lcm(*(cc.denominator for cc in nf.terms.values()))
+        row = [0] * size
         for mm, cc in nf.terms.items():
-            vec[coords[mm]] = cc
-        residues.append(vec)
+            row[coords[mm]] = int(cc * den)
+        residues.append(row)
+    weights = [_mono_weight(m, c) for m in monos]
+    echelon = []  # (pivot column, row) per chosen index, in the order chosen
+    counts = Counter()
     best = None
-    for combo in combinations(range(total), size):
-        if _rank([residues[i] for i in combo]) < size:
-            continue
-        weight = sum((_mono_weight(monos[i], c) for i in combo), Fraction(0))
-        if best is None or weight > best:
-            best = weight
+
+    def walk(start, weight):
+        nonlocal best
+        depth = len(echelon)
+        if depth == size:
+            counts["bases"] += 1
+            if best is None or weight > best:
+                best = weight
+            return
+        # stop where too few indices are left to reach full size
+        for i in range(start, total - size + depth + 1):
+            counts["rows"] += 1
+            reduced = _reduce_row(residues[i], echelon)
+            if reduced is None:
+                counts["dependent"] += 1
+                continue
+            echelon.append(reduced)
+            walk(i + 1, weight + weights[i])
+            echelon.pop()
+
+    try:
+        walk(0, Fraction(0))
+    finally:
+        ORACLE_COUNTS.update(counts)
     return best
+
+
+def _reduce_row(row, echelon):
+    """(pivot, primitive row) of `row` reduced against the echelon rows, or
+    None when it reduces to zero.  Each echelon row is zero at the pivots
+    before its own, so one pass in order clears every pivot column."""
+    for pivot, e in echelon:
+        a = row[pivot]
+        if a:
+            b = e[pivot]
+            row = [b * x - a * y for x, y in zip(row, e)]
+    pivot = next((j for j, x in enumerate(row) if x), None)
+    if pivot is None:
+        return None
+    g = gcd(*row)
+    return pivot, [x // g for x in row]
 
 
 def _rank(rows) -> int:

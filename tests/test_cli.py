@@ -273,6 +273,12 @@ class TestFrozenPayloads:
         assert code == 2
         assert report["payload"]["error"] == "UTooSmall"
 
+    def test_hweight_past_monomial_budget(self, runj, conic_ideal):
+        code, report = runj("hweight", "--variety", conic_ideal, "--u", "100000",
+                            "--c", "1,0,0", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "MonomialBudgetExceeded"
+
     def test_compare(self, runj):
         _, report = runj("compare", "--n", "2", "--ambient", "4", "--l", "4",
                          "--kappa", "1", "--q", "9", "--no-cache")

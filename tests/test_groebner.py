@@ -19,6 +19,7 @@ from hyperpos.groebner import (
     PAIR_COUNTS,
     GroebnerBasis,
     MixedAmbient,
+    MonomialBudgetExceeded,
     MonomialOrder,
     gb_from_json,
     gb_to_json,
@@ -271,6 +272,20 @@ class TestStandardMonomials:
         assert (0, 2, 0) not in monos
         keys = [GREVLEX.key(m) for m in monos]
         assert keys == sorted(keys, reverse=True)
+
+    def test_budget_is_exact(self, monkeypatch):
+        # degree 4 in 3 variables: comb(6, 2) = 15 monomials to enumerate
+        gb = groebner_basis([P(CONIC, 3)], GREVLEX)
+        monkeypatch.setattr(groebner, "MAX_STANDARD_MONOMIALS", 15)
+        assert len(standard_monomials(gb, 4)) == 9
+        monkeypatch.setattr(groebner, "MAX_STANDARD_MONOMIALS", 14)
+        with pytest.raises(MonomialBudgetExceeded, match="15 monomials of degree 4"):
+            standard_monomials(gb, 4)
+
+    def test_refused_before_the_first_monomial(self):
+        # the call itself raises: no generator is returned, nothing is listed
+        with pytest.raises(MonomialBudgetExceeded, match=str(comb(100002, 2))):
+            groebner._all_monomials(3, 100000)
 
 
 class TestSerialization:

@@ -325,6 +325,59 @@ class TestMargin:
         assert [r.point for r in reports] == pts
 
 
+def weil_product(fam, x, places):
+    """lhs of the margin as the product of weil_function over places and members."""
+    arg = F(1)
+    for place in places:
+        for member, d in zip(fam.members, fam.degrees):
+            arg *= weil_function(member, x, place).argument ** (fam.lcm_d // d)
+    return arg
+
+
+# degrees 1, 2, 1, 3 (lift 6); |2|_2 = 1/2, |6|_3 = 1/3 and |1/2|_2 = 2 make
+# coefficient norms other than 1 at 2 and 3
+MIXED = ("2*x0", "3*x1^2 - 4*x0*x2", "6*x0 + 9*x2", "1/2*x0^3 + x1^3 - 5*x2^3")
+
+
+def _margin_cases():
+    p2 = build_variety([], num_vars=3)
+    conic = build_variety([parse_poly("x0*x2 - x1^2", 3)])
+    return [
+        # acceptance criterion 9: q = n + 2 monic linear forms
+        ("P1", build_variety([], num_vars=2), ("x0", "x1", "x0 + x1"), None),
+        ("P2", p2, ("x0", "x1", "x2", "x0 + x1 + x2"), None),
+        ("mixed", p2, MIXED, None),
+        ("conic", conic, ("x0", "x2", "2*x0 + 3*x1 - x2"), None),
+        ("places", p2, MIXED, (Place.finite(2), INFINITE, Place.finite(7))),
+    ]
+
+
+class TestMarginAgainstWeil:
+    """Each lhs is the product of the Weil functions it stands for."""
+
+    @pytest.mark.parametrize("name,v,texts,places", _margin_cases(),
+                             ids=lambda x: x if isinstance(x, str) else None)
+    def test_lhs_is_weil_product(self, name, v, texts, places):
+        fam = build_family(v, [parse_poly(t, v.num_vars) for t in texts])
+        points = [x for x in sample_points(v, 40)
+                  if all(m.evaluate(x.coords) != 0 for m in fam.members)]
+        reports = theorem15_margin(v, fam, 1, F(1, 2), places, points)
+        used = default_places() if places is None else places
+        assert len(reports) == len(points) > 5
+        for rep, x in zip(reports, points):
+            assert rep.point == x
+            assert rep.lhs.root == fam.lcm_d
+            assert rep.lhs.argument == weil_product(fam, x, used), x
+
+    def test_mixed_family_exercises_the_factors(self):
+        fam = build_family(build_variety([], num_vars=3), [parse_poly(t, 3) for t in MIXED])
+        assert fam.lcm_d == 6
+        two, three = Place.finite(2), Place.finite(3)
+        assert heights._poly_norm(fam.members[0], two) == F(1, 2)
+        assert heights._poly_norm(fam.members[2], three) == F(1, 3)
+        assert heights._poly_norm(fam.members[3], two) == 2
+
+
 class TestSamplePoints:
     def test_p1_prefix(self, p1):
         pts = sample_points(p1, 8)

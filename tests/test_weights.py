@@ -2,14 +2,24 @@
 
 import math
 from fractions import Fraction as F
+from itertools import combinations
+from math import comb
 
 import pytest
 
+from hyperpos import weights
 from hyperpos.errors import DomainError
-from hyperpos.groebner import standard_monomials
-from hyperpos.polyring import DimensionMismatch, parse_poly
+from hyperpos.groebner import (
+    GREVLEX,
+    groebner_basis,
+    hilbert_function,
+    normal_form,
+    standard_monomials,
+)
+from hyperpos.polyring import DimensionMismatch, HomoPoly, parse_poly
 from hyperpos.position import IndexOutOfRange, build_variety
 from hyperpos.weights import (
+    DEFAULT_ORACLE_CAP,
     FloorAmbiguous,
     OracleTooLarge,
     SubsetNotEmptyOnV,
@@ -38,6 +48,30 @@ def conic():
 
 def weight_of(monos, c):
     return sum((sum(F(e) * F(x) for e, x in zip(m, c)) for m in monos), F(0))
+
+
+def combination_scan(v, u, cs):
+    """The oracle as a plain scan: rank every full-size combination of the
+    degree-u monomial residues and keep the independent ones.  Returns the
+    largest weight of a kept combination under each weight vector in `cs`,
+    and the number kept."""
+    monos = standard_monomials(groebner_basis([], GREVLEX, num_vars=v.num_vars), u)
+    size = hilbert_function(v.gb, u)
+    coords = {m: i for i, m in enumerate(standard_monomials(v.gb, u))}
+    residues = []
+    for m in monos:
+        nf = normal_form(HomoPoly(v.num_vars, {m: F(1)}), v.gb)
+        vec = [F(0)] * size
+        for mm, cc in nf.terms.items():
+            vec[coords[mm]] = cc
+        residues.append(vec)
+    kept = [combo for combo in combinations(range(len(monos)), size)
+            if _rank([residues[i] for i in combo]) == size]
+    best = []
+    for c in cs:
+        mono_weights = [weight_of([m], c) for m in monos]
+        best.append(max(sum((mono_weights[i] for i in combo), F(0)) for combo in kept))
+    return best, len(kept)
 
 
 class TestHilbertWeight:
@@ -116,6 +150,12 @@ class TestOracle:
         "c", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 2), (2, 1, 1), (1, 1, 1)])
     def test_matches_fast_route_on_conic(self, conic, u, c):
         assert hilbert_weight(conic, u, c).weight == hilbert_weight_bruteforce(conic, u, c)
+
+    def test_counts_pinned_on_conic(self, conic):
+        before = weights.ORACLE_COUNTS.copy()
+        assert hilbert_weight_bruteforce(conic, 4, (1, 0, 0)) == 16
+        done = weights.ORACLE_COUNTS - before
+        assert done == {"rows": 961, "dependent": 423, "bases": 48}
 
     def test_cap_enforced(self, conic):
         with pytest.raises(OracleTooLarge):
@@ -294,3 +334,43 @@ class TestCompareBounds:
             compare_bounds(2, 2, 1, 1, 9)
         with pytest.raises(DomainError):
             compare_bounds(2, 2, 2, 0, 9)
+
+
+def _scan_cases():
+    def variety(texts, nvars):
+        return build_variety([parse_poly(t, nvars) for t in texts], num_vars=nvars)
+
+    def up_to_cap(ambient):
+        return [u for u in range(1, DEFAULT_ORACLE_CAP)
+                if comb(ambient + u, ambient) <= DEFAULT_ORACLE_CAP]
+
+    cases = [("P1", variety((), 2), u) for u in up_to_cap(1)]
+    cases += [("P2", variety((), 3), u) for u in up_to_cap(2)]
+    cases += [("conic", variety(("x0*x2 - x1^2",), 3), u) for u in up_to_cap(2)]
+    for name, texts in (("quadric", ("x0*x3 - x1*x2",)),
+                        ("cubic", ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"))):
+        cases += [(name, variety(texts, 4), u) for u in (1, 2)]
+    for name, text in (("squares", "x0^2 + x1^2 + x2^2"),
+                       ("dense", "2*x0^2 - 3*x0*x1 + 5*x1^2 + 7*x0*x2 - x1*x2 + 4*x2^2")):
+        cases += [(name, variety((text,), 3), u) for u in range(1, 5)]
+    return cases
+
+
+def _weights_for(num_vars):
+    """Zero, repeated and fractional weights, cut or padded to num_vars."""
+    base = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 2, 2), (F(1, 2), F(2, 3), 0), (3, 1, 2))
+    return [(c + (1,))[:num_vars] for c in base]
+
+
+class TestOracleAgainstScan:
+    """The depth-first walk weighs exactly the combinations the scan keeps."""
+
+    @pytest.mark.parametrize("name,v,u", _scan_cases(),
+                             ids=lambda x: x if isinstance(x, str) else None)
+    def test_walk_matches_scan(self, name, v, u):
+        cs = _weights_for(v.num_vars)
+        best, kept = combination_scan(v, u, cs)
+        for c, expected in zip(cs, best):
+            before = weights.ORACLE_COUNTS.copy()
+            assert hilbert_weight_bruteforce(v, u, c) == expected, c
+            assert (weights.ORACLE_COUNTS - before)["bases"] == kept
