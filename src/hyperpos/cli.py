@@ -98,10 +98,9 @@ def _load_config(path):
     knobs = {
         "seed": _int_knob(obj, "seed", 0),
         "subset_cap": _int_knob(obj, "subset_cap", DEFAULT_SUBSET_CAP),
-        "oracle_cap": _int_knob(obj, "oracle_cap", DEFAULT_ORACLE_CAP),
         "precision": _int_knob(obj, "precision", _DEFAULT_PRECISION),
     }
-    for name in ("subset_cap", "oracle_cap", "precision"):
+    for name in ("subset_cap", "precision"):
         if knobs[name] < 1:
             raise DomainError(f"{name} must be positive, got {knobs[name]}")
     return v, fam, knobs

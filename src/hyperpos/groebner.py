@@ -23,6 +23,7 @@ import json
 import os
 import tempfile
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -54,41 +55,45 @@ class _EmptySentinel:
     """Dimension marker for the empty projective set (dim = -infinity)."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
+        return "EMPTY"
+
+    def __reduce__(self):
+        # copies and pickles resolve to the one module-level EMPTY
         return "EMPTY"
 
 
 EMPTY = _EmptySentinel()
 
 
+def dim_at_most(dim, bound) -> bool:
+    """True when a dimension is EMPTY or at most `bound`."""
+    return dim is EMPTY or dim <= bound
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 
+@dataclass(frozen=True, slots=True)
 class MonomialOrder:
     """Total multiplicative monomial order; larger key means larger monomial."""
 
-    __slots__ = ("kind", "weights")
+    kind: str
+    weights: Optional[tuple] = None
 
-    def __init__(self, kind: str, weights=None):
-        if kind not in ("grevlex", "lex", "weighted"):
-            raise DomainError(f"unknown monomial order kind {kind!r}")
-        if kind == "weighted":
-            if weights is None:
+    def __post_init__(self):
+        if self.kind not in ("grevlex", "lex", "weighted"):
+            raise DomainError(f"unknown monomial order kind {self.kind!r}")
+        if self.kind == "weighted":
+            if self.weights is None:
                 raise DomainError("weighted order needs a weight vector")
-            weights = tuple(Fraction(w) for w in weights)
+            weights = tuple(Fraction(w) for w in self.weights)
             if any(w < 0 for w in weights):
                 raise DomainError("weights must be non-negative")
-        elif weights is not None:
-            raise DomainError(f"{kind} order takes no weights")
-        self.kind = kind
-        self.weights = weights
+            object.__setattr__(self, "weights", weights)
+        elif self.weights is not None:
+            raise DomainError(f"{self.kind} order takes no weights")
 
     def key(self, mono):
         if self.kind == "grevlex":
@@ -105,18 +110,6 @@ class MonomialOrder:
         if self.kind == "weighted":
             return {"weighted": [rat_to_str(w) for w in self.weights]}
         return self.kind
-
-    def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind and self.weights == other.weights)
-
-    def __hash__(self):
-        return hash((self.kind, self.weights))
-
-    def __repr__(self):
-        if self.kind == "weighted":
-            return f"MonomialOrder(weighted, {list(self.weights)})"
-        return f"MonomialOrder({self.kind})"
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -211,44 +204,29 @@ def _s_terms(red_f, red_g, big):
 # ---------------------------------------------------------------------------
 # Groebner bases
 
+@dataclass(frozen=True, slots=True)
 class GroebnerBasis:
     """Reduced basis plus its order; immutable, safe to share across threads."""
 
-    __slots__ = ("generators", "order", "reduced", "num_vars", "_lead", "_reducers", "_hilbert")
+    generators: tuple
+    order: MonomialOrder
+    reduced: bool = field(compare=False)
+    num_vars: int
+    leading_monomials: tuple = field(init=False, repr=False, compare=False)
+    _reducers: tuple = field(init=False, repr=False, compare=False)
+    _hilbert: dict = field(init=False, repr=False, compare=False)
 
-    def __init__(self, generators, order: MonomialOrder, reduced: bool, num_vars: int):
-        gens = tuple(generators)
+    def __post_init__(self):
+        gens = tuple(self.generators)
         for g in gens:
-            if g.nvars != num_vars:
-                raise MixedAmbient(f"generator in {g.nvars} variables, ambient has {num_vars}")
+            if g.nvars != self.num_vars:
+                raise MixedAmbient(f"generator in {g.nvars} variables, ambient has {self.num_vars}")
+        lead = tuple(leading_monomial(g, self.order) for g in gens)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "num_vars", num_vars)
-        lead = tuple(leading_monomial(g, order) for g in gens)
-        object.__setattr__(self, "_lead", lead)
+        object.__setattr__(self, "leading_monomials", lead)
         object.__setattr__(self, "_reducers",
                            tuple((lm, g.terms[lm], g.terms) for lm, g in zip(lead, gens)))
         object.__setattr__(self, "_hilbert", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroebnerBasis is immutable")
-
-    @property
-    def leading_monomials(self):
-        return self._lead
-
-    def __eq__(self, other):
-        return (isinstance(other, GroebnerBasis)
-                and self.generators == other.generators
-                and self.order == other.order
-                and self.num_vars == other.num_vars)
-
-    def __hash__(self):
-        return hash((self.generators, self.order, self.num_vars))
-
-    def __repr__(self):
-        return f"GroebnerBasis({len(self.generators)} gens, {self.num_vars} vars, {self.order!r})"
 
 
 def normal_form(p: HomoPoly, gb: GroebnerBasis) -> HomoPoly:
@@ -256,7 +234,7 @@ def normal_form(p: HomoPoly, gb: GroebnerBasis) -> HomoPoly:
         raise MixedAmbient(f"polynomial in {p.nvars} variables, basis in {gb.num_vars}")
     if p.is_zero or not gb.generators:
         return p
-    return HomoPoly(p.nvars, _reduce_terms(p.terms, gb._reducers, gb.order))
+    return HomoPoly._trusted(p.nvars, _reduce_terms(p.terms, gb._reducers, gb.order))
 
 
 def _pair(a, b):
@@ -311,7 +289,7 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
         if not red:
             counts["zero"] += 1
             continue
-        h = HomoPoly(nv, red).content_free()
+        h = HomoPoly._trusted(nv, red).content_free()
         lm = leading_monomial(h, order)
         new = len(basis)
         for k in range(new):
@@ -339,7 +317,7 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
     for idx in range(len(minimal)):
         others = [(min_lms[k], minimal[k].terms[min_lms[k]], minimal[k].terms)
                   for k in range(len(minimal)) if k != idx]
-        minimal[idx] = HomoPoly(nv, _reduce_terms(minimal[idx].terms, others, order))
+        minimal[idx] = HomoPoly._trusted(nv, _reduce_terms(minimal[idx].terms, others, order))
     monic = [g.scale(1 / g.terms[leading_monomial(g, order)]) for g in minimal]
     monic.sort(key=lambda g: order.key(leading_monomial(g, order)))
     out = GroebnerBasis(monic, order, True, nv)

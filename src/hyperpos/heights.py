@@ -9,11 +9,12 @@ one, so the normalized norm is the plain absolute value at each place.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, isqrt, lcm, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .polyring import HomoPoly, ZeroPolynomial
@@ -57,21 +58,31 @@ def _prime_factors(n: int) -> list:
     return out
 
 
+def _exact_root(n: int, k: int) -> Optional[int]:
+    """The non-negative r with r**k == n, or None when n is no k-th power."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # at least the k-th root
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r ** k == n else None
+
+
 # ---------------------------------------------------------------------------
 # places and absolute values
 
+@dataclass(frozen=True, slots=True)
 class Place:
     """A place of the rationals: the archimedean one or a prime."""
 
-    __slots__ = ("prime",)
+    prime: Optional[int] = None
 
-    def __init__(self, prime: Optional[int] = None):
-        if prime is not None and not _is_prime(prime):
-            raise DomainError(f"finite places need a prime, got {prime}")
-        object.__setattr__(self, "prime", prime)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Place is immutable")
+    def __post_init__(self):
+        if self.prime is not None and not _is_prime(self.prime):
+            raise DomainError(f"finite places need a prime, got {self.prime}")
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -81,12 +92,7 @@ class Place:
     def is_finite(self) -> bool:
         return self.prime is not None
 
-    def __eq__(self, other):
-        return isinstance(other, Place) and self.prime == other.prime
-
-    def __hash__(self):
-        return hash(("place", self.prime))
-
+    # the CLI digest hashes this text for `weil --place oo`: keep it byte for byte
     def __repr__(self):
         return "Place(oo)" if self.prime is None else f"Place({self.prime})"
 
@@ -118,16 +124,10 @@ def normalized_abs(x, v: Place) -> Fraction:
     return Fraction(1, p ** ord_p) if ord_p >= 0 else Fraction(p ** -ord_p)
 
 
-class ProductFormulaResult:
-    __slots__ = ("product", "ok", "places")
-
-    def __init__(self, product, ok, places):
-        self.product = product
-        self.ok = ok
-        self.places = places
-
-    def __repr__(self):
-        return f"ProductFormulaResult(product={self.product}, ok={self.ok})"
+class ProductFormulaResult(NamedTuple):
+    product: Fraction
+    ok: bool
+    places: tuple
 
 
 def product_formula_check(x) -> ProductFormulaResult:
@@ -145,14 +145,15 @@ def product_formula_check(x) -> ProductFormulaResult:
 # ---------------------------------------------------------------------------
 # points and log values
 
+@dataclass(frozen=True, slots=True)
 class RationalPoint:
     """Projective point with coprime integer coordinates, first nonzero positive."""
 
-    __slots__ = ("coords",)
+    coords: tuple
 
-    def __init__(self, coords: Sequence):
+    def __post_init__(self):
         raw = []
-        for c in coords:
+        for c in self.coords:
             f = Fraction(c)
             if f.denominator != 1:
                 raise DomainError(f"point coordinates must be integers, got {c}")
@@ -165,9 +166,6 @@ class RationalPoint:
             g = -g
         object.__setattr__(self, "coords", tuple(c // g for c in raw))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPoint is immutable")
-
     @property
     def ambient(self) -> int:
         return len(self.coords) - 1
@@ -175,43 +173,41 @@ class RationalPoint:
     def __iter__(self):
         return iter(self.coords)
 
-    def __eq__(self, other):
-        return isinstance(other, RationalPoint) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
+    # error messages print this form
     def __repr__(self):
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
+@dataclass(frozen=True, slots=True)
 class LogRational:
-    """log(argument)/root held exactly; the log itself is taken only on render."""
+    """log(argument)/root held exactly; the log itself is taken only on render.
 
-    __slots__ = ("argument", "root")
+    Equal values can be held differently, as log(4)/2 and log(2) are.
+    """
 
-    def __init__(self, argument, root: int = 1):
-        argument = Fraction(argument)
+    argument: Fraction
+    root: int = 1
+
+    def __post_init__(self):
+        argument = Fraction(self.argument)
         if argument <= 0:
             raise DomainError(f"log argument must be positive, got {argument}")
-        if root < 1:
-            raise DomainError(f"root must be a positive integer, got {root}")
+        if self.root < 1:
+            raise DomainError(f"root must be a positive integer, got {self.root}")
         object.__setattr__(self, "argument", argument)
-        object.__setattr__(self, "root", root)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LogRational is immutable")
-
-    def _lift(self, root: int) -> Fraction:
-        return self.argument ** (root // self.root)
+    def _key(self, other):
+        """Both arguments lifted to the common root r, and r."""
+        r = lcm(self.root, other.root)
+        return self.argument ** (r // self.root), other.argument ** (r // other.root), r
 
     def __add__(self, other):
-        r = self.root * other.root // gcd(self.root, other.root)
-        return LogRational(self._lift(r) * other._lift(r), r)
+        a, b, r = self._key(other)
+        return LogRational(a * b, r)
 
     def __sub__(self, other):
-        r = self.root * other.root // gcd(self.root, other.root)
-        return LogRational(self._lift(r) / other._lift(r), r)
+        a, b, r = self._key(other)
+        return LogRational(a / b, r)
 
     def scale(self, factor) -> "LogRational":
         factor = Fraction(factor)
@@ -232,26 +228,30 @@ class LogRational:
     def __float__(self):
         return float(self.value())
 
-    def _key(self, other):
-        r = self.root * other.root // gcd(self.root, other.root)
-        return self._lift(r), other._lift(r)
-
     def __eq__(self, other):
         if not isinstance(other, LogRational):
             return NotImplemented
-        a, b = self._key(other)
+        a, b, _ = self._key(other)
         return a == b
 
     def __lt__(self, other):
-        a, b = self._key(other)
+        a, b, _ = self._key(other)
         return a < b
 
     def __le__(self, other):
-        a, b = self._key(other)
+        a, b, _ = self._key(other)
         return a <= b
 
     def __hash__(self):
-        return hash(("log", self.argument, self.root))
+        # divide out of the root every k for which the argument is a k-th power
+        num, den, root = self.argument.numerator, self.argument.denominator, self.root
+        for k in _prime_factors(root):
+            while root % k == 0:
+                a, b = _exact_root(num, k), _exact_root(den, k)
+                if a is None or b is None:
+                    break
+                num, den, root = a, b, root // k
+        return hash((num, den, root))
 
     def __repr__(self):
         if self.root == 1:
@@ -306,51 +306,39 @@ def _point_norm(x: RationalPoint, v: Place) -> Fraction:
     return max(normalized_abs(c, v) for c in x.coords if c != 0)
 
 
-def weil_function(q: HomoPoly, x: RationalPoint, v: Place) -> LogRational:
+def _value_off_hypersurface(q: HomoPoly, x: RationalPoint) -> Fraction:
     if not q.terms:
         raise ZeroPolynomial("Weil function of the zero polynomial is undefined")
     value = q.evaluate(x.coords)
     if value == 0:
         raise PointOnHypersurface(f"{x!r} lies on the hypersurface")
-    d = q.degree
-    return LogRational(_point_norm(x, v) ** d * _poly_norm(q, v) / normalized_abs(value, v))
+    return value
+
+
+def weil_function(q: HomoPoly, x: RationalPoint, v: Place) -> LogRational:
+    value = _value_off_hypersurface(q, x)
+    return LogRational(_point_norm(x, v) ** q.degree * _poly_norm(q, v) / normalized_abs(value, v))
 
 
 def weil_support(q: HomoPoly, x: RationalPoint) -> tuple:
     """Places where the Weil function can be nonzero: all others contribute 0."""
-    if not q.terms:
-        raise ZeroPolynomial("Weil function of the zero polynomial is undefined")
-    value = q.evaluate(x.coords)
-    if value == 0:
-        raise PointOnHypersurface(f"{x!r} lies on the hypersurface")
+    value = _value_off_hypersurface(q, x)
     return (INFINITE,) + _coefficient_places(list(q.terms.values()) + [value])
 
 
 # ---------------------------------------------------------------------------
 # margins for the defect-relation inequality
 
-class MarginReport:
-    __slots__ = ("point", "lhs", "rhs", "slack")
-
-    def __init__(self, point, lhs, rhs, slack):
-        self.point = point
-        self.lhs = lhs
-        self.rhs = rhs
-        self.slack = slack
-
-    def __repr__(self):
-        return f"MarginReport(point={self.point}, slack={self.slack:.6g})"
+class MarginReport(NamedTuple):
+    point: RationalPoint
+    lhs: LogRational
+    rhs: LogRational
+    slack: float
 
 
-class MarginSummary:
-    __slots__ = ("min_slack", "negative_points")
-
-    def __init__(self, min_slack, negative_points):
-        self.min_slack = min_slack
-        self.negative_points = negative_points
-
-    def __repr__(self):
-        return f"MarginSummary(min_slack={self.min_slack}, negative={len(self.negative_points)})"
+class MarginSummary(NamedTuple):
+    min_slack: Optional[float]
+    negative_points: tuple
 
 
 def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,

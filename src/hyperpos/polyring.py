@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -164,6 +164,16 @@ class HomoPoly:
 
     # construction helpers -------------------------------------------------
     @classmethod
+    def _trusted(cls, nvars, terms):
+        """Result of arithmetic: `terms` maps int-tuple monomials of one degree
+        to nonzero Fractions, and nothing is checked or copied."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._degree = sum(next(iter(terms))) if terms else None
+        return p
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
 
@@ -214,11 +224,11 @@ class HomoPoly:
             raise DegreeMismatch(f"degrees {self._degree} and {other._degree}")
         merged = dict(self.terms)
         for m, c in other.terms.items():
-            merged[m] = merged.get(m, Fraction(0)) + c
-        return HomoPoly(self.nvars, merged)
+            merged[m] = merged.get(m, 0) + c
+        return HomoPoly._trusted(self.nvars, {m: c for m, c in merged.items() if c})
 
     def __neg__(self):
-        return HomoPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return HomoPoly._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -227,7 +237,7 @@ class HomoPoly:
         c = Fraction(c)
         if c == 0:
             return HomoPoly.zero(self.nvars)
-        return HomoPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return HomoPoly._trusted(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,8 +247,8 @@ class HomoPoly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return HomoPoly(self.nvars, out)
+                out[m] = out.get(m, 0) + ca * cb
+        return HomoPoly._trusted(self.nvars, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -261,7 +271,7 @@ class HomoPoly:
         coef = Fraction(coef)
         if coef == 0:
             return HomoPoly.zero(self.nvars)
-        return HomoPoly(self.nvars, {mono_mul(m, mono): c * coef for m, c in self.terms.items()})
+        return HomoPoly._trusted(self.nvars, {mono_mul(m, mono): c * coef for m, c in self.terms.items()})
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -372,11 +382,11 @@ class _Scanner:
             raise PolySyntaxError(start, what, f"{what} at position {start} has too many digits")
 
 
-def _parse_factor(sc: _Scanner, num_vars):
+def _parse_factor(sc: _Scanner, num_vars, exp):
+    """Read one factor x<index>^<power> and add its power to `exp`."""
     if sc.peek() != "x":
         raise PolySyntaxError(sc.pos, "variable 'x<index>'")
     sc.take()
-    vpos = sc.pos
     index = sc.digits("variable index")
     if index >= num_vars:
         raise VariableOutOfRange(index, num_vars)
@@ -384,7 +394,7 @@ def _parse_factor(sc: _Scanner, num_vars):
     if sc.peek() == "^":
         sc.take()
         power = sc.digits("exponent")
-    return index, power, vpos
+    exp[index] += power
 
 
 def _parse_term(sc: _Scanner, num_vars):
@@ -392,12 +402,10 @@ def _parse_term(sc: _Scanner, num_vars):
     exp = [0] * num_vars
     ch = sc.peek()
     if ch == "x":
-        index, power, _ = _parse_factor(sc, num_vars)
-        exp[index] += power
+        _parse_factor(sc, num_vars, exp)
         while sc.peek() == "*":
             sc.take()
-            index, power, _ = _parse_factor(sc, num_vars)
-            exp[index] += power
+            _parse_factor(sc, num_vars, exp)
         return Fraction(1), tuple(exp)
     if ch.isdigit() or ch in ("+", "-"):
         sign = 1
@@ -415,16 +423,10 @@ def _parse_term(sc: _Scanner, num_vars):
             if den == 0:
                 raise PolySyntaxError(dpos, "positive denominator")
             coef = Fraction(sign * num, den)
-        while True:
+        while sc.peek() in ("*", "x"):
             if sc.peek() == "*":
                 sc.take()
-                index, power, _ = _parse_factor(sc, num_vars)
-                exp[index] += power
-            elif sc.peek() == "x":
-                index, power, _ = _parse_factor(sc, num_vars)
-                exp[index] += power
-            else:
-                break
+            _parse_factor(sc, num_vars, exp)
         return coef, tuple(exp)
     raise PolySyntaxError(sc.pos, "coefficient or variable")
 
@@ -485,28 +487,19 @@ def poly_combine(coeffs: Sequence, polys: Sequence[HomoPoly]) -> HomoPoly:
     return out
 
 
-class LcmLift:
+class LcmLift(NamedTuple):
     """Result of lcm_degree: the lcm and the power-lifted family."""
 
-    __slots__ = ("degree", "lifted")
-
-    def __init__(self, degree, lifted):
-        self.degree = degree
-        self.lifted = lifted
+    degree: int
+    lifted: tuple
 
 
 def lcm_degree(family: Sequence[HomoPoly]) -> LcmLift:
     """lcm d of the degrees plus each member raised to d/d_i."""
     if not family:
         raise EmptyInput("empty family")
-    degrees = []
-    for p in family:
-        if p.is_zero:
-            raise ZeroPolynomial("zero polynomial has no degree")
-        degrees.append(p.degree)
-    d = 1
-    for di in degrees:
-        d = lcm(d, di)
+    degrees = [p.degree for p in family]  # ZeroPolynomial for a zero member
+    d = lcm(*degrees)
     _check_degree(d, "lcm of the degrees")
     lifted = tuple(p ** (d // di) for p, di in zip(family, degrees))
     return LcmLift(d, lifted)

@@ -11,14 +11,15 @@ the mod-p pass settle dim S.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .groebner import (EMPTY, GREVLEX, groebner_basis, ideal_profile, normal_form,
-                       projective_dimension)
+from .groebner import (EMPTY, GREVLEX, GroebnerBasis, dim_at_most, groebner_basis,
+                       ideal_profile, normal_form, projective_dimension)
 from .polyring import EmptyInput, HomoPoly, lcm_degree, parse_poly, poly_from_json
 
 
@@ -32,6 +33,10 @@ class ZeroDimensional(DomainError):
 
 class VanishingMember(DomainError):
     code = "VanishingMember"
+
+
+class ConstantMember(DomainError):
+    code = "ConstantMember"
 
 
 class IndexOutOfRange(DomainError):
@@ -60,24 +65,21 @@ DEFAULT_SUBSET_CAP = 14
 # ---------------------------------------------------------------------------
 # configuration types
 
+# Identity equality and hashing: `_subset_dim` keys its memo on the variety,
+# and value equality would hash every generator on every lookup.
+@dataclass(eq=False, slots=True)
 class Variety:
     """Projective variety V with cached basis, dimension n and degree."""
 
-    __slots__ = ("generators", "gb", "dim_n", "degree_delta", "num_vars")
-
-    def __init__(self, generators, gb, dim_n, degree_delta, num_vars):
-        self.generators = tuple(generators)
-        self.gb = gb
-        self.dim_n = dim_n
-        self.degree_delta = degree_delta
-        self.num_vars = num_vars
+    generators: tuple
+    gb: GroebnerBasis = field(repr=False)
+    dim_n: int
+    degree_delta: int
+    num_vars: int
 
     @property
     def ambient(self):
         return self.num_vars - 1
-
-    def __repr__(self):
-        return f"Variety(n={self.dim_n}, deg={self.degree_delta}, ambient=P^{self.ambient})"
 
 
 def build_variety(gens: Sequence[HomoPoly], num_vars: Optional[int] = None) -> Variety:
@@ -90,23 +92,18 @@ def build_variety(gens: Sequence[HomoPoly], num_vars: Optional[int] = None) -> V
     return Variety(gb.generators, gb, prof.projective_dimension, prof.degree, gb.num_vars)
 
 
+@dataclass(eq=False, slots=True)
 class HypersurfaceFamily:
     """Hypersurfaces Q_1..Q_q, none vanishing identically on the variety."""
 
-    __slots__ = ("members", "degrees", "lcm_d", "_memo")
-
-    def __init__(self, members, degrees, lcm_d):
-        self.members = tuple(members)
-        self.degrees = tuple(degrees)
-        self.lcm_d = lcm_d
-        self._memo = {}
+    members: tuple
+    degrees: tuple
+    lcm_d: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def q(self):
         return len(self.members)
-
-    def __repr__(self):
-        return f"HypersurfaceFamily(q={self.q}, degrees={self.degrees})"
 
 
 def build_family(v: Variety, members: Sequence[HomoPoly]) -> HypersurfaceFamily:
@@ -116,8 +113,10 @@ def build_family(v: Variety, members: Sequence[HomoPoly]) -> HypersurfaceFamily:
     for i, m in enumerate(members):
         if m.is_zero or normal_form(m, v.gb).is_zero:
             raise VanishingMember(f"member {i} vanishes identically on the variety")
+        if m.degree == 0:
+            raise ConstantMember(f"member {i} is a nonzero constant and cuts out no hypersurface")
     degrees = tuple(m.degree for m in members)
-    return HypersurfaceFamily(members, degrees, lcm(*degrees) if len(degrees) > 1 else degrees[0])
+    return HypersurfaceFamily(members, degrees, lcm(*degrees))
 
 
 def power_lift(v: Variety, fam: HypersurfaceFamily) -> HypersurfaceFamily:
@@ -169,16 +168,10 @@ def intersection_dimension(v: Variety, fam: HypersurfaceFamily, subset):
 # ---------------------------------------------------------------------------
 # distributive constant
 
-class DistributiveReport:
-    __slots__ = ("delta", "witness", "per_subset")
-
-    def __init__(self, delta, witness, per_subset):
-        self.delta = delta
-        self.witness = witness
-        self.per_subset = per_subset
-
-    def __repr__(self):
-        return f"DistributiveReport(delta={self.delta}, witness={self.witness})"
+class DistributiveReport(NamedTuple):
+    delta: Fraction
+    witness: tuple
+    per_subset: Optional[dict]
 
 
 def distributive_constant(v: Variety, fam: HypersurfaceFamily,
@@ -219,18 +212,11 @@ def distributive_constant(v: Variety, fam: HypersurfaceFamily,
 # ---------------------------------------------------------------------------
 # position classification
 
-class PositionClass:
-    __slots__ = ("l_value", "general_position", "kappa", "t_vector")
-
-    def __init__(self, l_value, general_position, kappa, t_vector):
-        self.l_value = l_value
-        self.general_position = general_position
-        self.kappa = kappa
-        self.t_vector = t_vector
-
-    def __repr__(self):
-        return (f"PositionClass(l={self.l_value}, general={self.general_position}, "
-                f"kappa={self.kappa}, t={self.t_vector})")
+class PositionClass(NamedTuple):
+    l_value: Optional[int]
+    general_position: bool
+    kappa: int
+    t_vector: tuple
 
 
 def _max_dims_by_size(v, fam):
@@ -280,16 +266,10 @@ def classify_position(v: Variety, fam: HypersurfaceFamily) -> PositionClass:
     return PositionClass(l_value, general, kappa, tuple(t_vector))
 
 
-class BoundSet:
-    __slots__ = ("subgeneral", "t_vector", "index")
-
-    def __init__(self, subgeneral, t_vector, index):
-        self.subgeneral = subgeneral
-        self.t_vector = t_vector
-        self.index = index
-
-    def __repr__(self):
-        return f"BoundSet(subgeneral={self.subgeneral}, t={self.t_vector}, index={self.index})"
+class BoundSet(NamedTuple):
+    subgeneral: Optional[Fraction]
+    t_vector: Optional[Fraction]
+    index: Optional[Fraction]
 
 
 def remark_bounds(v: Variety, cls: PositionClass) -> BoundSet:
@@ -308,17 +288,11 @@ def remark_bounds(v: Variety, cls: PositionClass) -> BoundSet:
 # ---------------------------------------------------------------------------
 # dimension profiles along an ordering
 
-class DimensionProfile:
-    __slots__ = ("ordering", "t_values", "l_value", "prefix_dims")
-
-    def __init__(self, ordering, t_values, l_value, prefix_dims):
-        self.ordering = ordering
-        self.t_values = t_values
-        self.l_value = l_value
-        self.prefix_dims = prefix_dims
-
-    def __repr__(self):
-        return f"DimensionProfile(t={self.t_values}, l={self.l_value})"
+class DimensionProfile(NamedTuple):
+    ordering: tuple
+    t_values: tuple
+    l_value: int
+    prefix_dims: tuple
 
 
 def dimension_profile(v: Variety, fam: HypersurfaceFamily,
@@ -337,16 +311,13 @@ def dimension_profile(v: Variety, fam: HypersurfaceFamily,
     if prefix_dims[-1] is not EMPTY:
         raise NeverEmpty("no prefix of the ordering voids the intersection")
 
-    def below(dim, bound):
-        return dim is EMPTY or dim <= bound
-
     t_values = [0]
     for u in range(1, n + 1):
-        t_u = next(s for s in range(len(prefix_dims)) if below(prefix_dims[s], n - u - 1))
+        t_u = next(s for s in range(len(prefix_dims)) if dim_at_most(prefix_dims[s], n - u - 1))
         t_values.append(t_u)
     if t_values[0] != 0 or any(a >= b for a, b in zip(t_values, t_values[1:])):
         raise ProfileInvalid(f"prefix dimensions do not step correctly: {prefix_dims}")
-    if not below(prefix_dims[0], n - 1):
+    if not dim_at_most(prefix_dims[0], n - 1):
         raise ProfileInvalid("first member does not cut the variety to dimension n-1")
     return DimensionProfile(order, tuple(t_values), t_values[-1], tuple(prefix_dims))
 

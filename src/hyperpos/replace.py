@@ -13,10 +13,10 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .groebner import EMPTY, normal_form, projective_dimension
+from .groebner import EMPTY, dim_at_most, normal_form, projective_dimension
 from .polyring import DimensionMismatch, HomoPoly, poly_combine
 from .position import DimensionProfile, HypersurfaceFamily, Variety
 
@@ -44,17 +44,11 @@ class SearchExhausted(DomainError):
 # ---------------------------------------------------------------------------
 # exponent schedules
 
-class ExponentSchedule:
-    __slots__ = ("t_values", "delta", "m_values", "max_index")
-
-    def __init__(self, t_values, delta, m_values, max_index):
-        self.t_values = t_values
-        self.delta = delta
-        self.m_values = m_values
-        self.max_index = max_index
-
-    def __repr__(self):
-        return f"ExponentSchedule(t={self.t_values}, delta={self.delta}, m={self.m_values})"
+class ExponentSchedule(NamedTuple):
+    t_values: tuple
+    delta: Fraction
+    m_values: tuple
+    max_index: int
 
 
 def _check_increasing(t_values):
@@ -80,21 +74,14 @@ def exponent_schedule(t_values: Sequence[int]) -> ExponentSchedule:
     return ExponentSchedule(t, delta, tuple(m), max_index)
 
 
-class PowerInequalityResult:
+class PowerInequalityResult(NamedTuple):
     """Both sides raised to denom(delta), keeping the comparison in integers."""
 
-    __slots__ = ("holds", "equality", "lhs", "rhs", "power")
-
-    def __init__(self, holds, equality, lhs, rhs, power):
-        self.holds = holds
-        self.equality = equality
-        self.lhs = lhs
-        self.rhs = rhs
-        self.power = power
-
-    def __repr__(self):
-        rel = "=" if self.equality else ("<=" if self.holds else ">")
-        return f"PowerInequalityResult({self.lhs} {rel} {self.rhs}, power={self.power})"
+    holds: bool
+    equality: bool
+    lhs: Fraction
+    rhs: Fraction
+    power: int
 
 
 def verify_power_inequality(t_values: Sequence[int], a_values: Sequence) -> PowerInequalityResult:
@@ -117,17 +104,11 @@ def verify_power_inequality(t_values: Sequence[int], a_values: Sequence) -> Powe
 # ---------------------------------------------------------------------------
 # replacement systems
 
-class ReplacementSystem:
-    __slots__ = ("replacements", "coeff_matrix", "source_profile", "family")
-
-    def __init__(self, replacements, coeff_matrix, source_profile, family):
-        self.replacements = replacements
-        self.coeff_matrix = coeff_matrix
-        self.source_profile = source_profile
-        self.family = family
-
-    def __repr__(self):
-        return f"ReplacementSystem({len(self.replacements)} members)"
+class ReplacementSystem(NamedTuple):
+    replacements: tuple
+    coeff_matrix: tuple
+    source_profile: DimensionProfile
+    family: HypersurfaceFamily
 
 
 def _spiral_values(bound):
@@ -141,10 +122,6 @@ def _prefix_dim(v, polys, parent_dim):
     """dim of V meet the prefix; `parent_dim` is the dimension without its last member."""
     lower = None if parent_dim is EMPTY or parent_dim < 1 else parent_dim - 1
     return projective_dimension(list(v.generators) + list(polys), v.num_vars, lower)
-
-
-def _dim_at_most(dim, bound):
-    return dim is EMPTY or dim <= bound
 
 
 _SPIRAL_LEVEL_CAP = 20000
@@ -169,14 +146,14 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
         if combined.is_zero or normal_form(combined, v.gb).is_zero:
             return None
         dim = _prefix_dim(v, prefix + [combined], prefix_dim)
-        if _dim_at_most(dim, n - level - 1):
+        if dim_at_most(dim, n - level - 1):
             return combined, dim
         return None
 
     rows = [tuple(Fraction(1 if j == 0 else 0) for j in range(width))]
     replacements = [ordered[0]]
     prefix_dim = _prefix_dim(v, replacements, n)
-    if not _dim_at_most(prefix_dim, n - 1):
+    if not dim_at_most(prefix_dim, n - 1):
         raise SearchExhausted("leading member does not cut the variety; profile is stale")
     for u in range(1, n + 1):
         t_u = profile.t_values[u]
@@ -214,17 +191,14 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
     return ReplacementSystem(tuple(replacements), tuple(rows), profile, fam)
 
 
-class ReplacementVerdict:
-    __slots__ = ("prefix_dims", "bounds_met", "combination_ok", "ok")
+class ReplacementVerdict(NamedTuple):
+    prefix_dims: tuple
+    bounds_met: tuple
+    combination_ok: bool
 
-    def __init__(self, prefix_dims, bounds_met, combination_ok):
-        self.prefix_dims = prefix_dims
-        self.bounds_met = bounds_met
-        self.combination_ok = combination_ok
-        self.ok = combination_ok and all(bounds_met)
-
-    def __repr__(self):
-        return f"ReplacementVerdict(ok={self.ok}, dims={self.prefix_dims})"
+    @property
+    def ok(self):
+        return self.combination_ok and all(self.bounds_met)
 
 
 def verify_replacement(v: Variety, sys: ReplacementSystem) -> ReplacementVerdict:
@@ -237,7 +211,7 @@ def verify_replacement(v: Variety, sys: ReplacementSystem) -> ReplacementVerdict
     for t in range(n + 1):
         dim = _prefix_dim(v, sys.replacements[:t + 1], dims[-1] if dims else n)
         dims.append(dim)
-        met.append(_dim_at_most(dim, n - t - 1))
+        met.append(dim_at_most(dim, n - t - 1))
     combo_ok = len(sys.replacements) == n + 1 and len(sys.coeff_matrix) == n + 1
     if combo_ok and sys.coeff_matrix[0][0] != 1:
         combo_ok = False  # first row must be the unit row: P_0 is Q_order(0) itself

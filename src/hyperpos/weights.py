@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, floor, gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .groebner import (
@@ -62,16 +62,10 @@ def _mono_weight(mono, c) -> Fraction:
 # ---------------------------------------------------------------------------
 # Hilbert weight
 
-class HilbertWeightReport:
-    __slots__ = ("u", "weight", "basis")
-
-    def __init__(self, u, weight, basis):
-        self.u = u
-        self.weight = weight
-        self.basis = basis
-
-    def __repr__(self):
-        return f"HilbertWeightReport(u={self.u}, weight={self.weight})"
+class HilbertWeightReport(NamedTuple):
+    u: int
+    weight: Fraction
+    basis: tuple
 
 
 def hilbert_weight(v: Variety, u: int, c) -> HilbertWeightReport:
@@ -197,19 +191,12 @@ def _rank(rows) -> int:
 # ---------------------------------------------------------------------------
 # chained Evertse-Ferretti lower bound
 
-class EfCheckResult:
-    __slots__ = ("holds", "lhs", "rhs", "u", "subset")
-
-    def __init__(self, holds, lhs, rhs, u, subset):
-        self.holds = holds
-        self.lhs = lhs
-        self.rhs = rhs
-        self.u = u
-        self.subset = subset
-
-    def __repr__(self):
-        rel = ">=" if self.holds else "<"
-        return f"EfCheckResult({self.lhs} {rel} {self.rhs})"
+class EfCheckResult(NamedTuple):
+    holds: bool
+    lhs: Fraction
+    rhs: Fraction
+    u: int
+    subset: tuple
 
 
 def ef_lower_bound_check(v: Variety, u: int, c, coord_subset) -> EfCheckResult:
@@ -266,17 +253,11 @@ def _certified_floor_times_e_power(rational_factor: Fraction, n: int) -> int:
     raise FloorAmbiguous(f"enclosure [{lo}, {hi}] still straddles an integer at 512 terms")
 
 
-class BoundReport:
-    __slots__ = ("m0", "defect_total", "coefficient", "comparisons")
-
-    def __init__(self, m0, defect, coefficient, comparisons=None):
-        self.m0 = m0
-        self.defect_total = defect
-        self.coefficient = coefficient
-        self.comparisons = comparisons
-
-    def __repr__(self):
-        return f"BoundReport(m0={self.m0}, defect={self.defect_total})"
+class BoundReport(NamedTuple):
+    m0: int
+    defect_total: Fraction
+    coefficient: Fraction
+    comparisons: Optional[dict] = None
 
 
 def _check_positive(**named):
@@ -317,21 +298,15 @@ def truncation_m0_subgeneral(n: int, d: int, deg_v: int, l: int, q: int, eps) ->
 # ---------------------------------------------------------------------------
 # prior-work comparison
 
-class ComparisonTable:
-    __slots__ = ("entries", "this_paper", "strictly_better", "n", "ambient", "l", "kappa", "q")
-
-    def __init__(self, entries, this_paper, strictly_better, n, ambient, l, kappa, q):
-        self.entries = entries
-        self.this_paper = this_paper
-        self.strictly_better = strictly_better
-        self.n = n
-        self.ambient = ambient
-        self.l = l
-        self.kappa = kappa
-        self.q = q
-
-    def __repr__(self):
-        return f"ComparisonTable(this={self.this_paper}, entries={self.entries})"
+class ComparisonTable(NamedTuple):
+    entries: dict
+    this_paper: Fraction
+    strictly_better: dict
+    n: int
+    ambient: int
+    l: int
+    kappa: int
+    q: int
 
 
 def compare_bounds(n: int, ambient: int, l: int, kappa: int, q: int) -> ComparisonTable:

@@ -340,6 +340,19 @@ class TestMarginCommand:
         assert report["payload"]["error"] == "PointOnHypersurface"
         assert "member 2" in report["payload"]["message"]
 
+    def test_constant_member_is_domain_error(self, runj, tmp_path):
+        conf = tmp_path / "const.json"
+        conf.write_text(json.dumps({"ambient": 1, "variety": [], "family": ["2", "x0"]}))
+        pts = tmp_path / "pts.txt"
+        pts.write_text("1,2\n")
+        code, report = runj("margin", "--config", str(conf), "--points", str(pts),
+                            "--eps", "1/2", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "ConstantMember"
+        code, report = runj("delta", "--config", str(conf), "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "ConstantMember"
+
     def test_wrong_arity_point(self, runj, coord_config, tmp_path):
         pts = tmp_path / "pts.txt"
         pts.write_text("1,1\n")

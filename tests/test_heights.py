@@ -168,6 +168,24 @@ class TestLogRational:
         with pytest.raises(AttributeError):
             LogRational(2).argument = F(3)
 
+    def test_hash_agrees_with_cross_root_equality(self):
+        assert len({LogRational(4, 2), LogRational(2)}) == 1
+        assert hash(LogRational(4, 2)) == hash(LogRational(2))
+        assert hash(LogRational(8, 3)) == hash(LogRational(2))
+        assert hash(LogRational(1, 5)) == hash(LOG_ONE)
+        assert LogRational(1, 5) == LOG_ONE
+        assert len({LogRational(F(9, 4), 2), LogRational(F(3, 2)), LogRational(F(27, 8), 3)}) == 1
+        # equal arguments under different roots are different values
+        assert len({LogRational(4, 2), LogRational(4), LogRational(2, 2)}) == 3
+
+
+@given(num=st.integers(1, 50), den=st.integers(1, 50), root=st.integers(1, 6),
+       power=st.integers(1, 6))
+def test_log_hash_ignores_the_chosen_root(num, den, root, power):
+    x = LogRational(F(num, den), root)
+    y = LogRational(F(num, den) ** power, root * power)
+    assert x == y and hash(x) == hash(y)
+
 
 class TestHeights:
     def test_point_examples(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperpos.groebner import GREVLEX, groebner_basis, normal_form
 from hyperpos.polyring import (
     MAX_DEGREE,
     DegreeBudgetExceeded,
@@ -240,6 +241,51 @@ def test_rational_arithmetic_exact(num, den):
     x = Fraction(num, den)
     assert x * (1 / x) == 1
     assert rat_from_str(rat_to_str(x)) == x
+
+
+COEFS = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 2),
+                         Fraction(1, 2), Fraction(1), Fraction(2)])
+
+
+@st.composite
+def homopolys(draw, nvars, degree):
+    """Up to four terms of one degree; coefficients from a small set, so sums cancel often."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exp = [0] * nvars
+        for i in draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)):
+            exp[i] += 1
+        terms[tuple(exp)] = draw(COEFS)
+    return HomoPoly(nvars, terms)
+
+
+@st.composite
+def arithmetic_results(draw):
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    p, q = draw(homopolys(nvars, degree)), draw(homopolys(nvars, degree))
+    c = draw(COEFS)
+    mono = draw(homopolys(nvars, draw(st.integers(0, 2))).filter(lambda m: not m.is_zero))
+    shift = next(iter(mono.terms))
+    gb = groebner_basis([q], GREVLEX, num_vars=nvars)
+    # the cross terms of (p + q) * (p - q) cancel inside one product
+    return [p + q, p - q, -p, p - p, p.scale(c), p.scale(0), p * q, (p + q) * (p - q),
+            p * c, p.mul_term(shift, c), p.mul_term(shift, 0), p.content_free(),
+            normal_form(p, gb), *gb.generators]
+
+
+@given(arithmetic_results())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_results_match_validated_construction(results):
+    def degree(f):
+        return None if f.is_zero else f.degree
+
+    for r in results:
+        checked = HomoPoly(r.nvars, r.terms)
+        assert r == checked
+        assert degree(r) == degree(checked)
+        assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+        assert all(type(m) is tuple and len(m) == r.nvars for m in r.terms)
 
 
 class TestJson:

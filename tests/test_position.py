@@ -8,6 +8,7 @@ from conftest import parse_many
 from hyperpos.groebner import EMPTY
 from hyperpos.polyring import EmptyInput, parse_poly
 from hyperpos.position import (
+    ConstantMember,
     EmptyVariety,
     IndexOutOfRange,
     NeverEmpty,
@@ -70,6 +71,11 @@ class TestBuildFamily:
     def test_empty_family(self):
         with pytest.raises(EmptyInput):
             build_family(plane(), [])
+
+    def test_constant_member(self):
+        v = build_variety([], num_vars=2)
+        with pytest.raises(ConstantMember, match="member 0"):
+            build_family(v, parse_many(["2", "x0"], 2))
 
     def test_power_lift_degrees(self):
         v = plane()
