@@ -389,8 +389,8 @@ def _build_parser():
     common.add_argument("--timing", action="store_true",
                         help="include timing_ms_approx in the report")
     common.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk basis cache")
-    common.add_argument("--cache-dir", help="basis cache directory override")
+                        help="disable the on-disk dimension cache")
+    common.add_argument("--cache-dir", help="dimension cache directory override")
 
     top = argparse.ArgumentParser(
         prog="hyperpos",

@@ -11,8 +11,8 @@ in every degree, so H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod
 p is therefore EMPTY over Q, and a dim_p equal to a proven lower bound is the
 exact dimension.  Every other query falls back to the exact basis over Q.
 
-The on-disk cache holds two record kinds under versioned keys: reduced bases
-(`groebner_basis`) and settled dimensions (`projective_dimension`).
+The on-disk cache holds one record kind under versioned keys: the settled
+dimensions of `projective_dimension`.  Reduced bases are never cached.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ from .polyring import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    poly_from_json,
     poly_to_json,
-    rat_from_str,
-    rat_to_str,
 )
 
 
@@ -106,11 +103,6 @@ class MonomialOrder:
         wdeg = sum(w * e for w, e in zip(self.weights, mono))
         return (wdeg, grevlex_key(mono))
 
-    def tag(self):
-        if self.kind == "weighted":
-            return {"weighted": [rat_to_str(w) for w in self.weights]}
-        return self.kind
-
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
@@ -118,16 +110,6 @@ LEX = MonomialOrder("lex")
 
 def weighted_order(weights) -> MonomialOrder:
     return MonomialOrder("weighted", weights)
-
-
-def order_from_json(obj) -> MonomialOrder:
-    if obj == "grevlex":
-        return GREVLEX
-    if obj == "lex":
-        return LEX
-    if isinstance(obj, dict) and set(obj) == {"weighted"}:
-        return MonomialOrder("weighted", [rat_from_str(w) for w in obj["weighted"]])
-    raise DomainError(f"bad order encoding {obj!r}")
 
 
 def leading_monomial(p: HomoPoly, order: MonomialOrder):
@@ -257,10 +239,6 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
     """Reduced Groebner basis of <gens>, deterministic for fixed input."""
     nv = _ring_size(gens, num_vars)
     basis = [g.content_free() for g in gens if not g.is_zero]
-    key = cache_key(basis, order, nv) if _CACHE_DIR is not None else None
-    cached = _cache_fetch(key, BASIS, basis)
-    if cached is not None and cached.order == order and cached.num_vars == nv:
-        return cached
     lms = [leading_monomial(g, order) for g in basis]
     reducers = [(lm, g.terms[lm], g.terms) for lm, g in zip(lms, basis)]
     # normal selection: a heap of (lcm key, i, j, lcm), each key computed once
@@ -320,9 +298,7 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
         minimal[idx] = HomoPoly._trusted(nv, _reduce_terms(minimal[idx].terms, others, order))
     monic = [g.scale(1 / g.terms[leading_monomial(g, order)]) for g in minimal]
     monic.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    out = GroebnerBasis(monic, order, True, nv)
-    _cache_store(key, out)
-    return out
+    return GroebnerBasis(monic, order, True, nv)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +555,8 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     """
     nv = _ring_size(gens, num_vars)
     basis = [g.content_free() for g in gens if not g.is_zero]
-    key = cache_key(basis, GREVLEX, nv, DIMENSION) if _CACHE_DIR is not None else None
-    dim = _cache_fetch(key, DIMENSION)
+    key = cache_key(basis, nv) if _CACHE_DIR is not None else None
+    dim = _cache_fetch(key)
     if dim is not None:
         DIMENSION_COUNTS["cached"] += 1
         return dim
@@ -592,55 +568,32 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     else:
         DIMENSION_COUNTS["exact"] += 1
         dim = ideal_profile(groebner_basis(basis, GREVLEX, num_vars=nv)).projective_dimension
-    _cache_store(key, dim, DIMENSION)
+    _cache_store(key, dim)
     return dim
 
 
 # ---------------------------------------------------------------------------
-# serialization and on-disk cache
-
-def gb_to_json(gb: GroebnerBasis) -> dict:
-    return {
-        "vars": gb.num_vars,
-        "order": gb.order.tag(),
-        "reduced": gb.reduced,
-        "generators": [poly_to_json(g) for g in gb.generators],
-    }
-
-
-def gb_from_json(obj: dict) -> GroebnerBasis:
-    return GroebnerBasis(
-        [poly_from_json(g) for g in obj["generators"]],
-        order_from_json(obj["order"]),
-        bool(obj["reduced"]),
-        int(obj["vars"]),
-    )
-
+# on-disk cache of settled dimensions
 
 _CACHE_DIR = None
 # bump when the layout of a record or the meaning of a key changes
-CACHE_FORMAT = "hyperpos-cache/2"
-BASIS = "basis"
-DIMENSION = "dimension"
+CACHE_FORMAT = "hyperpos-cache/3"
 
 
 def set_cache_dir(path: Optional[str]) -> None:
-    """Enable (or with None disable) the on-disk basis and dimension cache."""
+    """Enable (or with None disable) the on-disk dimension cache."""
     global _CACHE_DIR
     _CACHE_DIR = path
     if path is not None:
         os.makedirs(path, exist_ok=True)
 
 
-def cache_key(gens: Sequence[HomoPoly], order: MonomialOrder, num_vars: int,
-              kind: str = BASIS) -> str:
+def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
     payload = json.dumps(
         {
             "format": CACHE_FORMAT,
             "version": __version__,
-            "kind": kind,
             "vars": num_vars,
-            "order": order.tag(),
             "generators": sorted(
                 json.dumps(poly_to_json(g), sort_keys=True, separators=(",", ":"))
                 for g in gens
@@ -652,44 +605,11 @@ def cache_key(gens: Sequence[HomoPoly], order: MonomialOrder, num_vars: int,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _encode_record(kind, value):
-    if kind == BASIS:
-        return gb_to_json(value)
-    return "EMPTY" if value is EMPTY else value
+def _cache_fetch(key):
+    """The dimension stored under `key`; None for a miss.
 
-
-def _decode_record(kind, body):
-    if kind == BASIS:
-        return gb_from_json(body)
-    if body == "EMPTY":
-        return EMPTY
-    if type(body) is not int or body < 0:
-        raise ValueError(f"bad dimension record {body!r}")
-    return body
-
-
-def _is_reduced_basis_of(gb: GroebnerBasis, gens) -> bool:
-    """True when `gb` is monic and reduced and every one of `gens` reduces to zero.
-
-    Catches a stale, damaged or edited basis record.  A reduced basis of a
-    strictly larger ideal would pass; telling it apart needs a basis of `gens`.
-    """
-    leads = gb.leading_monomials
-    for idx, (lm, lc, terms) in enumerate(gb._reducers):
-        if lc != 1:
-            return False
-        if any(k != idx and mono_divides(other, m)
-               for m in terms for k, other in enumerate(leads)):
-            return False
-    return all(not _reduce_terms(g.terms, gb._reducers, gb.order) for g in gens)
-
-
-def _cache_fetch(key, kind=BASIS, gens=()):
-    """The record of `kind` stored under `key`; None for a miss.
-
-    A record repeats its own key and kind.  A file that does not, or that
-    fails to decode, is a miss and gets recomputed.  So is a basis record that
-    is not a monic reduced basis in which every one of `gens` reduces to zero.
+    A record repeats its own key.  A file that does not, or whose value is
+    neither "EMPTY" nor a non-negative int, is a miss and gets recomputed.
     """
     if _CACHE_DIR is None or key is None:
         return None
@@ -697,23 +617,25 @@ def _cache_fetch(key, kind=BASIS, gens=()):
     try:
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
-        if record["key"] != key or record["kind"] != kind:
+        if record["key"] != key:
             return None
-        value = _decode_record(kind, record["value"])
-        if kind == BASIS and not _is_reduced_basis_of(value, gens):
-            return None
-        return value
-    except (OSError, ValueError, KeyError, TypeError, DomainError):
+        value = record["value"]
+    except (OSError, ValueError, KeyError, TypeError):
         return None
+    if value == "EMPTY":
+        return EMPTY
+    if type(value) is not int or value < 0:
+        return None
+    return value
 
 
-def _cache_store(key, value, kind=BASIS):
+def _cache_store(key, value):
     if _CACHE_DIR is None or key is None:
         return
     # called only after a miss, so this also replaces a malformed record
     path = os.path.join(_CACHE_DIR, key + ".json")
     # json.dumps runs the C encoder; json.dump would stream through the Python one
-    text = json.dumps({"key": key, "kind": kind, "value": _encode_record(kind, value)},
+    text = json.dumps({"key": key, "value": "EMPTY" if value is EMPTY else value},
                       sort_keys=True)
     fd, tmp = tempfile.mkstemp(dir=_CACHE_DIR, suffix=".tmp")
     try:

@@ -58,6 +58,10 @@ class ZeroPolynomial(DomainError):
     code = "ZeroPolynomial"
 
 
+class ConstantMember(DomainError):
+    code = "ConstantMember"
+
+
 # Largest total degree accepted at the input boundary or produced by `**` and
 # `lcm_degree`.  Hilbert data, standard monomials and point heights all grow
 # with the degree, so a larger one is refused before any work is done.
@@ -499,6 +503,8 @@ def lcm_degree(family: Sequence[HomoPoly]) -> LcmLift:
     if not family:
         raise EmptyInput("empty family")
     degrees = [p.degree for p in family]  # ZeroPolynomial for a zero member
+    if 0 in degrees:
+        raise ConstantMember(f"member {degrees.index(0)} is a nonzero constant")
     d = lcm(*degrees)
     _check_degree(d, "lcm of the degrees")
     lifted = tuple(p ** (d // di) for p, di in zip(family, degrees))

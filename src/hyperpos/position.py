@@ -20,7 +20,8 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import DomainError
 from .groebner import (EMPTY, GREVLEX, GroebnerBasis, dim_at_most, groebner_basis,
                        ideal_profile, normal_form, projective_dimension)
-from .polyring import EmptyInput, HomoPoly, lcm_degree, parse_poly, poly_from_json
+from .polyring import (ConstantMember, EmptyInput, HomoPoly, lcm_degree, parse_poly,
+                       poly_from_json)
 
 
 class EmptyVariety(DomainError):
@@ -33,10 +34,6 @@ class ZeroDimensional(DomainError):
 
 class VanishingMember(DomainError):
     code = "VanishingMember"
-
-
-class ConstantMember(DomainError):
-    code = "ConstantMember"
 
 
 class IndexOutOfRange(DomainError):

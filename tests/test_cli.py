@@ -491,30 +491,30 @@ class TestInputHandling:
 
 
 class TestCacheWiring:
-    def test_cache_dir_flag_writes(self, run, conic_ideal, tmp_path):
+    def test_cache_dir_flag_writes(self, run, coord_config, tmp_path):
         cache = tmp_path / "cache"
-        code, _ = run("dim", "--ideal", conic_ideal, "--cache-dir", str(cache))
+        code, _ = run("delta", "--config", coord_config, "--cache-dir", str(cache))
         assert code == 0
         assert any(cache.iterdir())
 
-    def test_env_var_honored(self, run, conic_ideal, tmp_path, monkeypatch):
+    def test_env_var_honored(self, run, coord_config, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
         monkeypatch.setenv("HYPERPOS_CACHE_DIR", str(cache))
-        code, _ = run("dim", "--ideal", conic_ideal)
+        code, _ = run("delta", "--config", coord_config)
         assert code == 0
         assert any(cache.iterdir())
 
-    def test_no_cache_wins_over_env(self, run, conic_ideal, tmp_path, monkeypatch):
+    def test_no_cache_wins_over_env(self, run, coord_config, tmp_path, monkeypatch):
         cache = tmp_path / "unused"
         monkeypatch.setenv("HYPERPOS_CACHE_DIR", str(cache))
-        code, _ = run("dim", "--ideal", conic_ideal, "--no-cache")
+        code, _ = run("delta", "--config", coord_config, "--no-cache")
         assert code == 0
         assert not cache.exists()
 
-    def test_flag_wins_over_env(self, run, conic_ideal, tmp_path, monkeypatch):
+    def test_flag_wins_over_env(self, run, coord_config, tmp_path, monkeypatch):
         envcache = tmp_path / "envcache"
         flagcache = tmp_path / "flagcache"
         monkeypatch.setenv("HYPERPOS_CACHE_DIR", str(envcache))
-        run("dim", "--ideal", conic_ideal, "--cache-dir", str(flagcache))
+        run("delta", "--config", coord_config, "--cache-dir", str(flagcache))
         assert any(flagcache.iterdir())
         assert not envcache.exists()

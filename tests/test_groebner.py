@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, dimension, degree, Hilbert counts."""
 
+import hashlib
 import json
 from fractions import Fraction
 from math import comb
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from hyperpos import groebner
 from hyperpos.groebner import (
-    DIMENSION,
     DIMENSION_COUNTS,
     EMPTY,
     GREVLEX,
@@ -21,8 +21,6 @@ from hyperpos.groebner import (
     MixedAmbient,
     MonomialBudgetExceeded,
     MonomialOrder,
-    gb_from_json,
-    gb_to_json,
     groebner_basis,
     hilbert_function,
     ideal_profile,
@@ -34,7 +32,7 @@ from hyperpos.groebner import (
     standard_monomials,
     weighted_order,
 )
-from hyperpos.polyring import HomoPoly, mono_lcm, parse_poly
+from hyperpos.polyring import HomoPoly, mono_lcm, parse_poly, poly_to_json
 
 
 def P(text, nvars):
@@ -288,48 +286,43 @@ class TestStandardMonomials:
             groebner._all_monomials(3, 100000)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        gb = groebner_basis(parse_many(["x0^2 - x1^2", "x0*x1 - x2^2"], 3), GREVLEX)
-        assert gb_from_json(gb_to_json(gb)) == gb
-
-    def test_order_field(self):
-        gb = groebner_basis([P("x0", 2)], weighted_order([Fraction(1, 2), 0]))
-        obj = gb_to_json(gb)
-        assert obj["order"] == {"weighted": ["1/2", "0/1"]}
-        assert gb_from_json(obj).order == gb.order
-
-
 class TestDiskCache:
-    def test_hit_returns_equal_basis(self, tmp_path):
+    # two conics meeting in finitely many points: dimension 0, settled over Q
+    GENS = ("x0^2 - x1^2", "x0*x1 - x2^2")
+
+    def test_hit_returns_equal_dimension(self, tmp_path):
         set_cache_dir(str(tmp_path))
-        gens = parse_many(["x0^2 - x1^2", "x0*x1 - x2^2"], 3)
-        first = groebner_basis(gens, GREVLEX)
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 1
-        second = groebner_basis(gens, GREVLEX)
-        assert first == second
+        gens = parse_many(self.GENS, 3)
+        first = projective_dimension(gens, 3)
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 3) == first == 0
+        assert DIMENSION_COUNTS == {"cached": 1}
         assert len(list(tmp_path.glob("*.json"))) == 1
 
     def test_key_ignores_generator_listing_order(self, tmp_path):
         set_cache_dir(str(tmp_path))
-        a = parse_many(["x0^2 - x1^2", "x0*x1 - x2^2"], 3)
-        groebner_basis(a, GREVLEX)
-        groebner_basis(tuple(reversed(a)), GREVLEX)
+        a = parse_many(self.GENS, 3)
+        projective_dimension(a, 3)
+        DIMENSION_COUNTS.clear()
+        projective_dimension(tuple(reversed(a)), 3)
+        assert DIMENSION_COUNTS == {"cached": 1}
         assert len(list(tmp_path.glob("*.json"))) == 1
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
         set_cache_dir(None)
-        groebner_basis(parse_many(["x0"], 2), GREVLEX)
+        projective_dimension(parse_many(self.GENS, 3), 3)
         assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         set_cache_dir(str(tmp_path))
-        gens = parse_many(["x0 + x1", "x0 - x1"], 2)
-        gb = groebner_basis(gens, GREVLEX)
+        gens = parse_many(self.GENS, 3)
+        dim = projective_dimension(gens, 3)
         entry = next(tmp_path.glob("*.json"))
         entry.write_text("{broken")
-        assert groebner_basis(gens, GREVLEX) == gb
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 3) == dim
+        assert DIMENSION_COUNTS == {"exact": 1}
 
 
 class TestPairQueue:
@@ -353,13 +346,14 @@ class TestPairQueue:
         assert self.counts(texts, 3) == {
             "pairs": 6, "coprime": 3, "chain": 1, "zero": 1, "generators": 1}
 
-    def test_cache_hit_forms_no_pairs(self, tmp_path):
+    def test_bases_are_not_cached(self, tmp_path):
         set_cache_dir(str(tmp_path))
         gens = parse_many(self.TWISTED_CUBIC, 4)
         groebner_basis(gens, GREVLEX)
+        assert list(tmp_path.iterdir()) == []
         PAIR_COUNTS.clear()
         groebner_basis(gens, GREVLEX)
-        assert not +PAIR_COUNTS
+        assert PAIR_COUNTS["pairs"] > 0
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX, weighted_order([0, 1, 2])])
     def test_s_terms_match_s_polynomial(self, order):
@@ -435,20 +429,6 @@ class TestSympyOracle:
         assert all(normal_form(h, reference).is_zero for h in gb.generators)
 
 
-def _scale_first(record):
-    for row in record["value"]["generators"][0]["terms"]:
-        row["coef"] = str(2 * Fraction(row["coef"]))
-
-
-def _bend_first_tail(record):
-    record["value"]["generators"][0]["terms"][1]["coef"] = "-2/1"
-
-
-def _unreduce_last(record):
-    # x0*x1*x2 sits below the lead x1^3 but is divisible by the lead x0*x1
-    record["value"]["generators"][2]["terms"].append({"coef": "1/1", "exp": [1, 1, 1]})
-
-
 class TestCacheRecords:
     # two lines in the plane: dimension at least 2 - 2 = 0, and 0 mod p
     GENS = ("x0", "x1")
@@ -461,7 +441,7 @@ class TestCacheRecords:
 
     def test_dimension_record_repeats_its_key(self, tmp_path):
         entry, record = self.dim_record(tmp_path)
-        assert record == {"key": entry.stem, "kind": DIMENSION, "value": 0}
+        assert record == {"key": entry.stem, "value": 0}
         DIMENSION_COUNTS.clear()
         assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
         assert DIMENSION_COUNTS == {"cached": 1}
@@ -476,37 +456,34 @@ class TestCacheRecords:
 
     def test_key_carries_version_format_and_kind(self, monkeypatch):
         gens = parse_many(self.GENS, 3)
-        base = groebner.cache_key(gens, GREVLEX, 3)
-        assert groebner.cache_key(gens, GREVLEX, 3, DIMENSION) != base
+        base = groebner.cache_key(gens, 3)
         monkeypatch.setattr(groebner, "CACHE_FORMAT", "other")
-        assert groebner.cache_key(gens, GREVLEX, 3) != base
+        assert groebner.cache_key(gens, 3) != base
         monkeypatch.undo()
         monkeypatch.setattr(groebner, "__version__", "0.0.0")
-        assert groebner.cache_key(gens, GREVLEX, 3) != base
+        assert groebner.cache_key(gens, 3) != base
 
     def test_record_under_other_tag_never_read(self, tmp_path, monkeypatch):
         gens = parse_many(self.GENS, 3)
         monkeypatch.setattr(groebner, "CACHE_FORMAT", "other")
-        stale_key = groebner.cache_key(gens, GREVLEX, 3, DIMENSION)
+        stale_key = groebner.cache_key(gens, 3)
         monkeypatch.undo()
-        key = groebner.cache_key(gens, GREVLEX, 3, DIMENSION)
+        key = groebner.cache_key(gens, 3)
         set_cache_dir(str(tmp_path))
         # a wrong answer filed under the current key, but labelled with the old one
-        (tmp_path / f"{key}.json").write_text(json.dumps(
-            {"key": stale_key, "kind": DIMENSION, "value": 2}))
-        (tmp_path / f"{stale_key}.json").write_text(json.dumps(
-            {"key": stale_key, "kind": DIMENSION, "value": 2}))
+        (tmp_path / f"{key}.json").write_text(json.dumps({"key": stale_key, "value": 2}))
+        (tmp_path / f"{stale_key}.json").write_text(json.dumps({"key": stale_key, "value": 2}))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 3, 0) == 0
         assert DIMENSION_COUNTS == {"modp": 1}
 
     @pytest.mark.parametrize("edit", [
         lambda r: {**r, "key": "0" * 64},
-        lambda r: {**r, "kind": "basis"},
+        lambda r: {**r, "value": 0.0},
         lambda r: {**r, "value": -3},
         lambda r: {**r, "value": "2"},
         lambda r: {**r, "value": True},
-        lambda r: {"key": r["key"], "kind": r["kind"]},
+        lambda r: {"key": r["key"]},
         lambda r: [r],
     ])
     def test_edited_record_is_a_miss(self, tmp_path, edit):
@@ -517,36 +494,35 @@ class TestCacheRecords:
         assert DIMENSION_COUNTS == {"modp": 1}
         assert json.loads(entry.read_text()) == record  # rewritten
 
-    # the basis of these two is [x0*x1 - x2^2, x0^2 - x1^2, x1^3 - x0*x2^2]
-    BASIS_GENS = ("x0^2 - x1^2", "x0*x1 - x2^2")
-
-    @pytest.mark.parametrize("edit", [_scale_first, _bend_first_tail, _unreduce_last],
-                             ids=["not monic", "input not in ideal", "not reduced"])
-    def test_edited_basis_record_is_recomputed(self, tmp_path, edit):
+    def test_exact_query_writes_one_dimension_record(self, tmp_path):
         set_cache_dir(str(tmp_path))
-        gens = parse_many(self.BASIS_GENS, 3)
-        gb = groebner_basis(gens, GREVLEX)
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(parse_many(TestDiskCache.GENS, 3), 3) == 0
+        assert DIMENSION_COUNTS == {"exact": 1}
         (entry,) = tmp_path.glob("*.json")
-        record = json.loads(entry.read_text())
-        edited = json.loads(entry.read_text())
-        edit(edited)
-        entry.write_text(json.dumps(edited))
-        # the edited record still decodes: only the integrity check rejects it
-        assert gb_from_json(edited["value"]) != gb
-        PAIR_COUNTS.clear()
-        assert groebner_basis(gens, GREVLEX) == gb
-        assert PAIR_COUNTS["pairs"] > 0  # recomputed, not read
-        assert json.loads(entry.read_text()) == record  # rewritten
+        assert json.loads(entry.read_text()) == {"key": entry.stem, "value": 0}
 
-    def test_basis_record_of_other_kind_is_a_miss(self, tmp_path):
+    def test_planted_basis_of_larger_ideal_is_not_read(self, tmp_path):
+        # the reduced basis of the inputs ends in x1^3 - x0*x2^2; the edited one
+        # is a reduced basis of a strictly larger ideal that contains the inputs
+        gens = parse_many(TestDiskCache.GENS, 3)
+        edited = parse_many(("x0*x1 - x2^2", "x0^2 - x1^2", "x1^3 - 2*x0*x2^2"), 3)
+        # filed as a basis record under the key layout of hyperpos-cache/2
+        payload = json.dumps({
+            "format": "hyperpos-cache/2", "version": groebner.__version__, "kind": "basis",
+            "vars": 3, "order": "grevlex",
+            "generators": sorted(json.dumps(poly_to_json(g), sort_keys=True,
+                                            separators=(",", ":")) for g in gens),
+        }, sort_keys=True, separators=(",", ":"))
+        key = hashlib.sha256(payload.encode()).hexdigest()
+        (tmp_path / f"{key}.json").write_text(json.dumps({
+            "key": key, "kind": "basis",
+            "value": {"vars": 3, "order": "grevlex", "reduced": True,
+                      "generators": [poly_to_json(g) for g in edited]}}))
+        expected = groebner_basis(gens, GREVLEX)
+        assert expected.generators[-1] == P("x1^3 - x0*x2^2", 3)
         set_cache_dir(str(tmp_path))
-        gens = parse_many(["x0 + x1", "x0 - x1"], 2)
-        gb = groebner_basis(gens, GREVLEX)
-        entry = next(tmp_path.glob("*.json"))
-        record = json.loads(entry.read_text())
-        assert record["key"] == entry.stem and record["kind"] == "basis"
-        entry.write_text(json.dumps({**record, "kind": DIMENSION, "value": 0}))
-        assert groebner_basis(gens, GREVLEX) == gb
+        assert groebner_basis(gens, GREVLEX) == expected
 
 
 def test_spoly_degree_homogeneous():

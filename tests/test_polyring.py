@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hyperpos.groebner import GREVLEX, groebner_basis, normal_form
 from hyperpos.polyring import (
     MAX_DEGREE,
+    ConstantMember,
     DegreeBudgetExceeded,
     DegreeMismatch,
     DimensionMismatch,
@@ -201,6 +202,10 @@ class TestLcmDegree:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
             lcm_degree((P("x0", 2), HomoPoly.zero(2)))
+
+    def test_constant_rejected(self):
+        with pytest.raises(ConstantMember, match="member 0"):
+            lcm_degree((P("2", 2), P("x0", 2)))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
