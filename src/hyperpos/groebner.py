@@ -40,7 +40,6 @@ from .polyring import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    poly_to_json,
 )
 
 
@@ -192,7 +191,6 @@ class GroebnerBasis:
 
     generators: tuple
     order: MonomialOrder
-    reduced: bool = field(compare=False)
     num_vars: int
     leading_monomials: tuple = field(init=False, repr=False, compare=False)
     _reducers: tuple = field(init=False, repr=False, compare=False)
@@ -298,7 +296,7 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
         minimal[idx] = HomoPoly._trusted(nv, _reduce_terms(minimal[idx].terms, others, order))
     monic = [g.scale(1 / g.terms[leading_monomial(g, order)]) for g in minimal]
     monic.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    return GroebnerBasis(monic, order, True, nv)
+    return GroebnerBasis(monic, order, nv)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +552,13 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     Settled dimensions are cached as dimension records.
     """
     nv = _ring_size(gens, num_vars)
-    basis = [g.content_free() for g in gens if not g.is_zero]
-    key = cache_key(basis, nv) if _CACHE_DIR is not None else None
+    gens = [g for g in gens if not g.is_zero]
+    key = cache_key(gens, nv) if _CACHE_DIR is not None else None
     dim = _cache_fetch(key)
     if dim is not None:
         DIMENSION_COUNTS["cached"] += 1
         return dim
+    basis = [g.content_free() for g in gens]
     leads = _modp_lead_monomials(
         [{m: c.numerator for m, c in g.terms.items()} for g in basis], nv)
     dim = None if leads is None else _dimension_of_leads(leads, nv)
@@ -589,15 +588,13 @@ def set_cache_dir(path: Optional[str]) -> None:
 
 
 def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
+    """SHA-256 key of the content-free generators, independent of their order."""
     payload = json.dumps(
         {
             "format": CACHE_FORMAT,
             "version": __version__,
             "vars": num_vars,
-            "generators": sorted(
-                json.dumps(poly_to_json(g), sort_keys=True, separators=(",", ":"))
-                for g in gens
-            ),
+            "generators": sorted(g.key_text() for g in gens),
         },
         sort_keys=True,
         separators=(",", ":"),

@@ -9,9 +9,10 @@ so all outputs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from math import comb, gcd, lcm
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -81,6 +82,24 @@ def _check_degree(degree, what="degree"):
         raise DegreeBudgetExceeded(degree, what)
 
 
+# Most terms one polynomial may have, checked where a polynomial is parsed or
+# read from JSON and before a product is formed.
+MAX_TERMS = 10 ** 6
+
+
+class TermBudgetExceeded(DomainError):
+    code = "TermBudgetExceeded"
+
+    def __init__(self, count, what="polynomial"):
+        self.count = count
+        super().__init__(f"{what} with {count} terms exceeds the budget of {MAX_TERMS}")
+
+
+def _check_terms(count, what="polynomial"):
+    if count > MAX_TERMS:
+        raise TermBudgetExceeded(count, what)
+
+
 # ---------------------------------------------------------------------------
 # monomials
 
@@ -140,7 +159,7 @@ def rat_from_str(text: str) -> Fraction:
 class HomoPoly:
     """Homogeneous polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_degree")
+    __slots__ = ("nvars", "terms", "_degree", "_key_text")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 1:
@@ -165,6 +184,7 @@ class HomoPoly:
             clean[mono] = clean.get(mono, Fraction(0)) + coef
         self.terms = {m: c for m, c in clean.items() if c != 0}
         self._degree = degree if self.terms else None
+        self._key_text = None
 
     # construction helpers -------------------------------------------------
     @classmethod
@@ -175,6 +195,7 @@ class HomoPoly:
         p.nvars = nvars
         p.terms = terms
         p._degree = sum(next(iter(terms))) if terms else None
+        p._key_text = None
         return p
 
     @classmethod
@@ -247,6 +268,11 @@ class HomoPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
+        count = len(self.terms) * len(other.terms)
+        if count > MAX_TERMS:
+            # a product has at most as many terms as its degree has monomials
+            n = self.nvars - 1
+            _check_terms(min(count, comb(n + self._degree + other._degree, n)), "product")
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -303,6 +329,16 @@ class HomoPoly:
         if den == num == 1:
             return self  # already integer-primitive
         return self.scale(Fraction(den, num))
+
+    def key_text(self) -> str:
+        """Canonical JSON text of the content-free form, computed once per object.
+
+        The memo never goes stale because nothing changes `terms` in place.
+        """
+        if self._key_text is None:
+            self._key_text = json.dumps(poly_to_json(self.content_free()),
+                                        sort_keys=True, separators=(",", ":"))
+        return self._key_text
 
     # printing -------------------------------------------------------------
     def __str__(self):
@@ -458,6 +494,7 @@ def parse_poly(text: str, num_vars: int) -> HomoPoly:
     merged = {}
     for coef, mono in terms:
         merged[mono] = merged.get(mono, Fraction(0)) + coef
+    _check_terms(len(merged))
     return HomoPoly(num_vars, merged)
 
 
@@ -529,6 +566,7 @@ def poly_from_json(obj: dict) -> HomoPoly:
         raise PolySyntaxError(0, 'object with "vars" and "terms"')
     if not isinstance(rows, list):
         raise PolySyntaxError(0, '"terms" as a list', f"terms must be a list, got {type(rows).__name__}")
+    _check_terms(len(rows))
     terms = {}
     for row in rows:
         if not (isinstance(row, dict) and isinstance(row.get("exp"), list)

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from hyperpos import __version__, cli
+from hyperpos import __version__, cli, polyring
 
 
 @pytest.fixture()
@@ -126,6 +126,12 @@ class TestExitCodes:
         code, report = runj("parse", "--poly", poly, "--nvars", "2", "--no-cache")
         assert code == 2
         assert report["payload"]["error"] == error
+
+    def test_term_budget_is_two(self, runj, monkeypatch):
+        monkeypatch.setattr(polyring, "MAX_TERMS", 1)
+        code, report = runj("parse", "--poly", "x0 + x1", "--nvars", "2", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "TermBudgetExceeded"
 
     def test_not_sorted_surfaces_verbatim(self, runj):
         code, report = runj("ineq", "--t", "0,1,2", "--a", "1,3/2", "--no-cache")

@@ -20,7 +20,6 @@ from hyperpos.groebner import (
     GroebnerBasis,
     MixedAmbient,
     MonomialBudgetExceeded,
-    MonomialOrder,
     groebner_basis,
     hilbert_function,
     ideal_profile,
@@ -78,7 +77,6 @@ class TestBasis:
     def test_single_variable(self):
         gb = groebner_basis(parse_many(["x0"], 2), GREVLEX)
         assert gb.generators == (P("x0", 2),)
-        assert gb.reduced
         certify(gb)
 
     def test_conic_principal(self):
@@ -194,7 +192,7 @@ class TestProfile:
 
     def test_unit_like_ideal(self):
         # constant in the ideal: cone collapses entirely
-        gb = GroebnerBasis([P("1", 2)], GREVLEX, True, 2)
+        gb = GroebnerBasis([P("1", 2)], GREVLEX, 2)
         assert ideal_profile(gb).projective_dimension is EMPTY
 
     def test_twisted_cubic_degree(self):
@@ -523,6 +521,73 @@ class TestCacheRecords:
         assert expected.generators[-1] == P("x1^3 - x0*x2^2", 3)
         set_cache_dir(str(tmp_path))
         assert groebner_basis(gens, GREVLEX) == expected
+
+
+def _key_oracle(gens, num_vars):
+    """The cache key as computed before the key texts were memoized."""
+    payload = json.dumps({
+        "format": groebner.CACHE_FORMAT, "version": groebner.__version__, "vars": num_vars,
+        "generators": sorted(json.dumps(poly_to_json(g.content_free()), sort_keys=True,
+                                        separators=(",", ":")) for g in gens),
+    }, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@st.composite
+def rational_quadrics(draw, nvars=3, size=(1, 4)):
+    monos = list(groebner._all_monomials(nvars, 2))
+    out = []
+    for _ in range(draw(st.integers(*size))):
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coefs = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6)
+                              .filter(bool), min_size=len(chosen), max_size=len(chosen)))
+        out.append(HomoPoly(nvars, dict(zip(chosen, coefs))))
+    return out
+
+
+class TestCacheKey:
+    # a non-primitive member, a rational one with the same content-free form,
+    # and a negative rational one
+    GENS = ("x0^2 - x1*x2", "2*x0*x1 + 4*x2^2", "1/2*x0*x1 + x2^2", "-3*x1^2 + 9/4*x0*x2")
+    # cache_key of GENS in hyperpos 0.1.0 under hyperpos-cache/3, before the
+    # key texts were memoized
+    RECORDED = "f34d535746ea67f2d0ece9bf2bc4cb702d45164a8203f65afce1350a0232918f"
+
+    def test_key_bytes_unchanged(self):
+        gens = parse_many(self.GENS, 3)
+        assert groebner.cache_key(gens, 3) == self.RECORDED
+        # memoized texts give the same key, in any generator order
+        assert groebner.cache_key(gens[::-1], 3) == self.RECORDED
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(rational_quadrics(), rational_quadrics(size=(1, 1)),
+           st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+    def test_key_matches_oracle(self, gens, other, c):
+        (q,) = other
+        for g in gens:
+            g.key_text()  # fill the memo before deriving new polynomials
+        derived = [g + q for g in gens] + [g * q for g in gens] + [g.scale(c) for g in gens]
+        for batch in (gens, derived, gens + derived):
+            batch = [g for g in batch if not g.is_zero]
+            assert groebner.cache_key(batch, 3) == _key_oracle(batch, 3)
+
+    def test_record_under_recorded_key_is_cached(self, tmp_path):
+        (tmp_path / f"{self.RECORDED}.json").write_text(
+            json.dumps({"key": self.RECORDED, "value": "EMPTY"}))
+        set_cache_dir(str(tmp_path))
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(parse_many(self.GENS, 3), 3) is EMPTY
+        assert DIMENSION_COUNTS == {"cached": 1}
+
+    def test_hit_does_not_scale_generators(self, tmp_path, monkeypatch):
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(self.GENS, 3)
+        assert projective_dimension(gens, 3) is EMPTY
+        monkeypatch.setattr(HomoPoly, "content_free",
+                            lambda self: pytest.fail("content_free on a cache hit"))
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 3) is EMPTY
+        assert DIMENSION_COUNTS == {"cached": 1}
 
 
 def test_spoly_degree_homogeneous():

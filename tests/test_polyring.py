@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperpos import polyring
 from hyperpos.groebner import GREVLEX, groebner_basis, normal_form
 from hyperpos.polyring import (
     MAX_DEGREE,
@@ -18,6 +19,7 @@ from hyperpos.polyring import (
     HomoPoly,
     NotHomogeneous,
     PolySyntaxError,
+    TermBudgetExceeded,
     VariableOutOfRange,
     ZeroPolynomial,
     eval_poly,
@@ -235,6 +237,52 @@ class TestDegreeBudget:
         # lcm(31, 37) = 1147
         with pytest.raises(DegreeBudgetExceeded):
             lcm_degree((P("x0^31", 2), P("x1^37", 2)))
+
+
+class TestTermBudget:
+    def test_default_is_far_above_inputs(self):
+        assert polyring.MAX_TERMS == 10 ** 6
+
+    def test_parse_at_and_over_budget(self, monkeypatch):
+        monkeypatch.setattr(polyring, "MAX_TERMS", 3)
+        assert len(P("x0^2 + x0*x1 + x1^2", 2).terms) == 3
+        with pytest.raises(TermBudgetExceeded):
+            P("x0^3 + x0^2*x1 + x0*x1^2 + x1^3", 2)
+        # repeated monomials are one term
+        assert len(P("x0^3 + x0^3 + x1^3 + 2*x1^3", 2).terms) == 2
+
+    def test_json_checked_before_reading_rows(self, monkeypatch):
+        monkeypatch.setattr(polyring, "MAX_TERMS", 2)
+        obj = {"vars": 2, "terms": [{"exp": [1, 0], "coef": "1/1"},
+                                    {"exp": [0, 1], "coef": "1/1"}]}
+        assert poly_from_json(obj) == P("x0 + x1", 2)
+        # the third row would be refused as malformed if it were read
+        obj["terms"].append("not a row")
+        with pytest.raises(TermBudgetExceeded):
+            poly_from_json(obj)
+
+    def test_product_checked_before_multiplying(self, monkeypatch):
+        p = P("x0 + x1 + x2", 3)
+        monkeypatch.setattr(polyring, "mono_mul", lambda *args: pytest.fail("multiplied"))
+        # 3 * 3 pairs of terms, but only comb(4, 2) = 6 quadric monomials
+        monkeypatch.setattr(polyring, "MAX_TERMS", 5)
+        with pytest.raises(TermBudgetExceeded):
+            p * p
+        with pytest.raises(TermBudgetExceeded):
+            p ** 2
+        monkeypatch.undo()
+        monkeypatch.setattr(polyring, "MAX_TERMS", 6)
+        assert len((p * p).terms) == 6
+        assert p ** 2 == p * p
+
+    def test_pairs_count_when_fewer_than_monomials(self, monkeypatch):
+        monkeypatch.setattr(polyring, "MAX_TERMS", 3)
+        # 2 * 2 pairs of terms, far fewer than the quartic monomials in P^3
+        a, b = P("x0^2 + x1^2", 4), P("x2^2 + x3^2", 4)
+        with pytest.raises(TermBudgetExceeded):
+            a * b
+        monkeypatch.setattr(polyring, "MAX_TERMS", 4)
+        assert len((a * b).terms) == 4
 
 
 @given(
