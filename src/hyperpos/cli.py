@@ -7,6 +7,7 @@ and floats appear only in fields suffixed "_approx".  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -31,7 +32,7 @@ from .weights import (DEFAULT_ORACLE_CAP, compare_bounds, ef_lower_bound_check,
                       hilbert_weight, hilbert_weight_bruteforce, truncation_m0)
 
 _FILE_ARGS = ("config", "ideal", "variety", "points")
-_PLUMBING_ARGS = ("handler", "command", "timing", "no_cache", "cache_dir")
+_PLUMBING_ARGS = ("command", "timing", "no_cache", "cache_dir")
 _DEFAULT_PRECISION = 12
 
 
@@ -384,6 +385,9 @@ def cmd_margin(args):
 # ---------------------------------------------------------------------------
 # parser wiring
 
+# Built once per process: parsing leaves the parser unchanged, and building it
+# is tens of add_argument calls.  Subcommand `name` runs `cmd_<name>`.
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timing", action="store_true",
@@ -401,47 +405,38 @@ def _build_parser():
     p = sub.add_parser("parse", parents=[common], help="parse one polynomial")
     p.add_argument("--poly", required=True)
     p.add_argument("--nvars", type=int, required=True)
-    p.set_defaults(handler=cmd_parse)
 
     p = sub.add_parser("dim", parents=[common], help="projective dimension and degree")
     p.add_argument("--ideal", required=True)
-    p.set_defaults(handler=cmd_dim)
 
     p = sub.add_parser("delta", parents=[common], help="distributive constant")
     p.add_argument("--config", required=True)
     p.add_argument("--cap", type=int)
     p.add_argument("--table", action="store_true")
-    p.set_defaults(handler=cmd_delta)
 
     p = sub.add_parser("classify", parents=[common], help="position classification")
     p.add_argument("--config", required=True)
-    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("profile", parents=[common], help="dimension profile of an ordering")
     p.add_argument("--config", required=True)
     p.add_argument("--order", type=_int_list, help="1-based member ordering")
-    p.set_defaults(handler=cmd_profile)
 
     p = sub.add_parser("replace", parents=[common], help="replacement system construction")
     p.add_argument("--config", required=True)
     p.add_argument("--order", type=_int_list, help="1-based member ordering")
     p.add_argument("--seed", type=int)
     p.add_argument("--bound", type=int, default=8, help="spiral coefficient pool bound")
-    p.set_defaults(handler=cmd_replace)
 
     p = sub.add_parser("schedule", parents=[common], help="exponent schedule from t-values")
     p.add_argument("--t", type=_int_list, required=True)
-    p.set_defaults(handler=cmd_schedule)
 
     p = sub.add_parser("ineq", parents=[common], help="power inequality check")
     p.add_argument("--t", type=_int_list, required=True)
     p.add_argument("--a", type=_rat_list, required=True)
-    p.set_defaults(handler=cmd_ineq)
 
     p = sub.add_parser("hilbert", parents=[common], help="Hilbert function value")
     p.add_argument("--ideal", required=True)
     p.add_argument("--u", type=int, required=True)
-    p.set_defaults(handler=cmd_hilbert)
 
     p = sub.add_parser("hweight", parents=[common], help="Hilbert weight")
     p.add_argument("--variety", required=True)
@@ -449,7 +444,6 @@ def _build_parser():
     p.add_argument("--c", type=_rat_list, required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check by brute force")
     p.add_argument("--cap", type=int, help="oracle monomial-count cap")
-    p.set_defaults(handler=cmd_hweight)
 
     p = sub.add_parser("efcheck", parents=[common], help="chained lower-bound inequality")
     p.add_argument("--variety", required=True)
@@ -457,7 +451,6 @@ def _build_parser():
     p.add_argument("--c", type=_rat_list, required=True)
     p.add_argument("--subset", type=_int_list, required=True,
                    help="0-based coordinate indices")
-    p.set_defaults(handler=cmd_efcheck)
 
     p = sub.add_parser("m0", parents=[common], help="truncation level bound")
     p.add_argument("--n", type=int, required=True)
@@ -466,7 +459,6 @@ def _build_parser():
     p.add_argument("--delta", type=_rat_arg, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--eps", type=_rat_arg, required=True)
-    p.set_defaults(handler=cmd_m0)
 
     p = sub.add_parser("compare", parents=[common], help="defect bound comparison table")
     p.add_argument("--n", type=int, required=True)
@@ -474,7 +466,6 @@ def _build_parser():
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("height", parents=[common], help="logarithmic height")
     group = p.add_mutually_exclusive_group(required=True)
@@ -482,18 +473,15 @@ def _build_parser():
     group.add_argument("--scalar", type=_rat_arg)
     group.add_argument("--poly")
     p.add_argument("--nvars", type=int)
-    p.set_defaults(handler=cmd_height)
 
     p = sub.add_parser("weil", parents=[common], help="Weil function at one place")
     p.add_argument("--poly", required=True)
     p.add_argument("--nvars", type=int, required=True)
     p.add_argument("--point", type=_int_list, required=True)
     p.add_argument("--place", type=_place_arg, required=True, help="'oo' or a prime")
-    p.set_defaults(handler=cmd_weil)
 
     p = sub.add_parser("pfcheck", parents=[common], help="product formula check")
     p.add_argument("--x", type=_rat_arg, required=True)
-    p.set_defaults(handler=cmd_pfcheck)
 
     p = sub.add_parser("margin", parents=[common], help="empirical inequality margins")
     p.add_argument("--config", required=True)
@@ -501,7 +489,6 @@ def _build_parser():
     p.add_argument("--eps", type=_rat_arg, required=True)
     p.add_argument("--primes", type=_int_list, help="finite places to include")
     p.add_argument("--delta", type=_rat_arg, help="override the computed constant")
-    p.set_defaults(handler=cmd_margin)
 
     return top
 
@@ -564,7 +551,8 @@ def main(argv=None):
         return 1
     _configure_cache(args)
     try:
-        payload = args.handler(args)
+        # looked up on each call, so the parser built once holds no handler
+        payload = globals()[f"cmd_{args.command}"](args)
     except DomainError as exc:
         _emit(args, started, digest, {"error": exc.code, "message": exc.message})
         return 2

@@ -11,8 +11,12 @@ in every degree, so H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod
 p is therefore EMPTY over Q, and a dim_p equal to a proven lower bound is the
 exact dimension.  Every other query falls back to the exact basis over Q.
 
-The on-disk cache holds one record kind under versioned keys: the settled
-dimensions of `projective_dimension`.  Reduced bases are never cached.
+`modp_dimension` runs the mod-p pass alone and returns dim_p, the upper
+bound; the replacement search accepts a candidate on it.
+
+The on-disk cache holds settled dimensions under versioned keys, and the
+dim_p of `modp_dimension` in mod-p records whose keys name the modulus.
+Reduced bases are never cached.
 """
 
 from __future__ import annotations
@@ -435,7 +439,9 @@ def ideal_profile(gb: GroebnerBasis) -> IdealProfile:
 
 # largest prime below 2^30, so residues and their products stay small ints
 MODULUS = 1073741789
-# How each projective_dimension query was settled: "cached", "modp" or "exact".
+# How each dimension query was settled: "cached" (a dimension or mod-p
+# record), "modp" or "exact" in projective_dimension, and "modp_bound" for a
+# modp_dimension answer computed by its mod-p pass alone.
 DIMENSION_COUNTS = Counter()
 # Work of the Buchberger loop over Q, summed over groebner_basis runs: "pairs"
 # formed, pairs skipped as "coprime" or by the "chain" criterion, S-polynomials
@@ -541,6 +547,13 @@ def _dimension_of_leads(lead_monomials, num_vars):
     return EMPTY if cone <= 0 else cone - 1
 
 
+def _modp_dimension(basis, num_vars):
+    """dim_p of the content-free `basis`; None when a degree overflows a packed field."""
+    leads = _modp_lead_monomials(
+        [{m: c.numerator for m, c in g.terms.items()} for g in basis], num_vars)
+    return None if leads is None else _dimension_of_leads(leads, num_vars)
+
+
 def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
                          lower: Optional[int] = None):
     """Projective dimension of V(gens) over Q, or EMPTY.
@@ -559,15 +572,43 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
         DIMENSION_COUNTS["cached"] += 1
         return dim
     basis = [g.content_free() for g in gens]
-    leads = _modp_lead_monomials(
-        [{m: c.numerator for m, c in g.terms.items()} for g in basis], nv)
-    dim = None if leads is None else _dimension_of_leads(leads, nv)
+    dim = _modp_dimension(basis, nv)
     if dim is not None and (dim is EMPTY or dim == lower):
         DIMENSION_COUNTS["modp"] += 1
     else:
         DIMENSION_COUNTS["exact"] += 1
         dim = ideal_profile(groebner_basis(basis, GREVLEX, num_vars=nv)).projective_dimension
     _cache_store(key, dim)
+    return dim
+
+
+def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
+                   lower: Optional[int] = None):
+    """dim_p of V(gens): an upper bound on its dimension over Q, from one mod-p pass.
+
+    dim_p is the dimension over Q when it is EMPTY or equals the proven lower
+    bound `lower` (as in `projective_dimension`); it is then also stored as
+    the usual dimension record.  Every dim_p is cached in a mod-p record whose
+    key and body name MODULUS, so a record made under another modulus is a
+    miss, and the answer never depends on the cache.  When the pass would
+    overflow a packed degree field there is no dim_p, and the answer is
+    `projective_dimension`'s.
+    """
+    nv = _ring_size(gens, num_vars)
+    gens = [g for g in gens if not g.is_zero]
+    key = cache_key(gens, nv) if _CACHE_DIR is not None else None
+    modp_key = None if key is None else _modp_key(key)
+    dim = _cache_fetch(modp_key, MODULUS)
+    if dim is not None:
+        DIMENSION_COUNTS["cached"] += 1
+        return dim
+    dim = _modp_dimension([g.content_free() for g in gens], nv)
+    if dim is None:
+        return projective_dimension(gens, nv, lower)
+    DIMENSION_COUNTS["modp_bound"] += 1
+    if dim is EMPTY or dim == lower:
+        _cache_store(key, dim)
+    _cache_store(modp_key, dim, MODULUS)
     return dim
 
 
@@ -602,11 +643,18 @@ def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_fetch(key):
+def _modp_key(key):
+    """Key of the mod-p record for the generators whose dimension key is `key`."""
+    return hashlib.sha256(f"{key}:mod:{MODULUS}".encode()).hexdigest()
+
+
+def _cache_fetch(key, modulus=None):
     """The dimension stored under `key`; None for a miss.
 
-    A record repeats its own key.  A file that does not, or whose value is
-    neither "EMPTY" nor a non-negative int, is a miss and gets recomputed.
+    A record repeats its own key, and a mod-p record also names its modulus,
+    which must equal `modulus` (None for a dimension record).  A file that
+    does not, or whose value is neither "EMPTY" nor a non-negative int, is a
+    miss and gets recomputed.
     """
     if _CACHE_DIR is None or key is None:
         return None
@@ -614,7 +662,7 @@ def _cache_fetch(key):
     try:
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
-        if record["key"] != key:
+        if record["key"] != key or record.get("modulus") != modulus:
             return None
         value = record["value"]
     except (OSError, ValueError, KeyError, TypeError):
@@ -626,14 +674,16 @@ def _cache_fetch(key):
     return value
 
 
-def _cache_store(key, value):
+def _cache_store(key, value, modulus=None):
     if _CACHE_DIR is None or key is None:
         return
     # called only after a miss, so this also replaces a malformed record
     path = os.path.join(_CACHE_DIR, key + ".json")
+    record = {"key": key, "value": "EMPTY" if value is EMPTY else value}
+    if modulus is not None:
+        record["modulus"] = modulus
     # json.dumps runs the C encoder; json.dump would stream through the Python one
-    text = json.dumps({"key": key, "value": "EMPTY" if value is EMPTY else value},
-                      sort_keys=True)
+    text = json.dumps(record, sort_keys=True)
     fd, tmp = tempfile.mkstemp(dir=_CACHE_DIR, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

@@ -4,7 +4,9 @@ hypersurfaces, plus the exponent-schedule inequality machinery.
 The replacement search tries small integer coefficient vectors first in a
 fixed spiral order, then falls back to seeded random draws; every accepted
 candidate has passed the prefix dimension check, nothing is trusted on the
-strength of genericity alone.
+strength of genericity alone.  A candidate is judged on its dimension mod p,
+an upper bound on its dimension over Q; only when no candidate of a level
+meets the bound mod p is that level searched again over Q.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .groebner import EMPTY, dim_at_most, normal_form, projective_dimension
-from .polyring import DimensionMismatch, HomoPoly, poly_combine
+from .groebner import EMPTY, dim_at_most, modp_dimension, normal_form, projective_dimension
+from .polyring import DimensionMismatch, poly_combine
 from .position import DimensionProfile, HypersurfaceFamily, Variety
 
 
@@ -118,10 +120,13 @@ def _spiral_values(bound):
     return out
 
 
-def _prefix_dim(v, polys, parent_dim):
-    """dim of V meet the prefix; `parent_dim` is the dimension without its last member."""
+def _prefix_dim(v, polys, parent_dim, dimension=projective_dimension):
+    """dim of V meet the prefix; `parent_dim` is the dimension without its last member.
+
+    `dimension` is `projective_dimension`, or `modp_dimension` for its upper bound.
+    """
     lower = None if parent_dim is EMPTY or parent_dim < 1 else parent_dim - 1
-    return projective_dimension(list(v.generators) + list(polys), v.num_vars, lower)
+    return dimension(list(v.generators) + list(polys), v.num_vars, lower)
 
 
 _SPIRAL_LEVEL_CAP = 20000
@@ -141,11 +146,16 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
     ordered = [fam.members[i] for i in order]
     width = profile.l_value + 1
 
-    def accept(candidate, prefix, prefix_dim, level):
+    def accept(candidate, prefix, prefix_dim, level, dimension):
+        # Under modp_dimension, dim_p <= n - level - 1 proves acceptance, since
+        # dim_p bounds dim_Q from above.  The accepted prefix has dimension
+        # exactly n - level (at most that by its own bound, at least that since
+        # a cut drops it by at most one from dim V = n), so the lower bound is
+        # n - level - 1 and a dim_p that meets the bound is the exact dimension.
         combined = poly_combine(candidate, ordered[:len(candidate)])
         if combined.is_zero or normal_form(combined, v.gb).is_zero:
             return None
-        dim = _prefix_dim(v, prefix + [combined], prefix_dim)
+        dim = _prefix_dim(v, prefix + [combined], prefix_dim, dimension)
         if dim_at_most(dim, n - level - 1):
             return combined, dim
         return None
@@ -157,7 +167,6 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
         raise SearchExhausted("leading member does not cut the variety; profile is stale")
     for u in range(1, n + 1):
         t_u = profile.t_values[u]
-        hit = None
 
         def candidates():
             for bound in (b for b in (1, 2, 4, 8) if b <= max_bound):
@@ -172,14 +181,21 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
             rng = random.Random(seed * 1000003 + u)
             for spread, tries in _RANDOM_STAGES:
                 for _ in range(tries):
-                    yield tuple(rng.randint(-spread, spread) for _ in range(t_u + 1))
+                    cand = tuple(rng.randint(-spread, spread) for _ in range(t_u + 1))
+                    if any(cand):
+                        yield cand
 
-        for cand in candidates():
-            if all(c == 0 for c in cand):
-                continue
-            accepted = accept(cand, replacements, prefix_dim, u)
-            if accepted is not None:
-                hit = (cand,) + accepted
+        # A wrong rejection mod p only moves the search to a later candidate.
+        # The level reruns over Q when the mod-p search finds nothing, so
+        # SearchExhausted means that no candidate works over Q.
+        hit = None
+        for dimension in (modp_dimension, projective_dimension):
+            for cand in candidates():
+                accepted = accept(cand, replacements, prefix_dim, u, dimension)
+                if accepted is not None:
+                    hit = (cand,) + accepted
+                    break
+            if hit is not None:
                 break
         if hit is None:
             raise SearchExhausted(

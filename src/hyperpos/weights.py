@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, floor, gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .groebner import (

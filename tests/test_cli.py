@@ -6,9 +6,14 @@ test touches the user-level cache directory.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperpos
 from hyperpos import __version__, cli, polyring
 
 
@@ -494,6 +499,30 @@ class TestInputHandling:
         code, report = runj("weil", "--poly", "x0 + x1", "--nvars", "2",
                             "--point", "1,1", "--place", "6", "--no-cache")
         assert code == 2
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, coord_config, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this
+        env = {**os.environ, "PYTHONPATH": str(Path(hyperpos.__file__).parents[1])}
+        sequence = [
+            ["delta", "--config", coord_config, "--table", "--no-cache"],
+            ["replace", "--config", coord_config, "--seed", "3", "--no-cache"],
+            ["pfcheck", "--no-cache"],  # no --x: an argparse error, exit 1
+            ["schedule", "--t", "0,1,3", "--no-cache"],
+            ["delta", "--config", coord_config, "--no-cache"],
+        ]
+        for argv in sequence:
+            fresh = subprocess.run([sys.executable, "-m", "hyperpos", *argv], env=env,
+                                   capture_output=True, text=True, check=False)
+            code = cli.main(argv)
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert code == (1 if argv[0] == "pfcheck" else 0)
 
 
 class TestCacheWiring:

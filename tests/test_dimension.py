@@ -28,9 +28,11 @@ from hyperpos.polyring import HomoPoly, parse_poly
 from hyperpos.position import (
     build_family,
     build_variety,
+    dimension_profile,
     distributive_constant,
     intersection_dimension,
 )
+from hyperpos.replace import build_replacement
 
 
 def exact_dim(gens, num_vars):
@@ -176,6 +178,18 @@ def test_general_position_family_settles_mod_p():
     # sizes 1..3 are computed, the size-4 subsets are EMPTY mod p, and the
     # larger ones are void through a void immediate subset
     assert DIMENSION_COUNTS["modp"] == 6 + 15 + 20 + 15
+
+
+def test_replacement_candidates_settle_mod_p():
+    # the pair products of P^2: t = (0, 2, 3), the first prefix is one
+    # projective_dimension query, then two accepted and three rejected
+    # candidates, each settled by its mod-p pass alone (the Q rule built three
+    # bases over Q for the rejections)
+    v, fam = family_of(3, ("x0*x1", "x0*x2", "x1*x2", "x0^2 + x1^2 + x2^2"))
+    profile = dimension_profile(v, fam, (0, 1, 2, 3))
+    DIMENSION_COUNTS.clear()
+    build_replacement(v, fam, profile)
+    assert DIMENSION_COUNTS == {"modp": 1, "modp_bound": 5}
 
 
 def test_empty_mod_p_is_empty_without_bound():

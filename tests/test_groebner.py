@@ -24,6 +24,7 @@ from hyperpos.groebner import (
     hilbert_function,
     ideal_profile,
     leading_monomial,
+    modp_dimension,
     normal_form,
     projective_dimension,
     s_polynomial,
@@ -499,6 +500,66 @@ class TestCacheRecords:
         assert DIMENSION_COUNTS == {"exact": 1}
         (entry,) = tmp_path.glob("*.json")
         assert json.loads(entry.read_text()) == {"key": entry.stem, "value": 0}
+
+    def test_modp_record_names_its_modulus(self, tmp_path):
+        # one line in the plane: dim_p = 1, with no lower bound it is not settled
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(("x0",), 3)
+        DIMENSION_COUNTS.clear()
+        assert modp_dimension(gens, 3) == 1
+        (entry,) = tmp_path.glob("*.json")
+        assert entry.stem == groebner._modp_key(groebner.cache_key(gens, 3))
+        assert json.loads(entry.read_text()) == {
+            "key": entry.stem, "modulus": groebner.MODULUS, "value": 1}
+        assert modp_dimension(gens, 3) == 1
+        assert DIMENSION_COUNTS == {"modp_bound": 1, "cached": 1}
+
+    def test_settled_modp_dimension_writes_the_dimension_record(self, tmp_path):
+        set_cache_dir(str(tmp_path / "modp"))
+        gens = parse_many(self.GENS, 3)
+        assert modp_dimension(gens, 3, 0) == 0
+        set_cache_dir(str(tmp_path / "exact"))
+        assert projective_dimension(gens, 3, 0) == 0
+        key = groebner.cache_key(gens, 3)
+        (record,) = (tmp_path / "exact").glob("*.json")
+        written = sorted((tmp_path / "modp").glob("*.json"))
+        assert sorted(f.stem for f in written) == sorted([key, groebner._modp_key(key)])
+        # the same file name and bytes as projective_dimension's record
+        assert (tmp_path / "modp" / record.name).read_bytes() == record.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: {**r, "modulus": 7},
+        lambda r: {**r, "modulus": str(r["modulus"])},
+        lambda r: {"key": r["key"], "value": r["value"]},
+    ])
+    def test_edited_modp_record_is_a_miss(self, tmp_path, edit):
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(("x0",), 3)
+        assert modp_dimension(gens, 3) == 1
+        (entry,) = tmp_path.glob("*.json")
+        record = json.loads(entry.read_text())
+        entry.write_text(json.dumps({**edit(record), "value": 2}))
+        DIMENSION_COUNTS.clear()
+        assert modp_dimension(gens, 3) == 1
+        assert DIMENSION_COUNTS == {"modp_bound": 1}
+        assert json.loads(entry.read_text()) == record  # rewritten
+
+    def test_other_modulus_has_its_own_record(self, tmp_path, monkeypatch):
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(("x0",), 3)
+        assert modp_dimension(gens, 3) == 1
+        monkeypatch.setattr(groebner, "MODULUS", 7)
+        DIMENSION_COUNTS.clear()
+        assert modp_dimension(gens, 3) == 1
+        assert DIMENSION_COUNTS == {"modp_bound": 1}
+        moduli = sorted(json.loads(f.read_text())["modulus"] for f in tmp_path.glob("*.json"))
+        assert moduli == sorted([7, 1073741789])
+
+    def test_modp_overflow_goes_to_projective_dimension(self, monkeypatch):
+        monkeypatch.setattr(groebner, "_modp_lead_monomials", lambda polys, nv: None)
+        DIMENSION_COUNTS.clear()
+        assert modp_dimension(parse_many(("x0*x2 - x1^2",), 3)) == 1
+        assert DIMENSION_COUNTS == {"exact": 1}
 
     def test_planted_basis_of_larger_ideal_is_not_read(self, tmp_path):
         # the reduced basis of the inputs ends in x1^3 - x0*x2^2; the edited one

@@ -1,14 +1,20 @@
 """Exponent schedules, the power inequality, and replacement systems."""
 
+import json
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
 import pytest
 from conftest import parse_many
+from test_dimension import criterion_03_families
 
-from hyperpos.groebner import EMPTY
-from hyperpos.polyring import DimensionMismatch
+from hyperpos import groebner, replace
+from hyperpos.errors import DomainError
+from hyperpos.groebner import (DIMENSION_COUNTS, EMPTY, dim_at_most, normal_form,
+                               projective_dimension, set_cache_dir)
+from hyperpos.polyring import DimensionMismatch, poly_combine
 from hyperpos.position import build_family, build_variety, dimension_profile
 from hyperpos.replace import (
     BelowOne,
@@ -228,3 +234,169 @@ class TestVerifyReplacement:
         verdict = verify_replacement(v, bad)
         assert not verdict.combination_ok
         assert not verdict.ok
+
+
+# ---------------------------------------------------------------------------
+# the search rule: mod p first, Q only when a level is exhausted mod p
+
+def candidate_order(t_u, level, seed, max_bound):
+    """The coefficient vectors of one level, in the order the search tries them."""
+    for bound in (b for b in (1, 2, 4, 8) if b <= max_bound):
+        values = [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]
+        tried = (c for c in product(values, repeat=t_u + 1) if any(c))
+        for count, cand in enumerate(tried, 1):
+            if count > replace._SPIRAL_LEVEL_CAP:
+                break
+            yield cand
+    rng = random.Random(seed * 1000003 + level)
+    for spread, tries in replace._RANDOM_STAGES:
+        for _ in range(tries):
+            cand = tuple(rng.randint(-spread, spread) for _ in range(t_u + 1))
+            if any(cand):
+                yield cand
+
+
+def q_rule_replacement(v, fam, profile, seed=0, max_bound=8):
+    """The search with every candidate judged on its dimension over Q.
+
+    This is the rule that the mod-p search replaced, kept as its oracle: it
+    accepts the first candidate of each level whose prefix has dimension at
+    most n - u - 1 over Q.
+    """
+    n = v.dim_n
+    ordered = [fam.members[i] for i in profile.ordering]
+    width = profile.l_value + 1
+    gens = list(v.generators)
+    replacements = [ordered[0]]
+    rows = [(Fraction(1),) + (Fraction(0),) * (width - 1)]
+    prefix_dim = projective_dimension(gens + replacements, v.num_vars, n - 1)
+    if not dim_at_most(prefix_dim, n - 1):
+        raise SearchExhausted("leading member does not cut the variety")
+    for u in range(1, n + 1):
+        t_u = profile.t_values[u]
+        lower = None if prefix_dim is EMPTY or prefix_dim < 1 else prefix_dim - 1
+        for cand in candidate_order(t_u, u, seed, max_bound):
+            combined = poly_combine(cand, ordered[:t_u + 1])
+            if combined.is_zero or normal_form(combined, v.gb).is_zero:
+                continue
+            dim = projective_dimension(gens + replacements + [combined], v.num_vars, lower)
+            if dim_at_most(dim, n - u - 1):
+                break
+        else:
+            raise SearchExhausted(f"no admissible combination at step {u}")
+        replacements.append(combined)
+        rows.append(tuple(Fraction(c) for c in cand) + (Fraction(0),) * (width - len(cand)))
+        prefix_dim = dim
+    return tuple(replacements), tuple(rows)
+
+
+def pair_products(nvars):
+    """The bench's replace family: every x_i*x_j with i < j, and the sum of squares."""
+    texts = [f"x{i}*x{j}" for i in range(nvars) for j in range(i + 1, nvars)]
+    return texts + [" + ".join(f"x{i}^2" for i in range(nvars))]
+
+
+def gate_cases():
+    """(variety, family, ordering, seed) of every replacement the gate builds."""
+    for v, fam in criterion_03_families():
+        yield v, fam, tuple(range(fam.q)), 11
+    v = plane()
+    yield v, linear_family(v, ["x0", "x1", "x2"]), (0, 1, 2), 7  # criterion 10
+
+
+def bench_cases():
+    p3 = build_variety([], num_vars=4)
+    yield p3, build_family(p3, parse_many(pair_products(4), 4)), tuple(range(7)), 0
+    p4 = build_variety([], num_vars=5)
+    order = tuple(i - 1 for i in (2, 11, 6, 8, 5, 1, 3, 4, 10, 9, 7))
+    yield p4, build_family(p4, parse_many(pair_products(5), 5)), order, 0
+
+
+def outcome(search, v, fam, ordering, seed):
+    """(replacements, coeff_matrix), or the name of the DomainError raised."""
+    try:
+        profile = dimension_profile(v, fam, ordering)
+        return search(v, fam, profile, seed)
+    except DomainError as exc:
+        return type(exc).__name__
+
+
+def modp_rule(v, fam, profile, seed):
+    system = build_replacement(v, fam, profile, seed=seed)
+    assert verify_replacement(v, system).ok
+    return system.replacements, system.coeff_matrix
+
+
+@pytest.mark.parametrize("cases", [gate_cases, bench_cases])
+def test_modp_rule_equals_q_rule(cases):
+    built = 0
+    for v, fam, ordering, seed in cases():
+        expected = outcome(q_rule_replacement, v, fam, ordering, seed)
+        assert outcome(modp_rule, v, fam, ordering, seed) == expected, fam.members
+        built += not isinstance(expected, str)
+    assert built >= 2
+
+
+SMALL_PRIME = 3
+
+
+def test_unlucky_small_prime_still_verifies(monkeypatch):
+    monkeypatch.setattr(groebner, "MODULUS", SMALL_PRIME)
+    differs = 0
+    for v, fam, ordering, seed in gate_cases():
+        try:
+            profile = dimension_profile(v, fam, ordering)
+            system = build_replacement(v, fam, profile, seed=seed)
+        except DomainError:
+            continue
+        assert verify_replacement(v, system).ok, fam.members
+        oracle = q_rule_replacement(v, fam, profile, seed)
+        differs += (system.replacements, system.coeff_matrix) != oracle
+    # some rejection mod 3 was wrong, and the search took a later candidate
+    assert differs > 0
+
+
+def test_modp_records_of_one_modulus_never_read_under_another(monkeypatch, tmp_path):
+    large = groebner.MODULUS
+    v = plane()
+    # x0 + 3*x1 is x0 mod 3: level 1 accepts it over Q but rejects it mod 3
+    fam = linear_family(v, ["x0", "x0 + 3*x1", "x2"])
+    profile = dimension_profile(v, fam, (0, 1, 2))
+
+    def search(modulus):
+        monkeypatch.setattr(groebner, "MODULUS", modulus)
+        DIMENSION_COUNTS.clear()
+        system = build_replacement(v, fam, profile, seed=1)
+        assert verify_replacement(v, system).ok
+        return system.coeff_matrix, DIMENSION_COUNTS["modp_bound"]
+
+    small_rows, small_passes = search(SMALL_PRIME)
+    large_rows, large_passes = search(large)
+    assert small_rows != large_rows  # so reading a record across moduli would show
+
+    set_cache_dir(str(tmp_path))
+    assert search(SMALL_PRIME) == (small_rows, small_passes)
+    moduli = {json.loads(f.read_text()).get("modulus") for f in tmp_path.glob("*.json")}
+    assert moduli == {None, SMALL_PRIME}
+    # recomputed under the large prime, not read from the small-prime records
+    assert search(large) == (large_rows, large_passes)
+    # each modulus reads its own records back
+    assert search(SMALL_PRIME) == (small_rows, 0)
+    assert search(large) == (large_rows, 0)
+
+
+def test_stale_profile_exhausts_after_q_fallback(monkeypatch):
+    v = plane()
+    # the profile of three coordinate lines, with the members of a family whose
+    # first two lines coincide: no combination of them cuts the line to a point
+    profile = dimension_profile(v, linear_family(v, ["x0", "x1", "x2"]), (0, 1, 2))
+    stale = linear_family(v, ["x0", "2*x0", "x1"])
+    monkeypatch.setattr(replace, "_SPIRAL_LEVEL_CAP", 4)
+    monkeypatch.setattr(replace, "_RANDOM_STAGES", ((3, 5),))
+    DIMENSION_COUNTS.clear()
+    with pytest.raises(SearchExhausted, match="step 1"):
+        build_replacement(v, stale, profile, seed=1)
+    assert DIMENSION_COUNTS["modp_bound"] > 0
+    assert DIMENSION_COUNTS["exact"] > 0  # the level was searched again over Q
+    with pytest.raises(SearchExhausted):
+        q_rule_replacement(v, stale, profile, seed=1)
