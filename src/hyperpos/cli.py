@@ -23,9 +23,8 @@ from .heights import (INFINITE, Place, RationalPoint, default_places, height_poi
                       height_poly, height_scalar, product_formula_check,
                       summarize_margins, theorem15_margin, weil_function)
 from .polyring import parse_poly, poly_from_json, poly_to_json, rat_from_str, rat_to_str
-from .position import (DEFAULT_SUBSET_CAP, build_variety, classify_position,
-                       dimension_profile, distributive_constant, load_configuration,
-                       remark_bounds)
+from .position import (build_variety, classify_position, dimension_profile,
+                       distributive_constant, load_configuration, remark_bounds)
 from .replace import build_replacement, exponent_schedule, verify_power_inequality, \
     verify_replacement
 from .weights import (DEFAULT_ORACLE_CAP, compare_bounds, ef_lower_bound_check,
@@ -91,19 +90,17 @@ def _int_knob(obj, name, default):
 
 
 def _load_config(path):
-    """SessionConfig file: geometry keys plus optional seed/cap/precision knobs."""
+    """SessionConfig file: geometry keys plus optional seed/precision knobs."""
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise DomainError(f"configuration in {path} must be a JSON object")
     v, fam = load_configuration(obj)
     knobs = {
         "seed": _int_knob(obj, "seed", 0),
-        "subset_cap": _int_knob(obj, "subset_cap", DEFAULT_SUBSET_CAP),
         "precision": _int_knob(obj, "precision", _DEFAULT_PRECISION),
     }
-    for name in ("subset_cap", "precision"):
-        if knobs[name] < 1:
-            raise DomainError(f"{name} must be positive, got {knobs[name]}")
+    if knobs["precision"] < 1:
+        raise DomainError(f"precision must be positive, got {knobs['precision']}")
     return v, fam, knobs
 
 
@@ -184,9 +181,8 @@ def cmd_dim(args):
 
 
 def cmd_delta(args):
-    v, fam, knobs = _load_config(args.config)
-    cap = args.cap if args.cap is not None else knobs["subset_cap"]
-    rep = distributive_constant(v, fam, cap=cap, include_table=args.table)
+    v, fam, _ = _load_config(args.config)
+    rep = distributive_constant(v, fam, include_table=args.table)
     payload = {"delta": _r(rep.delta), "witness": _one_based(rep.witness)}
     if args.table:
         payload["table"] = [
@@ -355,7 +351,7 @@ def cmd_margin(args):
     if args.delta is not None:
         delta = args.delta
     else:
-        delta = distributive_constant(v, fam, cap=knobs["subset_cap"]).delta
+        delta = distributive_constant(v, fam).delta
     points = _load_points(args.points, v.num_vars)
     reports = theorem15_margin(v, fam, delta, args.eps, places, points)
     summary = summarize_margins(reports)
@@ -411,7 +407,6 @@ def _build_parser():
 
     p = sub.add_parser("delta", parents=[common], help="distributive constant")
     p.add_argument("--config", required=True)
-    p.add_argument("--cap", type=int)
     p.add_argument("--table", action="store_true")
 
     p = sub.add_parser("classify", parents=[common], help="position classification")

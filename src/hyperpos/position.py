@@ -3,17 +3,16 @@
 The distributive constant, position classes, and dimension profiles all
 reduce to projective dimensions of subset intersections, which come from
 `groebner.projective_dimension`.  Subset dimensions are memoized per family.
-The walks enumerate subsets by size, so the immediate subsets S - {i} of S
-are usually memoized already: if one is void, S is void without further
-work, and otherwise max_i dim(S - {i}) - 1 is a proven lower bound that lets
-the mod-p pass settle dim S.
+`delta` and `classify` share one walk over the non-void subsets, which are
+down-closed: a set is visited only when its immediate subsets S - {i} are all
+non-void and memoized, so max_i dim(S - {i}) - 1 is a proven lower bound that
+lets the mod-p pass settle dim S.  The walk visits at most MAX_WALK_SUBSETS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -56,7 +55,7 @@ class ProfileInvalid(DomainError):
     code = "ProfileInvalid"
 
 
-DEFAULT_SUBSET_CAP = 14
+MAX_WALK_SUBSETS = 2 ** 14 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,38 +170,60 @@ class DistributiveReport(NamedTuple):
     per_subset: Optional[dict]
 
 
+def _nonvoid_subsets(v, fam):
+    """Yield (combo, dim) for every non-void subset, by size, then lexicographically.
+
+    A size-(k+1) candidate extends a non-void k-set c by some j > max(c) and
+    is kept only when its k-subsets holding j are non-void too (the Apriori
+    candidate rule); extending the k-sets in order keeps each level sorted.
+    """
+    visited = 0
+    level, nonvoid = [()], set()
+    while level:
+        candidates = []
+        for c in level:
+            for j in range(c[-1] + 1 if c else 0, fam.q):
+                combo = c + (j,)
+                if all(combo[:i] + combo[i + 1:] in nonvoid for i in range(len(c))):
+                    visited += 1
+                    if visited > MAX_WALK_SUBSETS:
+                        raise SubsetCapExceeded(
+                            f"the subset walk would visit more than {MAX_WALK_SUBSETS} "
+                            f"subsets by size {len(combo)}")
+                    candidates.append(combo)
+        level = []
+        for combo in candidates:
+            dim = _subset_dim(v, fam, frozenset(combo))
+            if dim is not EMPTY:
+                level.append(combo)
+                yield combo, dim
+        nonvoid = set(level)
+
+
 def distributive_constant(v: Variety, fam: HypersurfaceFamily,
-                          cap: int = DEFAULT_SUBSET_CAP,
                           include_table: bool = False) -> DistributiveReport:
     """Exact distributive constant with a deterministic maximizing witness.
 
     Void subsets carry dim = -infinity and are left out of the max; ties
     go to the smallest subset, then the lexicographically least one.
     """
-    if fam.q > cap:
-        raise SubsetCapExceeded(
-            f"family has {fam.q} members, enumeration cap is {cap}; raise the cap to proceed")
     n = v.dim_n
     best = None
     witness = None
     table = {} if include_table else None
-    for size in range(1, fam.q + 1):
-        for combo in combinations(range(fam.q), size):
-            dim = _subset_dim(v, fam, frozenset(combo))
-            if dim is EMPTY:
-                continue
-            drop = n - dim
-            if drop <= 0:
-                # a member vanishes on a whole component: Def 3.3's ratio
-                # has no finite value, so surface it instead of guessing
-                raise UnboundedRatio(
-                    f"subset {combo} meets the variety in dimension {dim}, not below {n}")
-            ratio = Fraction(size, drop)
-            if table is not None:
-                table[combo] = (size, dim, ratio)
-            if best is None or ratio > best:
-                best = ratio
-                witness = combo
+    for combo, dim in _nonvoid_subsets(v, fam):
+        drop = n - dim
+        if drop <= 0:
+            # a member vanishes on a whole component: Def 3.3's ratio
+            # has no finite value, so surface it instead of guessing
+            raise UnboundedRatio(
+                f"subset {combo} meets the variety in dimension {dim}, not below {n}")
+        ratio = Fraction(len(combo), drop)
+        if table is not None:
+            table[combo] = (len(combo), dim, ratio)
+        if best is None or ratio > best:
+            best = ratio
+            witness = combo
     return DistributiveReport(best, witness, table)
 
 
@@ -216,32 +237,15 @@ class PositionClass(NamedTuple):
     t_vector: tuple
 
 
-def _max_dims_by_size(v, fam):
-    """max_dims[m] = largest intersection dimension over size-m subsets.
-
-    EMPTY stands in for -infinity when every size-m subset is void.
-    """
-    n = v.dim_n
-    out = {}
-    for size in range(1, fam.q + 1):
-        best = EMPTY
-        for combo in combinations(range(fam.q), size):
-            dim = _subset_dim(v, fam, frozenset(combo))
-            if dim is EMPTY:
-                continue
-            if best is EMPTY or dim > best:
-                best = dim
-            if best == n:
-                break  # cannot grow past the variety itself
-        out[size] = best
-    return out
-
-
 def classify_position(v: Variety, fam: HypersurfaceFamily) -> PositionClass:
     n = v.dim_n
-    max_dims = _max_dims_by_size(v, fam)
-    nonempty_sizes = [m for m, d in max_dims.items() if d is not EMPTY]
-    s_max = max(nonempty_sizes)  # size 1 always present
+    # max_dims[m]: largest dimension over size-m subsets; EMPTY when all are void
+    max_dims = dict.fromkeys(range(1, fam.q + 1), EMPTY)
+    for combo, dim in _nonvoid_subsets(v, fam):
+        best = max_dims[len(combo)]
+        if best is EMPTY or dim > best:
+            max_dims[len(combo)] = dim
+    s_max = max(m for m, d in max_dims.items() if d is not EMPTY)  # size 1 always present
     l_value = s_max if s_max < fam.q else None
     general = l_value == n
 

@@ -76,6 +76,19 @@ def exponent_schedule(t_values: Sequence[int]) -> ExponentSchedule:
     return ExponentSchedule(t, delta, tuple(m), max_index)
 
 
+# 2^14000 has 4215 decimal digits, under the 4300 that int -> str accepts
+MAX_POWER_BITS = 14000
+
+
+class PowerBudgetExceeded(DomainError):
+    code = "PowerBudgetExceeded"
+
+
+def _power_bits(pairs):
+    """Upper bound on the bit length of prod(x ** e) for the (int x >= 1, e) pairs."""
+    return sum(e * (x - 1).bit_length() for x, e in pairs) + 1
+
+
 class PowerInequalityResult(NamedTuple):
     """Both sides raised to denom(delta), keeping the comparison in integers."""
 
@@ -98,7 +111,14 @@ def verify_power_inequality(t_values: Sequence[int], a_values: Sequence) -> Powe
         raise BelowOne(f"a-values must be at least 1, got {a}")
     delta = exponent_schedule(t).delta
     power = delta.denominator
-    lhs = prod(a[u] ** ((t[u + 1] - t[u]) * power) for u in range(n))
+    exps = [(t[u + 1] - t[u]) * power for u in range(n)]
+    # every a is at least 1, so its numerator bounds its denominator
+    nums = [x.numerator for x in a]
+    bits = max(_power_bits(zip(nums, exps)), _power_bits((x, delta.numerator) for x in nums))
+    if bits > MAX_POWER_BITS:
+        raise PowerBudgetExceeded(
+            f"the sides may need {bits} bits, past the budget of {MAX_POWER_BITS}")
+    lhs = prod(a[u] ** exps[u] for u in range(n))
     rhs = prod(a) ** delta.numerator
     return PowerInequalityResult(lhs <= rhs, lhs == rhs, lhs, rhs, power)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, floor, gcd, lcm
+from math import comb, factorial, floor, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
@@ -239,10 +239,25 @@ def _e_enclosure(terms: int):
     return lo, lo + Fraction(2, factorial(terms + 1))
 
 
-def _certified_floor_times_e_power(rational_factor: Fraction, n: int) -> int:
-    """floor(rational_factor * e^n), enclosure widened until the floor is certain."""
+# At 512 terms the enclosure of factor * e^n is at least factor * 2/513! wide,
+# and an enclosure wider than 1 always straddles an integer.
+_AMBIGUOUS_FACTOR_BITS = (factorial(513) // 2).bit_length()
+
+
+def _certified_floor_times_e_power(powers, n: int) -> int:
+    """floor(factor * e^n), enclosure widened until the floor is certain.
+
+    The factor is prod(b ** k) over the (positive rational b, k >= 0) powers.
+    A numerator p is at least 2^(bits(p) - 1) and a denominator r at most
+    2^bits(r - 1), so a factor past 513!/2 is refused before any power is formed.
+    """
+    low_bits = sum(k * (b.numerator.bit_length() - 1 - (b.denominator - 1).bit_length())
+                   for b, k in powers)
+    if low_bits >= _AMBIGUOUS_FACTOR_BITS:
+        raise FloorAmbiguous(
+            f"factor exceeds 2^{low_bits}, so the enclosure straddles an integer at 512 terms")
+    rational_factor = prod(b ** k for b, k in powers)
     terms = 8
-    lo = hi = Fraction(0)
     while terms <= 512:
         lo_e, hi_e = _e_enclosure(terms)
         lo = rational_factor * lo_e ** n
@@ -250,7 +265,7 @@ def _certified_floor_times_e_power(rational_factor: Fraction, n: int) -> int:
         if floor(lo) == floor(hi):
             return floor(lo)
         terms *= 2
-    raise FloorAmbiguous(f"enclosure [{lo}, {hi}] still straddles an integer at 512 terms")
+    raise FloorAmbiguous("enclosure still straddles an integer at 512 terms")
 
 
 class BoundReport(NamedTuple):
@@ -272,10 +287,9 @@ def truncation_m0(n: int, d: int, deg_v: int, delta, q: int, eps,
     delta = Fraction(delta)
     eps = Fraction(eps)
     _check_positive(n=n, d=d, deg_v=deg_v, delta=delta, q=q, eps=eps)
-    factor = (Fraction(d) ** (n * n + n) * Fraction(deg_v) ** (n + 1) * delta ** n
-              * Fraction(2 * n + 4) ** n * Fraction(n + 1) ** n
-              * Fraction(factorial(q)) ** n / eps ** n)
-    m0 = _certified_floor_times_e_power(factor, n)
+    m0 = _certified_floor_times_e_power(
+        ((d, n * n + n), (deg_v, n + 1), (delta, n), (2 * n + 4, n), (n + 1, n),
+         (factorial(q), n), (1 / eps, n)), n)
     return BoundReport(m0, defect_total(delta, n),
                        truncation_coefficient(q, delta, n, eps), comparisons)
 
@@ -286,10 +300,9 @@ def truncation_m0_subgeneral(n: int, d: int, deg_v: int, l: int, q: int, eps) ->
     _check_positive(n=n, d=d, deg_v=deg_v, q=q, eps=eps)
     if l < n:
         raise DomainError(f"l must be at least n, got l={l}, n={n}")
-    factor = (Fraction(deg_v) ** (n + 1) * Fraction(d) ** (n * n + n)
-              * Fraction(l - n + 1) ** n * Fraction(2 * n + 4) ** n
-              * Fraction(factorial(q)) ** n / eps ** n)
-    m0 = _certified_floor_times_e_power(factor, n)
+    m0 = _certified_floor_times_e_power(
+        ((deg_v, n + 1), (d, n * n + n), (l - n + 1, n), (2 * n + 4, n),
+         (factorial(q), n), (1 / eps, n)), n)
     delta_eff = Fraction(l - n + 1)
     return BoundReport(m0, defect_total(delta_eff, n),
                        truncation_coefficient(q, delta_eff, n, eps))

@@ -143,6 +143,18 @@ class TestExitCodes:
         assert code == 2
         assert report["payload"]["error"] == "NotSorted"
 
+    def test_power_budget_is_two(self, runj):
+        # 3^9100 has more digits than int -> str prints
+        code, report = runj("ineq", "--t", "0,9100", "--a", "3", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "PowerBudgetExceeded"
+
+    def test_ambiguous_floor_is_two(self, runj):
+        code, report = runj("m0", "--n", "40", "--d", "3", "--degv", "2", "--delta", "2",
+                            "--q", "20", "--eps", "1/2", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "FloorAmbiguous"
+
     def test_internal_error_is_three(self, runj, monkeypatch):
         def boom(args):
             raise RuntimeError("wires crossed")
@@ -423,25 +435,29 @@ class TestInputHandling:
         assert code == 2
 
     def test_config_knobs_reach_handlers(self, runj, tmp_path):
+        path = tmp_path / "precise.json"
+        path.write_text(json.dumps({"ambient": 2, "variety": [],
+                                    "family": ["x0", "x1", "x2"],
+                                    "precision": 2}))
+        pts = tmp_path / "pts.txt"
+        pts.write_text("1,1,2\n")
+        code, report = runj("margin", "--config", str(path), "--points", str(pts),
+                            "--eps", "1/2", "--no-cache")
+        assert code == 0
+        assert report["payload"]["reports"][0]["slack_approx"] == 0.35  # log(2)/2
+
+    def test_subset_cap_key_ignored(self, run, runj, tmp_path):
         path = tmp_path / "capped.json"
         path.write_text(json.dumps({"ambient": 2, "variety": [],
                                     "family": ["x0", "x1", "x2"],
                                     "subset_cap": 2}))
         code, report = runj("delta", "--config", str(path), "--no-cache")
-        assert code == 2
-        assert report["payload"]["error"] == "SubsetCapExceeded"
-
-    def test_cap_flag_overrides_config(self, runj, tmp_path):
-        path = tmp_path / "capped.json"
-        path.write_text(json.dumps({"ambient": 2, "variety": [],
-                                    "family": ["x0", "x1", "x2"],
-                                    "subset_cap": 2}))
-        code, report = runj("delta", "--config", str(path), "--cap", "14",
-                            "--no-cache")
         assert code == 0
         assert report["payload"]["delta"] == "1/1"
+        code, _ = run("delta", "--config", str(path), "--cap", "14", "--no-cache")
+        assert code == 1  # the --cap option is gone
 
-    @pytest.mark.parametrize("knobs", [{"seed": "abc"}, {"subset_cap": []},
+    @pytest.mark.parametrize("knobs", [{"seed": "abc"}, {"precision": []},
                                        {"precision": 2.5}, {"seed": True}])
     def test_non_integer_knob_is_domain_error(self, runj, tmp_path, knobs):
         path = tmp_path / "knobs.json"
@@ -454,9 +470,13 @@ class TestInputHandling:
     def test_integer_string_knob_accepted(self, runj, tmp_path):
         path = tmp_path / "knobs.json"
         path.write_text(json.dumps({"ambient": 2, "variety": [],
-                                    "family": ["x0", "x1", "x2"], "subset_cap": "2"}))
-        code, report = runj("delta", "--config", str(path), "--no-cache")
-        assert report["payload"]["error"] == "SubsetCapExceeded"
+                                    "family": ["x0", "x1", "x2"], "precision": "3"}))
+        pts = tmp_path / "pts.txt"
+        pts.write_text("1,1,2\n")
+        code, report = runj("margin", "--config", str(path), "--points", str(pts),
+                            "--eps", "1/2", "--no-cache")
+        assert code == 0
+        assert report["payload"]["reports"][0]["slack_approx"] == 0.347  # log(2)/2
 
     @pytest.mark.parametrize("key", ["family", "variety"])
     def test_config_string_for_list_is_domain_error(self, runj, tmp_path, key):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import parse_many
 
+from hyperpos import position
 from hyperpos.groebner import EMPTY
 from hyperpos.polyring import EmptyInput, parse_poly
 from hyperpos.position import (
@@ -143,11 +144,16 @@ class TestDistributiveConstant:
         assert rep.per_subset[(0,)] == (1, 1, Fraction(1))
         assert rep.per_subset[(0, 1)] == (2, 0, Fraction(1))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # 15 lines in general position: past the old 14-member cap, but the
+        # walk visits only 15 lines, 105 points and 455 void triples
         v = plane()
-        fam = family(v, ["x0", "x1", "x2"])
+        fam = family(v, [f"x0 + {k}*x1 + {k * k}*x2" for k in range(15)])
+        assert distributive_constant(v, fam).delta == 1
+        assert len(fam._memo) == 15 + 105 + 455
+        monkeypatch.setattr(position, "MAX_WALK_SUBSETS", 2)
         with pytest.raises(SubsetCapExceeded):
-            distributive_constant(v, fam, cap=2)
+            distributive_constant(v, family(v, ["x0", "x1", "x2"]))
 
     def test_at_least_one(self):
         v = build_variety(parse_many(["x0*x2 - x1^2"], 3))

@@ -20,6 +20,7 @@ from hyperpos.replace import (
     BelowOne,
     NotIncreasing,
     NotSorted,
+    PowerBudgetExceeded,
     ReplacementSystem,
     SameDegreeRequired,
     SearchExhausted,
@@ -106,6 +107,24 @@ class TestPowerInequality:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             verify_power_inequality((1, 2, 3), (2,))
+
+    def test_power_budget(self):
+        res = verify_power_inequality((0, 6999), (3,))
+        assert res.lhs == 3 ** 6999
+        with pytest.raises(PowerBudgetExceeded):
+            verify_power_inequality((0, 9100), (3,))
+        # every integer within the budget prints: int -> str takes 4300 digits
+        assert len(str(2 ** replace.MAX_POWER_BITS)) < 4300
+
+    @pytest.mark.parametrize("t, a", [((0, 6999), (3,)), ((1, 3, 4), (Fraction(7, 2), 2)),
+                                      ((0, 2, 7, 8), (Fraction(9, 4), 2, Fraction(5, 4)))])
+    def test_power_bound_covers_every_printed_integer(self, monkeypatch, t, a):
+        res = verify_power_inequality(t, a)
+        widest = max(x.bit_length() for side in (res.lhs, res.rhs)
+                     for x in (side.numerator, side.denominator))
+        monkeypatch.setattr(replace, "MAX_POWER_BITS", widest - 1)
+        with pytest.raises(PowerBudgetExceeded):
+            verify_power_inequality(t, a)
 
     def test_small_grid_holds(self):
         for t in t_grids(max_n=2, t0_values=(1,), t_max=5):

@@ -281,9 +281,21 @@ class TestTruncationBound:
             truncation_m0_subgeneral(2, 1, 1, 1, 3, 1)
 
     def test_floor_ambiguous_is_domain_error(self):
-        # not reachable at 512 enclosure terms for rational inputs; class pinned anyway
+        # reachable once the factor passes 513!/2, see the tests below
         assert issubclass(FloorAmbiguous, DomainError)
         assert FloorAmbiguous.code == "FloorAmbiguous"
+
+    def test_huge_factor_refused_before_any_power(self):
+        with pytest.raises(FloorAmbiguous, match="factor exceeds 2\\^4641"):
+            truncation_m0(40, 3, 2, 2, 20, F(1, 2))
+
+    def test_huge_factor_is_ambiguous_at_every_term_count(self, monkeypatch):
+        # without the early refusal the enclosure runs to 512 terms and still
+        # straddles an integer; the message stays short
+        monkeypatch.setattr(weights, "_AMBIGUOUS_FACTOR_BITS", 10 ** 9)
+        with pytest.raises(FloorAmbiguous) as info:
+            truncation_m0(40, 3, 2, 2, 20, F(1, 2))
+        assert info.value.message == "enclosure still straddles an integer at 512 terms"
 
 
 class TestCompareBounds:
