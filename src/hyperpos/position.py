@@ -6,13 +6,16 @@ reduce to projective dimensions of subset intersections, which come from
 `delta` and `classify` share one walk over the non-void subsets, which are
 down-closed: a set is visited only when its immediate subsets S - {i} are all
 non-void and memoized, so max_i dim(S - {i}) - 1 is a proven lower bound that
-lets the mod-p pass settle dim S.  The walk visits at most MAX_WALK_SUBSETS.
+lets the mod-p pass settle dim S.  A subset of full dimension n ends its
+level, and the next level scans every combination.  The walk visits at most
+MAX_WALK_SUBSETS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -171,33 +174,48 @@ class DistributiveReport(NamedTuple):
 
 
 def _nonvoid_subsets(v, fam):
-    """Yield (combo, dim) for every non-void subset, by size, then lexicographically.
+    """Yield (combo, dim) for the non-void subsets, by size, then lexicographically.
 
     A size-(k+1) candidate extends a non-void k-set c by some j > max(c) and
     is kept only when its k-subsets holding j are non-void too (the Apriori
     candidate rule); extending the k-sets in order keeps each level sorted.
+    A subset of full dimension n (its members vanish on a component of V)
+    ends its level: no subset of its size can pass it, and `delta` refuses
+    it.  That level is then only partly known, so the next one scans every
+    combination, lazily, and void immediate subsets settle what they can.
     """
     visited = 0
-    level, nonvoid = [()], set()
-    while level:
-        candidates = []
-        for c in level:
-            for j in range(c[-1] + 1 if c else 0, fam.q):
-                combo = c + (j,)
-                if all(combo[:i] + combo[i + 1:] in nonvoid for i in range(len(c))):
-                    visited += 1
-                    if visited > MAX_WALK_SUBSETS:
-                        raise SubsetCapExceeded(
-                            f"the subset walk would visit more than {MAX_WALK_SUBSETS} "
-                            f"subsets by size {len(combo)}")
-                    candidates.append(combo)
-        level = []
+
+    def visit(combos):
+        nonlocal visited
+        for combo in combos:
+            visited += 1
+            if visited > MAX_WALK_SUBSETS:
+                raise SubsetCapExceeded(
+                    f"the subset walk would visit more than {MAX_WALK_SUBSETS} "
+                    f"subsets by size {len(combo)}")
+            yield combo
+
+    level, cut = [()], False
+    for size in range(1, fam.q + 1):
+        if cut:
+            candidates = visit(combinations(range(fam.q), size))
+        else:
+            nonvoid = set(level)
+            candidates = list(visit(
+                c + (j,) for c in level for j in range(c[-1] + 1 if c else 0, fam.q)
+                if all(c[:i] + c[i + 1:] + (j,) in nonvoid for i in range(len(c)))))
+        level, cut = [], False
         for combo in candidates:
             dim = _subset_dim(v, fam, frozenset(combo))
             if dim is not EMPTY:
                 level.append(combo)
                 yield combo, dim
-        nonvoid = set(level)
+                if dim == v.dim_n:
+                    cut = True
+                    break
+        if not level:
+            return
 
 
 def distributive_constant(v: Variety, fam: HypersurfaceFamily,
@@ -239,32 +257,24 @@ class PositionClass(NamedTuple):
 
 def classify_position(v: Variety, fam: HypersurfaceFamily) -> PositionClass:
     n = v.dim_n
-    # max_dims[m]: largest dimension over size-m subsets; EMPTY when all are void
-    max_dims = dict.fromkeys(range(1, fam.q + 1), EMPTY)
+    # max_dims[m]: largest dimension over the non-void size-m subsets; a size
+    # with none is left out and reads as -1, below every dimension compared
+    max_dims = {}
     for combo, dim in _nonvoid_subsets(v, fam):
-        best = max_dims[len(combo)]
-        if best is EMPTY or dim > best:
-            max_dims[len(combo)] = dim
-    s_max = max(m for m, d in max_dims.items() if d is not EMPTY)  # size 1 always present
+        max_dims[len(combo)] = max(dim, max_dims.get(len(combo), 0))
+    s_max = max(max_dims)  # size 1 always present
     l_value = s_max if s_max < fam.q else None
     general = l_value == n
 
     kappa = 0
     for m in range(1, n + 1):
-        d = max_dims.get(m, EMPTY)
-        if d is not EMPTY and d > n - m:
+        if max_dims.get(m, -1) > n - m:
             break
         kappa = m
 
-    t_vector = []
-    for s in range(1, n + 1):
-        t_s = 0
-        for m in range(1, fam.q + 1):
-            d = max_dims[m]
-            if d is not EMPTY and d > n - s - 1:
-                t_s = m
-        t_vector.append(t_s)
-    return PositionClass(l_value, general, kappa, tuple(t_vector))
+    t_vector = tuple(max((m for m, d in max_dims.items() if d > n - s - 1), default=0)
+                     for s in range(1, n + 1))
+    return PositionClass(l_value, general, kappa, t_vector)
 
 
 class BoundSet(NamedTuple):

@@ -76,8 +76,9 @@ def exponent_schedule(t_values: Sequence[int]) -> ExponentSchedule:
     return ExponentSchedule(t, delta, tuple(m), max_index)
 
 
-# 2^14000 has 4215 decimal digits, under the 4300 that int -> str accepts
-MAX_POWER_BITS = 14000
+# an integer of at most 14284 bits has at most 4300 decimal digits, the most
+# that int -> str accepts
+MAX_POWER_BITS = 14284
 
 
 class PowerBudgetExceeded(DomainError):
@@ -112,14 +113,19 @@ def verify_power_inequality(t_values: Sequence[int], a_values: Sequence) -> Powe
     delta = exponent_schedule(t).delta
     power = delta.denominator
     exps = [(t[u + 1] - t[u]) * power for u in range(n)]
-    # every a is at least 1, so its numerator bounds its denominator
+    # every a is at least 1, so its numerator bounds its denominator; the
+    # bound on the unreduced sides is at most twice the bits of integer
+    # inputs, so it only guards against forming huge powers
     nums = [x.numerator for x in a]
-    bits = max(_power_bits(zip(nums, exps)), _power_bits((x, delta.numerator) for x in nums))
-    if bits > MAX_POWER_BITS:
+    bound = max(_power_bits(zip(nums, exps)), _power_bits((x, delta.numerator) for x in nums))
+    if bound > 16 * MAX_POWER_BITS:
         raise PowerBudgetExceeded(
-            f"the sides may need {bits} bits, past the budget of {MAX_POWER_BITS}")
+            f"the sides may need {bound} bits, far past the budget of {MAX_POWER_BITS}")
     lhs = prod(a[u] ** exps[u] for u in range(n))
     rhs = prod(a) ** delta.numerator
+    bits = max(lhs.numerator.bit_length(), rhs.numerator.bit_length())
+    if bits > MAX_POWER_BITS:
+        raise PowerBudgetExceeded(f"the sides need {bits} bits, past the budget of {MAX_POWER_BITS}")
     return PowerInequalityResult(lhs <= rhs, lhs == rhs, lhs, rhs, power)
 
 

@@ -149,6 +149,15 @@ class TestExitCodes:
         assert code == 2
         assert report["payload"]["error"] == "PowerBudgetExceeded"
 
+    @pytest.mark.parametrize("t, a, digest", [
+        ("0,7000", "3", "b9ce84282e1bee183bac80cfa0f7fb3f0c24219cd40c03b3d0b371d8f54f4604"),
+        ("0,9012", "3", "db2fd2ad545d040a50591e3de7b687d1bb84c6071537cd2a745807bb018aa71f")])
+    def test_power_within_budget_prints(self, runj, t, a, digest):
+        code, report = runj("ineq", "--t", t, "--a", a, "--no-cache")
+        assert code == 0
+        assert report["payload"]["lhs"] == f"{int(a) ** int(t.split(',')[1])}/1"
+        assert report["digest"] == digest
+
     def test_ambiguous_floor_is_two(self, runj):
         code, report = runj("m0", "--n", "40", "--d", "3", "--degv", "2", "--delta", "2",
                             "--q", "20", "--eps", "1/2", "--no-cache")

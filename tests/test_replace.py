@@ -109,14 +109,22 @@ class TestPowerInequality:
             verify_power_inequality((1, 2, 3), (2,))
 
     def test_power_budget(self):
-        res = verify_power_inequality((0, 6999), (3,))
-        assert res.lhs == 3 ** 6999
+        # 3^9012 has 14284 bits, 3^9013 has 14286
+        res = verify_power_inequality((0, 9012), (3,))
+        assert res.lhs == 3 ** 9012
         with pytest.raises(PowerBudgetExceeded):
-            verify_power_inequality((0, 9100), (3,))
+            verify_power_inequality((0, 9013), (3,))
         # every integer within the budget prints: int -> str takes 4300 digits
-        assert len(str(2 ** replace.MAX_POWER_BITS)) < 4300
+        assert len(str(2 ** replace.MAX_POWER_BITS - 1)) == 4300
 
-    @pytest.mark.parametrize("t, a", [((0, 6999), (3,)), ((1, 3, 4), (Fraction(7, 2), 2)),
+    def test_huge_power_refused_before_it_is_formed(self, monkeypatch):
+        def no_product(factors):
+            raise AssertionError("a power was formed")
+        monkeypatch.setattr(replace, "prod", no_product)
+        with pytest.raises(PowerBudgetExceeded):
+            verify_power_inequality((0, 10 ** 9), (3,))
+
+    @pytest.mark.parametrize("t, a", [((0, 9012), (3,)), ((1, 3, 4), (Fraction(7, 2), 2)),
                                       ((0, 2, 7, 8), (Fraction(9, 4), 2, Fraction(5, 4)))])
     def test_power_bound_covers_every_printed_integer(self, monkeypatch, t, a):
         res = verify_power_inequality(t, a)

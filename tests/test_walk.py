@@ -1,7 +1,8 @@
 """The non-void subset walk behind `delta` and `classify`, against the full scan.
 
 The scan below is the walk these front ends used before: every one of the
-2^q - 1 subsets, by size and then lexicographically, void ones included.  The
+2^q - 1 subsets, by size and then lexicographically, void ones included,
+with `classify` ending a size at its first subset of full dimension n.  The
 non-void walk must give the same reports and classes and send the same
 `projective_dimension` queries, so `DIMENSION_COUNTS` match as well.
 """
@@ -33,6 +34,7 @@ from hyperpos.position import (
     build_variety,
     classify_position,
     distributive_constant,
+    intersection_dimension,
 )
 
 
@@ -126,9 +128,9 @@ def walk_visits(scan_memo):
             if d is not EMPTY or all(dims.get(s - {i}) is not EMPTY for i in s)}
 
 
-def assert_walk_matches_scan(v, fam, same_counts=True):
-    """Same answers; unless a member vanishes on a component of V (where the
-    scan stops early), the same counts, and a memo of just the walk's visits."""
+def assert_walk_matches_scan(v, fam, whole_lattice=True):
+    """Same answers and counts; when the scan stored every subset (no member
+    vanishes on a component of V), a memo of just the walk's visits."""
     pairs = ((lambda v, f: distributive_constant(v, f, include_table=True),
               scan_distributive_constant),
              (classify_position, scan_classify_position))
@@ -136,8 +138,8 @@ def assert_walk_matches_scan(v, fam, same_counts=True):
         walked, walk_counts, walk_memo = counted(walk, v, fam)
         scanned, scan_counts, scan_memo = counted(scan, v, fam)
         assert walked == scanned, [str(m) for m in fam.members]
-        if same_counts:
-            assert walk_counts == scan_counts, [str(m) for m in fam.members]
+        assert walk_counts == scan_counts, [str(m) for m in fam.members]
+        if whole_lattice:
             assert len(scan_memo) == 2 ** fam.q - 1
             assert {s for _, s in walk_memo} == walk_visits(scan_memo)
 
@@ -152,15 +154,46 @@ def test_walk_matches_scan_on_gate_families(families):
     assert checked >= 6
 
 
-def test_reducible_variety_same_answers_more_queries():
-    # x1 vanishes on the line {x1 = 0} of V: the scan's classify stopped each
-    # size at the first subset of dimension n, the walk visits them all
+def on_line(k):
+    """A conic through the line {x1 = 0} of V = {x1*x2 = 0}."""
+    return f"x0*x1 + {k}*x1*x2"
+
+
+def test_reducible_variety_matches_scan():
+    # x1 vanishes on the line {x1 = 0} of V: delta refuses it, and classify
+    # ends each size at its first subset of dimension n, as the scan did
     v, fam = family_of(3, ("x1", "x0 + x2", "x0"), variety=("x1*x2",))
-    assert_walk_matches_scan(v, fam, same_counts=False)
+    assert_walk_matches_scan(v, fam, whole_lattice=False)
     assert counted(distributive_constant, v, fam)[0][0] == "UnboundedRatio"
-    walk_counts = counted(classify_position, v, fam)[1]
-    scan_counts = counted(scan_classify_position, v, fam)[1]
-    assert sum(walk_counts.values()) > sum(scan_counts.values())
+    # past the members through a common line, the walk scans the next size
+    v, fam = family_of(3, [on_line(k) for k in range(6)] + ["x0 + x1 + 2*x2", "x2"],
+                       variety=("x1*x2",))
+    assert_walk_matches_scan(v, fam, whole_lattice=False)
+
+
+def test_classify_many_members_on_a_component(runj_classify):
+    # all 2^15 - 1 subsets have dimension n, past the budget; one query a size
+    code, payload, counts = runj_classify([on_line(k) for k in range(15)])
+    assert code == 0
+    assert payload == {"bounds": {"index": None, "subgeneral": None, "t_vector": "15/1"},
+                       "general_position": False, "kappa": 0, "l_value": None,
+                       "t_vector": [15]}
+    assert counts == {"exact": 15}
+    code, payload, _ = runj_classify([on_line(k) for k in range(15)]
+                                     + ["x0^2 + x1*x2 + 3*x2^2", "x0 + x1 + 2*x2"])
+    assert code == 0
+    assert (payload["l_value"], payload["t_vector"]) == (16, [16])
+
+
+@pytest.fixture()
+def runj_classify(tmp_path, capsys):
+    def invoke(family):
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps({"ambient": 2, "variety": ["x1*x2"], "family": family}))
+        DIMENSION_COUNTS.clear()
+        code = cli.main(["classify", "--config", str(path), "--no-cache"])
+        return code, json.loads(capsys.readouterr().out)["payload"], dict(DIMENSION_COUNTS)
+    return invoke
 
 
 @st.composite
@@ -168,25 +201,44 @@ def walk_families(draw):
     nvars = draw(st.integers(2, 4))
     variety = draw(st.sampled_from({2: ((),), 3: ((), ("x0*x2 - x1^2",)),
                                     4: ((), ("x0^2 + x1^2 + x2^2 - x3^2",))}[nvars]))
-    q = draw(st.integers(1, 8))
+    return nvars, variety, draw(walk_members(nvars))
+
+
+@st.composite
+def walk_members(draw, nvars, lines=()):
+    """1 to 8 random forms, each optionally times one of the given lines."""
     members = []
-    for _ in range(q):
+    for _ in range(draw(st.integers(1, 8))):
         degree = draw(st.integers(1, 2))
         rng = random.Random(draw(st.integers(0, 10 ** 6)))
-        members.append(random_form(rng, nvars, degree, spread=draw(st.integers(1, 3))))
-    return nvars, variety, members
+        member = random_form(rng, nvars, degree, spread=draw(st.integers(1, 3)))
+        line = draw(st.sampled_from((None,) + lines))
+        members.append(member if line is None else member * parse_poly(line, nvars))
+    return members
+
+
+def check_small_family(nvars, variety, members):
+    v = build_variety([parse_poly(t, nvars) for t in variety], num_vars=nvars)
+    try:
+        fam = build_family(v, members)
+    except DomainError:
+        return False
+    on_component = any(intersection_dimension(v, fam, (i,)) == v.dim_n for i in range(fam.q))
+    assert_walk_matches_scan(v, fam, whole_lattice=not on_component)
+    return on_component
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(walk_families())
 def test_walk_matches_scan_on_small_families(case):
-    nvars, variety, members = case
-    v = build_variety([parse_poly(t, nvars) for t in variety], num_vars=nvars)
-    try:
-        fam = build_family(v, members)
-    except DomainError:
-        return
-    assert_walk_matches_scan(v, fam)
+    check_small_family(*case)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(walk_members(3, lines=("x1", "x2")))
+def test_walk_matches_scan_on_two_lines(members):
+    # V = {x1*x2 = 0}: members through one line, the other, or neither
+    check_small_family(3, ("x1*x2",), members)
 
 
 # ---------------------------------------------------------------------------
