@@ -544,8 +544,8 @@ def main(argv=None):
     except OSError as exc:
         _emit(args, started, "", {"error": "UsageError", "message": str(exc)})
         return 1
-    _configure_cache(args)
     try:
+        _configure_cache(args)
         # looked up on each call, so the parser built once holds no handler
         payload = globals()[f"cmd_{args.command}"](args)
     except DomainError as exc:
@@ -558,6 +558,9 @@ def main(argv=None):
         _emit(args, started, digest,
               {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"})
         return 3
+    finally:
+        # one write of this invocation's stores, whatever the exit code
+        groebner.close_cache()
     _emit(args, started, digest, payload)
     return 0
 

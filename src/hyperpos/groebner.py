@@ -14,18 +14,19 @@ exact dimension.  Every other query falls back to the exact basis over Q.
 `modp_dimension` runs the mod-p pass alone and returns dim_p, the upper
 bound; the replacement search accepts a candidate on it.
 
-The on-disk cache holds settled dimensions under versioned keys, and the
-dim_p of `modp_dimension` in mod-p records whose keys name the modulus.
-Reduced bases are never cached.
+The on-disk cache is one SQLite table per cache directory.  It holds settled
+dimensions under versioned keys, and the dim_p of `modp_dimension` in rows
+that name the modulus.  Stores are held in memory and written by
+`close_cache` in one transaction.  Reduced bases are never cached.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import heapq
 import json
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,7 +109,6 @@ class MonomialOrder:
 
 
 GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
 
 
 def weighted_order(weights) -> MonomialOrder:
@@ -154,20 +154,12 @@ def _reduce_terms(terms, reducers, order):
     return remainder
 
 
-def s_polynomial(f: HomoPoly, g: HomoPoly, order: MonomialOrder) -> HomoPoly:
-    lmf = leading_monomial(f, order)
-    lmg = leading_monomial(g, order)
-    big = mono_lcm(lmf, lmg)
-    a = f.mul_term(mono_div(big, lmf), 1 / f.terms[lmf])
-    b = g.mul_term(mono_div(big, lmg), 1 / g.terms[lmg])
-    return a - b
-
-
 def _s_terms(red_f, red_g, big):
     """Term dict of the S-polynomial of two (lm, lc, terms) reducer triples.
 
-    `big` is the lcm of the two leads.  Equals `s_polynomial(f, g).terms`
-    without building any intermediate HomoPoly; the leads cancel exactly.
+    `big` is the lcm of the two leads.  Equals the terms of the S-polynomial
+    f/lc(f) * big/lm(f) - g/lc(g) * big/lm(g), without building any
+    intermediate HomoPoly; the leads cancel exactly.
     """
     lmf, lcf, tf = red_f
     lmg, lcg, tg = red_g
@@ -588,17 +580,15 @@ def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
 
     dim_p is the dimension over Q when it is EMPTY or equals the proven lower
     bound `lower` (as in `projective_dimension`); it is then also stored as
-    the usual dimension record.  Every dim_p is cached in a mod-p record whose
-    key and body name MODULUS, so a record made under another modulus is a
-    miss, and the answer never depends on the cache.  When the pass would
-    overflow a packed degree field there is no dim_p, and the answer is
-    `projective_dimension`'s.
+    the usual dimension record.  Every dim_p is cached in a mod-p record filed
+    under MODULUS, so a record made under another modulus is a miss, and the
+    answer never depends on the cache.  When the pass would overflow a packed
+    degree field there is no dim_p, and the answer is `projective_dimension`'s.
     """
     nv = _ring_size(gens, num_vars)
     gens = [g for g in gens if not g.is_zero]
     key = cache_key(gens, nv) if _CACHE_DIR is not None else None
-    modp_key = None if key is None else _modp_key(key)
-    dim = _cache_fetch(modp_key, MODULUS)
+    dim = _cache_fetch(key, MODULUS)
     if dim is not None:
         DIMENSION_COUNTS["cached"] += 1
         return dim
@@ -608,7 +598,7 @@ def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
     DIMENSION_COUNTS["modp_bound"] += 1
     if dim is EMPTY or dim == lower:
         _cache_store(key, dim)
-    _cache_store(modp_key, dim, MODULUS)
+    _cache_store(key, dim, MODULUS)
     return dim
 
 
@@ -616,16 +606,116 @@ def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
 # on-disk cache of settled dimensions
 
 _CACHE_DIR = None
-# bump when the layout of a record or the meaning of a key changes
+# bump when the meaning of a key changes
 CACHE_FORMAT = "hyperpos-cache/3"
+# the one database file in a cache directory; its number is the storage
+# layout, bumped when the table changes
+CACHE_FILE = "dimensions-4.sqlite3"
+# A dimension record is the row (key, 0, value), a mod-p record the row
+# (key, p, value).  Modulus 0 rather than NULL, because SQLite treats NULLs
+# in a primary key as distinct and INSERT OR REPLACE would add duplicates.
+_CREATE_TABLE = ("CREATE TABLE IF NOT EXISTS dimensions (key TEXT NOT NULL, "
+                 "modulus INTEGER NOT NULL, value, PRIMARY KEY (key, modulus)) WITHOUT ROWID")
+# seconds one statement waits for another process's lock before it gives up;
+# a read then misses and a flush is dropped, so a shared directory never stalls
+_BUSY_TIMEOUT_S = 0.25
+_session = None
 
 
 def set_cache_dir(path: Optional[str]) -> None:
-    """Enable (or with None disable) the on-disk dimension cache."""
+    """Enable (or with None disable) the on-disk dimension cache.
+
+    The dimensions stored under the previous directory are written first.  A
+    directory that cannot be made leaves the cache disabled.
+    """
     global _CACHE_DIR
-    _CACHE_DIR = path
+    close_cache()
+    _CACHE_DIR = None
     if path is not None:
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError:
+            return
+        _CACHE_DIR = path
+
+
+def close_cache() -> None:
+    """Write the dimensions stored since the cache was opened, and close it.
+
+    The rows go in one transaction.  A busy lock or a broken database file
+    drops them, and the dimensions are recomputed when next asked for.  The
+    cache stays enabled: the next fetch or store opens it again.
+    """
+    global _session
+    session, _session = _session, None
+    if session is not None:
+        atexit.unregister(close_cache)
+        session.close()
+
+
+class _CacheSession:
+    """The cache database between two flushes: rows read on demand, stores held in memory."""
+
+    __slots__ = ("path", "stored", "db", "readable")
+
+    def __init__(self, directory):
+        self.path = os.path.join(directory, CACHE_FILE)
+        self.stored = {}  # (key, modulus) -> "EMPTY" or int, as the row will hold it
+        self.db = None
+        # a new directory has nothing to read: the database is made by the first flush
+        self.readable = os.path.isfile(self.path)
+
+    def connect(self):
+        import sqlite3
+        if self.db is None:
+            # transactions are begun explicitly; the exit hook may close the
+            # connection from another thread than the one that opened it
+            self.db = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S,
+                                      isolation_level=None, check_same_thread=False)
+        return self.db
+
+    def fetch(self, key, modulus):
+        value = self.stored.get((key, modulus))
+        if value is None and self.readable:
+            import sqlite3
+            try:
+                row = self.connect().execute(
+                    "SELECT value FROM dimensions WHERE key = ? AND modulus = ?",
+                    (key, modulus)).fetchone()
+            except (sqlite3.Error, OSError):
+                # busy, unreadable or not a database: no more reads in this session
+                self.readable = False
+                return None
+            value = None if row is None else row[0]
+        return value
+
+    def close(self):
+        if not self.stored and self.db is None:
+            return
+        import sqlite3
+        try:
+            if self.stored:
+                db = self.connect()
+                db.execute("BEGIN IMMEDIATE")
+                db.execute(_CREATE_TABLE)
+                db.executemany("INSERT OR REPLACE INTO dimensions VALUES (?, ?, ?)",
+                               [(key, modulus, value)
+                                for (key, modulus), value in self.stored.items()])
+                db.execute("COMMIT")
+        except (sqlite3.Error, OSError):
+            pass  # the rows are dropped; closing rolls back an open transaction
+        finally:
+            if self.db is not None:
+                self.db.close()
+
+
+def _cache_session():
+    global _session
+    if _session is None:
+        _session = _CacheSession(_CACHE_DIR)
+        # a library caller that never calls close_cache still gets its rows written
+        atexit.register(close_cache)
+    return _session
 
 
 def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
@@ -643,30 +733,17 @@ def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _modp_key(key):
-    """Key of the mod-p record for the generators whose dimension key is `key`."""
-    return hashlib.sha256(f"{key}:mod:{MODULUS}".encode()).hexdigest()
-
-
 def _cache_fetch(key, modulus=None):
     """The dimension stored under `key`; None for a miss.
 
-    A record repeats its own key, and a mod-p record also names its modulus,
-    which must equal `modulus` (None for a dimension record).  A file that
-    does not, or whose value is neither "EMPTY" nor a non-negative int, is a
-    miss and gets recomputed.
+    A mod-p record is read under its modulus, a dimension record (`modulus`
+    None) under 0, so neither is ever read as the other.  A stored value that
+    is neither "EMPTY" nor a non-negative int is a miss and gets recomputed;
+    so is every read that the database refuses.
     """
     if _CACHE_DIR is None or key is None:
         return None
-    path = os.path.join(_CACHE_DIR, key + ".json")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            record = json.load(handle)
-        if record["key"] != key or record.get("modulus") != modulus:
-            return None
-        value = record["value"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
+    value = _cache_session().fetch(key, modulus or 0)
     if value == "EMPTY":
         return EMPTY
     if type(value) is not int or value < 0:
@@ -677,20 +754,5 @@ def _cache_fetch(key, modulus=None):
 def _cache_store(key, value, modulus=None):
     if _CACHE_DIR is None or key is None:
         return
-    # called only after a miss, so this also replaces a malformed record
-    path = os.path.join(_CACHE_DIR, key + ".json")
-    record = {"key": key, "value": "EMPTY" if value is EMPTY else value}
-    if modulus is not None:
-        record["modulus"] = modulus
-    # json.dumps runs the C encoder; json.dump would stream through the Python one
-    text = json.dumps(record, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(dir=_CACHE_DIR, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    # called only after a miss, so the flush also replaces a malformed row
+    _cache_session().stored[key, modulus or 0] = "EMPTY" if value is EMPTY else value

@@ -168,26 +168,6 @@ def _reduce_row(row, echelon):
     return pivot, [x // g for x in row]
 
 
-def _rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # chained Evertse-Ferretti lower bound
 

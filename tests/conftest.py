@@ -1,8 +1,13 @@
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from hyperpos import groebner as groebner_mod
-from hyperpos.groebner import normal_form, s_polynomial
-from hyperpos.polyring import parse_poly
+from hyperpos.groebner import MonomialOrder, leading_monomial, normal_form
+from hyperpos.polyring import mono_div, mono_lcm, parse_poly
+
+LEX = MonomialOrder("lex")
 
 
 @pytest.fixture(autouse=True)
@@ -17,6 +22,15 @@ def parse_many(texts, nvars):
     return tuple(parse_poly(t, nvars) for t in texts)
 
 
+def s_polynomial(f, g, order):
+    lmf = leading_monomial(f, order)
+    lmg = leading_monomial(g, order)
+    big = mono_lcm(lmf, lmg)
+    a = f.mul_term(mono_div(big, lmf), 1 / f.terms[lmf])
+    b = g.mul_term(mono_div(big, lmg), 1 / g.terms[lmg])
+    return a - b
+
+
 def certify(gb):
     """Buchberger certificate: all S-polynomials of basis pairs reduce to zero."""
     gens = gb.generators
@@ -24,3 +38,22 @@ def certify(gb):
         for j in range(i + 1, len(gens)):
             spoly = s_polynomial(gens[i], gens[j], gb.order)
             assert normal_form(spoly, gb).is_zero, (i, j)
+
+
+def cache_rows(directory):
+    """Every (key, modulus, value) row of the cache database in `directory`.
+
+    The stores held in memory are written first, as at the end of a command.
+    """
+    groebner_mod.close_cache()
+    with closing(sqlite3.connect(directory / groebner_mod.CACHE_FILE)) as db:
+        return sorted(db.execute("SELECT key, modulus, value FROM dimensions"))
+
+
+def write_rows(directory, *rows):
+    """Make `rows` the whole table of the cache database in `directory`."""
+    groebner_mod.close_cache()
+    with closing(sqlite3.connect(directory / groebner_mod.CACHE_FILE)) as db, db:
+        db.execute(groebner_mod._CREATE_TABLE)
+        db.execute("DELETE FROM dimensions")
+        db.executemany("INSERT INTO dimensions VALUES (?, ?, ?)", rows)

@@ -12,9 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import cache_rows
+from test_walk import dense_plane_family
 
 import hyperpos
-from hyperpos import __version__, cli, polyring
+from hyperpos import __version__, cli, groebner, polyring
+from hyperpos.polyring import poly_to_json
 
 
 @pytest.fixture()
@@ -582,3 +585,50 @@ class TestCacheWiring:
         run("delta", "--config", coord_config, "--cache-dir", str(flagcache))
         assert any(flagcache.iterdir())
         assert not envcache.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "home"])
+    def test_unusable_cache_dir_runs_uncached(self, run, coord_config, tmp_path, monkeypatch,
+                                              via):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        uncached = run("delta", "--config", coord_config, "--no-cache")
+        if via == "flag":
+            cached = run("delta", "--config", coord_config, "--cache-dir", str(blocker / "sub"))
+        else:
+            # the default ~/.cache/hyperpos, under a home that cannot hold it
+            monkeypatch.delenv("HYPERPOS_CACHE_DIR", raising=False)
+            monkeypatch.setenv("HOME", str(blocker))
+            cached = run("delta", "--config", coord_config)
+        assert cached == uncached
+        assert uncached[0] == 0
+
+    def test_garbage_database_runs_uncached(self, run, coord_config, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        garbage = bytes(range(256)) * 16
+        (cache / groebner.CACHE_FILE).write_bytes(garbage)
+        uncached = run("delta", "--config", coord_config, "--no-cache")
+        for _ in range(2):
+            assert run("delta", "--config", coord_config, "--cache-dir", str(cache)) == uncached
+        assert (cache / groebner.CACHE_FILE).read_bytes() == garbage
+
+
+def test_two_processes_share_one_cache_dir(run, tmp_path):
+    _, fam = dense_plane_family(10)
+    conf = tmp_path / "conics.json"
+    conf.write_text(json.dumps({"ambient": 2, "variety": [],
+                                "family": [poly_to_json(m) for m in fam.members]}))
+    commands = ("delta", "classify")
+    expected = {c: run(c, "--config", str(conf), "--no-cache") for c in commands}
+    env = {**os.environ, "PYTHONPATH": str(Path(hyperpos.__file__).parents[1])}
+    cache = tmp_path / "cache"
+    for _ in range(2):  # a new directory, then the one the first pair filled
+        procs = {c: subprocess.Popen(
+            [sys.executable, "-m", "hyperpos", c, "--config", str(conf), "--cache-dir", str(cache)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for c in commands}
+        for c, proc in procs.items():
+            # a process that waited on the other's lock for every store would take minutes
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, out, err) == (0, expected[c][1], "")
+    assert cache_rows(cache)

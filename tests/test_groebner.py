@@ -2,11 +2,18 @@
 
 import hashlib
 import json
+import os
+import sqlite3
+import subprocess
+import sys
+import time
+from contextlib import closing
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
-from conftest import certify, parse_many
+from conftest import LEX, cache_rows, certify, parse_many, s_polynomial, write_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +22,6 @@ from hyperpos.groebner import (
     DIMENSION_COUNTS,
     EMPTY,
     GREVLEX,
-    LEX,
     PAIR_COUNTS,
     GroebnerBasis,
     MixedAmbient,
@@ -27,7 +33,6 @@ from hyperpos.groebner import (
     modp_dimension,
     normal_form,
     projective_dimension,
-    s_polynomial,
     set_cache_dir,
     standard_monomials,
     weighted_order,
@@ -293,20 +298,21 @@ class TestDiskCache:
         set_cache_dir(str(tmp_path))
         gens = parse_many(self.GENS, 3)
         first = projective_dimension(gens, 3)
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(cache_rows(tmp_path)) == 1
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 3) == first == 0
         assert DIMENSION_COUNTS == {"cached": 1}
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(cache_rows(tmp_path)) == 1
 
     def test_key_ignores_generator_listing_order(self, tmp_path):
         set_cache_dir(str(tmp_path))
         a = parse_many(self.GENS, 3)
         projective_dimension(a, 3)
+        groebner.close_cache()
         DIMENSION_COUNTS.clear()
         projective_dimension(tuple(reversed(a)), 3)
         assert DIMENSION_COUNTS == {"cached": 1}
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(cache_rows(tmp_path)) == 1
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
         set_cache_dir(None)
@@ -317,11 +323,51 @@ class TestDiskCache:
         set_cache_dir(str(tmp_path))
         gens = parse_many(self.GENS, 3)
         dim = projective_dimension(gens, 3)
-        entry = next(tmp_path.glob("*.json"))
-        entry.write_text("{broken")
+        assert cache_rows(tmp_path)
+        (tmp_path / groebner.CACHE_FILE).write_bytes(b"not a database" * 100)
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 3) == dim
         assert DIMENSION_COUNTS == {"exact": 1}
+        groebner.close_cache()  # the write is dropped, and nothing is raised
+
+    def test_stores_wait_for_close(self, tmp_path):
+        set_cache_dir(str(tmp_path))
+        gens = parse_many(self.GENS, 3)
+        assert projective_dimension(gens, 3) == 0
+        assert list(tmp_path.iterdir()) == []
+        set_cache_dir(None)  # a library caller's stores are written here
+        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), 0, 0)]
+
+    def test_stores_written_at_exit(self, tmp_path):
+        # a library caller that never closes the cache
+        script = ("import sys\n"
+                  "from hyperpos.groebner import projective_dimension, set_cache_dir\n"
+                  "from hyperpos.polyring import parse_poly\n"
+                  "set_cache_dir(sys.argv[1])\n"
+                  f"print(projective_dimension([parse_poly(t, 3) for t in {self.GENS!r}], 3))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(groebner.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == "0\n"
+        assert cache_rows(tmp_path) == [(groebner.cache_key(parse_many(self.GENS, 3), 3), 0, 0)]
+
+    def test_busy_database_misses_and_drops_the_write(self, tmp_path):
+        gens = parse_many(self.GENS, 3)
+        write_rows(tmp_path, (groebner.cache_key(gens, 3), 0, 0))
+        with closing(sqlite3.connect(tmp_path / groebner.CACHE_FILE,
+                                     isolation_level=None)) as other:
+            other.execute("BEGIN EXCLUSIVE")  # another process in the middle of a write
+            set_cache_dir(str(tmp_path))
+            DIMENSION_COUNTS.clear()
+            start = time.perf_counter()
+            assert projective_dimension(gens, 3) == 0
+            assert modp_dimension(parse_many(("x0",), 3), 3) == 1
+            groebner.close_cache()
+            # one timed-out read turns reads off; the flush gives up once more
+            assert time.perf_counter() - start < 10 * groebner._BUSY_TIMEOUT_S
+            assert DIMENSION_COUNTS == {"exact": 1, "modp_bound": 1}
+            other.execute("ROLLBACK")
+        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), 0, 0)]
 
 
 class TestPairQueue:
@@ -435,12 +481,12 @@ class TestCacheRecords:
     def dim_record(self, tmp_path):
         set_cache_dir(str(tmp_path))
         assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
-        (entry,) = tmp_path.glob("*.json")
-        return entry, json.loads(entry.read_text())
+        (row,) = cache_rows(tmp_path)
+        return row
 
     def test_dimension_record_repeats_its_key(self, tmp_path):
-        entry, record = self.dim_record(tmp_path)
-        assert record == {"key": entry.stem, "value": 0}
+        row = self.dim_record(tmp_path)
+        assert row == (groebner.cache_key(parse_many(self.GENS, 3), 3), 0, 0)
         DIMENSION_COUNTS.clear()
         assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
         assert DIMENSION_COUNTS == {"cached": 1}
@@ -468,38 +514,38 @@ class TestCacheRecords:
         stale_key = groebner.cache_key(gens, 3)
         monkeypatch.undo()
         key = groebner.cache_key(gens, 3)
+        assert stale_key != key
+        # a wrong answer filed under the old key
+        write_rows(tmp_path, (stale_key, 0, 2))
         set_cache_dir(str(tmp_path))
-        # a wrong answer filed under the current key, but labelled with the old one
-        (tmp_path / f"{key}.json").write_text(json.dumps({"key": stale_key, "value": 2}))
-        (tmp_path / f"{stale_key}.json").write_text(json.dumps({"key": stale_key, "value": 2}))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 3, 0) == 0
         assert DIMENSION_COUNTS == {"modp": 1}
 
     @pytest.mark.parametrize("edit", [
-        lambda r: {**r, "key": "0" * 64},
-        lambda r: {**r, "value": 0.0},
-        lambda r: {**r, "value": -3},
-        lambda r: {**r, "value": "2"},
-        lambda r: {**r, "value": True},
-        lambda r: {"key": r["key"]},
-        lambda r: [r],
+        lambda r: ("0" * 64, *r[1:]),
+        lambda r: (*r[:2], 0.0),
+        lambda r: (*r[:2], -3),
+        lambda r: (*r[:2], "2"),
+        lambda r: (*r[:2], "empty"),
+        lambda r: (*r[:2], b"\x00"),
+        lambda r: (*r[:2], None),
     ])
     def test_edited_record_is_a_miss(self, tmp_path, edit):
-        entry, record = self.dim_record(tmp_path)
-        entry.write_text(json.dumps(edit(record)))
+        row = self.dim_record(tmp_path)
+        write_rows(tmp_path, edit(row))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
         assert DIMENSION_COUNTS == {"modp": 1}
-        assert json.loads(entry.read_text()) == record  # rewritten
+        assert row in cache_rows(tmp_path)  # rewritten
 
     def test_exact_query_writes_one_dimension_record(self, tmp_path):
         set_cache_dir(str(tmp_path))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(parse_many(TestDiskCache.GENS, 3), 3) == 0
         assert DIMENSION_COUNTS == {"exact": 1}
-        (entry,) = tmp_path.glob("*.json")
-        assert json.loads(entry.read_text()) == {"key": entry.stem, "value": 0}
+        key = groebner.cache_key(parse_many(TestDiskCache.GENS, 3), 3)
+        assert cache_rows(tmp_path) == [(key, 0, 0)]
 
     def test_modp_record_names_its_modulus(self, tmp_path):
         # one line in the plane: dim_p = 1, with no lower bound it is not settled
@@ -507,10 +553,7 @@ class TestCacheRecords:
         gens = parse_many(("x0",), 3)
         DIMENSION_COUNTS.clear()
         assert modp_dimension(gens, 3) == 1
-        (entry,) = tmp_path.glob("*.json")
-        assert entry.stem == groebner._modp_key(groebner.cache_key(gens, 3))
-        assert json.loads(entry.read_text()) == {
-            "key": entry.stem, "modulus": groebner.MODULUS, "value": 1}
+        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), groebner.MODULUS, 1)]
         assert modp_dimension(gens, 3) == 1
         assert DIMENSION_COUNTS == {"modp_bound": 1, "cached": 1}
 
@@ -521,28 +564,35 @@ class TestCacheRecords:
         set_cache_dir(str(tmp_path / "exact"))
         assert projective_dimension(gens, 3, 0) == 0
         key = groebner.cache_key(gens, 3)
-        (record,) = (tmp_path / "exact").glob("*.json")
-        written = sorted((tmp_path / "modp").glob("*.json"))
-        assert sorted(f.stem for f in written) == sorted([key, groebner._modp_key(key)])
-        # the same file name and bytes as projective_dimension's record
-        assert (tmp_path / "modp" / record.name).read_bytes() == record.read_bytes()
+        (record,) = cache_rows(tmp_path / "exact")
+        # the same row as projective_dimension's record, beside the mod-p record
+        assert cache_rows(tmp_path / "modp") == [record, (key, groebner.MODULUS, 0)]
 
     @pytest.mark.parametrize("edit", [
-        lambda r: {**r, "modulus": 7},
-        lambda r: {**r, "modulus": str(r["modulus"])},
-        lambda r: {"key": r["key"], "value": r["value"]},
+        lambda r: (r[0], 7, 2),
+        lambda r: (r[0], -r[1], 2),
+        lambda r: (r[0], 0, 2),  # the dimension record of the same generators
     ])
     def test_edited_modp_record_is_a_miss(self, tmp_path, edit):
+        # a wrong value filed under another modulus
         set_cache_dir(str(tmp_path))
         gens = parse_many(("x0",), 3)
         assert modp_dimension(gens, 3) == 1
-        (entry,) = tmp_path.glob("*.json")
-        record = json.loads(entry.read_text())
-        entry.write_text(json.dumps({**edit(record), "value": 2}))
+        (row,) = cache_rows(tmp_path)
+        write_rows(tmp_path, edit(row))
         DIMENSION_COUNTS.clear()
         assert modp_dimension(gens, 3) == 1
         assert DIMENSION_COUNTS == {"modp_bound": 1}
-        assert json.loads(entry.read_text()) == record  # rewritten
+        assert cache_rows(tmp_path) == sorted([edit(row), row])  # rewritten
+
+    def test_modp_record_is_not_a_dimension_record(self, tmp_path):
+        # a planted dim_p of 2 would be a wrong dimension for two lines in the plane
+        gens = parse_many(self.GENS, 3)
+        write_rows(tmp_path, (groebner.cache_key(gens, 3), groebner.MODULUS, 2))
+        set_cache_dir(str(tmp_path))
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 3, 0) == 0
+        assert DIMENSION_COUNTS == {"modp": 1}
 
     def test_other_modulus_has_its_own_record(self, tmp_path, monkeypatch):
         set_cache_dir(str(tmp_path))
@@ -552,8 +602,7 @@ class TestCacheRecords:
         DIMENSION_COUNTS.clear()
         assert modp_dimension(gens, 3) == 1
         assert DIMENSION_COUNTS == {"modp_bound": 1}
-        moduli = sorted(json.loads(f.read_text())["modulus"] for f in tmp_path.glob("*.json"))
-        assert moduli == sorted([7, 1073741789])
+        assert [row[1] for row in cache_rows(tmp_path)] == [7, 1073741789]
 
     def test_modp_overflow_goes_to_projective_dimension(self, monkeypatch):
         monkeypatch.setattr(groebner, "_modp_lead_monomials", lambda polys, nv: None)
@@ -633,8 +682,7 @@ class TestCacheKey:
             assert groebner.cache_key(batch, 3) == _key_oracle(batch, 3)
 
     def test_record_under_recorded_key_is_cached(self, tmp_path):
-        (tmp_path / f"{self.RECORDED}.json").write_text(
-            json.dumps({"key": self.RECORDED, "value": "EMPTY"}))
+        write_rows(tmp_path, (self.RECORDED, 0, "EMPTY"))
         set_cache_dir(str(tmp_path))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(parse_many(self.GENS, 3), 3) is EMPTY

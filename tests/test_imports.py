@@ -3,9 +3,15 @@
 Each module of the package and of the test suite is parsed with `ast`.  A
 name bound by an import must be referenced somewhere in the module, or be
 listed in its `__all__`; `from __future__` imports are exempt.
+
+The package also loads `sqlite3` only when a command uses the disk cache.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +58,20 @@ def test_checker_finds_an_unused_import():
 def test_package_and_tests_are_scanned():
     names = {p.name for p in MODULES}
     assert {"groebner.py", "replace.py", "cli.py", "test_imports.py", "conftest.py"} <= names
+
+
+@pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])
+def test_sqlite3_loaded_only_for_the_disk_cache(tmp_path, cache_flag, loaded):
+    conf = tmp_path / "lines.json"
+    conf.write_text(json.dumps({"ambient": 2, "variety": [], "family": ["x0", "x1", "x2"]}))
+    argv = ["delta", "--config", str(conf), cache_flag]
+    if cache_flag == "--cache-dir":
+        argv.append(str(tmp_path / "cache"))
+    script = ("import sys\n"
+              "from hyperpos import cli\n"
+              "assert cli.main(sys.argv[1:]) == 0\n"
+              "sys.stderr.write(str('sqlite3' in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stderr == str(loaded)

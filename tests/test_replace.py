@@ -1,13 +1,12 @@
 """Exponent schedules, the power inequality, and replacement systems."""
 
-import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
 import pytest
-from conftest import parse_many
+from conftest import cache_rows, parse_many
 from test_dimension import criterion_03_families
 
 from hyperpos import groebner, replace
@@ -403,8 +402,7 @@ def test_modp_records_of_one_modulus_never_read_under_another(monkeypatch, tmp_p
 
     set_cache_dir(str(tmp_path))
     assert search(SMALL_PRIME) == (small_rows, small_passes)
-    moduli = {json.loads(f.read_text()).get("modulus") for f in tmp_path.glob("*.json")}
-    assert moduli == {None, SMALL_PRIME}
+    assert {modulus for _, modulus, _ in cache_rows(tmp_path)} == {0, SMALL_PRIME}
     # recomputed under the large prime, not read from the small-prime records
     assert search(large) == (large_rows, large_passes)
     # each modulus reads its own records back

@@ -24,7 +24,6 @@ from hyperpos.weights import (
     OracleTooLarge,
     SubsetNotEmptyOnV,
     UTooSmall,
-    _rank,
     compare_bounds,
     defect_total,
     ef_lower_bound_check,
@@ -50,6 +49,27 @@ def weight_of(monos, c):
     return sum((sum(F(e) * F(x) for e, x in zip(m, c)) for m in monos), F(0))
 
 
+def rank(rows) -> int:
+    """Rank of a matrix over Q by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    cols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / lead
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def combination_scan(v, u, cs):
     """The oracle as a plain scan: rank every full-size combination of the
     degree-u monomial residues and keep the independent ones.  Returns the
@@ -66,7 +86,7 @@ def combination_scan(v, u, cs):
             vec[coords[mm]] = cc
         residues.append(vec)
     kept = [combo for combo in combinations(range(len(monos)), size)
-            if _rank([residues[i] for i in combo]) == size]
+            if rank([residues[i] for i in combo]) == size]
     best = []
     for c in cs:
         mono_weights = [weight_of([m], c) for m in monos]
@@ -112,7 +132,7 @@ class TestHilbertWeight:
             for mm, cc in nf.terms.items():
                 vec[coords[mm]] = cc
             rows.append(vec)
-        assert _rank(rows) == len(rep.basis)
+        assert rank(rows) == len(rep.basis)
 
     def test_rejects_bad_u(self, p1):
         with pytest.raises(DomainError):
