@@ -2,7 +2,9 @@
 
 Bases, normal forms and Hilbert data are exact rational arithmetic.
 Dimensions come out of the leading-term ideal combinatorially, so no primary
-decomposition or radical computation is ever needed.
+decomposition or radical computation is ever needed.  Hilbert values and
+degrees come from one numerator of the leading-term ideal's Hilbert series
+(`_hilbert_numerator`).
 
 `projective_dimension` is the one place that answers "what is dim V(gens)?".
 It first runs a lean Buchberger loop over the integers mod MODULUS.  For
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .errors import DomainError
@@ -190,7 +192,6 @@ class GroebnerBasis:
     num_vars: int
     leading_monomials: tuple = field(init=False, repr=False, compare=False)
     _reducers: tuple = field(init=False, repr=False, compare=False)
-    _hilbert: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -202,7 +203,6 @@ class GroebnerBasis:
         object.__setattr__(self, "leading_monomials", lead)
         object.__setattr__(self, "_reducers",
                            tuple((lm, g.terms[lm], g.terms) for lm, g in zip(lead, gens)))
-        object.__setattr__(self, "_hilbert", {})
 
 
 def normal_form(p: HomoPoly, gb: GroebnerBasis) -> HomoPoly:
@@ -315,29 +315,61 @@ def _cone_dimension(lead_monomials, num_vars):
     return 0
 
 
+def _minimal_monomials(monos):
+    """Minimal generators of the monomial ideal <monos>, by ascending degree."""
+    out = []
+    for m in sorted(set(monos), key=mono_degree):
+        if not any(mono_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def _hilbert_numerator(lead_monomials):
+    """K(t) as {degree: coefficient}: the Hilbert series of the quotient by the
+    monomial ideal I = <lead_monomials> in N variables is K(t)/(1 - t)^N.
+
+    For x_i^e exactly dividing a generator that is not a pure power, the exact
+    sequence 0 -> S/(I : x_i^e)(-e) -> S/I -> S/(I + <x_i^e>) -> 0 gives
+    K(I) = K(I + <x_i^e>) + t^e K(I : x_i^e) (Bigatti 1997).  Both new ideals
+    have a smaller total degree of generators that are not pure powers, and pure
+    powers x_i^d give prod(1 - t^d).  The pivots run from a work list, so a
+    long chain of them costs no Python recursion.
+    """
+    numerator = Counter()
+    work = [(_minimal_monomials(lead_monomials), 0)]
+    while work:
+        gens, shift = work.pop()
+        mixed = [m for m in gens if sum(1 for e in m if e) > 1]
+        if not mixed:
+            leaf = Counter({shift: 1})
+            for m in gens:
+                step = Counter(leaf)
+                for k, c in leaf.items():
+                    step[k + mono_degree(m)] -= c
+                leaf = step
+            numerator.update(leaf)
+            continue
+        # pivot on the variable in the most mixed generators, at the median
+        # of its exponents there
+        nv = len(gens[0])
+        i = max(range(nv), key=lambda v: sum(1 for m in mixed if m[v]))
+        exps = sorted(m[i] for m in mixed if m[i])
+        e = exps[len(exps) // 2]
+        pivot = tuple(e if v == i else 0 for v in range(nv))
+        # the generators that the pivot divides leave I + <pivot>, which stays minimal
+        work.append(([m for m in gens if m[i] < e] + [pivot], shift))
+        work.append((_minimal_monomials([tuple(max(a - b, 0) for a, b in zip(m, pivot))
+                                         for m in gens]), shift + e))
+    return {k: c for k, c in numerator.items() if c}
+
+
 def hilbert_function(gb: GroebnerBasis, u: int) -> int:
     """Count of degree-u monomials outside the leading-term ideal."""
     if u < 0:
         raise DomainError(f"degree must be non-negative, got {u}")
-    cache = gb._hilbert
-    if u in cache:
-        return cache[u]
     ambient = gb.num_vars - 1
-    lms = gb.leading_monomials
-    total = 0
-
-    def dfs(start, cur, sign):
-        nonlocal total
-        deg = mono_degree(cur)
-        if deg > u:
-            return  # every superset lcm is at least this large
-        total += sign * comb(ambient + u - deg, ambient)
-        for k in range(start, len(lms)):
-            dfs(k + 1, mono_lcm(cur, lms[k]), -sign)
-
-    dfs(0, (0,) * gb.num_vars, 1)
-    cache[u] = total
-    return total
+    return sum(c * comb(ambient + u - k, ambient)
+               for k, c in _hilbert_numerator(gb.leading_monomials).items() if k <= u)
 
 
 # Most degree-u monomials one enumeration may list.  There are
@@ -380,50 +412,22 @@ def standard_monomials(gb: GroebnerBasis, u: int):
     return out
 
 
-class IdealProfile:
-    """Projective dimension plus lazily interpolated degree for one basis."""
+class IdealProfile(NamedTuple):
+    """Projective dimension of one basis's ideal, and its degree (None for EMPTY)."""
 
-    __slots__ = ("gb", "projective_dimension", "_degree")
-
-    def __init__(self, gb: GroebnerBasis):
-        self.gb = gb
-        self.projective_dimension = _dimension_of_leads(gb.leading_monomials, gb.num_vars)
-        self._degree = None
-
-    @property
-    def degree(self):
-        """Normalized leading Hilbert coefficient; None for the empty set."""
-        if self.projective_dimension is EMPTY:
-            return None
-        if self._degree is None:
-            self._degree = _interpolated_degree(self.gb, self.projective_dimension)
-        return self._degree
-
-    def __repr__(self):
-        return f"IdealProfile(dim={self.projective_dimension!r})"
-
-
-def _interpolated_degree(gb: GroebnerBasis, dim: int) -> int:
-    # beyond the lcm degrees every inclusion-exclusion binomial is a true
-    # polynomial in u, so H agrees with its Hilbert polynomial from s0 on;
-    # the stability window is a belt-and-braces check on top of that bound
-    s0 = max(0, sum(mono_degree(m) for m in gb.leading_monomials) - (gb.num_vars - 1))
-    window = []
-    s = s0
-    while s <= s0 + 60:
-        diff = sum((-1) ** (dim - k) * comb(dim, k) * hilbert_function(gb, s + k)
-                   for k in range(dim + 1))
-        window.append(diff)
-        if len(window) >= 3 and window[-1] == window[-2] == window[-3]:
-            if window[-1] <= 0:
-                raise DomainError("Hilbert leading coefficient not positive")
-            return window[-1]
-        s += 1
-    raise DomainError("Hilbert polynomial fit did not stabilize")
+    projective_dimension: object
+    degree: Optional[int]
 
 
 def ideal_profile(gb: GroebnerBasis) -> IdealProfile:
-    return IdealProfile(gb)
+    dim = _dimension_of_leads(gb.leading_monomials, gb.num_vars)
+    if dim is EMPTY:
+        return IdealProfile(EMPTY, None)
+    # the numerator is (1 - t)^codim Q(t) with Q(1) the degree, so the
+    # degree is (-1)^codim K^(codim)(1) / codim!
+    codim = gb.num_vars - 1 - dim
+    numerator = _hilbert_numerator(gb.leading_monomials)
+    return IdealProfile(dim, (-1) ** codim * sum(c * comb(k, codim) for k, c in numerator.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +573,7 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
         DIMENSION_COUNTS["modp"] += 1
     else:
         DIMENSION_COUNTS["exact"] += 1
-        dim = ideal_profile(groebner_basis(basis, GREVLEX, num_vars=nv)).projective_dimension
+        dim = _dimension_of_leads(groebner_basis(basis, GREVLEX, num_vars=nv).leading_monomials, nv)
     _cache_store(key, dim)
     return dim
 

@@ -22,7 +22,6 @@ class PolySyntaxError(DomainError):
 
     def __init__(self, position, expected, message=None):
         self.position = position
-        self.expected = expected
         super().__init__(message or f"at position {position}: expected {expected}")
 
 
@@ -38,8 +37,6 @@ class VariableOutOfRange(DomainError):
     code = "VariableOutOfRange"
 
     def __init__(self, index, num_vars):
-        self.index = index
-        self.num_vars = num_vars
         super().__init__(f"variable x{index} outside x0..x{num_vars - 1}")
 
 
@@ -73,7 +70,6 @@ class DegreeBudgetExceeded(DomainError):
     code = "DegreeBudgetExceeded"
 
     def __init__(self, degree, what="degree"):
-        self.degree = degree
         super().__init__(f"{what} {degree} exceeds the budget of {MAX_DEGREE}")
 
 
@@ -91,7 +87,6 @@ class TermBudgetExceeded(DomainError):
     code = "TermBudgetExceeded"
 
     def __init__(self, count, what="polynomial"):
-        self.count = count
         super().__init__(f"{what} with {count} terms exceeds the budget of {MAX_TERMS}")
 
 
@@ -500,10 +495,6 @@ def parse_poly(text: str, num_vars: int) -> HomoPoly:
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-def eval_poly(p: HomoPoly, point: Sequence) -> Fraction:
-    return p.evaluate(point)
-
 
 def poly_combine(coeffs: Sequence, polys: Sequence[HomoPoly]) -> HomoPoly:
     """Sum of coeffs[i] * polys[i]; nonzero inputs must share one degree."""

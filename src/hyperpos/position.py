@@ -326,7 +326,7 @@ def dimension_profile(v: Variety, fam: HypersurfaceFamily,
     for u in range(1, n + 1):
         t_u = next(s for s in range(len(prefix_dims)) if dim_at_most(prefix_dims[s], n - u - 1))
         t_values.append(t_u)
-    if t_values[0] != 0 or any(a >= b for a, b in zip(t_values, t_values[1:])):
+    if any(a >= b for a, b in zip(t_values, t_values[1:])):
         raise ProfileInvalid(f"prefix dimensions do not step correctly: {prefix_dims}")
     if not dim_at_most(prefix_dims[0], n - 1):
         raise ProfileInvalid("first member does not cut the variety to dimension n-1")

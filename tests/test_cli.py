@@ -632,3 +632,52 @@ def test_two_processes_share_one_cache_dir(run, tmp_path):
             out, err = proc.communicate(timeout=60)
             assert (proc.returncode, out, err) == (0, expected[c][1], "")
     assert cache_rows(cache)
+
+
+# Runs each argv list through cli.main in one process and prints
+# [[exit code, payload], ...] as one JSON line.
+_BATCH = """
+import contextlib, io, json, sys
+from hyperpos import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append([code, json.loads(buf.getvalue())["payload"]])
+print(json.dumps(out))
+"""
+
+
+def _run_batch(commands):
+    """Payloads of `commands` from a fresh process that must finish in 60 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hyperpos.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _BATCH, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
+def test_fat_points_of_many_leading_monomials(tmp_path):
+    # (x0, x1, x2)^d in P^3: the point (0:0:0:1) with multiplicity C(d+2, 3),
+    # and C(d+2, 2) leading monomials, 91 at d = 12
+    commands, expected = [], []
+    for d in range(5, 13):
+        path = tmp_path / f"fat{d}.json"
+        monos = [f"x0^{a}*x1^{b}*x2^{d - a - b}" for a in range(d + 1) for b in range(d + 1 - a)]
+        path.write_text(json.dumps({"ambient": 3, "polys": monos}))
+        commands.append(["dim", "--ideal", str(path), "--no-cache"])
+        expected.append([0, {"ambient": 3, "dimension": 0, "degree": math.comb(d + 2, 3)}])
+        for u in (d - 1, d):
+            commands.append(["hilbert", "--ideal", str(path), "--u", str(u), "--no-cache"])
+            expected.append([0, {"u": u, "value": math.comb(min(u, d - 1) + 3, 3)}])
+    assert _run_batch(commands) == expected
+
+
+def test_high_degree_leading_monomial(tmp_path):
+    # the Hilbert series numerator of <x0^999*x1> is 1 - t^1000
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({"ambient": 2, "polys": ["x0^999*x1"]}))
+    assert _run_batch([["dim", "--ideal", str(path), "--no-cache"],
+                       ["hilbert", "--ideal", str(path), "--u", "1000", "--no-cache"]]) == [
+        [0, {"ambient": 2, "dimension": 1, "degree": 1000}],
+        [0, {"u": 1000, "value": math.comb(1002, 2) - 1}]]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 from conftest import LEX, cache_rows, certify, parse_many, s_polynomial, write_rows
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperpos import groebner
@@ -229,6 +229,79 @@ class TestProfile:
             assert dim_g == dim_l, texts
 
 
+def walk_hilbert(gb, u):
+    """Oracle of `hilbert_function`: inclusion-exclusion over every subset of
+    the leading monomials, one signed binomial per subset lcm of degree <= u."""
+    ambient = gb.num_vars - 1
+    lms = gb.leading_monomials
+    total = 0
+
+    def dfs(start, cur, sign):
+        nonlocal total
+        deg = sum(cur)
+        if deg > u:
+            return  # every superset lcm is at least this large
+        total += sign * comb(ambient + u - deg, ambient)
+        for k in range(start, len(lms)):
+            dfs(k + 1, mono_lcm(cur, lms[k]), -sign)
+
+    dfs(0, (0,) * gb.num_vars, 1)
+    return total
+
+
+def interpolated_degree(gb, dim):
+    """Oracle of the degree: the dim-th finite difference of `walk_hilbert`.
+
+    Beyond the lcm degrees every inclusion-exclusion binomial is a true
+    polynomial in u, so H agrees with its Hilbert polynomial from s0 on; the
+    difference must also stay put over a window of three steps.
+    """
+    s0 = max(0, sum(sum(m) for m in gb.leading_monomials) - (gb.num_vars - 1))
+    window = []
+    for s in range(s0, s0 + 61):
+        window.append(sum((-1) ** (dim - k) * comb(dim, k) * walk_hilbert(gb, s + k)
+                          for k in range(dim + 1)))
+        if len(window) >= 3 and window[-1] == window[-2] == window[-3]:
+            assert window[-1] > 0
+            return window[-1]
+    pytest.fail("Hilbert polynomial fit did not stabilize")
+
+
+@st.composite
+def small_ideals(draw):
+    """1-3 homogeneous forms of degree 1-2 in 2-4 variables, small integer coefficients."""
+    nvars = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 2))
+        monos = list(groebner._all_monomials(nvars, degree))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coefs = draw(st.lists(st.integers(-4, 4).filter(bool),
+                              min_size=len(chosen), max_size=len(chosen)))
+        gens.append(HomoPoly(nvars, dict(zip(chosen, coefs))))
+    return nvars, gens
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to 7 distinct monomials with exponents 0-3 in 1-5 variables, not
+    necessarily minimal; the zero monomial makes the unit ideal."""
+    nvars = draw(st.integers(1, 5))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=7, unique=True))
+    return nvars, monos
+
+
+def _matches_oracles(gb):
+    for u in range(9):
+        assert hilbert_function(gb, u) == walk_hilbert(gb, u), u
+    prof = ideal_profile(gb)
+    if prof.projective_dimension is EMPTY:
+        assert prof.degree is None
+    else:
+        assert prof.degree == interpolated_degree(gb, prof.projective_dimension)
+    return prof
+
+
 class TestHilbert:
     def test_ambient_counts(self):
         gb = groebner_basis([], GREVLEX, num_vars=3)
@@ -256,6 +329,27 @@ class TestHilbert:
         gb = groebner_basis(gens, GREVLEX)
         for u in range(6):
             assert hilbert_function(gb, u) == len(standard_monomials(gb, u))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(monomial_ideals())
+    @example((3, [(0, 0, 0)]))                         # unit ideal
+    @example((3, [(0, 0, 0), (1, 1, 0)]))              # unit ideal, not minimal
+    @example((1, []))
+    @example((1, [(3,)]))
+    @example((3, [(2, 0, 0), (0, 3, 0), (0, 0, 1)]))   # pure powers, EMPTY
+    @example((4, [(2, 0, 0, 0), (0, 0, 3, 0)]))        # pure powers, a line of degree 6
+    def test_numerator_matches_the_walk(self, case):
+        nvars, monos = case
+        _matches_oracles(GroebnerBasis([HomoPoly(nvars, {m: 1}) for m in monos], GREVLEX, nvars))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(small_ideals())
+    def test_lex_and_weighted_bases_match_the_walk(self, case):
+        nvars, gens = case
+        orders = (GREVLEX, LEX, weighted_order(range(nvars, 0, -1)))
+        profiles = {_matches_oracles(groebner_basis(gens, order)) for order in orders}
+        # the Hilbert function, so dimension and degree, depend on no order
+        assert len(profiles) == 1
 
 
 class TestStandardMonomials:
@@ -415,21 +509,6 @@ class TestPairQueue:
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
-
-
-@st.composite
-def small_ideals(draw):
-    """1-3 homogeneous forms of degree 1-2 in 2-4 variables, small integer coefficients."""
-    nvars = draw(st.integers(2, 4))
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        degree = draw(st.integers(1, 2))
-        monos = list(groebner._all_monomials(nvars, degree))
-        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
-        coefs = draw(st.lists(st.integers(-4, 4).filter(bool),
-                              min_size=len(chosen), max_size=len(chosen)))
-        gens.append(HomoPoly(nvars, dict(zip(chosen, coefs))))
-    return nvars, gens
 
 
 def _monic_terms(gb):

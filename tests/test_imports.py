@@ -1,8 +1,12 @@
-"""Every imported name is used: a stdlib-only unused-import check.
+"""Every imported name is used, and every definition has a user: stdlib-only checks.
 
 Each module of the package and of the test suite is parsed with `ast`.  A
 name bound by an import must be referenced somewhere in the module, or be
 listed in its `__all__`; `from __future__` imports are exempt.
+
+Every module-level function and class of the package must be referenced by
+other code of the package, or be named as library API in README "Library
+layout".  The `cmd_*` handlers are exempt: the CLI dispatches them by name.
 
 The package also loads `sqlite3` only when a command uses the disk cache.
 """
@@ -10,6 +14,7 @@ The package also loads `sqlite3` only when a command uses the disk cache.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +22,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(ROOT.glob("src/hyperpos/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/hyperpos/*.py"))
+MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
 
 
 def _exported(tree):
@@ -58,6 +64,57 @@ def test_checker_finds_an_unused_import():
 def test_package_and_tests_are_scanned():
     names = {p.name for p in MODULES}
     assert {"groebner.py", "replace.py", "cli.py", "test_imports.py", "conftest.py"} <= names
+
+
+def _referenced(node):
+    """Names that `node` reads, as a bare name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced_definitions(sources, documented=""):
+    """Module-level functions and classes in `sources` that no other top-level
+    statement of any of them references, and that `documented` does not name
+    in backquotes; `cmd_*` handlers are exempt."""
+    statements = [node for source in sources for node in ast.parse(source).body]
+    defined = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    found = []
+    for node in statements:
+        if not isinstance(node, defined) or node.name.startswith("cmd_"):
+            continue
+        if any(node.name in _referenced(other) for other in statements if other is not node):
+            continue
+        if not re.search(rf"`(\w+\.)*{node.name}`", documented):
+            found.append(node.name)
+    return found
+
+
+def library_layout_section():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("## Library layout")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_every_definition_has_a_user():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert unreferenced_definitions(sources, library_layout_section()) == []
+
+
+def test_checker_finds_an_unused_definition():
+    sources = ["def used():\n    return helper()\n\n\ndef helper():\n    return helper()\n"
+               "\n\nclass Spare:\n    pass\n\n\ndef cmd_run(args):\n    pass\n",
+               "from .a import used as alias\n\n\ndef listed():\n    return alias\n"]
+    # `helper` calls only itself, but `used` calls it; `listed` is named in the docs
+    assert unreferenced_definitions(sources) == ["Spare", "listed"]
+    assert unreferenced_definitions(sources, "API: `mod.listed`, `Spare`.") == []
 
 
 @pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])
