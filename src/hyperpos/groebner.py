@@ -1,17 +1,20 @@
 """Buchberger engine: reduced bases, normal forms, dimension, degree, Hilbert data.
 
-Bases, normal forms and Hilbert data are exact rational arithmetic.
-Dimensions come out of the leading-term ideal combinatorially, so no primary
-decomposition or radical computation is ever needed.  Hilbert values and
-degrees come from one numerator of the leading-term ideal's Hilbert series
-(`_hilbert_numerator`).
+There is one Buchberger loop, `_buchberger`.  It works on monomials packed
+into ints (`_packing`) and runs over the integers mod MODULUS or over Q; only
+the coefficient arithmetic differs between the two fields.  Bases, normal
+forms and Hilbert data are exact rational arithmetic, and the reduced basis
+and `normal_form` share the loop's one reducer, `_reduce`.  Dimensions come
+out of the leading-term ideal combinatorially, so no primary decomposition or
+radical computation is ever needed.  Hilbert values and degrees come from one
+numerator of the leading-term ideal's Hilbert series (`_hilbert_numerator`).
 
 `projective_dimension` is the one place that answers "what is dim V(gens)?".
-It first runs a lean Buchberger loop over the integers mod MODULUS.  For
-integer generators the Macaulay matrix has rank mod p at most its rank over Q
-in every degree, so H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod
-p is therefore EMPTY over Q, and a dim_p equal to a proven lower bound is the
-exact dimension.  Every other query falls back to the exact basis over Q.
+It first runs the loop over the integers mod MODULUS.  For integer generators
+the Macaulay matrix has rank mod p at most its rank over Q in every degree, so
+H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod p is therefore EMPTY
+over Q, and a dim_p equal to a proven lower bound is the exact dimension.
+Every other query runs the loop over Q and reads the dimension off its leads.
 
 `modp_dimension` runs the mod-p pass alone and returns dim_p, the upper
 bound; the replacement search accepts a candidate on it.
@@ -33,21 +36,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .errors import DomainError
-from .polyring import (
-    EmptyInput,
-    HomoPoly,
-    grevlex_key,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .polyring import EmptyInput, HomoPoly, grevlex_key, mono_degree, mono_divides
 
 
 class MixedAmbient(DomainError):
@@ -86,7 +80,7 @@ class MonomialOrder:
     weights: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "weighted"):
+        if self.kind not in ("grevlex", "weighted"):
             raise DomainError(f"unknown monomial order kind {self.kind!r}")
         if self.kind == "weighted":
             if self.weights is None:
@@ -101,8 +95,6 @@ class MonomialOrder:
     def key(self, mono):
         if self.kind == "grevlex":
             return grevlex_key(mono)
-        if self.kind == "lex":
-            return tuple(mono)
         if len(mono) != len(self.weights):
             raise MixedAmbient(
                 f"monomial has {len(mono)} variables, weight vector has {len(self.weights)}")
@@ -117,67 +109,188 @@ def weighted_order(weights) -> MonomialOrder:
     return MonomialOrder("weighted", weights)
 
 
-def leading_monomial(p: HomoPoly, order: MonomialOrder):
-    return max(p.terms, key=order.key)
-
-
 # ---------------------------------------------------------------------------
-# division
+# packed monomials
 
-def _reduce_terms(terms, reducers, order):
-    """Full remainder of a term dict modulo (lm, lc, terms) reducer triples."""
-    work = dict(terms)
-    remainder = {}
+# A monomial is packed into one int: exponent fields of _FIELD_BITS bits, x_0
+# in the lowest.  For two monomials of one degree the smaller packed int is the
+# larger one in grevlex, monomial products are sums, and the spare top bit of
+# every field lets one subtraction test divisibility.  A weighted order adds one
+# field above the exponents that holds sum c_i*e_i, c_i = (max w - w_i)*L for L
+# the lcm of the weight denominators; within one degree D, w.e = D*max w -
+# (c.e)/L, so that field ranks by weight first (README "How dimensions are
+# computed").
+_FIELD_BITS = 16
+_FIELD_TOP = 1 << (_FIELD_BITS - 1)
+_PACKINGS = {}
+
+
+class PackedDegreeExceeded(DomainError):
+    code = "PackedDegreeExceeded"
+
+    def __init__(self, degree):
+        super().__init__(f"degree {degree} exceeds the limit of {_FIELD_TOP - 1} "
+                         "for a packed monomial")
+
+
+def _packing(order, num_vars):
+    """(multipliers, guard) of `order` in `num_vars` variables: a monomial packs
+    to sum e_i*multiplier_i, and `guard` holds the top bit of every exponent field."""
+    packing = _PACKINGS.get((order, num_vars))
+    if packing is None:
+        shifts = range(0, _FIELD_BITS * num_vars, _FIELD_BITS)
+        weights = (0,) * num_vars if order.weights is None else order.weights
+        if len(weights) != num_vars:
+            raise MixedAmbient(
+                f"monomial has {num_vars} variables, weight vector has {len(weights)}")
+        scale = lcm(*(w.denominator for w in weights))
+        top = max(weights)
+        weight_shift = _FIELD_BITS * num_vars
+        mults = tuple((1 << s) + (int((top - w) * scale) << weight_shift)
+                      for s, w in zip(shifts, weights))
+        packing = _PACKINGS[order, num_vars] = (mults, sum(_FIELD_TOP << s for s in shifts))
+    return packing
+
+
+def _pack(mono, mults):
+    return sum(e * m for e, m in zip(mono, mults))
+
+
+def _pack_poly(terms, mults, p):
+    """Packed term dict of `terms` (exponent tuple -> coefficient) over the field
+    of `p`; residues that vanish are dropped."""
+    degree = sum(next(iter(terms)))
+    if degree >= _FIELD_TOP:
+        raise PackedDegreeExceeded(degree)
+    return {_pack(m, mults): c % p for m, c in terms.items() if c % p}
+
+
+def _unpack(mono, num_vars):
+    return tuple((mono >> s) & (_FIELD_TOP - 1)
+                 for s in range(0, _FIELD_BITS * num_vars, _FIELD_BITS))
+
+
+class _Rationals:
+    """Q as the modulus of the loop's arithmetic: `x % RATIONALS` is x."""
+
+    __slots__ = ()
+
+    def __rmod__(self, x):
+        return x
+
+
+RATIONALS = _Rationals()
+
+
+def _monic(poly, p):
+    """(lead, tail) of a nonempty packed term dict scaled to lead coefficient 1;
+    the tail is the rest, as (monomial, -coefficient) pairs."""
+    lead = min(poly)
+    inv = 1 / poly[lead] if p is RATIONALS else pow(poly[lead], -1, p)
+    return lead, [(m, -c * inv % p) for m, c in poly.items() if m != lead]
+
+
+def _reduce(work, leads, tails, guard, p):
+    """Full remainder of the packed term dict `work`, which it consumes, modulo
+    the monic elements (leads[k], tails[k]); the first lead that divides wins."""
+    rest = {}
     while work:
-        mono = max(work, key=order.key)
+        mono = min(work)
         coef = work.pop(mono)
-        if coef == 0:
-            continue
-        hit = None
-        for lm, lc, tms in reducers:
-            if mono_divides(lm, mono):
-                hit = (lm, lc, tms)
+        probe = mono | guard
+        for lead, tail in zip(leads, tails):
+            if (probe - lead) & guard == guard:
+                shift = mono - lead
+                for t, neg in tail:
+                    t += shift
+                    v = (work.get(t, 0) + coef * neg) % p
+                    if v:
+                        work[t] = v
+                    else:
+                        del work[t]
                 break
-        if hit is None:
-            remainder[mono] = coef
-            continue
-        lm, lc, tms = hit
-        shift = mono_div(mono, lm)
-        factor = coef / lc
-        for gm, gc in tms.items():
-            if gm == lm:
-                continue
-            mm = mono_mul(gm, shift)
-            nv = work.get(mm, Fraction(0)) - factor * gc
-            if nv == 0:
-                work.pop(mm, None)
-            else:
-                work[mm] = nv
-    return remainder
-
-
-def _s_terms(red_f, red_g, big):
-    """Term dict of the S-polynomial of two (lm, lc, terms) reducer triples.
-
-    `big` is the lcm of the two leads.  Equals the terms of the S-polynomial
-    f/lc(f) * big/lm(f) - g/lc(g) * big/lm(g), without building any
-    intermediate HomoPoly; the leads cancel exactly.
-    """
-    lmf, lcf, tf = red_f
-    lmg, lcg, tg = red_g
-    shift = mono_div(big, lmf)
-    out = {mono_mul(m, shift): c / lcf for m, c in tf.items() if m != lmf}
-    shift = mono_div(big, lmg)
-    for m, c in tg.items():
-        if m == lmg:
-            continue
-        mm = mono_mul(m, shift)
-        v = out.get(mm, 0) - c / lcg
-        if v:
-            out[mm] = v
         else:
-            del out[mm]
-    return out
+            rest[mono] = coef
+    return rest
+
+
+def _pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+# Work of the Buchberger loop over Q, summed over runs: "pairs" formed, pairs
+# skipped as "coprime" or by the "chain" criterion, S-polynomials reduced to
+# "zero", and new "generators".
+PAIR_COUNTS = Counter()
+
+
+def _buchberger(polys, packing, p):
+    """Monic Groebner basis of <polys> over Z/p, or over Q for p = RATIONALS.
+
+    `polys` are nonempty dicts from exponent tuple to int (mod p) or Fraction
+    (over Q), each homogeneous.  Returns (lead_exps, leads, tails): the lead of
+    each element as an exponent tuple and packed, and its tail as in `_monic`.
+    Raises PackedDegreeExceeded when a degree would overflow a packed field.
+    """
+    mults, guard = packing
+    nv = len(mults)
+    lead_exps, leads, tails = [], [], []
+    pairs = []      # heap of (lcm degree, packed lcm, i, j)
+    pending = set()
+    coprime = chain = zero = generators = 0
+
+    def add(poly):
+        lead, tail = _monic(poly, p)
+        exps = _unpack(lead, nv)
+        new = len(leads)
+        for j, other in enumerate(lead_exps):
+            lcm = tuple(a if a > b else b for a, b in zip(exps, other))
+            heapq.heappush(pairs, (sum(lcm), _pack(lcm, mults), j, new))
+            pending.add((j, new))
+        lead_exps.append(exps)
+        leads.append(lead)
+        tails.append(tail)
+
+    for poly in polys:
+        rest = _reduce(_pack_poly(poly, mults, p), leads, tails, guard, p)
+        if rest:
+            add(rest)
+    while pairs:
+        degree, lcm, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        if degree >= _FIELD_TOP:
+            raise PackedDegreeExceeded(degree)
+        if all(a == 0 or b == 0 for a, b in zip(lead_exps[i], lead_exps[j])):
+            coprime += 1
+            continue
+        probe = lcm | guard
+        if any(k != i and k != j and (probe - leads[k]) & guard == guard
+               and _pair(i, k) not in pending and _pair(j, k) not in pending
+               for k in range(len(leads))):
+            chain += 1
+            continue
+        # S-polynomial of two monic elements: the leads cancel, the tails remain
+        work = {t + lcm - leads[i]: -neg % p for t, neg in tails[i]}
+        shift = lcm - leads[j]
+        for t, neg in tails[j]:
+            t += shift
+            v = (work.get(t, 0) + neg) % p
+            if v:
+                work[t] = v
+            else:
+                del work[t]
+        rest = _reduce(work, leads, tails, guard, p)
+        if rest:
+            add(rest)
+            generators += 1
+        else:
+            zero += 1
+    if p is RATIONALS:
+        # every pair of elements was formed once and popped once
+        counts = {"pairs": comb(len(leads), 2), "coprime": coprime, "chain": chain,
+                  "zero": zero, "generators": generators}
+        PAIR_COUNTS.update({k: v for k, v in counts.items() if v})
+    return lead_exps, leads, tails
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +304,7 @@ class GroebnerBasis:
     order: MonomialOrder
     num_vars: int
     leading_monomials: tuple = field(init=False, repr=False, compare=False)
+    # (leads, tails) of the packed monic generators, as `_reduce` takes them
     _reducers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,11 +312,12 @@ class GroebnerBasis:
         for g in gens:
             if g.nvars != self.num_vars:
                 raise MixedAmbient(f"generator in {g.nvars} variables, ambient has {self.num_vars}")
-        lead = tuple(leading_monomial(g, self.order) for g in gens)
+        mults, _ = _packing(self.order, self.num_vars)
+        elements = [_monic(_pack_poly(g.terms, mults, RATIONALS), RATIONALS) for g in gens]
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "leading_monomials", lead)
-        object.__setattr__(self, "_reducers",
-                           tuple((lm, g.terms[lm], g.terms) for lm, g in zip(lead, gens)))
+        object.__setattr__(self, "leading_monomials",
+                           tuple(_unpack(lead, self.num_vars) for lead, _ in elements))
+        object.__setattr__(self, "_reducers", tuple(zip(*elements)))
 
 
 def normal_form(p: HomoPoly, gb: GroebnerBasis) -> HomoPoly:
@@ -210,11 +325,10 @@ def normal_form(p: HomoPoly, gb: GroebnerBasis) -> HomoPoly:
         raise MixedAmbient(f"polynomial in {p.nvars} variables, basis in {gb.num_vars}")
     if p.is_zero or not gb.generators:
         return p
-    return HomoPoly._trusted(p.nvars, _reduce_terms(p.terms, gb._reducers, gb.order))
-
-
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
+    mults, guard = _packing(gb.order, gb.num_vars)
+    leads, tails = gb._reducers
+    rest = _reduce(_pack_poly(p.terms, mults, RATIONALS), leads, tails, guard, RATIONALS)
+    return HomoPoly._trusted(p.nvars, {_unpack(m, p.nvars): c for m, c in rest.items()})
 
 
 def _ring_size(gens, num_vars):
@@ -232,66 +346,25 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
                    num_vars: Optional[int] = None) -> GroebnerBasis:
     """Reduced Groebner basis of <gens>, deterministic for fixed input."""
     nv = _ring_size(gens, num_vars)
-    basis = [g.content_free() for g in gens if not g.is_zero]
-    lms = [leading_monomial(g, order) for g in basis]
-    reducers = [(lm, g.terms[lm], g.terms) for lm, g in zip(lms, basis)]
-    # normal selection: a heap of (lcm key, i, j, lcm), each key computed once
-    # when the pair is formed; it pops in the order of the smallest key with
-    # ties broken by (i, j).  `pending` mirrors the heap for the chain criterion.
-    queue = []
-    for j in range(len(basis)):
-        for i in range(j):
-            big = mono_lcm(lms[i], lms[j])
-            queue.append((order.key(big), i, j, big))
-    heapq.heapify(queue)
-    pending = {(i, j) for _, i, j, _ in queue}
-    counts = Counter(pairs=len(queue))
-    while queue:
-        _, i, j, big = heapq.heappop(queue)
-        pending.discard((i, j))
-        if big == mono_mul(lms[i], lms[j]):
-            counts["coprime"] += 1
-            continue
-        if any(k != i and k != j and mono_divides(lms[k], big)
-               and _pair(i, k) not in pending and _pair(j, k) not in pending
-               for k in range(len(basis))):
-            counts["chain"] += 1
-            continue
-        red = _reduce_terms(_s_terms(reducers[i], reducers[j], big), reducers, order)
-        if not red:
-            counts["zero"] += 1
-            continue
-        h = HomoPoly._trusted(nv, red).content_free()
-        lm = leading_monomial(h, order)
-        new = len(basis)
-        for k in range(new):
-            big = mono_lcm(lms[k], lm)
-            heapq.heappush(queue, (order.key(big), k, new, big))
-            pending.add((k, new))
-        counts["pairs"] += new
-        counts["generators"] += 1
-        basis.append(h)
-        lms.append(lm)
-        reducers.append((lm, h.terms[lm], h.terms))
-    PAIR_COUNTS.update(counts)
-
-    # minimalize: ascending scan keeps only generators with undominated leads
-    basis.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    minimal = []
-    min_lms = []
-    for g in basis:
-        lm = leading_monomial(g, order)
-        if not any(mono_divides(m, lm) for m in min_lms):
-            minimal.append(g)
-            min_lms.append(lm)
-
-    # interreduce: leads are pairwise underivable so one full pass suffices
-    for idx in range(len(minimal)):
-        others = [(min_lms[k], minimal[k].terms[min_lms[k]], minimal[k].terms)
-                  for k in range(len(minimal)) if k != idx]
-        minimal[idx] = HomoPoly._trusted(nv, _reduce_terms(minimal[idx].terms, others, order))
-    monic = [g.scale(1 / g.terms[leading_monomial(g, order)]) for g in minimal]
-    monic.sort(key=lambda g: order.key(leading_monomial(g, order)))
+    packing = _packing(order, nv)
+    lead_exps, leads, tails = _buchberger([g.terms for g in gens if not g.is_zero],
+                                          packing, RATIONALS)
+    guard = packing[1]
+    # minimalize: the leads are distinct, so keep each one that no other divides
+    keep = [i for i, lead in enumerate(leads)
+            if not any(k != i and ((lead | guard) - other) & guard == guard
+                       for k, other in enumerate(leads))]
+    keep.sort(key=lambda i: order.key(lead_exps[i]))
+    min_leads = [leads[i] for i in keep]
+    min_tails = [tails[i] for i in keep]
+    # interreduce: no lead divides another or a term of its own element, so one
+    # pass against the minimal elements leaves the reduced basis
+    monic = []
+    for i in keep:
+        terms = {lead_exps[i]: Fraction(1)}
+        rest = _reduce({m: -neg for m, neg in tails[i]}, min_leads, min_tails, guard, RATIONALS)
+        terms.update((_unpack(m, nv), c) for m, c in rest.items())
+        monic.append(HomoPoly._trusted(nv, terms))
     return GroebnerBasis(monic, order, nv)
 
 
@@ -439,103 +512,6 @@ MODULUS = 1073741789
 # record), "modp" or "exact" in projective_dimension, and "modp_bound" for a
 # modp_dimension answer computed by its mod-p pass alone.
 DIMENSION_COUNTS = Counter()
-# Work of the Buchberger loop over Q, summed over groebner_basis runs: "pairs"
-# formed, pairs skipped as "coprime" or by the "chain" criterion, S-polynomials
-# reduced to "zero", and new "generators".
-PAIR_COUNTS = Counter()
-
-# Monomials in the mod-p loop are exponent fields packed into one int, x_0 in
-# the lowest field.  For two monomials of one degree the smaller packed int is
-# the larger one in grevlex, monomial products are sums, and the spare top bit
-# of every field lets one subtraction test divisibility.
-_FIELD_BITS = 16
-_FIELD_TOP = 1 << (_FIELD_BITS - 1)
-
-
-def _modp_lead_monomials(polys, num_vars):
-    """Leading monomials of a grevlex Groebner basis of <polys> mod MODULUS.
-
-    `polys` are dicts from exponent tuple to int.  Returns None when a degree
-    would overflow a packed field; the caller then has no mod-p answer.
-    """
-    p = MODULUS
-    shifts = [_FIELD_BITS * i for i in range(num_vars)]
-    guard = sum(_FIELD_TOP << s for s in shifts)
-    leads = []      # packed leading monomial of each basis element
-    lead_exps = []  # the same as exponent tuples
-    tails = []      # the rest of each monic element, as (monomial, -coefficient)
-    pairs = []      # heap of (lcm degree, packed lcm, i, j)
-    pending = set()
-
-    def pack(mono):
-        return sum(e << s for e, s in zip(mono, shifts))
-
-    def reduce(work):
-        rest = {}
-        while work:
-            mono = min(work)
-            coef = work.pop(mono)
-            probe = mono | guard
-            for lead, tail in zip(leads, tails):
-                if (probe - lead) & guard == guard:
-                    shift = mono - lead
-                    for t, neg in tail:
-                        t += shift
-                        v = (work.get(t, 0) + coef * neg) % p
-                        if v:
-                            work[t] = v
-                        else:
-                            del work[t]
-                    break
-            else:
-                rest[mono] = coef
-        return rest
-
-    def add(poly):
-        lead = min(poly)
-        inv = pow(poly[lead], -1, p)
-        exps = tuple((lead >> s) & (_FIELD_TOP - 1) for s in shifts)
-        new = len(leads)
-        for j, other in enumerate(lead_exps):
-            lcm = tuple(a if a > b else b for a, b in zip(exps, other))
-            heapq.heappush(pairs, (sum(lcm), pack(lcm), j, new))
-            pending.add((j, new))
-        leads.append(lead)
-        lead_exps.append(exps)
-        tails.append([(m, (-c * inv) % p) for m, c in poly.items() if m != lead])
-
-    for poly in polys:
-        if sum(next(iter(poly))) >= _FIELD_TOP:
-            return None
-        rest = reduce({pack(m): c % p for m, c in poly.items() if c % p})
-        if rest:
-            add(rest)
-    while pairs:
-        degree, lcm, i, j = heapq.heappop(pairs)
-        pending.discard((i, j))
-        if degree >= _FIELD_TOP:
-            return None
-        if all(a == 0 or b == 0 for a, b in zip(lead_exps[i], lead_exps[j])):
-            continue  # coprime leading monomials
-        probe = lcm | guard
-        if any(k != i and k != j and (probe - leads[k]) & guard == guard
-               and _pair(i, k) not in pending and _pair(j, k) not in pending
-               for k in range(len(leads))):
-            continue  # chain criterion
-        # S-polynomial of two monic elements: the leads cancel, the tails remain
-        work = {t + lcm - leads[i]: p - neg for t, neg in tails[i]}
-        shift = lcm - leads[j]
-        for t, neg in tails[j]:
-            t += shift
-            v = (work.get(t, 0) + neg) % p
-            if v:
-                work[t] = v
-            else:
-                del work[t]
-        rest = reduce(work)
-        if rest:
-            add(rest)
-    return lead_exps
 
 
 def _dimension_of_leads(lead_monomials, num_vars):
@@ -545,9 +521,12 @@ def _dimension_of_leads(lead_monomials, num_vars):
 
 def _modp_dimension(basis, num_vars):
     """dim_p of the content-free `basis`; None when a degree overflows a packed field."""
-    leads = _modp_lead_monomials(
-        [{m: c.numerator for m, c in g.terms.items()} for g in basis], num_vars)
-    return None if leads is None else _dimension_of_leads(leads, num_vars)
+    try:
+        lead_exps, _, _ = _buchberger([{m: c.numerator for m, c in g.terms.items()} for g in basis],
+                                      _packing(GREVLEX, num_vars), MODULUS)
+    except PackedDegreeExceeded:
+        return None
+    return _dimension_of_leads(lead_exps, num_vars)
 
 
 def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
@@ -557,7 +536,7 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     `lower`, when given, must be a proven lower bound on the answer, such as
     dim W - 1 for V(gens) = W cut by one more hypersurface (Hartshorne I.7.2).
     The mod-p dimension is an upper bound, so it is the answer when it is
-    EMPTY or equals `lower`; otherwise the reduced basis over Q decides.
+    EMPTY or equals `lower`; otherwise the leads of a basis over Q decide.
     Settled dimensions are cached as dimension records.
     """
     nv = _ring_size(gens, num_vars)
@@ -573,7 +552,8 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
         DIMENSION_COUNTS["modp"] += 1
     else:
         DIMENSION_COUNTS["exact"] += 1
-        dim = _dimension_of_leads(groebner_basis(basis, GREVLEX, num_vars=nv).leading_monomials, nv)
+        lead_exps, _, _ = _buchberger([g.terms for g in basis], _packing(GREVLEX, nv), RATIONALS)
+        dim = _dimension_of_leads(lead_exps, nv)
     _cache_store(key, dim)
     return dim
 

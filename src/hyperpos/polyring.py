@@ -111,15 +111,6 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(b, a):
-    """Exponent vector of x^b / x^a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def grevlex_key(m):
     # total degree first; ties broken by the reversed negated tail, so the
     # monomial whose last differing exponent is smaller compares larger
@@ -290,13 +281,6 @@ class HomoPoly:
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-    def mul_term(self, mono, coef):
-        """Multiply by coef * x^mono."""
-        coef = Fraction(coef)
-        if coef == 0:
-            return HomoPoly.zero(self.nvars)
-        return HomoPoly._trusted(self.nvars, {mono_mul(m, mono): c * coef for m, c in self.terms.items()})
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:

@@ -4,10 +4,17 @@ from contextlib import closing
 import pytest
 
 from hyperpos import groebner as groebner_mod
-from hyperpos.groebner import MonomialOrder, leading_monomial, normal_form
-from hyperpos.polyring import mono_div, mono_lcm, parse_poly
+from hyperpos.groebner import normal_form, weighted_order
+from hyperpos.polyring import HomoPoly, parse_poly
 
-LEX = MonomialOrder("lex")
+
+def lex(nvars):
+    """Weights 100^(nvars-1-i): the lex order on every monomial of degree below 100."""
+    return weighted_order([100 ** (nvars - 1 - i) for i in range(nvars)])
+
+
+def leading_monomial(p, order):
+    return max(p.terms, key=order.key)
 
 
 @pytest.fixture(autouse=True)
@@ -25,10 +32,14 @@ def parse_many(texts, nvars):
 def s_polynomial(f, g, order):
     lmf = leading_monomial(f, order)
     lmg = leading_monomial(g, order)
-    big = mono_lcm(lmf, lmg)
-    a = f.mul_term(mono_div(big, lmf), 1 / f.terms[lmf])
-    b = g.mul_term(mono_div(big, lmg), 1 / g.terms[lmg])
-    return a - b
+    big = tuple(max(a, b) for a, b in zip(lmf, lmg))
+
+    def shifted(h, lm):
+        shift = [b - a for a, b in zip(lm, big)]
+        return HomoPoly(h.nvars, {tuple(e + s for e, s in zip(m, shift)): c / h.terms[lm]
+                                  for m, c in h.terms.items()})
+
+    return shifted(f, lmf) - shifted(g, lmg)
 
 
 def certify(gb):

@@ -5,12 +5,15 @@ proven and falls back to the exact basis otherwise.  Every test here
 compares it with `ideal_profile(groebner_basis(...))`, the exact route.
 """
 
+import importlib.util
 import random
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import modp_lead_monomials
 from test_acceptance import _check_replacement, random_form
 
 from hyperpos import groebner
@@ -20,6 +23,7 @@ from hyperpos.groebner import (
     EMPTY,
     GREVLEX,
     MODULUS,
+    PackedDegreeExceeded,
     groebner_basis,
     ideal_profile,
     projective_dimension,
@@ -146,14 +150,85 @@ def test_unlucky_prime_falls_back_to_exact():
     # x0 - p*x1 is x0 mod p, so the mod-p pass sees a line where Q has a point
     v, fam = family_of(3, ("x0", f"x0 - {MODULUS}*x1"))
     gens = [parse_poly("x0", 3), parse_poly(f"x0 - {MODULUS}*x1", 3)]
-    leads = groebner._modp_lead_monomials(
-        [{m: int(c) for m, c in g.terms.items()} for g in gens], 3)
+    leads, _, _ = groebner._buchberger([{m: int(c) for m, c in g.terms.items()} for g in gens],
+                                       groebner._packing(GREVLEX, 3), MODULUS)
     assert groebner._dimension_of_leads(leads, 3) == 1
     assert intersection_dimension(v, fam, [0]) == 1
     assert intersection_dimension(v, fam, [1]) == 1
     DIMENSION_COUNTS.clear()
     assert intersection_dimension(v, fam, [0, 1]) == 0
     assert DIMENSION_COUNTS == {"exact": 1}
+
+
+def assert_modp_loop_matches_oracle(gens, nvars):
+    """The packed loop mod MODULUS against the mod-p pass it replaced: the same
+    minimal lead ideal and the same dim_p."""
+    basis = [g.content_free() for g in gens if not g.is_zero]
+    polys = [{m: c.numerator for m, c in g.terms.items()} for g in basis]
+    old = modp_lead_monomials(polys, nvars)
+    try:
+        new, _, _ = groebner._buchberger(polys, groebner._packing(GREVLEX, nvars),
+                                         groebner.MODULUS)
+    except PackedDegreeExceeded:
+        new = None
+    assert (new is None) == (old is None)
+    if old is not None:
+        assert set(groebner._minimal_monomials(new)) == set(groebner._minimal_monomials(old))
+        assert groebner._modp_dimension(basis, nvars) == groebner._dimension_of_leads(old, nvars)
+
+
+SMALL_PRIMES = (None, 7)
+
+
+def bench_pool_families():
+    """The dense quadric families of the benchmark pools: P^2 q=11, P^3 q=6."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for nvars, q in ((3, 11), (4, 6)):
+        for index in range(workloads.POOL):
+            yield nvars, [parse_poly(t, nvars) for t in workloads.quadric_family(nvars, q, index)]
+
+
+@pytest.mark.parametrize("prime", SMALL_PRIMES)
+def test_modp_loop_matches_oracle_on_gate_families(monkeypatch, prime):
+    if prime:
+        monkeypatch.setattr(groebner, "MODULUS", prime)
+    for families in (criterion_01_families, criterion_03_families, other_gate_families):
+        for v, fam in families():
+            for size in range(1, fam.q + 1):
+                for combo in combinations(range(fam.q), size):
+                    assert_modp_loop_matches_oracle(
+                        list(v.generators) + [fam.members[i] for i in combo], v.num_vars)
+
+
+@pytest.mark.parametrize("prime", SMALL_PRIMES)
+def test_modp_loop_matches_oracle_on_bench_pools(monkeypatch, prime):
+    if prime:
+        monkeypatch.setattr(groebner, "MODULUS", prime)
+    checked = 0
+    for nvars, members in bench_pool_families():
+        q = len(members)
+        # every prefix, and every cyclic window of n + 1 members (EMPTY in general position)
+        for k in range(1, q + 1):
+            assert_modp_loop_matches_oracle(members[:k], nvars)
+            assert_modp_loop_matches_oracle([members[(k + i) % q] for i in range(nvars)], nvars)
+            checked += 2
+    assert checked == 16 * 2 * (11 + 6)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_families())
+def test_modp_loop_matches_oracle_on_small_families(case):
+    nvars, members = case
+    for prime in SMALL_PRIMES:
+        with pytest.MonkeyPatch.context() as mp:
+            if prime:
+                mp.setattr(groebner, "MODULUS", prime)
+            for size in range(1, len(members) + 1):
+                for combo in combinations(members, size):
+                    assert_modp_loop_matches_oracle(list(combo), nvars)
 
 
 def dense_quadric(rng, nvars):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import sqlite3
 import subprocess
 import sys
@@ -13,11 +14,14 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from conftest import LEX, cache_rows, certify, parse_many, s_polynomial, write_rows
+from conftest import (cache_rows, certify, leading_monomial, lex, parse_many, s_polynomial,
+                      write_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import reduce_terms, tuple_groebner_basis
 
 from hyperpos import groebner
+from hyperpos.errors import DomainError
 from hyperpos.groebner import (
     DIMENSION_COUNTS,
     EMPTY,
@@ -26,10 +30,11 @@ from hyperpos.groebner import (
     GroebnerBasis,
     MixedAmbient,
     MonomialBudgetExceeded,
+    MonomialOrder,
+    PackedDegreeExceeded,
     groebner_basis,
     hilbert_function,
     ideal_profile,
-    leading_monomial,
     modp_dimension,
     normal_form,
     projective_dimension,
@@ -37,7 +42,7 @@ from hyperpos.groebner import (
     standard_monomials,
     weighted_order,
 )
-from hyperpos.polyring import HomoPoly, mono_lcm, parse_poly, poly_to_json
+from hyperpos.polyring import HomoPoly, parse_poly, poly_to_json
 
 
 def P(text, nvars):
@@ -52,8 +57,12 @@ class TestOrders:
         assert leading_monomial(P(CONIC, 3), GREVLEX) == (0, 2, 0)
 
     def test_lex_x0_first(self):
-        assert leading_monomial(P("x0 + x1", 2), LEX) == (1, 0)
-        assert leading_monomial(P(CONIC, 3), LEX) == (1, 0, 1)
+        assert leading_monomial(P("x0 + x1", 2), lex(2)) == (1, 0)
+        assert leading_monomial(P(CONIC, 3), lex(3)) == (1, 0, 1)
+
+    def test_lex_kind_refused(self):
+        with pytest.raises(DomainError, match="unknown monomial order kind 'lex'"):
+            MonomialOrder("lex")
 
     def test_weighted_picks_heavy_variable(self):
         p = P("x0*x1 + x1^2", 2)
@@ -65,7 +74,7 @@ class TestOrders:
         assert leading_monomial(p, weighted_order([1, 1])) == (2, 0)
 
     def test_multiplicative(self):
-        for order in (GREVLEX, LEX, weighted_order([2, 1, 0])):
+        for order in (GREVLEX, lex(3), weighted_order([2, 1, 0])):
             for u, v in [((1, 0, 0), (0, 1, 0)), ((0, 2, 0), (1, 0, 1)), ((1, 1, 0), (0, 0, 2))]:
                 if order.key(u) < order.key(v):
                     u, v = v, u
@@ -225,7 +234,7 @@ class TestProfile:
         for texts, nv in ideals:
             gens = parse_many(texts, nv)
             dim_g = ideal_profile(groebner_basis(gens, GREVLEX)).projective_dimension
-            dim_l = ideal_profile(groebner_basis(gens, LEX)).projective_dimension
+            dim_l = ideal_profile(groebner_basis(gens, lex(nv))).projective_dimension
             assert dim_g == dim_l, texts
 
 
@@ -243,7 +252,7 @@ def walk_hilbert(gb, u):
             return  # every superset lcm is at least this large
         total += sign * comb(ambient + u - deg, ambient)
         for k in range(start, len(lms)):
-            dfs(k + 1, mono_lcm(cur, lms[k]), -sign)
+            dfs(k + 1, tuple(max(a, b) for a, b in zip(cur, lms[k])), -sign)
 
     dfs(0, (0,) * gb.num_vars, 1)
     return total
@@ -346,7 +355,7 @@ class TestHilbert:
     @given(small_ideals())
     def test_lex_and_weighted_bases_match_the_walk(self, case):
         nvars, gens = case
-        orders = (GREVLEX, LEX, weighted_order(range(nvars, 0, -1)))
+        orders = (GREVLEX, lex(nvars), weighted_order(range(nvars, 0, -1)))
         profiles = {_matches_oracles(groebner_basis(gens, order)) for order in orders}
         # the Hilbert function, so dimension and degree, depend on no order
         assert len(profiles) == 1
@@ -481,9 +490,22 @@ class TestPairQueue:
         assert self.counts(self.TWISTED_CUBIC, 4) == {"pairs": 3, "coprime": 1, "zero": 2}
 
     def test_counts_with_chain_and_new_generator(self):
-        texts = ("x0^2 - x1*x2", "x1^2 - x0*x2", "x0^2 - x1^2")
+        # the third input reduces by the first two before it forms a pair
+        texts = ("x0^2 - x1*x2", "x1^2 - x0*x2", "x0^2 - x1^2", "x0*x1")
         assert self.counts(texts, 3) == {
-            "pairs": 6, "coprime": 3, "chain": 1, "zero": 1, "generators": 1}
+            "pairs": 10, "coprime": 3, "chain": 1, "zero": 5, "generators": 1}
+
+    def test_exact_dimension_counts_and_mod_p_does_not(self):
+        # two conics meeting in four points: no lower bound, so the pass over Q decides
+        gens = parse_many(("x0^2 - x1^2", "x0*x1 - x2^2"), 3)
+        PAIR_COUNTS.clear()
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 3) == 0
+        assert DIMENSION_COUNTS == {"exact": 1}
+        assert PAIR_COUNTS == {"pairs": 3, "coprime": 1, "zero": 1, "generators": 1}
+        PAIR_COUNTS.clear()
+        assert modp_dimension(gens, 3) == 0
+        assert PAIR_COUNTS == {}
 
     def test_bases_are_not_cached(self, tmp_path):
         set_cache_dir(str(tmp_path))
@@ -494,16 +516,90 @@ class TestPairQueue:
         groebner_basis(gens, GREVLEX)
         assert PAIR_COUNTS["pairs"] > 0
 
-    @pytest.mark.parametrize("order", [GREVLEX, LEX, weighted_order([0, 1, 2])])
-    def test_s_terms_match_s_polynomial(self, order):
-        gens = [g.scale(Fraction(k + 2, 3)) for k, g in enumerate(
-            parse_many(["x0^2 - 3*x1*x2", "2*x1^2 - x0*x2 + x2^2", "x0*x1 - 5*x2^2"], 3))]
-        for f, g in [(a, b) for a in gens for b in gens if a is not b]:
-            lmf, lmg = leading_monomial(f, order), leading_monomial(g, order)
-            got = groebner._s_terms((lmf, f.terms[lmf], f.terms),
-                                    (lmg, g.terms[lmg], g.terms),
-                                    mono_lcm(lmf, lmg))
-            assert got == s_polynomial(f, g, order).terms
+
+def orders_of(nvars):
+    """Grevlex, lex, integer weights, rational weights and weights with zeros."""
+    rational = [Fraction(1, 2), Fraction(1, 3), 1, Fraction(2, 5)][:nvars]
+    return (GREVLEX, lex(nvars), weighted_order(range(nvars, 0, -1)),
+            weighted_order(rational), weighted_order([0] + [1] * (nvars - 1)),
+            weighted_order([0] * (nvars - 1) + [3]), weighted_order([0] * nvars))
+
+
+class TestTupleLoopOracle:
+    """The packed loop over Q against the loop on exponent tuples it replaced."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(small_ideals())
+    def test_bases_equal_the_oracle(self, case):
+        nvars, gens = case
+        for order in orders_of(nvars):
+            expected, _ = tuple_groebner_basis(gens, order)
+            got = groebner_basis(gens, order)
+            assert got.generators == expected.generators, order
+            assert got.leading_monomials == expected.leading_monomials, order
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(small_ideals(), st.integers(0, 10 ** 6))
+    def test_normal_forms_equal_the_oracle(self, case, seed):
+        nvars, gens = case
+        rng = random.Random(seed)
+        for order in orders_of(nvars):
+            gb = groebner_basis(gens, order)
+            reducers = [(lm, g.terms[lm], g.terms)
+                        for lm, g in zip(gb.leading_monomials, gb.generators)]
+            for degree in (1, 2, 3):
+                monos = list(groebner._all_monomials(nvars, degree))
+                p = HomoPoly(nvars, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                     for m in rng.sample(monos, min(len(monos), 5))})
+                expected = HomoPoly(nvars, reduce_terms(p.terms, reducers, order))
+                assert normal_form(p, gb) == expected, (order, p)
+
+    def test_weighted_field_orders_like_the_key(self):
+        # within one degree, the smaller packed int is the larger monomial
+        for nvars in (2, 3, 4):
+            for order in orders_of(nvars):
+                mults, _ = groebner._packing(order, nvars)
+                for degree in (1, 2, 3, 5):
+                    monos = list(groebner._all_monomials(nvars, degree))
+                    by_key = sorted(monos, key=order.key, reverse=True)
+                    assert sorted(monos, key=lambda m: groebner._pack(m, mults)) == by_key
+                    assert [groebner._unpack(groebner._pack(m, mults), nvars)
+                            for m in monos] == monos
+
+
+class TestPackedDegreeLimit:
+    @staticmethod
+    def high_degree():
+        # degree 33 * 1000 >= 2^15, built by products under MAX_DEGREE each
+        base = P("x0^1000 + x1^1000", 2)
+        out = base
+        for _ in range(32):
+            out = out * base
+        assert out.degree == 33000
+        return out
+
+    def test_basis_refuses_the_degree(self):
+        with pytest.raises(PackedDegreeExceeded, match="degree 33000 exceeds the limit of 32767"):
+            groebner_basis([self.high_degree()], GREVLEX)
+
+    def test_normal_form_refuses_the_degree(self):
+        gb = groebner_basis([P("x0 - x1", 2)], GREVLEX)
+        with pytest.raises(PackedDegreeExceeded, match="degree 33000"):
+            normal_form(self.high_degree(), gb)
+
+    def test_pair_degree_refused(self):
+        # each input fits a packed field, the lcm of their leads does not
+        gens = [HomoPoly(2, {(16384, 0): 1}), HomoPoly(2, {(0, 16384): 1})]
+        with pytest.raises(PackedDegreeExceeded, match="degree 32768 exceeds"):
+            groebner_basis(gens, GREVLEX)
+
+    def test_modp_overflow_is_handed_to_projective_dimension(self):
+        DIMENSION_COUNTS.clear()
+        with pytest.raises(PackedDegreeExceeded):
+            modp_dimension([self.high_degree()], 2)
+        # the mod-p pass had no answer, so the query went to the pass over Q
+        assert DIMENSION_COUNTS == {"exact": 1}
+        assert groebner._modp_dimension([self.high_degree()], 2) is None
 
 
 @pytest.fixture(scope="module")
@@ -535,7 +631,7 @@ class TestSympyOracle:
     @given(small_ideals())
     def test_grevlex_and_lex_match_sympy(self, sympy, case):
         nvars, gens = case
-        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+        for order, name in ((GREVLEX, "grevlex"), (lex(nvars), "lex")):
             gb = groebner_basis(gens, order)
             certify(gb)
             assert _monic_terms(gb) == self.sympy_basis(sympy, gens, nvars, name), name
@@ -684,7 +780,7 @@ class TestCacheRecords:
         assert [row[1] for row in cache_rows(tmp_path)] == [7, 1073741789]
 
     def test_modp_overflow_goes_to_projective_dimension(self, monkeypatch):
-        monkeypatch.setattr(groebner, "_modp_lead_monomials", lambda polys, nv: None)
+        monkeypatch.setattr(groebner, "_modp_dimension", lambda basis, nv: None)
         DIMENSION_COUNTS.clear()
         assert modp_dimension(parse_many(("x0*x2 - x1^2",), 3)) == 1
         assert DIMENSION_COUNTS == {"exact": 1}

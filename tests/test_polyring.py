@@ -322,7 +322,8 @@ def arithmetic_results(draw):
     gb = groebner_basis([q], GREVLEX, num_vars=nvars)
     # the cross terms of (p + q) * (p - q) cancel inside one product
     return [p + q, p - q, -p, p - p, p.scale(c), p.scale(0), p * q, (p + q) * (p - q),
-            p * c, p.mul_term(shift, c), p.mul_term(shift, 0), p.content_free(),
+            p * c, p * HomoPoly(nvars, {shift: c}), p * HomoPoly(nvars, {shift: 0}),
+            p.content_free(),
             normal_form(p, gb), *gb.generators]
 
 
