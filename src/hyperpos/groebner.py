@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .errors import DomainError
-from .polyring import EmptyInput, HomoPoly, grevlex_key, mono_degree, mono_divides
+from .polyring import EmptyInput, HomoPoly, check_num_vars, grevlex_key, mono_degree, mono_divides
 
 
 class MixedAmbient(DomainError):
@@ -339,7 +339,7 @@ def _ring_size(gens, num_vars):
         raise MixedAmbient(f"generators live in different ambient rings: {sorted(sizes)}")
     if not sizes:
         raise EmptyInput("no generators and no ambient size given")
-    return sizes.pop()
+    return check_num_vars(sizes.pop())
 
 
 def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,

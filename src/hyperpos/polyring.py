@@ -95,6 +95,25 @@ def _check_terms(count, what="polynomial"):
         raise TermBudgetExceeded(count, what)
 
 
+# Most variables a ring may have, checked before anything of that length is
+# made.  `groebner._cone_dimension` may test all 2^N variable subsets, over
+# 4 * 10^9 at 32, so no larger ring could be answered; inputs use at most 6.
+MAX_VARIABLES = 32
+
+
+class VariableBudgetExceeded(DomainError):
+    code = "VariableBudgetExceeded"
+
+
+def check_num_vars(num_vars):
+    """`num_vars`, unless the ring has no variables or more than MAX_VARIABLES."""
+    if num_vars < 1:
+        raise EmptyInput("need at least one variable")
+    if num_vars > MAX_VARIABLES:
+        raise VariableBudgetExceeded(f"{num_vars} variables exceed the budget of {MAX_VARIABLES}")
+    return num_vars
+
+
 # ---------------------------------------------------------------------------
 # monomials
 
@@ -148,8 +167,7 @@ class HomoPoly:
     __slots__ = ("nvars", "terms", "_degree", "_key_text")
 
     def __init__(self, nvars: int, terms=None):
-        if nvars < 1:
-            raise EmptyInput("need at least one variable")
+        check_num_vars(nvars)
         self.nvars = nvars
         clean = {}
         degree = None
@@ -190,7 +208,7 @@ class HomoPoly:
 
     @classmethod
     def variable(cls, nvars, index, power=1):
-        if not 0 <= index < nvars:
+        if not 0 <= index < check_num_vars(nvars):
             raise VariableOutOfRange(index, nvars)
         exp = [0] * nvars
         exp[index] = power
@@ -452,8 +470,7 @@ def _parse_term(sc: _Scanner, num_vars):
 
 def parse_poly(text: str, num_vars: int) -> HomoPoly:
     """Parse the grammar above; rejects non-homogeneous input."""
-    if num_vars < 1:
-        raise EmptyInput("need at least one variable")
+    check_num_vars(num_vars)
     sc = _Scanner(text)
     terms = []  # (coefficient, monomial) with duplicates allowed
     coef, mono = _parse_term(sc, num_vars)

@@ -1,14 +1,14 @@
 """Variety-plus-family configurations and their position invariants.
 
 The distributive constant, position classes, and dimension profiles all
-reduce to projective dimensions of subset intersections, which come from
-`groebner.projective_dimension`.  Subset dimensions are memoized per family.
-`delta` and `classify` share one walk over the non-void subsets, which are
-down-closed: a set is visited only when its immediate subsets S - {i} are all
-non-void and memoized, so max_i dim(S - {i}) - 1 is a proven lower bound that
-lets the mod-p pass settle dim S.  A subset of full dimension n ends its
-level, and the next level scans every combination.  The walk visits at most
-MAX_WALK_SUBSETS.
+reduce to projective dimensions of subset intersections, and `meet_dimension`
+answers them for `replace` and `weights` too: it adds V's generators and the
+proven lower bound that lets the mod-p pass settle the answer.  Subset
+dimensions are memoized per family.  `delta` and `classify` share one walk
+over the non-void subsets, which are down-closed: a set is visited only when
+its immediate subsets S - {i} are all non-void and memoized, each tightening
+the bound.  A subset of full dimension n ends its level, and the next level
+scans every combination.  The walk visits at most MAX_WALK_SUBSETS.
 """
 
 from __future__ import annotations
@@ -137,26 +137,28 @@ def _validate_subset(fam, subset):
     return idxs
 
 
-def _subset_dim(v, fam, idxs):
-    memo = fam._memo
-    key = (v, idxs)
-    if key in memo:
-        return memo[key]
-    # projective dimension theorem: each member cuts at most one dimension,
-    # so n - |S| bounds dim S from below, and so does dim(S - {i}) - 1;
-    # an immediate subset that was never computed only weakens the bound
-    lower = v.dim_n - len(idxs)
-    for i in idxs:
-        parent = memo.get((v, idxs - {i}))
+def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=(), dimension=projective_dimension):
+    """Projective dimension of V cut by `polys`, or EMPTY, from `dimension`.
+
+    Each member cuts at most one dimension (Hartshorne I.7.2), so the answer is
+    at least n - len(polys), and d - 1 for each known d in `parents`, the
+    dimensions of V cut by all but one of `polys`.  A void parent makes it EMPTY.
+    """
+    lower = v.dim_n - len(polys)
+    for parent in parents:
         if parent is EMPTY:
-            memo[key] = EMPTY
             return EMPTY
         if parent is not None:
             lower = max(lower, parent - 1)
-    gens = list(v.generators) + [fam.members[i] for i in sorted(idxs)]
-    dim = projective_dimension(gens, v.num_vars, lower if lower >= 0 else None)
-    memo[key] = dim
-    return dim
+    return dimension(list(v.generators) + list(polys), v.num_vars, lower if lower >= 0 else None)
+
+
+def _subset_dim(v, fam, idxs):
+    memo = fam._memo
+    if (v, idxs) not in memo:
+        memo[v, idxs] = meet_dimension(v, [fam.members[i] for i in sorted(idxs)],
+                                       [memo.get((v, idxs - {i})) for i in idxs])
+    return memo[v, idxs]
 
 
 def intersection_dimension(v: Variety, fam: HypersurfaceFamily, subset):

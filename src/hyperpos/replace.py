@@ -18,9 +18,9 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .groebner import EMPTY, dim_at_most, modp_dimension, normal_form, projective_dimension
+from .groebner import dim_at_most, modp_dimension, projective_dimension
 from .polyring import DimensionMismatch, poly_combine
-from .position import DimensionProfile, HypersurfaceFamily, Variety
+from .position import DimensionProfile, HypersurfaceFamily, Variety, meet_dimension
 
 
 class NotIncreasing(DomainError):
@@ -146,15 +146,6 @@ def _spiral_values(bound):
     return out
 
 
-def _prefix_dim(v, polys, parent_dim, dimension=projective_dimension):
-    """dim of V meet the prefix; `parent_dim` is the dimension without its last member.
-
-    `dimension` is `projective_dimension`, or `modp_dimension` for its upper bound.
-    """
-    lower = None if parent_dim is EMPTY or parent_dim < 1 else parent_dim - 1
-    return dimension(list(v.generators) + list(polys), v.num_vars, lower)
-
-
 _SPIRAL_LEVEL_CAP = 20000
 _RANDOM_STAGES = ((16, 300), (64, 300), (1024, 400))
 
@@ -174,21 +165,19 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
 
     def accept(candidate, prefix, prefix_dim, level, dimension):
         # Under modp_dimension, dim_p <= n - level - 1 proves acceptance, since
-        # dim_p bounds dim_Q from above.  The accepted prefix has dimension
-        # exactly n - level (at most that by its own bound, at least that since
-        # a cut drops it by at most one from dim V = n), so the lower bound is
-        # n - level - 1 and a dim_p that meets the bound is the exact dimension.
+        # dim_p bounds dim_Q from above, and it is the exact dimension, since
+        # `meet_dimension`'s lower bound for level + 1 members is n - level - 1.
+        # A combination that is zero or vanishes on V leaves the prefix at
+        # n - level, so both rules reject it with no test of its own.
         combined = poly_combine(candidate, ordered[:len(candidate)])
-        if combined.is_zero or normal_form(combined, v.gb).is_zero:
-            return None
-        dim = _prefix_dim(v, prefix + [combined], prefix_dim, dimension)
+        dim = meet_dimension(v, prefix + [combined], (prefix_dim,), dimension)
         if dim_at_most(dim, n - level - 1):
             return combined, dim
         return None
 
     rows = [tuple(Fraction(1 if j == 0 else 0) for j in range(width))]
     replacements = [ordered[0]]
-    prefix_dim = _prefix_dim(v, replacements, n)
+    prefix_dim = meet_dimension(v, replacements)
     if not dim_at_most(prefix_dim, n - 1):
         raise SearchExhausted("leading member does not cut the variety; profile is stale")
     for u in range(1, n + 1):
@@ -251,7 +240,7 @@ def verify_replacement(v: Variety, sys: ReplacementSystem) -> ReplacementVerdict
     dims = []
     met = []
     for t in range(n + 1):
-        dim = _prefix_dim(v, sys.replacements[:t + 1], dims[-1] if dims else n)
+        dim = meet_dimension(v, sys.replacements[:t + 1], dims[-1:])
         dims.append(dim)
         met.append(dim_at_most(dim, n - t - 1))
     combo_ok = len(sys.replacements) == n + 1 and len(sys.coeff_matrix) == n + 1

@@ -13,21 +13,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, floor, gcd, lcm, prod
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DomainError
-from .groebner import (
-    EMPTY,
-    GREVLEX,
-    groebner_basis,
-    hilbert_function,
-    normal_form,
-    projective_dimension,
-    standard_monomials,
-    weighted_order,
-)
+from .groebner import (EMPTY, GREVLEX, groebner_basis, normal_form, standard_monomials,
+                       weighted_order)
 from .polyring import DimensionMismatch, HomoPoly
-from .position import IndexOutOfRange, Variety
+from .position import IndexOutOfRange, Variety, meet_dimension
 
 
 class OracleTooLarge(DomainError):
@@ -111,8 +103,8 @@ def hilbert_weight_bruteforce(v: Variety, u: int, c, cap: int = DEFAULT_ORACLE_C
     if total > cap:
         raise OracleTooLarge(f"{total} degree-{u} monomials exceeds the oracle cap {cap}")
     monos = standard_monomials(groebner_basis([], GREVLEX, num_vars=v.num_vars), u)
-    size = hilbert_function(v.gb, u)
     coords = {m: i for i, m in enumerate(standard_monomials(v.gb, u))}
+    size = len(coords)
     residues = []
     for m in monos:
         nf = normal_form(HomoPoly(v.num_vars, {m: Fraction(1)}), v.gb)
@@ -191,14 +183,13 @@ def ef_lower_bound_check(v: Variety, u: int, c, coord_subset) -> EfCheckResult:
     delta = v.degree_delta
     if u <= delta:
         raise UTooSmall(f"u must exceed the variety degree {delta}, got {u}")
-    gens = list(v.generators) + [HomoPoly.variable(v.num_vars, i) for i in subset]
-    dim = projective_dimension(gens, v.num_vars)
+    dim = meet_dimension(v, [HomoPoly.variable(v.num_vars, i) for i in subset])
     if dim is not EMPTY:
         raise SubsetNotEmptyOnV(
             f"variety meets the coordinate subspace {subset} in dimension {dim}")
-    s_val = hilbert_weight(v, u, c).weight
-    h_val = hilbert_function(v.gb, u)
-    lhs = s_val / (u * h_val)
+    # the degree-u standard monomials of any basis number H(u) (Macaulay)
+    report = hilbert_weight(v, u, c)
+    lhs = report.weight / (u * len(report.basis))
     rhs = sum(c[i] for i in subset) / Fraction(n + 1) - (2 * n + 1) * delta * max(c) / Fraction(u)
     return EfCheckResult(lhs >= rhs, lhs, rhs, u, subset)
 
@@ -252,7 +243,6 @@ class BoundReport(NamedTuple):
     m0: int
     defect_total: Fraction
     coefficient: Fraction
-    comparisons: Optional[dict] = None
 
 
 def _check_positive(**named):
@@ -261,8 +251,7 @@ def _check_positive(**named):
             raise DomainError(f"{name} must be positive, got {value}")
 
 
-def truncation_m0(n: int, d: int, deg_v: int, delta, q: int, eps,
-                  comparisons: Optional[dict] = None) -> BoundReport:
+def truncation_m0(n: int, d: int, deg_v: int, delta, q: int, eps) -> BoundReport:
     """Truncation level and defect data for the distributive-constant bound."""
     delta = Fraction(delta)
     eps = Fraction(eps)
@@ -271,7 +260,7 @@ def truncation_m0(n: int, d: int, deg_v: int, delta, q: int, eps,
         ((d, n * n + n), (deg_v, n + 1), (delta, n), (2 * n + 4, n), (n + 1, n),
          (factorial(q), n), (1 / eps, n)), n)
     return BoundReport(m0, defect_total(delta, n),
-                       truncation_coefficient(q, delta, n, eps), comparisons)
+                       truncation_coefficient(q, delta, n, eps))
 
 
 def truncation_m0_subgeneral(n: int, d: int, deg_v: int, l: int, q: int, eps) -> BoundReport:

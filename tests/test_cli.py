@@ -141,6 +141,24 @@ class TestExitCodes:
         assert code == 2
         assert report["payload"]["error"] == "TermBudgetExceeded"
 
+    IDEAL_COMMANDS = [("dim",), ("hilbert", "--u", "2"),
+                      ("hweight", "--u", "2", "--c", "1,0"),
+                      ("efcheck", "--u", "3", "--c", "1,0", "--subset", "0,1")]
+
+    @pytest.mark.parametrize("command", IDEAL_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("ambient, polys, error", [
+        (-1, [], "EmptyInput"),
+        (polyring.MAX_VARIABLES, [], "VariableBudgetExceeded"),
+        (polyring.MAX_VARIABLES, ["x0"], "VariableBudgetExceeded")])
+    def test_variable_count_out_of_range_is_two(self, runj, tmp_path, command,
+                                                ambient, polys, error):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"ambient": ambient, "polys": polys}))
+        flag = "--ideal" if command[0] in ("dim", "hilbert") else "--variety"
+        code, report = runj(command[0], flag, str(path), *command[1:], "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == error
+
     def test_not_sorted_surfaces_verbatim(self, runj):
         code, report = runj("ineq", "--t", "0,1,2", "--a", "1,3/2", "--no-cache")
         assert code == 2
@@ -225,6 +243,13 @@ class TestFrozenPayloads:
         _, report = runj("dim", "--ideal", str(path), "--no-cache")
         assert report["payload"] == {"ambient": 1, "dimension": "EMPTY",
                                      "degree": None}
+
+    def test_dim_point(self, runj, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"ambient": 0, "polys": []}))
+        code, report = runj("dim", "--ideal", str(path), "--no-cache")
+        assert code == 0
+        assert report["payload"] == {"ambient": 0, "dimension": 0, "degree": 1}
 
     def test_classify(self, runj, coord_config):
         _, report = runj("classify", "--config", coord_config, "--no-cache")

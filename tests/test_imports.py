@@ -8,6 +8,11 @@ Every module-level function and class of the package must be referenced by
 other code of the package, or be named as library API in README "Library
 layout".  The `cmd_*` handlers are exempt: the CLI dispatches them by name.
 
+Outside `groebner`, only `position.meet_dimension` may run a dimension query
+(`projective_dimension` or `modp_dimension`), so that one function adds V's
+generators and derives the lower bound.  Passing a query on as an argument
+is allowed.
+
 The package also loads `sqlite3` only when a command uses the disk cache.
 """
 
@@ -115,6 +120,58 @@ def test_checker_finds_an_unused_definition():
     # `helper` calls only itself, but `used` calls it; `listed` is named in the docs
     assert unreferenced_definitions(sources) == ["Spare", "listed"]
     assert unreferenced_definitions(sources, "API: `mod.listed`, `Spare`.") == []
+
+
+DIMENSION_QUERIES = {"projective_dimension", "modp_dimension"}
+FUNCTIONS = ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda
+
+
+def _is_query(node):
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in DIMENSION_QUERIES
+
+
+def second_engines(source, engine=None):
+    """Lines outside the function `engine` that call a dimension query, or that
+    give a parameter one as its default and so call it under another name."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                if getattr(child, "name", None) == engine:
+                    continue
+                defaults = child.args.defaults + child.args.kw_defaults
+                if any(d is not None and _is_query(d) for d in defaults):
+                    found.append(child.lineno)
+            elif isinstance(child, ast.Call) and _is_query(child.func):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "groebner.py"],
+                         ids=lambda p: p.name)
+def test_one_dimension_engine(path):
+    engine = "meet_dimension" if path.name == "position.py" else None
+    assert second_engines(path.read_text(encoding="utf-8"), engine) == []
+
+
+def test_checker_finds_a_second_engine():
+    source = ("from . import groebner\n"
+              "from .groebner import modp_dimension, projective_dimension\n"
+              "def meet_dimension(v, polys, dimension=projective_dimension):\n"
+              "    return dimension(polys)\n"
+              "def _prefix_dim(v, polys, dimension=projective_dimension):\n"
+              "    return dimension(polys)\n"
+              "def search(v, polys):\n"
+              "    for dimension in (modp_dimension, projective_dimension):\n"
+              "        meet_dimension(v, polys, dimension=dimension)\n"
+              "    return groebner.modp_dimension(polys)\n")
+    assert second_engines(source, "meet_dimension") == [5, 10]
+    assert second_engines(source) == [3, 5, 10]
 
 
 @pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])

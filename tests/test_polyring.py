@@ -20,6 +20,7 @@ from hyperpos.polyring import (
     NotHomogeneous,
     PolySyntaxError,
     TermBudgetExceeded,
+    VariableBudgetExceeded,
     VariableOutOfRange,
     ZeroPolynomial,
     lcm_degree,
@@ -282,6 +283,35 @@ class TestTermBudget:
             a * b
         monkeypatch.setattr(polyring, "MAX_TERMS", 4)
         assert len((a * b).terms) == 4
+
+
+class TestVariableBudget:
+    def test_default_is_far_above_inputs(self):
+        # the tests and the benchmark use at most 6 variables
+        assert polyring.MAX_VARIABLES == 32
+
+    def test_at_and_over_budget(self):
+        top = polyring.MAX_VARIABLES
+        assert P(f"x{top - 1}", top).degree == 1
+        with pytest.raises(VariableBudgetExceeded):
+            P("x0", top + 1)
+        with pytest.raises(VariableBudgetExceeded):
+            HomoPoly.variable(top + 1, 0)
+        with pytest.raises(VariableBudgetExceeded):
+            poly_from_json({"vars": top + 1, "terms": []})
+
+    def test_no_variables(self):
+        with pytest.raises(EmptyInput):
+            P("1", 0)
+        with pytest.raises(EmptyInput):
+            HomoPoly.zero(0)
+
+    def test_basis_ring_size_checked(self):
+        with pytest.raises(EmptyInput):
+            groebner_basis([], GREVLEX, num_vars=0)
+        with pytest.raises(VariableBudgetExceeded):
+            groebner_basis([], GREVLEX, num_vars=polyring.MAX_VARIABLES + 1)
+        assert groebner_basis([], GREVLEX, num_vars=1).generators == ()
 
 
 @given(

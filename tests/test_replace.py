@@ -425,3 +425,40 @@ def test_stale_profile_exhausts_after_q_fallback(monkeypatch):
     assert DIMENSION_COUNTS["exact"] > 0  # the level was searched again over Q
     with pytest.raises(SearchExhausted):
         q_rule_replacement(v, stale, profile, seed=1)
+
+
+def conic():
+    return build_variety(parse_many(["x0*x2 - x1^2"], 3), num_vars=3)
+
+
+# W = V(Q0) meets the conic x0*x2 = x1^2 in [1:0:0], [0:0:1], [1:1:1] and
+# [1:-1:1].  On W, Q1 = -Q2, and Q3, Q2 + Q3 and Q2 - Q3 each vanish at one of
+# those points, so every earlier candidate is rejected before Q1 + Q2, which
+# is zero on the conic.  The first variant writes Q1 as -Q2 plus the conic's
+# equation, so Q1 + Q2 lies in its ideal; the second writes Q1 = -Q2, so
+# Q1 + Q2 is the zero polynomial.
+DEPENDENT_FAMILIES = {
+    "in_ideal": ["x0*x1 - x1*x2", "x0*x2 - x1^2 - x2^2", "x2^2", "x0^2 - x0*x1 - x0*x2"],
+    "zero": ["x0*x1 - x1*x2", "-1*x2^2", "x2^2", "x0^2 - x0*x1 - x0*x2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEPENDENT_FAMILIES))
+def test_combination_vanishing_on_the_variety_is_rejected(monkeypatch, name):
+    v = conic()
+    fam = build_family(v, parse_many(DEPENDENT_FAMILIES[name], 3))
+    profile = dimension_profile(v, fam, (0, 1, 2, 3))
+    assert profile.t_values == (0, 3)
+    tried = []
+
+    def recording_combine(coeffs, polys):
+        combined = poly_combine(coeffs, polys)
+        tried.append(combined)
+        return combined
+
+    monkeypatch.setattr(replace, "poly_combine", recording_combine)
+    system = build_replacement(v, fam, profile)
+    vanishing = [i for i, c in enumerate(tried) if c.is_zero or normal_form(c, v.gb).is_zero]
+    assert vanishing and vanishing[0] < len(tried) - 1
+    assert verify_replacement(v, system).ok
+    assert (system.replacements, system.coeff_matrix) == q_rule_replacement(v, fam, profile)

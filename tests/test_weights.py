@@ -247,7 +247,6 @@ class TestTruncationBound:
         assert rep.m0 == 32
         assert rep.defect_total == 2
         assert rep.coefficient == -5
-        assert rep.comparisons is None
 
     @pytest.mark.parametrize(
         "args", [(1, 1, 1, 1, 3, 6), (1, 2, 1, 1, 2, 1), (2, 1, 2, F(3, 2), 4, 2)])
