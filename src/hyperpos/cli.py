@@ -22,8 +22,9 @@ from .groebner import EMPTY, GREVLEX, groebner_basis, hilbert_function, ideal_pr
 from .heights import (INFINITE, Place, RationalPoint, default_places, height_point,
                       height_poly, height_scalar, product_formula_check,
                       summarize_margins, theorem15_margin, weil_function)
-from .polyring import parse_poly, poly_from_json, poly_to_json, rat_from_str, rat_to_str
-from .position import (build_variety, classify_position, dimension_profile,
+from .polyring import (int_from_json, parse_poly, poly_from_json, poly_to_json,
+                       rat_from_str, rat_to_str)
+from .position import (IndexOutOfRange, build_variety, classify_position, dimension_profile,
                        distributive_constant, load_configuration, remark_bounds)
 from .replace import build_replacement, exponent_schedule, verify_power_inequality, \
     verify_replacement
@@ -78,17 +79,6 @@ def _read_json(path):
         raise DomainError(f"invalid JSON in {path}: {exc}")
 
 
-def _int_knob(obj, name, default):
-    """An integer knob, given as a JSON integer or a string of one."""
-    value = obj.get(name, default)
-    if not isinstance(value, bool) and isinstance(value, (int, str)):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _load_config(path):
     """SessionConfig file: geometry keys plus optional seed/precision knobs."""
     obj = _read_json(path)
@@ -96,8 +86,8 @@ def _load_config(path):
         raise DomainError(f"configuration in {path} must be a JSON object")
     v, fam = load_configuration(obj)
     knobs = {
-        "seed": _int_knob(obj, "seed", 0),
-        "precision": _int_knob(obj, "precision", _DEFAULT_PRECISION),
+        "seed": int_from_json(obj.get("seed", 0), "seed"),
+        "precision": int_from_json(obj.get("precision", _DEFAULT_PRECISION), "precision"),
     }
     if knobs["precision"] < 1:
         raise DomainError(f"precision must be positive, got {knobs['precision']}")
@@ -108,9 +98,9 @@ def _load_ideal(path):
     """Ideal/variety file: {"ambient": N, "polys": [text or JSON, ...]}."""
     obj = _read_json(path)
     try:
-        ambient = int(obj["ambient"])
+        ambient = int_from_json(obj["ambient"], "ambient")
         raw = obj["polys"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"{path} needs ambient and polys: {exc}")
     if not isinstance(raw, list):
         raise DomainError(f"polys in {path} must be a list, got {type(raw).__name__}")
@@ -212,6 +202,8 @@ def cmd_classify(args):
 def _ordering_from(args, fam):
     if args.order is None:
         return tuple(range(fam.q))
+    if sorted(args.order) != list(range(1, fam.q + 1)):
+        raise IndexOutOfRange(f"--order must be a permutation of 1..{fam.q}")
     return tuple(i - 1 for i in args.order)
 
 

@@ -134,12 +134,9 @@ def product_formula_check(x) -> ProductFormulaResult:
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("product formula needs a nonzero rational")
-    primes = sorted(set(_prime_factors(x.numerator)) | set(_prime_factors(x.denominator)))
-    places = (INFINITE,) + tuple(Place.finite(p) for p in primes)
-    prod = Fraction(1)
-    for v in places:
-        prod *= normalized_abs(x, v)
-    return ProductFormulaResult(prod, prod == 1, places)
+    places = (INFINITE,) + _coefficient_places([x])
+    product = prod(normalized_abs(x, v) for v in places)
+    return ProductFormulaResult(product, product == 1, places)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +166,6 @@ class RationalPoint:
     @property
     def ambient(self) -> int:
         return len(self.coords) - 1
-
-    def __iter__(self):
-        return iter(self.coords)
 
     # error messages print this form
     def __repr__(self):
@@ -302,10 +296,6 @@ def _poly_norm(q: HomoPoly, v: Place) -> Fraction:
     return max(normalized_abs(c, v) for c in q.terms.values())
 
 
-def _point_norm(x: RationalPoint, v: Place) -> Fraction:
-    return max(normalized_abs(c, v) for c in x.coords if c != 0)
-
-
 def _value_off_hypersurface(q: HomoPoly, x: RationalPoint) -> Fraction:
     if not q.terms:
         raise ZeroPolynomial("Weil function of the zero polynomial is undefined")
@@ -317,7 +307,9 @@ def _value_off_hypersurface(q: HomoPoly, x: RationalPoint) -> Fraction:
 
 def weil_function(q: HomoPoly, x: RationalPoint, v: Place) -> LogRational:
     value = _value_off_hypersurface(q, x)
-    return LogRational(_point_norm(x, v) ** q.degree * _poly_norm(q, v) / normalized_abs(value, v))
+    # |x|_v is max|x_i| at oo, and 1 at every prime: the coordinates are coprime integers
+    point = 1 if v.is_finite else height_point(x).argument ** q.degree
+    return LogRational(point * _poly_norm(q, v) / normalized_abs(value, v))
 
 
 def weil_support(q: HomoPoly, x: RationalPoint) -> tuple:
@@ -357,13 +349,14 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
         raise DomainError("duplicate places in S")
     lift = fam.lcm_d
     multiplier = delta * (v.dim_n + 1) + eps
-    # lhs is the product over places and members of weil_function(Q_j, x, v)
-    # raised to lift/d_j, with each factor computed where it varies:
-    #   |x|_v^(sum_j d_j e_j) * prod_j |Q_j|_v^e_j / |prod_j Q_j(x)^e_j|_v
+    # lhs is the product over v in S and members of weil_function(Q_j, x, v)^e_j,
+    # e_j = lift/d_j.  Coprime integer coordinates give |x|_v = 1 at every prime,
+    # so it is C * h(x)^P / prod_v |prod_j Q_j(x)^e_j|_v with C = prod_v prod_j
+    # |Q_j|_v^e_j, h(x) = max|x_i|, P = sum_j d_j e_j, and h(x)^P only if oo is in S.
     exponents = [lift // d for d in fam.degrees]
-    point_power = sum(d * e for d, e in zip(fam.degrees, exponents))
-    coefficient_norms = [prod(_poly_norm(m, place) ** e for m, e in zip(fam.members, exponents))
-                         for place in places]
+    point_power = sum(d * e for d, e in zip(fam.degrees, exponents)) if INFINITE in places else 0
+    coefficients = prod(_poly_norm(m, place) ** e
+                        for place in places for m, e in zip(fam.members, exponents))
     reports = []
     for x in points:
         if x.ambient + 1 != v.num_vars:
@@ -377,11 +370,12 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
             if val == 0:
                 raise PointOnHypersurface(f"{x!r} lies on family member {j + 1}")
             value *= val ** e
-        arg = Fraction(1)
-        for place, norm in zip(places, coefficient_norms):
-            arg *= _point_norm(x, place) ** point_power * norm / normalized_abs(value, place)
+        h = height_point(x)
+        arg = coefficients * h.argument ** point_power
+        for place in places:
+            arg /= normalized_abs(value, place)
         lhs = LogRational(arg, lift)
-        rhs = height_point(x).scale(multiplier)
+        rhs = h.scale(multiplier)
         slack = float(rhs.value() - lhs.value())
         reports.append(MarginReport(x, lhs, rhs, slack))
     return reports

@@ -158,6 +158,16 @@ def rat_from_str(text: str) -> Fraction:
         raise PolySyntaxError(0, "integer or a/b rational", f"bad rational {text!r}")
 
 
+def int_from_json(value, name: str) -> int:
+    """A JSON integer or a string of one; a float or a bool is refused."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 

@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import DomainError
 from .groebner import (EMPTY, GREVLEX, GroebnerBasis, dim_at_most, groebner_basis,
                        ideal_profile, normal_form, projective_dimension)
-from .polyring import (ConstantMember, EmptyInput, HomoPoly, lcm_degree, parse_poly,
-                       poly_from_json)
+from .polyring import (ConstantMember, EmptyInput, HomoPoly, int_from_json, lcm_degree,
+                       parse_poly, poly_from_json)
 
 
 class EmptyVariety(DomainError):
@@ -341,10 +341,10 @@ def dimension_profile(v: Variety, fam: HypersurfaceFamily,
 def load_configuration(obj: dict):
     """Build (Variety, HypersurfaceFamily) from {"ambient", "variety", "family"}."""
     try:
-        ambient = int(obj["ambient"])
+        ambient = int_from_json(obj["ambient"], "ambient")
         variety_raw = obj["variety"]
         family_raw = obj["family"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"configuration needs ambient, variety, family: {exc}")
     for name, raw in (("variety", variety_raw), ("family", family_raw)):
         if not isinstance(raw, (list, tuple)):

@@ -1,17 +1,27 @@
-"""The two Buchberger loops that `groebner._buchberger` replaced, kept as oracles.
+"""Earlier implementations that the package replaced, kept as oracles.
 
 `tuple_groebner_basis` is the loop over Q on exponent tuples, with its own
 reducer and S-polynomial builder; `modp_lead_monomials` is the grevlex pass
 mod `groebner.MODULUS` on packed ints.  Both are the code as it stood before
 the one packed loop ran over both fields.
+
+`theorem15_margin` and `weil_function` are the margin and the Weil function
+that take the norm |x|_v of the point at every place, as they stood before
+`heights` read it off the coprime-coordinate invariant (max|x_i| at oo, 1 at
+every prime).
 """
 
 import heapq
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 from hyperpos import groebner
+from hyperpos.errors import DomainError
 from hyperpos.groebner import GroebnerBasis
+from hyperpos.heights import (LogRational, MarginReport, PointNotOnVariety, PointOnHypersurface,
+                              _poly_norm, _value_off_hypersurface, default_places, height_point,
+                              normalized_abs)
 from hyperpos.polyring import HomoPoly, mono_divides, mono_mul
 
 
@@ -231,3 +241,53 @@ def modp_lead_monomials(polys, num_vars):
         if rest:
             add(rest)
     return lead_exps
+
+
+def _point_norm(x, v):
+    return max(normalized_abs(c, v) for c in x.coords if c != 0)
+
+
+def weil_function(q, x, v):
+    value = _value_off_hypersurface(q, x)
+    return LogRational(_point_norm(x, v) ** q.degree * _poly_norm(q, v) / normalized_abs(value, v))
+
+
+def theorem15_margin(v, fam, delta, eps, places, points):
+    """Per-point slack of the truncated inequality over the given places."""
+    delta = Fraction(delta)
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError(f"eps must be positive, got {eps}")
+    places = default_places() if places is None else tuple(places)
+    if len(set(places)) != len(places):
+        raise DomainError("duplicate places in S")
+    lift = fam.lcm_d
+    multiplier = delta * (v.dim_n + 1) + eps
+    # lhs is the product over places and members of weil_function(Q_j, x, v)
+    # raised to lift/d_j, with each factor computed where it varies:
+    #   |x|_v^(sum_j d_j e_j) * prod_j |Q_j|_v^e_j / |prod_j Q_j(x)^e_j|_v
+    exponents = [lift // d for d in fam.degrees]
+    point_power = sum(d * e for d, e in zip(fam.degrees, exponents))
+    coefficient_norms = [prod(_poly_norm(m, place) ** e for m, e in zip(fam.members, exponents))
+                         for place in places]
+    reports = []
+    for x in points:
+        if x.ambient + 1 != v.num_vars:
+            raise DomainError(f"{x!r} has {x.ambient + 1} coordinates, ambient needs {v.num_vars}")
+        for g in v.generators:
+            if g.evaluate(x.coords) != 0:
+                raise PointNotOnVariety(f"{x!r} does not satisfy a defining equation")
+        value = 1
+        for j, (member, e) in enumerate(zip(fam.members, exponents)):
+            val = member.evaluate(x.coords)
+            if val == 0:
+                raise PointOnHypersurface(f"{x!r} lies on family member {j + 1}")
+            value *= val ** e
+        arg = Fraction(1)
+        for place, norm in zip(places, coefficient_norms):
+            arg *= _point_norm(x, place) ** point_power * norm / normalized_abs(value, place)
+        lhs = LogRational(arg, lift)
+        rhs = height_point(x).scale(multiplier)
+        slack = float(rhs.value() - lhs.value())
+        reports.append(MarginReport(x, lhs, rhs, slack))
+    return reports

@@ -274,6 +274,14 @@ class TestFrozenPayloads:
         assert report["payload"]["ordering"] == [3, 1, 2]
         assert report["payload"]["t_values"] == [0, 1, 2]
 
+    @pytest.mark.parametrize("command", ["profile", "replace"])
+    @pytest.mark.parametrize("order", ["1,1,2", "0,1,2", "1,2,3,4", "1,2"])
+    def test_order_must_be_a_one_based_permutation(self, runj, coord_config, command, order):
+        code, report = runj(command, "--config", coord_config, "--order", order, "--no-cache")
+        assert code == 2
+        assert report["payload"] == {"error": "IndexOutOfRange",
+                                     "message": "--order must be a permutation of 1..3"}
+
     def test_replace(self, runj, coord_config):
         code, report = runj("replace", "--config", coord_config,
                             "--seed", "5", "--no-cache")
@@ -470,6 +478,25 @@ class TestInputHandling:
         path.write_text(json.dumps({"ambient": 2}))
         code, _ = runj("dim", "--ideal", str(path), "--no-cache")
         assert code == 2
+
+    @pytest.mark.parametrize("ambient", [2.9, True, "2.0", None])
+    def test_non_integer_ambient_is_domain_error(self, runj, tmp_path, ambient):
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({"ambient": ambient, "polys": ["x0*x2 - x1^2"]}))
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"ambient": ambient, "variety": [], "family": ["x0", "x1"]}))
+        for command, flag, path in (("dim", "--ideal", ideal), ("delta", "--config", config)):
+            code, report = runj(command, flag, str(path), "--no-cache")
+            assert code == 2, command
+            assert report["payload"] == {"error": "DomainError",
+                                         "message": f"ambient must be an integer, got {ambient!r}"}
+
+    def test_integer_string_ambient_accepted(self, runj, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"ambient": "2", "polys": ["x0*x2 - x1^2"]}))
+        code, report = runj("dim", "--ideal", str(path), "--no-cache")
+        assert code == 0
+        assert report["payload"] == {"ambient": 2, "dimension": 1, "degree": 2}
 
     def test_config_knobs_reach_handlers(self, runj, tmp_path):
         path = tmp_path / "precise.json"

@@ -1,13 +1,19 @@
-"""Every module-level budget `MAX_*` in src/hyperpos is documented with its value.
+"""README stays in step with the code it documents.
 
+Every module-level budget `MAX_*` in src/hyperpos is documented with its value:
 README "Input limits" must name each one as `module.NAME` followed by its
 decimal value in parentheses, as in `polyring.MAX_DEGREE` (1000).
+
+README's `Subcommands:` list names the CLI's subcommands, in the parser's order.
 """
 
+import argparse
 import ast
 import importlib
 import re
 from pathlib import Path
+
+from hyperpos import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hyperpos"
@@ -40,3 +46,11 @@ def test_every_budget_documented_with_its_value():
         actual = getattr(importlib.import_module(f"hyperpos.{module}"), name)
         assert all(int(text) == actual for text in found), (module, name, found)
 
+
+def test_subcommand_list_matches_the_parser():
+    text = (ROOT / "README.md").read_text()
+    start = text.index("Subcommands:")
+    listed = re.findall(r"`([a-z0-9]+)`", text[start:text.index(".", start)])
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(sub.choices)

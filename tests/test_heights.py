@@ -3,12 +3,13 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hyperpos.errors import DomainError
 import hyperpos.heights as heights
 from hyperpos.heights import (
@@ -394,6 +395,86 @@ class TestMarginAgainstWeil:
         assert heights._poly_norm(fam.members[0], two) == F(1, 2)
         assert heights._poly_norm(fam.members[2], three) == F(1, 3)
         assert heights._poly_norm(fam.members[3], two) == 2
+
+
+# Small primes of S divide the member values of points with small coordinates.
+ORACLE_PLACES = (INFINITE,) + tuple(Place.finite(p) for p in (2, 3, 5, 7, 11))
+ORACLE_VARIETIES = {"P1": build_variety([], num_vars=2), "P2": build_variety([], num_vars=3),
+                    "conic": build_variety([parse_poly("x0*x2 - x1^2", 3)])}
+
+
+def oracle_case(name, members, coords, places, delta=1, eps=F(1, 2)):
+    """theorem15_margin's arguments, keeping only the points off every member."""
+    v = ORACLE_VARIETIES[name]
+    fam = build_family(v, members)
+    points = [RationalPoint(c) for c in coords
+              if any(c) and all(m.evaluate(c) != 0 for m in members)]
+    return v, fam, F(delta), F(eps), places, points
+
+
+def _monomials(nvars, degree):
+    return [tuple(combo.count(i) for i in range(nvars))
+            for combo in combinations_with_replacement(range(nvars), degree)]
+
+
+@st.composite
+def oracle_cases(draw):
+    """Non-monic members with rational coefficients and degrees 1 to 3, points
+    with coordinates up to 12 (or conic points (a^2:ab:b^2)), and places S
+    drawn from oo, 2, 3, 5, 7, 11, with or without oo, or the default set."""
+    name = draw(st.sampled_from(sorted(ORACLE_VARIETIES)))
+    nvars = ORACLE_VARIETIES[name].num_vars
+    coefficient = st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 30))
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        monos = draw(st.lists(st.sampled_from(_monomials(nvars, draw(st.integers(1, 3)))),
+                              min_size=1, max_size=3, unique=True))
+        members.append(HomoPoly(nvars, {m: draw(coefficient) for m in monos}))
+    if name == "conic":
+        # build_family refuses a member that vanishes on the conic, as at (4:2:1)
+        assume(all(m.evaluate((4, 2, 1)) != 0 for m in members))
+        ab = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda t: math.gcd(*t) == 1)
+        coords = [(a * a, a * b, b * b) for a, b in draw(st.lists(ab, min_size=1, max_size=6))]
+    else:
+        coords = draw(st.lists(st.tuples(*[st.integers(-12, 12)] * nvars), min_size=1, max_size=6))
+    places = draw(st.none() | st.permutations(ORACLE_PLACES).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))))
+    delta = draw(st.fractions(0, 3, max_denominator=6))
+    eps = draw(st.fractions(F(1, 10), 2, max_denominator=10))
+    case = oracle_case(name, members, coords, places, delta, eps)
+    assume(case[-1])
+    return case
+
+
+# MIXED has |Q_j|_v != 1 at 2 and 3; the points' member values carry 2, 3 and 5
+MIXED_POINTS = [(2, 3, 1), (4, 1, 3), (6, 5, 2), (1, 10, 9)]
+
+
+class TestMarginAgainstOracle:
+    """The margin and the Weil function read |x|_v off the coprime coordinates;
+    the oracles take max_i |x_i|_v at every place."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(oracle_cases())
+    @example(oracle_case("P2", [parse_poly(t, 3) for t in MIXED], MIXED_POINTS,
+                         (Place.finite(3), Place.finite(2))))
+    @example(oracle_case("P2", [parse_poly(t, 3) for t in MIXED], MIXED_POINTS,
+                         (Place.finite(5), INFINITE, Place.finite(2))))
+    def test_margin(self, case):
+        def rows(reports):
+            return [(r.point, r.lhs.argument, r.lhs.root, r.rhs.argument, r.rhs.root, r.slack)
+                    for r in reports]
+
+        assert rows(theorem15_margin(*case)) == rows(oracles.theorem15_margin(*case))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(oracle_cases())
+    @example(oracle_case("P2", [parse_poly(t, 3) for t in MIXED], MIXED_POINTS, None))
+    def test_weil_function(self, case):
+        _, fam, _, _, _, points = case
+        for member, x, place in product(fam.members, points, default_places()):
+            new, old = weil_function(member, x, place), oracles.weil_function(member, x, place)
+            assert (new.argument, new.root) == (old.argument, old.root), (member, x, place)
 
 
 class TestSamplePoints:
