@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
@@ -33,25 +33,74 @@ class PointNotOnVariety(DomainError):
     code = "PointNotOnVariety"
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+class FactorBudgetExceeded(DomainError):
+    code = "FactorBudgetExceeded"
+
+
+# Largest trial divisor `_prime_factors` tries.  What is left of n after it is
+# settled by the primality test, or refused when it is composite.
+MAX_TRIAL_DIVISOR = 2 ** 20
+
+# Largest n that `_is_prime` settles.  Miller-Rabin with the 13 primes up to
+# 41 as bases is exact below 3317044064679887385961981, the least composite
+# that passes it (Sorenson & Webster 2015).
+MAX_PRIME_TEST = 3317044064679887385961980
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Exact: a proven answer for every n up to MAX_PRIME_TEST, and
+    FactorBudgetExceeded above it."""
+    if n < 2:
         return False
-    if p < 4:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if p % 2 == 0:
-        return False
-    return all(p % d for d in range(3, isqrt(p) + 1, 2))
+    if n > MAX_PRIME_TEST:
+        raise FactorBudgetExceeded(
+            f"{n} is past {MAX_PRIME_TEST}, the largest integer the primality test settles")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _strip(n: int, p: int) -> tuple:
+    """n with every factor p divided out, and the p-part p^ord_p(n) of n."""
+    part = 1
+    while n % p == 0:
+        n //= p
+        part *= p
+    return n, part
 
 
 def _prime_factors(n: int) -> list:
+    """The primes dividing n, ascending, by trial division up to
+    MAX_TRIAL_DIVISOR; a cofactor left past it must pass the primality test."""
     n = abs(n)
     out = []
     d = 2
     while d * d <= n:
+        if d > MAX_TRIAL_DIVISOR:
+            if not _is_prime(n):
+                raise FactorBudgetExceeded(
+                    f"{n} has no prime factor up to {MAX_TRIAL_DIVISOR} and is not prime")
+            break
         if n % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            n, _ = _strip(n, d)
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
@@ -106,22 +155,32 @@ def default_places(prime_bound: int = 13) -> tuple:
     return tuple(places)
 
 
-def normalized_abs(x, v: Place) -> Fraction:
+def _s_norm(x, places) -> Fraction:
+    """The product of |x|_v over the distinct places v in `places`.
+
+    With N and D the parts of x's numerator and denominator made of the primes
+    in `places`, the product over those primes is D/N; with oo among the places
+    it is |x| * D/N, which is |x| with those primes stripped.
+    """
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("absolute value of zero has no normalization")
-    if not v.is_finite:
-        return abs(x)
-    p = v.prime
-    ord_p = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        ord_p += 1
-    while den % p == 0:
-        den //= p
-        ord_p -= 1
-    return Fraction(1, p ** ord_p) if ord_p >= 0 else Fraction(p ** -ord_p)
+    num, den = abs(x.numerator), x.denominator
+    num_part = den_part = 1
+    archimedean = False
+    for v in places:
+        if v.prime is None:
+            archimedean = True
+            continue
+        num, part = _strip(num, v.prime)
+        num_part *= part
+        den, part = _strip(den, v.prime)
+        den_part *= part
+    return Fraction(num, den) if archimedean else Fraction(den_part, num_part)
+
+
+def normalized_abs(x, v: Place) -> Fraction:
+    return _s_norm(x, (v,))
 
 
 class ProductFormulaResult(NamedTuple):
@@ -209,12 +268,24 @@ class LogRational:
             raise DomainError(f"scale factor must be non-negative, got {factor}")
         return LogRational(self.argument ** factor.numerator, self.root * factor.denominator)
 
-    def value(self, digits: int = 50) -> Decimal:
+    def value(self, digits: int = 50, logs: Optional[dict] = None) -> Decimal:
+        """log(argument)/root to `digits` significant digits.
+
+        `logs` memoizes Decimal(n).ln() by (n, working precision) across calls.
+        Decimal.ln is correctly rounded, so a memoized logarithm is the one a
+        fresh call would take, digit for digit.
+        """
+        logs = {} if logs is None else logs
         with localcontext() as ctx:
             ctx.prec = digits + 10
-            num = Decimal(self.argument.numerator).ln()
-            den = Decimal(self.argument.denominator).ln()
-            out = (num - den) / self.root
+
+            def ln(n):
+                key = (n, ctx.prec)
+                if key not in logs:
+                    logs[key] = Decimal(n).ln()
+                return logs[key]
+
+            out = (ln(self.argument.numerator) - ln(self.argument.denominator)) / self.root
         with localcontext() as ctx:
             ctx.prec = digits
             return +out
@@ -357,6 +428,7 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
     point_power = sum(d * e for d, e in zip(fam.degrees, exponents)) if INFINITE in places else 0
     coefficients = prod(_poly_norm(m, place) ** e
                         for place in places for m, e in zip(fam.members, exponents))
+    logs = {}  # each Decimal(n).ln() is taken once per call
     reports = []
     for x in points:
         if x.ambient + 1 != v.num_vars:
@@ -371,12 +443,9 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
                 raise PointOnHypersurface(f"{x!r} lies on family member {j + 1}")
             value *= val ** e
         h = height_point(x)
-        arg = coefficients * h.argument ** point_power
-        for place in places:
-            arg /= normalized_abs(value, place)
-        lhs = LogRational(arg, lift)
+        lhs = LogRational(coefficients * h.argument ** point_power / _s_norm(value, places), lift)
         rhs = h.scale(multiplier)
-        slack = float(rhs.value() - lhs.value())
+        slack = float(rhs.value(logs=logs) - lhs.value(logs=logs))
         reports.append(MarginReport(x, lhs, rhs, slack))
     return reports
 

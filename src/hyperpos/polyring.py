@@ -174,7 +174,7 @@ def int_from_json(value, name: str) -> int:
 class HomoPoly:
     """Homogeneous polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_degree", "_key_text")
+    __slots__ = ("nvars", "terms", "_degree", "_key_text", "_integer_terms")
 
     def __init__(self, nvars: int, terms=None):
         check_num_vars(nvars)
@@ -199,6 +199,7 @@ class HomoPoly:
         self.terms = {m: c for m, c in clean.items() if c != 0}
         self._degree = degree if self.terms else None
         self._key_text = None
+        self._integer_terms = None
 
     # construction helpers -------------------------------------------------
     @classmethod
@@ -210,6 +211,7 @@ class HomoPoly:
         p.terms = terms
         p._degree = sum(next(iter(terms))) if terms else None
         p._key_text = None
+        p._integer_terms = None
         return p
 
     @classmethod
@@ -311,17 +313,28 @@ class HomoPoly:
         return out
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """Q(point) as one Fraction: the sum is taken in integers."""
         if len(point) != self.nvars:
             raise DimensionMismatch(f"point has {len(point)} coordinates, ring has {self.nvars} variables")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, m):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
+        pt = [x if type(x) is int else Fraction(x) for x in point]
+        if not self.terms:
+            return Fraction(0)
+        if self._integer_terms is None:
+            # the coefficients over their common denominator, computed once per object
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            self._integer_terms = den, tuple(
+                (c.numerator * (den // c.denominator), tuple((i, e) for i, e in enumerate(m) if e))
+                for m, c in self.terms.items())
+        den, terms = self._integer_terms
+        # the point is a/b with integers a_i: Q(a/b) = Q(a)/b^d, since Q is homogeneous
+        b = lcm(*(x.denominator for x in pt))
+        a = [x.numerator * (b // x.denominator) for x in pt]
+        total = 0
+        for c, powers in terms:
+            for i, e in powers:
+                c *= a[i] ** e
+            total += c
+        return Fraction(total, den * b ** self._degree)
 
     def content_free(self):
         """Integer-primitive scalar multiple (positive leading content)."""
@@ -560,12 +573,20 @@ def poly_to_json(p: HomoPoly) -> dict:
     }
 
 
+def _syntax_int(value, name: str) -> int:
+    """`int_from_json`, refusing with PolySyntaxError: a float or a bool is no integer."""
+    try:
+        return int_from_json(value, name)
+    except DomainError as exc:
+        raise PolySyntaxError(0, f"integer {name}", exc.message) from None
+
+
 def poly_from_json(obj: dict) -> HomoPoly:
     try:
-        nvars = int(obj["vars"])
-        rows = obj["terms"]
-    except (KeyError, TypeError, ValueError):
+        raw_vars, rows = obj["vars"], obj["terms"]
+    except (KeyError, TypeError):
         raise PolySyntaxError(0, 'object with "vars" and "terms"')
+    nvars = _syntax_int(raw_vars, "vars")
     if not isinstance(rows, list):
         raise PolySyntaxError(0, '"terms" as a list', f"terms must be a list, got {type(rows).__name__}")
     _check_terms(len(rows))
@@ -574,10 +595,7 @@ def poly_from_json(obj: dict) -> HomoPoly:
         if not (isinstance(row, dict) and isinstance(row.get("exp"), list)
                 and isinstance(row.get("coef"), str)):
             raise PolySyntaxError(0, 'term row {"exp": [integers], "coef": "a/b"}', f"bad term row {row!r}")
-        try:
-            exp = tuple(int(e) for e in row["exp"])
-        except (TypeError, ValueError):
-            raise PolySyntaxError(0, "integer exponents", f"bad exponent vector {row['exp']!r}")
+        exp = tuple(_syntax_int(e, "exponent") for e in row["exp"])
         if len(exp) != nvars:
             raise DimensionMismatch(f"exponent vector {exp} has length {len(exp)}, ring has {nvars} variables")
         if exp in terms:

@@ -8,11 +8,16 @@ the one packed loop ran over both fields.
 `theorem15_margin` and `weil_function` are the margin and the Weil function
 that take the norm |x|_v of the point at every place, as they stood before
 `heights` read it off the coprime-coordinate invariant (max|x_i| at oo, 1 at
-every prime).
+every prime).  They share no arithmetic with the code they check: `evaluate`
+is the earlier `HomoPoly.evaluate`, which builds a Fraction for every
+coordinate and term; `normalized_abs` takes one place at a time, where
+`heights` strips every prime of S in one pass; and `log_value` takes both
+logarithms afresh, where the margin memoizes them.
 """
 
 import heapq
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import prod
 
@@ -20,9 +25,8 @@ from hyperpos import groebner
 from hyperpos.errors import DomainError
 from hyperpos.groebner import GroebnerBasis
 from hyperpos.heights import (LogRational, MarginReport, PointNotOnVariety, PointOnHypersurface,
-                              _poly_norm, _value_off_hypersurface, default_places, height_point,
-                              normalized_abs)
-from hyperpos.polyring import HomoPoly, mono_divides, mono_mul
+                              ZeroInput, default_places)
+from hyperpos.polyring import DimensionMismatch, HomoPoly, ZeroPolynomial, mono_divides, mono_mul
 
 
 def mono_div(b, a):
@@ -243,8 +247,64 @@ def modp_lead_monomials(polys, num_vars):
     return lead_exps
 
 
+def evaluate(q, point):
+    """q at `point`, a Fraction built term by term."""
+    if len(point) != q.nvars:
+        raise DimensionMismatch(f"point has {len(point)} coordinates, ring has {q.nvars} variables")
+    pt = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for m, c in q.terms.items():
+        v = c
+        for x, e in zip(pt, m):
+            if e:
+                v *= x ** e
+        total += v
+    return total
+
+
+def normalized_abs(x, v):
+    x = Fraction(x)
+    if x == 0:
+        raise ZeroInput("absolute value of zero has no normalization")
+    if not v.is_finite:
+        return abs(x)
+    p = v.prime
+    ord_p = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        ord_p += 1
+    while den % p == 0:
+        den //= p
+        ord_p -= 1
+    return Fraction(1, p ** ord_p) if ord_p >= 0 else Fraction(p ** -ord_p)
+
+
+def log_value(lr, digits=50):
+    """LogRational.value without a memo."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        out = (Decimal(lr.argument.numerator).ln() - Decimal(lr.argument.denominator).ln()) / lr.root
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +out
+
+
+def _poly_norm(q, v):
+    return max(normalized_abs(c, v) for c in q.terms.values())
+
+
 def _point_norm(x, v):
     return max(normalized_abs(c, v) for c in x.coords if c != 0)
+
+
+def _value_off_hypersurface(q, x):
+    if not q.terms:
+        raise ZeroPolynomial("Weil function of the zero polynomial is undefined")
+    value = evaluate(q, x.coords)
+    if value == 0:
+        raise PointOnHypersurface(f"{x!r} lies on the hypersurface")
+    return value
 
 
 def weil_function(q, x, v):
@@ -275,11 +335,11 @@ def theorem15_margin(v, fam, delta, eps, places, points):
         if x.ambient + 1 != v.num_vars:
             raise DomainError(f"{x!r} has {x.ambient + 1} coordinates, ambient needs {v.num_vars}")
         for g in v.generators:
-            if g.evaluate(x.coords) != 0:
+            if evaluate(g, x.coords) != 0:
                 raise PointNotOnVariety(f"{x!r} does not satisfy a defining equation")
         value = 1
         for j, (member, e) in enumerate(zip(fam.members, exponents)):
-            val = member.evaluate(x.coords)
+            val = evaluate(member, x.coords)
             if val == 0:
                 raise PointOnHypersurface(f"{x!r} lies on family member {j + 1}")
             value *= val ** e
@@ -287,7 +347,7 @@ def theorem15_margin(v, fam, delta, eps, places, points):
         for place, norm in zip(places, coefficient_norms):
             arg *= _point_norm(x, place) ** point_power * norm / normalized_abs(value, place)
         lhs = LogRational(arg, lift)
-        rhs = height_point(x).scale(multiplier)
-        slack = float(rhs.value() - lhs.value())
+        rhs = LogRational(max(abs(c) for c in x.coords)).scale(multiplier)
+        slack = float(log_value(rhs) - log_value(lhs))
         reports.append(MarginReport(x, lhs, rhs, slack))
     return reports

@@ -573,6 +573,20 @@ class TestInputHandling:
         assert code == 2
         assert report["payload"]["error"] == "SyntaxError"
 
+    @pytest.mark.parametrize("poly", [
+        {"vars": 3.7, "terms": [{"exp": [1, 0, 0], "coef": "1/1"}]},
+        {"vars": True, "terms": [{"exp": [1], "coef": "1/1"}]},
+        {"vars": 3, "terms": [{"exp": [1.9, 0, 0.5], "coef": "1/1"}]},
+        {"vars": 3, "terms": [{"exp": [True, 0, 0], "coef": "1/1"}]},
+    ], ids=["float-vars", "bool-vars", "float-exp", "bool-exp"])
+    def test_float_or_bool_in_json_poly_is_syntax_error(self, runj, tmp_path, poly):
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps({"ambient": 2, "polys": [poly]}))
+        code, report = runj("dim", "--ideal", str(path), "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "SyntaxError"
+        assert "must be an integer" in report["payload"]["message"]
+
     def test_bad_place_is_usage_error(self, capsys):
         code = cli.main(["weil", "--poly", "x0", "--nvars", "1",
                          "--point", "1", "--place", "six", "--no-cache"])
@@ -583,6 +597,52 @@ class TestInputHandling:
         code, report = runj("weil", "--poly", "x0 + x1", "--nvars", "2",
                             "--point", "1,1", "--place", "6", "--no-cache")
         assert code == 2
+
+
+# 10^18 + 3 is prime: trial division up to its square root took minutes
+BIG_PRIME = 10 ** 18 + 3
+
+
+class TestPrimeBudget:
+    """Primes are proven by Miller-Rabin with the bases up to 41; what neither
+    trial division up to MAX_TRIAL_DIVISOR nor that test settles exits 2."""
+
+    def test_big_prime_answers(self, runj, coord_config, tmp_path):
+        code, report = runj("pfcheck", f"--x={BIG_PRIME}/1", "--no-cache")
+        assert code == 0 and report["payload"] == {"ok": True, "product": "1/1"}
+        code, report = runj("height", "--poly", f"{BIG_PRIME}*x0+x1", "--nvars", "2", "--no-cache")
+        assert code == 0 and report["payload"]["argument"] == f"{BIG_PRIME}/1"
+        code, report = runj("weil", "--poly", f"{BIG_PRIME}*x0 + x1", "--nvars", "2",
+                            "--point", "1,0", "--place", str(BIG_PRIME), "--no-cache")
+        # |Q|_p = 1 and |Q(1, 0)|_p = 1/p
+        assert code == 0 and report["payload"]["argument"] == f"{BIG_PRIME}/1"
+        pts = tmp_path / "pts.txt"
+        pts.write_text("1,1,2\n")
+        code, report = runj("margin", "--config", coord_config, "--points", str(pts),
+                            "--eps", "1/2", "--primes", f"2,{BIG_PRIME}", "--no-cache")
+        assert code == 0 and len(report["payload"]["reports"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        # (10^9 + 7)(10^9 + 9): no factor up to the budget, and composite
+        ["pfcheck", f"--x={(10 ** 9 + 7) * (10 ** 9 + 9)}"],
+        ["height", "--poly", f"{(10 ** 9 + 7) * (10 ** 9 + 9)}*x0 + x1", "--nvars", "2"],
+        # 2^89 - 1 is prime, but past the limit of the primality test
+        ["pfcheck", f"--x=1/{2 ** 89 - 1}"],
+        ["weil", "--poly", "x0", "--nvars", "2", "--point", "1,1",
+         "--place", "3317044064679887385961981"],
+    ], ids=["pfcheck-semiprime", "height-semiprime", "pfcheck-past-limit", "weil-past-limit"])
+    def test_unsettled_is_two(self, runj, argv):
+        code, report = runj(*argv, "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "FactorBudgetExceeded"
+
+    def test_margin_prime_past_limit_is_two(self, runj, coord_config, tmp_path):
+        pts = tmp_path / "pts.txt"
+        pts.write_text("1,1,2\n")
+        code, report = runj("margin", "--config", coord_config, "--points", str(pts),
+                            "--eps", "1/2", "--primes", f"3,{2 ** 89 - 1}", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "FactorBudgetExceeded"
 
 
 class TestParserReuse:

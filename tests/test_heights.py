@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
 
@@ -14,6 +15,8 @@ from hyperpos.errors import DomainError
 import hyperpos.heights as heights
 from hyperpos.heights import (
     INFINITE,
+    MAX_PRIME_TEST,
+    FactorBudgetExceeded,
     LOG_ONE,
     LogRational,
     MarginReport,
@@ -85,6 +88,76 @@ class TestNormalizedAbs:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInput):
             normalized_abs(0, INFINITE)
+
+
+def trial_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# the least composites that pass Miller-Rabin to the first 1, 4, 9 and 12 prime
+# bases; the 13 bases up to 41 settle every n below PSI_13, the least composite
+# that passes them all
+STRONG_PSEUDOPRIMES = (2047, 3215031751, 3825123056546413051, 318665857834031151167461)
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+class TestPrimes:
+    def test_small_range_matches_trial_division(self):
+        assert [n for n in range(-5, 5000) if heights._is_prime(n)] == \
+            [n for n in range(-5, 5000) if trial_is_prime(n)]
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + (561, 1105, 41 * 43, 43 * 43))
+    def test_pseudoprimes_are_composite(self, n):
+        assert not heights._is_prime(n)
+
+    @pytest.mark.parametrize("n", (43, 1000003, 10 ** 9 + 7, 10 ** 18 + 3, 2 ** 61 - 1))
+    def test_primes(self, n):
+        assert heights._is_prime(n)
+
+    def test_limit_is_where_the_test_stops_being_exact(self, monkeypatch):
+        assert PSI_13 == MAX_PRIME_TEST + 1 == 1287836182261 * 2575672364521
+        with pytest.raises(FactorBudgetExceeded):
+            heights._is_prime(PSI_13)
+        # one past the limit the test would call a composite prime
+        monkeypatch.setattr(heights, "MAX_PRIME_TEST", PSI_13)
+        assert heights._is_prime(PSI_13)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 10 ** 8), st.integers(1, 10 ** 8), st.integers(1, 3))
+    def test_factors_against_sympy(self, a, b, k):
+        """With trial division up to 1000, the part of n made of larger primes
+        must be 1 or a prime, or n is refused."""
+        sympy = pytest.importorskip("sympy")
+        n = a ** k * b
+        factors = sympy.factorint(n)
+        large = math.prod(p ** e for p, e in factors.items() if p > 1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heights, "MAX_TRIAL_DIVISOR", 1000)
+            if large > 1 and not sympy.isprime(large):
+                with pytest.raises(FactorBudgetExceeded):
+                    heights._prime_factors(n)
+            else:
+                assert heights._prime_factors(n) == sorted(factors)
+
+    def test_cofactor_past_the_trial_budget(self, monkeypatch):
+        monkeypatch.setattr(heights, "MAX_TRIAL_DIVISOR", 100)
+        assert heights._prime_factors(8 * 10007) == [2, 10007]
+        assert heights._prime_factors(-(3 ** 4) * 101) == [3, 101]
+        assert heights._prime_factors(10 ** 18 + 3) == [10 ** 18 + 3]
+        for composite in (101 * 103, 101 ** 2, 7 * 101 * 103):
+            with pytest.raises(FactorBudgetExceeded, match="no prime factor up to 100"):
+                heights._prime_factors(composite)
+
+    def test_semiprime_past_the_real_budget(self):
+        with pytest.raises(FactorBudgetExceeded):
+            heights._prime_factors((10 ** 9 + 7) * (10 ** 9 + 9))
+
+    def test_place_needs_a_settled_prime(self):
+        assert Place.finite(10 ** 18 + 3).prime == 10 ** 18 + 3
+        with pytest.raises(DomainError, match="need a prime"):
+            Place.finite(318665857834031151167461)
+        with pytest.raises(FactorBudgetExceeded):
+            Place.finite(2 ** 89 - 1)
 
 
 class TestProductFormula:
@@ -403,6 +476,26 @@ ORACLE_VARIETIES = {"P1": build_variety([], num_vars=2), "P2": build_variety([],
                     "conic": build_variety([parse_poly("x0*x2 - x1^2", 3)])}
 
 
+class TestSNorm:
+    """The one-pass product over S against the product of per-place values."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 6) | st.integers(-10 ** 6, 10 ** 6).filter(bool),
+           st.lists(st.sampled_from((2, 3, 5, 7, 11)), max_size=6),
+           st.lists(st.sampled_from((2, 3, 5, 7, 11)), max_size=6),
+           st.permutations(ORACLE_PLACES),
+           st.integers(0, 6))
+    @example(1, [2, 2, 3], [5], ORACLE_PLACES, 6)
+    @example(-7, [], [2, 2, 2, 11], ORACLE_PLACES[1:] + ORACLE_PLACES[:1], 4)
+    def test_product_of_places(self, unit, up, down, order, k):
+        x = F(unit * math.prod(up), math.prod(down))
+        places = order[:k]
+        expected = math.prod((oracles.normalized_abs(x, v) for v in places), start=F(1))
+        assert heights._s_norm(x, places) == expected
+        for v in places:
+            assert normalized_abs(x, v) == oracles.normalized_abs(x, v)
+
+
 def oracle_case(name, members, coords, places, delta=1, eps=F(1, 2)):
     """theorem15_margin's arguments, keeping only the points off every member."""
     v = ORACLE_VARIETIES[name]
@@ -475,6 +568,59 @@ class TestMarginAgainstOracle:
         for member, x, place in product(fam.members, points, default_places()):
             new, old = weil_function(member, x, place), oracles.weil_function(member, x, place)
             assert (new.argument, new.root) == (old.argument, old.root), (member, x, place)
+
+
+# P^1 and P^2 families with rational coefficients
+MEMO_FAMILIES = {"P1": ("1/2*x0 + 3*x1", "x1", "2/3*x0 - 5/4*x1"),
+                 "P2": ("x0", "3/2*x1 + x2", "x2", "x0 + 1/6*x1 - x2")}
+MEMO_PLACES = {"default": None, "none": (),
+               "primes": (Place.finite(2), Place.finite(3), Place.finite(5)),
+               "oo-3-7": (Place.finite(3), INFINITE, Place.finite(7))}
+
+
+def memo_case(name, count):
+    v = ORACLE_VARIETIES[name]
+    members = [parse_poly(t, v.num_vars) for t in MEMO_FAMILIES[name]]
+    points = [x for x in sample_points(v, count) if all(m.evaluate(x.coords) for m in members)]
+    return v, build_family(v, members), points
+
+
+class TestLogMemo:
+    """The margin takes each logarithm once per call; the oracle takes both of
+    every value afresh."""
+
+    @pytest.mark.parametrize("places", sorted(MEMO_PLACES))
+    @pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
+    def test_slack_equals_unmemoized(self, name, places):
+        v, fam, points = memo_case(name, 80)
+        reports = theorem15_margin(v, fam, 1, F(1, 2), MEMO_PLACES[places], points)
+        assert len(reports) == len(points) > 40
+        for r in reports:
+            assert r.slack == float(oracles.log_value(r.rhs) - oracles.log_value(r.lhs)), r.point
+
+    def test_one_logarithm_per_integer(self, monkeypatch):
+        taken = Counter()
+
+        class CountingDecimal(heights.Decimal):
+            def ln(self, context=None):
+                taken[int(self)] += 1
+                return super().ln(context)
+
+        monkeypatch.setattr(heights, "Decimal", CountingDecimal)
+        v, fam, points = memo_case("P1", 120)
+        reports = theorem15_margin(v, fam, 1, F(1, 2), None, points)
+        integers = {n for r in reports for lr in (r.lhs, r.rhs)
+                    for n in (lr.argument.numerator, lr.argument.denominator)}
+        assert taken == Counter(integers)
+        # four logarithms per point without the memo
+        assert len(integers) < 2 * len(points)
+
+    def test_memo_is_keyed_by_precision(self):
+        logs = {}
+        x = LogRational(F(10, 3), 2)
+        assert x.value(10, logs) == oracles.log_value(x, 10)
+        assert x.value(40, logs) == oracles.log_value(x, 40)
+        assert sorted(logs) == [(3, 20), (3, 50), (10, 20), (10, 50)]
 
 
 class TestSamplePoints:

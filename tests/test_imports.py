@@ -14,6 +14,11 @@ generators and derives the lower bound.  Passing a query on as an argument
 is allowed.
 
 The package also loads `sqlite3` only when a command uses the disk cache.
+
+No float decides a margin: `heights.theorem15_margin` and `LogRational` hold
+no float literal and name no float function (`math.log`, `float` and the
+like), except `LogRational.__float__` and the display-only `slack`, and
+`heights` takes only integer functions from `math`.
 """
 
 import ast
@@ -172,6 +177,57 @@ def test_checker_finds_a_second_engine():
               "    return groebner.modp_dimension(polys)\n")
     assert second_engines(source, "meet_dimension") == [5, 10]
     assert second_engines(source) == [3, 5, 10]
+
+
+FLOAT_NAMES = {"float", "math", "cmath", "log", "log2", "log10", "log1p", "exp", "expm1",
+               "sqrt", "fsum"}
+INTEGER_MATH = {"comb", "gcd", "isqrt", "lcm", "prod"}
+
+
+def float_uses(source, scopes):
+    """Float literals and float names inside the top-level definitions named in
+    `scopes`, outside `__float__` methods and assignments to `slack`."""
+    found = []
+    stack = [node for node in ast.parse(source).body if getattr(node, "name", None) in scopes]
+    assert {node.name for node in stack} == set(scopes)
+    while stack:
+        node = stack.pop(0)
+        if isinstance(node, ast.FunctionDef) and node.name == "__float__":
+            continue
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["slack"]:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(repr(node.value))
+        elif isinstance(node, ast.Name) and node.id in FLOAT_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_NAMES:
+            found.append(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_margin_decides_without_floats():
+    source = (ROOT / "src" / "hyperpos" / "heights.py").read_text(encoding="utf-8")
+    assert float_uses(source, {"theorem15_margin", "LogRational"}) == []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            assert all(alias.name not in ("math", "cmath") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            assert {alias.name for alias in node.names} <= INTEGER_MATH
+
+
+def test_checker_finds_a_float():
+    source = ("import math\n"
+              "class LogRational:\n"
+              "    def value(self):\n"
+              "        return math.log(self.argument)\n"
+              "    def __float__(self):\n"
+              "        return float(self.value())\n"
+              "def theorem15_margin(points):\n"
+              "    for x in points:\n"
+              "        slack = float(x) * 0.5\n"
+              "        yield x * 0.5\n")
+    assert sorted(float_uses(source, {"theorem15_margin", "LogRational"})) == ["0.5", "log", "math"]
 
 
 @pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])

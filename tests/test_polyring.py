@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hyperpos import polyring
 from hyperpos.groebner import GREVLEX, groebner_basis, normal_form
 from hyperpos.polyring import (
@@ -151,6 +153,42 @@ class TestEval:
             pt = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
             lam = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 5))
             assert p.evaluate(tuple(lam * x for x in pt)) == lam ** 3 * p.evaluate(pt)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A polynomial with rational coefficients (or zero) of degree 0 to 4 in 1
+    to 4 variables, and a point of integer or Fraction coordinates, negative
+    ones included."""
+    nvars = draw(st.integers(1, 4))
+    monos = [tuple(combo.count(i) for i in range(nvars))
+             for combo in combinations_with_replacement(range(nvars), draw(st.integers(0, 4)))]
+    coefficient = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
+    p = HomoPoly(nvars, {m: draw(coefficient) for m in chosen})
+    coordinate = st.integers(-30, 30) | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+    return p, tuple(draw(st.lists(coordinate, min_size=nvars, max_size=nvars)))
+
+
+class TestEvalAgainstOracle:
+    """evaluate sums in integers; the oracle builds a Fraction per coordinate and term."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(evaluation_cases())
+    @example((HomoPoly.zero(3), (Fraction(1, 2), -3, 4)))
+    @example((HomoPoly(2, {(0, 0): Fraction(-7, 3)}), (Fraction(-5, 6), 2)))
+    @example((P("1/2*x0^2 - 2/3*x1*x2", 3), (Fraction(-3, 4), Fraction(5, 6), -2)))
+    @example((P("1/6*x0^3 - 7/4*x1^3", 2), (12, -35)))
+    def test_equals_the_oracle(self, case):
+        p, point = case
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == oracles.evaluate(p, point)
+
+    def test_repeated_calls_and_bool_coordinates(self):
+        p = P("1/2*x0*x1 + x1^2", 2)
+        for point in ((1, 2), (True, 2), (Fraction(4, 2), 1)):
+            assert p.evaluate(point) == oracles.evaluate(p, point)
 
 
 class TestCombine:
@@ -386,6 +424,20 @@ class TestJson:
         for text in ("x0^2 - x1*x2", "1/2*x0 + x1", "0"):
             p = P(text, 3)
             assert poly_from_json(poly_to_json(p)) == p
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"vars": 3.7, "terms": [{"exp": [1.9, 0, 0.5], "coef": "1/1"}]}, "vars must be an integer, got 3.7"),
+        ({"vars": True, "terms": [{"exp": [1], "coef": "1/1"}]}, "vars must be an integer, got True"),
+        ({"vars": 3, "terms": [{"exp": [1.0, 0, 0], "coef": "1/1"}]}, "exponent must be an integer, got 1.0"),
+        ({"vars": 2, "terms": [{"exp": [False, True], "coef": "1/1"}]}, "exponent must be an integer, got False"),
+    ])
+    def test_float_or_bool_refused(self, obj, message):
+        with pytest.raises(PolySyntaxError, match=message):
+            poly_from_json(obj)
+
+    def test_integer_strings_accepted(self):
+        obj = {"vars": "2", "terms": [{"exp": ["1", 0], "coef": "1/1"}]}
+        assert poly_from_json(obj) == P("x0", 2)
 
     def test_duplicate_exponent_rejected(self):
         with pytest.raises(PolySyntaxError):
