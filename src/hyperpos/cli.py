@@ -1,9 +1,11 @@
 """Command line entry point: every toolkit operation as a subcommand.
 
 Output is a single JSON report on stdout with the shape
-{"command", "digest", "payload", "version"}; rationals are printed as "a/b"
-and floats appear only in fields suffixed "_approx".  Exit codes: 0 success,
-1 usage error, 2 domain error (error name in the payload), 3 internal fault.
+{"command", "digest", "payload", "version"}.  Handlers return exact values;
+`_render` prints them all, a Fraction as "a/b" and the empty dimension as
+"EMPTY", and floats appear only in fields suffixed "_approx".  Exit codes:
+0 success, 1 usage error, 2 domain error (error name in the payload),
+3 internal fault.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from .groebner import EMPTY, GREVLEX, groebner_basis, hilbert_function, ideal_pr
 from .heights import (INFINITE, Place, RationalPoint, default_places, height_point,
                       height_poly, height_scalar, product_formula_check,
                       summarize_margins, theorem15_margin, weil_function)
-from .polyring import (int_from_json, parse_poly, poly_from_json, poly_to_json,
+from .polyring import (int_from_json, parse_poly, poly_to_json, polys_from_json,
                        rat_from_str, rat_to_str)
 from .position import (IndexOutOfRange, build_variety, classify_position, dimension_profile,
                        distributive_constant, load_configuration, remark_bounds)
@@ -102,12 +104,8 @@ def _load_ideal(path):
         raw = obj["polys"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"{path} needs ambient and polys: {exc}")
-    if not isinstance(raw, list):
-        raise DomainError(f"polys in {path} must be a list, got {type(raw).__name__}")
     num_vars = ambient + 1
-    polys = [parse_poly(e, num_vars) if isinstance(e, str) else poly_from_json(e)
-             for e in raw]
-    return polys, num_vars
+    return polys_from_json(raw, num_vars, f"polys in {path}"), num_vars
 
 
 def _load_points(path, num_vars):
@@ -130,22 +128,14 @@ def _load_points(path, num_vars):
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
-
-def _r(x):
-    return rat_to_str(Fraction(x))
-
-
-def _dim_json(d):
-    return "EMPTY" if d is EMPTY else d
-
+# payload helpers
 
 def _one_based(indices):
     return [i + 1 for i in indices]
 
 
-def _approx(x, digits=_DEFAULT_PRECISION):
-    return round(float(x), digits)
+def _approx(x):
+    return round(float(x), _DEFAULT_PRECISION)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +155,7 @@ def cmd_dim(args):
     prof = ideal_profile(groebner_basis(polys, GREVLEX, num_vars=num_vars))
     return {
         "ambient": num_vars - 1,
-        "dimension": _dim_json(prof.projective_dimension),
+        "dimension": prof.projective_dimension,
         "degree": prof.degree,
     }
 
@@ -173,10 +163,10 @@ def cmd_dim(args):
 def cmd_delta(args):
     v, fam, _ = _load_config(args.config)
     rep = distributive_constant(v, fam, include_table=args.table)
-    payload = {"delta": _r(rep.delta), "witness": _one_based(rep.witness)}
+    payload = {"delta": rep.delta, "witness": _one_based(rep.witness)}
     if args.table:
         payload["table"] = [
-            {"subset": _one_based(combo), "dimension": dim, "ratio": _r(ratio)}
+            {"subset": _one_based(combo), "dimension": dim, "ratio": ratio}
             for combo, (_, dim, ratio) in sorted(rep.per_subset.items())
         ]
     return payload
@@ -185,18 +175,7 @@ def cmd_delta(args):
 def cmd_classify(args):
     v, fam, _ = _load_config(args.config)
     cls = classify_position(v, fam)
-    bounds = remark_bounds(v, cls)
-    return {
-        "l_value": cls.l_value,
-        "general_position": cls.general_position,
-        "kappa": cls.kappa,
-        "t_vector": list(cls.t_vector),
-        "bounds": {
-            "subgeneral": None if bounds.subgeneral is None else _r(bounds.subgeneral),
-            "t_vector": _r(bounds.t_vector),
-            "index": None if bounds.index is None else _r(bounds.index),
-        },
-    }
+    return {**cls._asdict(), "bounds": remark_bounds(v, cls)._asdict()}
 
 
 def _ordering_from(args, fam):
@@ -212,8 +191,8 @@ def cmd_profile(args):
     prof = dimension_profile(v, fam, _ordering_from(args, fam))
     return {
         "ordering": _one_based(prof.ordering),
-        "prefix_dims": [_dim_json(d) for d in prof.prefix_dims],
-        "t_values": list(prof.t_values),
+        "prefix_dims": prof.prefix_dims,
+        "t_values": prof.t_values,
         "l_value": prof.l_value,
     }
 
@@ -229,30 +208,19 @@ def cmd_replace(args):
     return {
         "ordering": _one_based(prof.ordering),
         "degree": fam.degrees[0],
-        "coeff_matrix": [[_r(c) for c in row] for row in system.coeff_matrix],
-        "prefix_dims": [_dim_json(d) for d in verdict.prefix_dims],
+        "coeff_matrix": system.coeff_matrix,
+        "prefix_dims": verdict.prefix_dims,
         "ok": verdict.ok,
     }
 
 
 def cmd_schedule(args):
     sch = exponent_schedule(args.t)
-    return {
-        "delta": _r(sch.delta),
-        "m_values": [_r(m) for m in sch.m_values],
-        "max_index": sch.max_index,
-    }
+    return {"delta": sch.delta, "m_values": sch.m_values, "max_index": sch.max_index}
 
 
 def cmd_ineq(args):
-    res = verify_power_inequality(args.t, args.a)
-    return {
-        "holds": res.holds,
-        "equality": res.equality,
-        "lhs": _r(res.lhs),
-        "rhs": _r(res.rhs),
-        "power": res.power,
-    }
+    return verify_power_inequality(args.t, args.a)._asdict()
 
 
 def cmd_hilbert(args):
@@ -265,15 +233,11 @@ def cmd_hweight(args):
     polys, num_vars = _load_ideal(args.variety)
     v = build_variety(polys, num_vars=num_vars)
     rep = hilbert_weight(v, args.u, args.c)
-    payload = {
-        "u": args.u,
-        "weight": _r(rep.weight),
-        "basis": [list(m) for m in rep.basis],
-    }
+    payload = rep._asdict()
     if args.oracle:
         cap = args.cap if args.cap is not None else DEFAULT_ORACLE_CAP
         oracle = hilbert_weight_bruteforce(v, args.u, args.c, cap=cap)
-        payload["oracle"] = _r(oracle)
+        payload["oracle"] = oracle
         payload["agrees"] = oracle == rep.weight
     return payload
 
@@ -281,32 +245,17 @@ def cmd_hweight(args):
 def cmd_efcheck(args):
     polys, num_vars = _load_ideal(args.variety)
     v = build_variety(polys, num_vars=num_vars)
-    res = ef_lower_bound_check(v, args.u, args.c, args.subset)
-    return {
-        "holds": res.holds,
-        "lhs": _r(res.lhs),
-        "rhs": _r(res.rhs),
-        "u": res.u,
-        "subset": list(res.subset),
-    }
+    return ef_lower_bound_check(v, args.u, args.c, args.subset)._asdict()
 
 
 def cmd_m0(args):
-    rep = truncation_m0(args.n, args.d, args.degv, args.delta, args.q, args.eps)
-    return {
-        "m0": rep.m0,
-        "defect_total": _r(rep.defect_total),
-        "coefficient": _r(rep.coefficient),
-    }
+    return truncation_m0(args.n, args.d, args.degv, args.delta, args.q, args.eps)._asdict()
 
 
 def cmd_compare(args):
     table = compare_bounds(args.n, args.ambient, args.l, args.kappa, args.q)
-    return {
-        "entries": {name: _r(val) for name, val in sorted(table.entries.items())},
-        "this_paper": _r(table.this_paper),
-        "strictly_better": dict(sorted(table.strictly_better.items())),
-    }
+    return {"entries": table.entries, "this_paper": table.this_paper,
+            "strictly_better": table.strictly_better}
 
 
 def cmd_height(args):
@@ -318,7 +267,7 @@ def cmd_height(args):
         if args.nvars is None:
             raise DomainError("--nvars is required with --poly")
         lr = height_poly(parse_poly(args.poly, args.nvars))
-    return {"argument": _r(lr.argument), "log_approx": _approx(lr.value())}
+    return {"argument": lr.argument, "log_approx": _approx(lr.value())}
 
 
 def cmd_weil(args):
@@ -326,12 +275,12 @@ def cmd_weil(args):
     x = RationalPoint(args.point)
     place = INFINITE if args.place is INFINITE else Place.finite(args.place)
     lr = weil_function(q, x, place)
-    return {"argument": _r(lr.argument), "log_approx": _approx(lr.value())}
+    return {"argument": lr.argument, "log_approx": _approx(lr.value())}
 
 
 def cmd_pfcheck(args):
     res = product_formula_check(args.x)
-    return {"product": _r(res.product), "ok": res.ok}
+    return {"product": res.product, "ok": res.ok}
 
 
 def cmd_margin(args):
@@ -349,14 +298,14 @@ def cmd_margin(args):
     summary = summarize_margins(reports)
     digits = knobs["precision"]
     return {
-        "delta": _r(delta),
-        "eps": _r(args.eps),
+        "delta": delta,
+        "eps": args.eps,
         "reports": [
             {
-                "point": list(r.point.coords),
-                "lhs_argument": _r(r.lhs.argument),
+                "point": r.point.coords,
+                "lhs_argument": r.lhs.argument,
                 "lhs_root": r.lhs.root,
-                "rhs_argument": _r(r.rhs.argument),
+                "rhs_argument": r.rhs.argument,
                 "rhs_root": r.rhs.root,
                 "slack_approx": round(r.slack, digits),
             }
@@ -365,7 +314,7 @@ def cmd_margin(args):
         "summary": {
             "min_slack_approx": None if summary.min_slack is None
             else round(summary.min_slack, digits),
-            "negative_points": [list(p.coords) for p in summary.negative_points],
+            "negative_points": [p.coords for p in summary.negative_points],
         },
     }
 
@@ -481,6 +430,48 @@ def _build_parser():
 
 
 # ---------------------------------------------------------------------------
+# the printer
+
+class NumberTooLarge(DomainError):
+    code = "NumberTooLarge"
+
+
+def _json_value(x):
+    """`json.dumps` hook: a Fraction prints as "a/b", the empty dimension as "EMPTY"."""
+    if isinstance(x, Fraction):
+        return rat_to_str(x)
+    if x is EMPTY:
+        return "EMPTY"
+    raise TypeError(f"{type(x).__name__} {x!r} has no JSON form")
+
+
+def _render(args, started, digest, payload):
+    """The report's text: the one place a payload value is printed.
+
+    Tuples print as arrays; a result record is a tuple too, so a handler
+    returns `record._asdict()` for its fields to print as keys.  A payload is
+    a tree, so the encoder needs no check for cycles.
+    """
+    report = {
+        "command": args.command,
+        "digest": digest,
+        "payload": payload,
+        "version": __version__,
+    }
+    if getattr(args, "timing", False):
+        report["timing_ms_approx"] = round((time.perf_counter() - started) * 1000, 3)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, default=_json_value,
+                          check_circular=False)
+    except ValueError:
+        # int -> str refuses a number longer than sys.get_int_max_str_digits()
+        raise NumberTooLarge(
+            f"the report holds a number of more than {sys.get_int_max_str_digits()} "
+            "digits, the most that Python prints") from None
+    return text + "\n"
+
+
+# ---------------------------------------------------------------------------
 # runner
 
 def _digest(args):
@@ -511,16 +502,13 @@ def _configure_cache(args):
         groebner.set_cache_dir(os.path.expanduser(os.path.join("~", ".cache", "hyperpos")))
 
 
-def _emit(args, started, digest, payload):
-    report = {
-        "command": args.command,
-        "digest": digest,
-        "payload": payload,
-        "version": __version__,
-    }
-    if getattr(args, "timing", False):
-        report["timing_ms_approx"] = round((time.perf_counter() - started) * 1000, 3)
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+def _failure(exc):
+    """Exit code and error payload for an exception raised while answering."""
+    if isinstance(exc, DomainError):
+        return 2, {"error": exc.code, "message": exc.message}
+    if isinstance(exc, OSError):
+        return 1, {"error": "UsageError", "message": str(exc)}
+    return 3, {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
 
 
 def main(argv=None):
@@ -531,30 +519,22 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     started = time.perf_counter()
+    digest = ""  # an input file that cannot be read has none
     try:
         digest = _digest(args)
-    except OSError as exc:
-        _emit(args, started, "", {"error": "UsageError", "message": str(exc)})
-        return 1
-    try:
         _configure_cache(args)
         # looked up on each call, so the parser built once holds no handler
         payload = globals()[f"cmd_{args.command}"](args)
-    except DomainError as exc:
-        _emit(args, started, digest, {"error": exc.code, "message": exc.message})
-        return 2
-    except OSError as exc:
-        _emit(args, started, digest, {"error": "UsageError", "message": str(exc)})
-        return 1
+        groebner.close_cache()  # written before the clock stops for timing_ms_approx
+        code, text = 0, _render(args, started, digest, payload)
     except Exception as exc:
-        _emit(args, started, digest,
-              {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"})
-        return 3
+        code, payload = _failure(exc)
+        text = _render(args, started, digest, payload)
     finally:
         # one write of this invocation's stores, whatever the exit code
         groebner.close_cache()
-    _emit(args, started, digest, payload)
-    return 0
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

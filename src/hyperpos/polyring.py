@@ -603,3 +603,11 @@ def poly_from_json(obj: dict) -> HomoPoly:
         _check_degree(sum(exp))
         terms[exp] = rat_from_str(row["coef"])
     return HomoPoly(nvars, terms)
+
+
+def polys_from_json(raw, num_vars: int, name: str) -> list:
+    """A JSON list of polynomials in `num_vars` variables, each entry either
+    text for `parse_poly` or an object for `poly_from_json`."""
+    if not isinstance(raw, (list, tuple)):
+        raise DomainError(f"{name} must be a list, got {type(raw).__name__}")
+    return [parse_poly(e, num_vars) if isinstance(e, str) else poly_from_json(e) for e in raw]

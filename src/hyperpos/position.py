@@ -23,7 +23,7 @@ from .errors import DomainError
 from .groebner import (EMPTY, GREVLEX, GroebnerBasis, dim_at_most, groebner_basis,
                        ideal_profile, normal_form, projective_dimension)
 from .polyring import (ConstantMember, EmptyInput, HomoPoly, int_from_json, lcm_degree,
-                       parse_poly, poly_from_json)
+                       polys_from_json)
 
 
 class EmptyVariety(DomainError):
@@ -346,18 +346,9 @@ def load_configuration(obj: dict):
         family_raw = obj["family"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"configuration needs ambient, variety, family: {exc}")
-    for name, raw in (("variety", variety_raw), ("family", family_raw)):
-        if not isinstance(raw, (list, tuple)):
-            raise DomainError(f"{name} must be a list, got {type(raw).__name__}")
     num_vars = ambient + 1
     if num_vars < 2:
         raise DomainError("ambient dimension must be at least 1")
-
-    def one(entry):
-        if isinstance(entry, str):
-            return parse_poly(entry, num_vars)
-        return poly_from_json(entry)
-
-    v = build_variety([one(e) for e in variety_raw], num_vars=num_vars)
-    fam = build_family(v, [one(e) for e in family_raw])
+    v = build_variety(polys_from_json(variety_raw, num_vars, "variety"), num_vars=num_vars)
+    fam = build_family(v, polys_from_json(family_raw, num_vars, "family"))
     return v, fam

@@ -66,6 +66,16 @@ class TestEnvelope:
         assert "timing_ms_approx" not in plain
         assert isinstance(timed["timing_ms_approx"], float)
 
+    def test_timing_counts_the_cache_write(self, run, monkeypatch):
+        events = []
+        close, render, answer = groebner.close_cache, cli._render, cli.cmd_pfcheck
+        monkeypatch.setattr(groebner, "close_cache", lambda: events.append("close") or close())
+        monkeypatch.setattr(cli, "_render", lambda *a: events.append("render") or render(*a))
+        monkeypatch.setattr(cli, "cmd_pfcheck", lambda a: events.append("answer") or answer(a))
+        assert run("pfcheck", "--x", "6", "--no-cache", "--timing")[0] == 0
+        # the stores are written after the answer and before the report takes the time
+        assert events[events.index("answer"):][:3] == ["answer", "close", "render"]
+
     def test_byte_determinism(self, run, coord_config):
         first = run("delta", "--config", coord_config, "--no-cache")
         second = run("delta", "--config", coord_config, "--no-cache")
@@ -178,6 +188,27 @@ class TestExitCodes:
         assert code == 0
         assert report["payload"]["lhs"] == f"{int(a) ** int(t.split(',')[1])}/1"
         assert report["digest"] == digest
+
+    def test_hilbert_value_past_print_limit_is_two(self, runj, tmp_path):
+        # C(10^1500 + 3, 3) has about 4500 digits, past the 4300 that int -> str prints
+        ideal = tmp_path / "p3.json"
+        ideal.write_text(json.dumps({"ambient": 3, "polys": []}))
+        code, report = runj("hilbert", "--ideal", str(ideal), "--u", str(10 ** 1500),
+                            "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "NumberTooLarge"
+        assert str(sys.get_int_max_str_digits()) in report["payload"]["message"]
+
+    def test_margin_argument_past_print_limit_is_two(self, runj, tmp_path):
+        conf = tmp_path / "p1.json"
+        conf.write_text(json.dumps({"ambient": 1, "variety": [],
+                                    "family": ["x0", "x1", "x0 + x1"]}))
+        pts = tmp_path / "big.txt"
+        pts.write_text(f"{10 ** 2000 + 1},{10 ** 2000 + 3}\n")
+        code, report = runj("margin", "--config", str(conf), "--points", str(pts),
+                            "--eps", "1/2", "--delta", "1", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "NumberTooLarge"
 
     def test_ambiguous_floor_is_two(self, runj):
         code, report = runj("m0", "--n", "40", "--d", "3", "--degv", "2", "--delta", "2",

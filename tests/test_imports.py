@@ -13,6 +13,9 @@ Outside `groebner`, only `position.meet_dimension` may run a dimension query
 generators and derives the lower bound.  Passing a query on as an argument
 is allowed.
 
+Inside `cli`, only the printer `_json_value` names `rat_to_str` or `EMPTY`
+(or spells "EMPTY"), so no `cmd_*` handler renders a value itself.
+
 The package also loads `sqlite3` only when a command uses the disk cache.
 
 No float decides a margin: `heights.theorem15_margin` and `LogRational` hold
@@ -177,6 +180,43 @@ def test_checker_finds_a_second_engine():
               "    return groebner.modp_dimension(polys)\n")
     assert second_engines(source, "meet_dimension") == [5, 10]
     assert second_engines(source) == [3, 5, 10]
+
+
+RENDERING = {"rat_to_str", "EMPTY"}
+
+
+def renderers(source, printer="_json_value"):
+    """Top-level statements other than imports and the function `printer` that
+    name `rat_to_str` or `EMPTY`, or hold the string "EMPTY": a definition by
+    its name, anything else by its line."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "name", None) == printer:
+            continue
+        spelled = any(isinstance(sub, ast.Constant) and sub.value == "EMPTY"
+                      for sub in ast.walk(node))
+        if spelled or _referenced(node) & RENDERING:
+            found.append(getattr(node, "name", node.lineno))
+    return found
+
+
+def test_one_printer_in_cli():
+    assert renderers((ROOT / "src" / "hyperpos" / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_a_second_printer():
+    source = ("from .groebner import EMPTY\n"
+              "from .polyring import rat_to_str\n"
+              "def _json_value(x):\n"
+              "    return 'EMPTY' if x is EMPTY else rat_to_str(x)\n"
+              "def cmd_dim(args):\n"
+              "    return {'dimension': 'EMPTY'}\n"
+              "def cmd_delta(args):\n"
+              "    return {'delta': rat_to_str(args.delta)}\n"
+              "def cmd_profile(args):\n"
+              "    return {'dims': [d for d in args.dims if d is not EMPTY]}\n"
+              "SENTINEL = EMPTY\n")
+    assert renderers(source) == ["cmd_dim", "cmd_delta", "cmd_profile", 11]
 
 
 FLOAT_NAMES = {"float", "math", "cmath", "log", "log2", "log10", "log1p", "exp", "expm1",
