@@ -17,8 +17,9 @@ from math import gcd, lcm, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .polyring import HomoPoly, ZeroPolynomial
+from .polyring import HomoPoly, ZeroPolynomial, check_degree
 from .position import HypersurfaceFamily, Variety
+from .replace import PowerBudgetExceeded, check_power_bound
 
 
 class ZeroInput(DomainError):
@@ -111,6 +112,8 @@ def _exact_root(n: int, k: int) -> Optional[int]:
     """The non-negative r with r**k == n, or None when n is no k-th power."""
     if n < 2:
         return n
+    if n.bit_length() <= k:  # r >= 2 gives r**k >= 2**k
+        return None
     r = 1 << -(-n.bit_length() // k)  # at least the k-th root
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k
@@ -231,6 +234,45 @@ class RationalPoint:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
+def _power(x: Fraction, e: int) -> Fraction:
+    """x ** e for x > 0, refused before it is formed when it may pass the
+    power budget that `ineq` uses."""
+    check_power_bound(f"a log argument to the power {e}", [(max(x.numerator, x.denominator), e)])
+    return x ** e
+
+
+def _ln(n: int, bits: int) -> Decimal:
+    """ln(n) for n >= 1 from its leading `bits` bits, low by under 2^(1 - bits)."""
+    s = max(n.bit_length() - bits, 0)
+    return Decimal(n >> s).ln() + s * Decimal(2).ln()
+
+
+def _log_sign(a: Fraction, m: int, b: Fraction, k: int) -> int:
+    """The sign of m log(a) - k log(b), exactly, for coprime m and k.
+
+    The logarithms are taken at a precision that doubles until the difference
+    passes its error bound.  A difference that a precision leaves open is
+    checked for zero, which no precision settles: a^m = b^k exactly when
+    a = c^k and b = c^m for a rational c.
+    """
+    digits = 20
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            terms = [Fraction(w * _ln(n, 4 * digits)) for n, w in (
+                (a.numerator, m), (a.denominator, -m), (b.numerator, -k), (b.denominator, k))]
+        # five roundings and the cut to leading bits leave each term off by
+        # under 3 * 10^(1 - digits) of its size; the bound is 30 times that
+        diff = sum(terms)
+        if abs(diff) > sum(map(abs, terms)) / 10 ** (digits - 3):
+            return 1 if diff > 0 else -1
+        roots = [_exact_root(n, e) for n, e in ((a.numerator, k), (a.denominator, k),
+                                                (b.numerator, m), (b.denominator, m))]
+        if None not in roots and roots[:2] == roots[2:]:
+            return 0
+        digits *= 2
+
+
 @dataclass(frozen=True, slots=True)
 class LogRational:
     """log(argument)/root held exactly; the log itself is taken only on render.
@@ -252,7 +294,7 @@ class LogRational:
     def _key(self, other):
         """Both arguments lifted to the common root r, and r."""
         r = lcm(self.root, other.root)
-        return self.argument ** (r // self.root), other.argument ** (r // other.root), r
+        return _power(self.argument, r // self.root), _power(other.argument, r // other.root), r
 
     def __add__(self, other):
         a, b, r = self._key(other)
@@ -266,7 +308,7 @@ class LogRational:
         factor = Fraction(factor)
         if factor < 0:
             raise DomainError(f"scale factor must be non-negative, got {factor}")
-        return LogRational(self.argument ** factor.numerator, self.root * factor.denominator)
+        return LogRational(_power(self.argument, factor.numerator), self.root * factor.denominator)
 
     def value(self, digits: int = 50, logs: Optional[dict] = None) -> Decimal:
         """log(argument)/root to `digits` significant digits.
@@ -293,19 +335,31 @@ class LogRational:
     def __float__(self):
         return float(self.value())
 
+    def _compare(self, other):
+        """-1, 0 or 1 as self is below, equal to or above other, exactly.
+
+        The arguments are lifted to the common root and compared; lifts past
+        the power budget are compared by `_log_sign` instead.  The lifts m and
+        k, the lcm of the two roots over each root, are coprime.
+        """
+        r = lcm(self.root, other.root)
+        m, k = r // self.root, r // other.root
+        try:
+            a, b = _power(self.argument, m), _power(other.argument, k)
+        except PowerBudgetExceeded:
+            return _log_sign(self.argument, m, other.argument, k)
+        return (a > b) - (a < b)
+
     def __eq__(self, other):
         if not isinstance(other, LogRational):
             return NotImplemented
-        a, b, _ = self._key(other)
-        return a == b
+        return self._compare(other) == 0
 
     def __lt__(self, other):
-        a, b, _ = self._key(other)
-        return a < b
+        return self._compare(other) < 0
 
     def __le__(self, other):
-        a, b, _ = self._key(other)
-        return a <= b
+        return self._compare(other) <= 0
 
     def __hash__(self):
         # divide out of the root every k for which the argument is a k-th power
@@ -419,6 +473,7 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
     if len(set(places)) != len(places):
         raise DomainError("duplicate places in S")
     lift = fam.lcm_d
+    check_degree(lift, "lcm of the degrees")  # as `lcm_degree` does, before any power
     multiplier = delta * (v.dim_n + 1) + eps
     # lhs is the product over v in S and members of weil_function(Q_j, x, v)^e_j,
     # e_j = lift/d_j.  Coprime integer coordinates give |x|_v = 1 at every prime,
@@ -522,17 +577,11 @@ def _last_coordinates(terms, degree, prefix, shell) -> Sequence:
         for i, e in powers:
             c *= prefix[i] ** e
         a[k] += c
-    k = next((k for k, c in enumerate(a) if c), None)
-    if k is None:
+    ak = next((c for c in a if c), 0)
+    if not ak:
         return allowed
-    # a nonzero root divides the lowest nonzero coefficient a_k; 0 is a root iff k > 0
-    ak = a[k]
-    if norm == shell:
-        divisors = [d for d in range(1, min(shell, abs(ak)) + 1) if ak % d == 0]
-        ts = sorted([-d for d in divisors] + ([0] if k else []) + divisors)
-    else:
-        ts = [t for t in allowed if ak % t == 0]
-    return [t for t in ts if _horner(a, t) == 0]
+    # a nonzero root divides the lowest nonzero coefficient ak
+    return [t for t in allowed if (t == 0 or ak % t == 0) and _horner(a, t) == 0]
 
 
 def sample_points(v: Variety, count: int, max_shell: int = 64) -> tuple:

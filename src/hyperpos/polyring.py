@@ -73,7 +73,7 @@ class DegreeBudgetExceeded(DomainError):
         super().__init__(f"{what} {degree} exceeds the budget of {MAX_DEGREE}")
 
 
-def _check_degree(degree, what="degree"):
+def check_degree(degree, what="degree"):
     if degree > MAX_DEGREE:
         raise DegreeBudgetExceeded(degree, what)
 
@@ -302,7 +302,7 @@ class HomoPoly:
         if k < 0:
             raise DomainError("negative power")
         if k and not self.is_zero:
-            _check_degree(self.degree * k, "degree of the power")
+            check_degree(self.degree * k, "degree of the power")
         out = HomoPoly(self.nvars, {(0,) * self.nvars: Fraction(1)})
         base = self
         while k:
@@ -509,7 +509,7 @@ def parse_poly(text: str, num_vars: int) -> HomoPoly:
     for _, mono in terms[1:]:
         if mono_degree(mono) != degree:
             raise NotHomogeneous(degree, mono_degree(mono))
-    _check_degree(degree)
+    check_degree(degree)
     merged = {}
     for coef, mono in terms:
         merged[mono] = merged.get(mono, Fraction(0)) + coef
@@ -558,7 +558,7 @@ def lcm_degree(family: Sequence[HomoPoly]) -> LcmLift:
     if 0 in degrees:
         raise ConstantMember(f"member {degrees.index(0)} is a nonzero constant")
     d = lcm(*degrees)
-    _check_degree(d, "lcm of the degrees")
+    check_degree(d, "lcm of the degrees")
     lifted = tuple(p ** (d // di) for p, di in zip(family, degrees))
     return LcmLift(d, lifted)
 
@@ -600,7 +600,7 @@ def poly_from_json(obj: dict) -> HomoPoly:
             raise DimensionMismatch(f"exponent vector {exp} has length {len(exp)}, ring has {nvars} variables")
         if exp in terms:
             raise PolySyntaxError(0, "distinct exponent vectors", f"duplicate exponent {exp}")
-        _check_degree(sum(exp))
+        check_degree(sum(exp))
         terms[exp] = rat_from_str(row["coef"])
     return HomoPoly(nvars, terms)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -90,6 +90,15 @@ def _power_bits(pairs):
     return sum(e * (x - 1).bit_length() for x, e in pairs) + 1
 
 
+def check_power_bound(what, *sides):
+    """Refuse, before they are formed, the products of powers over each side's
+    (x, e) pairs when the widest bound `_power_bits` puts on them passes 16
+    times the budget."""
+    bits = max(_power_bits(side) for side in sides)
+    if bits > 16 * MAX_POWER_BITS:
+        raise PowerBudgetExceeded(f"{what} may need {bits} bits, far past the budget of {MAX_POWER_BITS}")
+
+
 class PowerInequalityResult(NamedTuple):
     """Both sides raised to denom(delta), keeping the comparison in integers."""
 
@@ -117,10 +126,7 @@ def verify_power_inequality(t_values: Sequence[int], a_values: Sequence) -> Powe
     # bound on the unreduced sides is at most twice the bits of integer
     # inputs, so it only guards against forming huge powers
     nums = [x.numerator for x in a]
-    bound = max(_power_bits(zip(nums, exps)), _power_bits((x, delta.numerator) for x in nums))
-    if bound > 16 * MAX_POWER_BITS:
-        raise PowerBudgetExceeded(
-            f"the sides may need {bound} bits, far past the budget of {MAX_POWER_BITS}")
+    check_power_bound("the sides", zip(nums, exps), [(x, delta.numerator) for x in nums])
     lhs = prod(a[u] ** exps[u] for u in range(n))
     rhs = prod(a) ** delta.numerator
     bits = max(lhs.numerator.bit_length(), rhs.numerator.bit_length())
@@ -139,15 +145,24 @@ class ReplacementSystem(NamedTuple):
     family: HypersurfaceFamily
 
 
-def _spiral_values(bound):
-    out = [0]
-    for k in range(1, bound + 1):
-        out.extend((k, -k))
-    return out
-
-
 _SPIRAL_LEVEL_CAP = 20000
 _RANDOM_STAGES = ((16, 300), (64, 300), (1024, 400))
+
+
+def _candidates(t_u, level, seed, max_bound):
+    """The nonzero coefficient vectors of length t_u + 1 that one level tries,
+    in order: the spiral pools of bounds 1, 2, 4 and 8 up to `max_bound`, each
+    cut at _SPIRAL_LEVEL_CAP vectors, then the seeded random stages."""
+    for bound in (b for b in (1, 2, 4, 8) if b <= max_bound):
+        values = [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]
+        nonzero = (c for c in product(values, repeat=t_u + 1) if any(c))
+        yield from islice(nonzero, _SPIRAL_LEVEL_CAP)
+    rng = random.Random(seed * 1000003 + level)
+    for spread, tries in _RANDOM_STAGES:
+        for _ in range(tries):
+            cand = tuple(rng.randint(-spread, spread) for _ in range(t_u + 1))
+            if any(cand):
+                yield cand
 
 
 def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionProfile,
@@ -159,22 +174,8 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
     if max_bound < 1:
         raise BelowOne(f"coefficient pool bound must be at least 1, got {max_bound}")
     n = v.dim_n
-    order = profile.ordering
-    ordered = [fam.members[i] for i in order]
+    ordered = [fam.members[i] for i in profile.ordering]
     width = profile.l_value + 1
-
-    def accept(candidate, prefix, prefix_dim, level, dimension):
-        # Under modp_dimension, dim_p <= n - level - 1 proves acceptance, since
-        # dim_p bounds dim_Q from above, and it is the exact dimension, since
-        # `meet_dimension`'s lower bound for level + 1 members is n - level - 1.
-        # A combination that is zero or vanishes on V leaves the prefix at
-        # n - level, so both rules reject it with no test of its own.
-        combined = poly_combine(candidate, ordered[:len(candidate)])
-        dim = meet_dimension(v, prefix + [combined], (prefix_dim,), dimension)
-        if dim_at_most(dim, n - level - 1):
-            return combined, dim
-        return None
-
     rows = [tuple(Fraction(1 if j == 0 else 0) for j in range(width))]
     replacements = [ordered[0]]
     prefix_dim = meet_dimension(v, replacements)
@@ -182,43 +183,28 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
         raise SearchExhausted("leading member does not cut the variety; profile is stale")
     for u in range(1, n + 1):
         t_u = profile.t_values[u]
-
-        def candidates():
-            for bound in (b for b in (1, 2, 4, 8) if b <= max_bound):
-                count = 0
-                for cand in product(_spiral_values(bound), repeat=t_u + 1):
-                    if all(c == 0 for c in cand):
-                        continue
-                    count += 1
-                    if count > _SPIRAL_LEVEL_CAP:
-                        break
-                    yield cand
-            rng = random.Random(seed * 1000003 + u)
-            for spread, tries in _RANDOM_STAGES:
-                for _ in range(tries):
-                    cand = tuple(rng.randint(-spread, spread) for _ in range(t_u + 1))
-                    if any(cand):
-                        yield cand
-
-        # A wrong rejection mod p only moves the search to a later candidate.
-        # The level reruns over Q when the mod-p search finds nothing, so
-        # SearchExhausted means that no candidate works over Q.
-        hit = None
-        for dimension in (modp_dimension, projective_dimension):
-            for cand in candidates():
-                accepted = accept(cand, replacements, prefix_dim, u, dimension)
-                if accepted is not None:
-                    hit = (cand,) + accepted
-                    break
-            if hit is not None:
+        tries = ((dimension, cand) for dimension in (modp_dimension, projective_dimension)
+                 for cand in _candidates(t_u, u, seed, max_bound))
+        for dimension, cand in tries:
+            # Under modp_dimension, dim_p <= n - u - 1 proves acceptance, since
+            # dim_p bounds dim_Q from above, and it is the exact dimension, since
+            # `meet_dimension`'s lower bound for u + 1 members is n - u - 1.
+            # A combination that is zero or vanishes on V leaves the prefix at
+            # n - u, so both rules reject it with no test of its own.
+            combined = poly_combine(cand, ordered[:t_u + 1])
+            dim = meet_dimension(v, replacements + [combined], (prefix_dim,), dimension)
+            if dim_at_most(dim, n - u - 1):
                 break
-        if hit is None:
+        else:
+            # A wrong rejection mod p only moves the search to a later candidate.
+            # The level reruns over Q when the mod-p search finds nothing, so
+            # exhaustion means that no candidate works over Q.
             raise SearchExhausted(
                 f"no admissible combination at step {u} after spiral bound {max_bound} "
                 f"and random spread {_RANDOM_STAGES[-1][0]}")
-        cand, combined, prefix_dim = hit
         replacements.append(combined)
         rows.append(tuple(Fraction(c) for c in cand) + (Fraction(0),) * (width - len(cand)))
+        prefix_dim = dim
     return ReplacementSystem(tuple(replacements), tuple(rows), profile, fam)
 
 

@@ -676,6 +676,61 @@ class TestPrimeBudget:
         assert report["payload"]["error"] == "FactorBudgetExceeded"
 
 
+SMALL_PRIMES = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+
+
+class TestMarginPowerBudget:
+    """Inputs on which `margin` ran without bound: each now answers or exits 2
+    at once.  They run in a fresh process with a timeout, so that a
+    regression fails instead of hanging."""
+
+    @staticmethod
+    def margin(tmp_path, family, point, *argv):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"ambient": 1, "variety": [], "family": family}))
+        pts = tmp_path / "pts.txt"
+        pts.write_text(point + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(hyperpos.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "hyperpos", "margin", "--config", str(conf),
+                               "--points", str(pts), *argv, "--no-cache"],
+                              env=env, capture_output=True, text=True, timeout=20)
+        return done.returncode, json.loads(done.stdout)["payload"]
+
+    def test_huge_root_settled_by_logarithms(self, tmp_path):
+        # log(2)/(10^9 + 7) < log 8: the sign needs no power of 8
+        code, payload = self.margin(tmp_path, ["x0", "x1", "x0 + x1"], "1,2",
+                                    "--eps", "1/1000000007", "--delta", "0")
+        assert code == 0
+        assert payload["reports"][0]["lhs_argument"] == "8/1"
+        assert payload["reports"][0]["rhs_root"] == 1000000007
+        assert payload["summary"]["negative_points"] == [[1, 2]]
+
+    def test_close_values_past_the_budget_still_answer(self, tmp_path):
+        # lhs is about log(3/2) and rhs log(10^20 + 1)/2000: bit lengths leave
+        # them open, and the lift of lhs to the root 2000 needs 270001 bits
+        code, payload = self.margin(tmp_path, ["x0", "x1", "3*x0 - x1"],
+                                    "100000000000000000001,100000000000000000000",
+                                    "--eps", "1/2000", "--delta", "0")
+        assert code == 0
+        assert payload["reports"][0]["rhs_root"] == 2000
+        assert payload["summary"]["negative_points"] == [[100000000000000000001, 100000000000000000000]]
+
+    @pytest.mark.parametrize("eps, delta", [("1/2", "1/1000000007"), ("1/10000019", "1")])
+    def test_huge_scale_is_two(self, tmp_path, eps, delta):
+        # h(x)^numerator(2 * delta + eps), a power of 2 past 10^7 bits
+        code, payload = self.margin(tmp_path, ["x0", "x1", "x0 + x1"], "1,2",
+                                    "--eps", eps, "--delta", delta)
+        assert code == 2
+        assert payload["error"] == "PowerBudgetExceeded"
+
+    def test_lcm_past_the_degree_budget_is_two(self, tmp_path):
+        family = [f"x0^{p} + 2*x1^{p}" for p in SMALL_PRIMES]  # the lcm has 121 bits
+        code, payload = self.margin(tmp_path, family, "1,1", "--eps", "1/2", "--delta", "1")
+        assert code == 2
+        assert payload["error"] == "DegreeBudgetExceeded"
+        assert "lcm of the degrees" in payload["message"]
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

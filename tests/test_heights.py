@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from hyperpos.errors import DomainError
 import hyperpos.heights as heights
+import hyperpos.replace as replace
 from hyperpos.heights import (
     INFINITE,
     MAX_PRIME_TEST,
@@ -39,8 +40,9 @@ from hyperpos.heights import (
     weil_function,
     weil_support,
 )
-from hyperpos.polyring import ZeroPolynomial, HomoPoly, parse_poly
+from hyperpos.polyring import DegreeBudgetExceeded, ZeroPolynomial, HomoPoly, parse_poly
 from hyperpos.position import build_family, build_variety
+from hyperpos.replace import MAX_POWER_BITS, PowerBudgetExceeded
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +254,55 @@ class TestLogRational:
         # equal arguments under different roots are different values
         assert len({LogRational(4, 2), LogRational(4), LogRational(2, 2)}) == 3
 
+    ARGS = (1, 2, 3, 4, 7, 8, 9, 1000, 1024, F(1, 2), F(3, 2), F(4, 7), F(27, 8),
+            F(16, 31), F(2, 1025))  # some near each end of their bit-length window
+
+    def test_comparison_equals_the_lifted_arguments(self):
+        # log(a)/r against log(b)/s is a^(l/r) against b^(l/s), l = lcm(r, s)
+        values = [LogRational(a, r) for a in self.ARGS for r in (1, 2, 3, 5, 10, 77)]
+        for x, y in product(values, repeat=2):
+            lift = math.lcm(x.root, y.root)
+            a, b = x.argument ** (lift // x.root), y.argument ** (lift // y.root)
+            assert (x < y, x <= y, x == y) == (a < b, a <= b, a == b), (x, y)
+
+    def test_logarithms_order_as_the_lifted_arguments(self, monkeypatch):
+        # with no power budget every pair is compared by logarithms
+        monkeypatch.setattr(replace, "MAX_POWER_BITS", 0)
+        values = [LogRational(a, r) for a in self.ARGS for r in (1, 2, 5, 77)]
+        for x, y in product(values, repeat=2):
+            lift = math.lcm(x.root, y.root)
+            a, b = x.argument ** (lift // x.root), y.argument ** (lift // y.root)
+            assert x._compare(y) == (a > b) - (a < b), (x, y)
+
+    def test_lifts_past_the_budget_compare_by_logarithms(self):
+        assert LogRational(2, 10 ** 9 + 7) < LogRational(8)
+        assert not LogRational(8) <= LogRational(2, 10 ** 9 + 7)
+        assert LogRational(F(1, 8), 10 ** 9) < LogRational(8, 10 ** 9 + 1)
+        assert LogRational(3, 10 ** 9 + 1) < LogRational(3, 10 ** 9)
+        # log 2 both: equal, though no precision of the logarithms shows it
+        assert LogRational(2 ** 100019, 100019) == LogRational(2 ** 100003, 100003)
+        assert LogRational(2 ** 100019, 100019) <= LogRational(2 ** 100003, 100003)
+        # one bit of width apart, and a lift to 270001 bits: within 1/20 of
+        # each other, and settled as the lifted arguments are
+        a = 10 ** 20
+        x, y = LogRational(F(3 * (a + 1) ** 2, a * (2 * a + 3))), LogRational(a + 1, 2000)
+        assert (x.argument ** 2000 < y.argument) == (x < y) is False
+        assert x != y and y < x
+        # a^m one part in 10^30 either side of b^k, lifts past the budget
+        above = LogRational(F(7 ** 100003 * (10 ** 30 + 1), 10 ** 30), 100003 * 3)
+        below = LogRational(F(7 ** 100003 * (10 ** 30 - 1), 10 ** 30), 100003 * 3)
+        assert below < LogRational(7, 3) < above
+        assert not above <= LogRational(7, 3) and not LogRational(7, 3) <= below
+
+    def test_huge_power_refused_before_it_is_formed(self):
+        # the bound on the bits of 3^e is 2e + 1, past 16 * MAX_POWER_BITS from e = 114272 on
+        limit = (16 * MAX_POWER_BITS - 1) // 2
+        assert LogRational(3).scale(limit).argument == 3 ** limit
+        with pytest.raises(PowerBudgetExceeded):
+            LogRational(3).scale(limit + 1)
+        with pytest.raises(PowerBudgetExceeded):
+            LogRational(2).scale(F(10 ** 9 + 11, 2))
+
 
 @given(num=st.integers(1, 50), den=st.integers(1, 50), root=st.integers(1, 6),
        power=st.integers(1, 6))
@@ -410,6 +461,15 @@ class TestMargin:
     def test_rejects_wrong_ambient(self, p1, fam3):
         with pytest.raises(DomainError):
             theorem15_margin(p1, fam3, 1, 1, None, [RationalPoint((1, 1, 1))])
+
+    def test_lcm_within_the_degree_budget(self, p1):
+        # as `polyring.lcm_degree`, an lcm of 1000 is taken and one of 1001 refused
+        fam = build_family(p1, [parse_poly(f"x0^{d} + x1^{d}", 2) for d in (8, 125)])
+        assert fam.lcm_d == 1000
+        assert theorem15_margin(p1, fam, 1, 1, None, [RationalPoint((1, 1))])[0].lhs == LOG_ONE
+        fam = build_family(p1, [parse_poly(f"x0^{d} + x1^{d}", 2) for d in (7, 11, 13)])
+        with pytest.raises(DegreeBudgetExceeded, match="lcm of the degrees 1001"):
+            theorem15_margin(p1, fam, 1, 1, None, [RationalPoint((1, 1))])
 
     def test_reports_keep_input_order(self, p1, fam3):
         pts = [RationalPoint((5, 2)), RationalPoint((2, 5)), RationalPoint((3, 4))]

@@ -97,12 +97,14 @@ def unreferenced_definitions(sources, documented=""):
     statement of any of them references, and that `documented` does not name
     in backquotes; `cmd_*` handlers are exempt."""
     statements = [node for source in sources for node in ast.parse(source).body]
+    references = [_referenced(node) for node in statements]
     defined = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
     found = []
     for node in statements:
         if not isinstance(node, defined) or node.name.startswith("cmd_"):
             continue
-        if any(node.name in _referenced(other) for other in statements if other is not node):
+        if any(node.name in names for other, names in zip(statements, references)
+               if other is not node):
             continue
         if not re.search(rf"`(\w+\.)*{node.name}`", documented):
             found.append(node.name)

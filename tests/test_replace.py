@@ -261,6 +261,34 @@ class TestVerifyReplacement:
         assert not verdict.combination_ok
         assert not verdict.ok
 
+    def test_first_row_must_be_the_unit_row(self):
+        v = plane()
+        fam = linear_family(v, ["x0", "x1", "x2"])
+        prof = dimension_profile(v, fam, (0, 1, 2))
+        good = build_replacement(v, fam, prof, seed=1)
+        # P_0 = 2*x0 is the combination its row names and cuts as x0 does
+        rows = ((Fraction(2), Fraction(0), Fraction(0)),) + good.coeff_matrix[1:]
+        replacements = (fam.members[0] * 2,) + good.replacements[1:]
+        verdict = verify_replacement(v, ReplacementSystem(replacements, rows, prof, fam))
+        assert verdict.bounds_met == (True, True, True)
+        assert not verdict.combination_ok
+
+    def test_no_coefficient_past_t_u(self):
+        v = plane()
+        fam = linear_family(v, ["x0", "x1", "x2"])
+        prof = dimension_profile(v, fam, (0, 1, 2))
+        assert prof.t_values == (0, 1, 2)
+        good = build_replacement(v, fam, prof, seed=1)
+        assert good.replacements[1] == fam.members[1]
+        # P_1 = x1 is what the row's first t_1 + 1 = 2 entries combine to, but
+        # the row also names Q_2, past t_1
+        rows = list(good.coeff_matrix)
+        rows[1] = (Fraction(0), Fraction(1), Fraction(5))
+        verdict = verify_replacement(v, ReplacementSystem(good.replacements, tuple(rows),
+                                                           prof, fam))
+        assert verdict.bounds_met == (True, True, True)
+        assert not verdict.combination_ok
+
 
 # ---------------------------------------------------------------------------
 # the search rule: mod p first, Q only when a level is exhausted mod p
@@ -280,6 +308,22 @@ def candidate_order(t_u, level, seed, max_bound):
             cand = tuple(rng.randint(-spread, spread) for _ in range(t_u + 1))
             if any(cand):
                 yield cand
+
+
+@pytest.mark.parametrize("t_u, level, seed, max_bound",
+                         [(0, 1, 0, 8), (1, 1, 0, 1), (1, 2, 7, 2), (2, 3, 11, 8), (3, 1, 5, 4)])
+def test_candidates_follow_the_pinned_order(monkeypatch, t_u, level, seed, max_bound):
+    # small caps, so that the random stages are reached and compared too
+    monkeypatch.setattr(replace, "_SPIRAL_LEVEL_CAP", 7)
+    monkeypatch.setattr(replace, "_RANDOM_STAGES", ((2, 5), (40, 6)))
+    expected = list(candidate_order(t_u, level, seed, max_bound))
+    assert list(replace._candidates(t_u, level, seed, max_bound)) == expected
+    assert len(expected) > 7
+
+
+@pytest.mark.parametrize("t_u", [0, 1, 2])
+def test_candidates_follow_the_pinned_order_at_full_caps(t_u):
+    assert list(replace._candidates(t_u, 2, 3, 8)) == list(candidate_order(t_u, 2, 3, 8))
 
 
 def q_rule_replacement(v, fam, profile, seed=0, max_bound=8):
