@@ -87,13 +87,25 @@ def _strip(n: int, p: int) -> tuple:
     return n, part
 
 
+# Cofactors past this size, where trial division up to the root is costly,
+# are offered to the primality test before it.
+_PRIME_TEST_FIRST = 2 ** 32
+
+
+def _large_prime(n: int) -> bool:
+    """n is past _PRIME_TEST_FIRST, within MAX_PRIME_TEST, and prime."""
+    return _PRIME_TEST_FIRST < n <= MAX_PRIME_TEST and _is_prime(n)
+
+
 def _prime_factors(n: int) -> list:
     """The primes dividing n, ascending, by trial division up to
-    MAX_TRIAL_DIVISOR; a cofactor left past it must pass the primality test."""
+    MAX_TRIAL_DIVISOR; a cofactor left past it must pass the primality test.
+    A large prime n or cofactor ends the division at once."""
     n = abs(n)
     out = []
     d = 2
-    while d * d <= n:
+    done = _large_prime(n)
+    while not done and d * d <= n:
         if d > MAX_TRIAL_DIVISOR:
             if not _is_prime(n):
                 raise FactorBudgetExceeded(
@@ -102,6 +114,7 @@ def _prime_factors(n: int) -> list:
         if n % d == 0:
             out.append(d)
             n, _ = _strip(n, d)
+            done = _large_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
@@ -601,27 +614,23 @@ def sample_points(v: Variety, count: int, max_shell: int = 64) -> tuple:
     degree = gens[0].degree if gens else 0
     found = []
     walked = 0
-    counts = Counter()
-    try:
-        for shell in range(1, max_shell + 1):
-            walked += (2 * shell + 1) ** length
-            if walked > MAX_SAMPLE_PREFIXES:
-                raise SampleBudgetExceeded(
-                    f"shell {shell} would take the walk to {walked} coordinate prefixes, "
-                    f"past the budget of {MAX_SAMPLE_PREFIXES}")
-            for prefix in _prefixes(shell, length):
-                counts["prefixes"] += 1
-                for t in _last_coordinates(terms, degree, prefix, shell):
-                    tup = prefix + (t,)
-                    if gcd(*tup) != 1:
-                        continue
-                    counts["candidates"] += 1
-                    if any(g.evaluate(tup) != 0 for g in gens):
-                        continue
-                    found.append(RationalPoint(tup))
-                    counts["points"] += 1
-                    if len(found) == count:
-                        return tuple(found)
-    finally:
-        SAMPLE_COUNTS.update(counts)
+    for shell in range(1, max_shell + 1):
+        walked += (2 * shell + 1) ** length
+        if walked > MAX_SAMPLE_PREFIXES:
+            raise SampleBudgetExceeded(
+                f"shell {shell} would take the walk to {walked} coordinate prefixes, "
+                f"past the budget of {MAX_SAMPLE_PREFIXES}")
+        for prefix in _prefixes(shell, length):
+            SAMPLE_COUNTS["prefixes"] += 1
+            for t in _last_coordinates(terms, degree, prefix, shell):
+                tup = prefix + (t,)
+                if gcd(*tup) != 1:
+                    continue
+                SAMPLE_COUNTS["candidates"] += 1
+                if any(g.evaluate(tup) != 0 for g in gens):
+                    continue
+                found.append(RationalPoint(tup))
+                SAMPLE_COUNTS["points"] += 1
+                if len(found) == count:
+                    return tuple(found)
     raise DomainError(f"only {len(found)} points found within max-norm {max_shell}")

@@ -364,34 +364,18 @@ class HomoPoly:
     def __str__(self):
         if self.is_zero:
             return "0"
-        pieces = []
-        for i, (mono, coef) in enumerate(self.sorted_terms()):
-            factors = []
-            for j, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"x{j}")
-                elif e > 1:
-                    factors.append(f"x{j}^{e}")
-            mono_s = "*".join(factors)
-            mag = abs(coef)
-            mag_s = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            if i == 0:
-                # a leading negative sign must stay inside the coefficient to
-                # remain inside the grammar, so print it explicitly
-                if coef < 0:
-                    body = f"-{mag_s}*{mono_s}" if mono_s else f"-{mag_s}"
-                elif mono_s and mag == 1:
-                    body = mono_s
-                else:
-                    body = f"{mag_s}*{mono_s}" if mono_s else mag_s
-                pieces.append(body)
-            else:
-                joiner = " - " if coef < 0 else " + "
-                if mono_s and mag == 1:
-                    pieces.append(joiner + mono_s)
-                else:
-                    pieces.append(joiner + (f"{mag_s}*{mono_s}" if mono_s else mag_s))
-        return "".join(pieces)
+        text = ""
+        for mono, coef in self.sorted_terms():
+            term = "*".join(f"x{j}^{e}" if e > 1 else f"x{j}" for j, e in enumerate(mono) if e)
+            mag = str(abs(coef))
+            # a leading negative sign must stay inside the coefficient to
+            # remain inside the grammar, so that term keeps its magnitude: "-1*x0"
+            lead_minus = not text and coef < 0
+            if mag != "1" or not term or lead_minus:
+                term = f"{mag}*{term}" if term else mag
+            sign = (" - " if coef < 0 else " + ") if text else "-" if lead_minus else ""
+            text += sign + term
+        return text
 
     def __repr__(self):
         return f"HomoPoly({self.nvars}, {str(self)!r})"

@@ -115,32 +115,28 @@ def hilbert_weight_bruteforce(v: Variety, u: int, c, cap: int = DEFAULT_ORACLE_C
         residues.append(row)
     weights = [_mono_weight(m, c) for m in monos]
     echelon = []  # (pivot column, row) per chosen index, in the order chosen
-    counts = Counter()
     best = None
 
     def walk(start, weight):
         nonlocal best
         depth = len(echelon)
         if depth == size:
-            counts["bases"] += 1
+            ORACLE_COUNTS["bases"] += 1
             if best is None or weight > best:
                 best = weight
             return
         # stop where too few indices are left to reach full size
         for i in range(start, total - size + depth + 1):
-            counts["rows"] += 1
+            ORACLE_COUNTS["rows"] += 1
             reduced = _reduce_row(residues[i], echelon)
             if reduced is None:
-                counts["dependent"] += 1
+                ORACLE_COUNTS["dependent"] += 1
                 continue
             echelon.append(reduced)
             walk(i + 1, weight + weights[i])
             echelon.pop()
 
-    try:
-        walk(0, Fraction(0))
-    finally:
-        ORACLE_COUNTS.update(counts)
+    walk(0, Fraction(0))
     return best
 
 
@@ -215,19 +211,35 @@ def _e_enclosure(terms: int):
 _AMBIGUOUS_FACTOR_BITS = (factorial(513) // 2).bit_length()
 
 
-def _certified_floor_times_e_power(powers, n: int) -> int:
-    """floor(factor * e^n), enclosure widened until the floor is certain.
+# Up to this q, q! is cheap and formed before the size check; past it, a lower
+# bound on its size is checked first.
+_EXACT_FACTORIAL_MAX = 10 ** 4
+
+
+def _refuse_ambiguous(low_bits: int) -> None:
+    if low_bits >= _AMBIGUOUS_FACTOR_BITS:
+        raise FloorAmbiguous(
+            f"factor exceeds 2^{low_bits}, so the enclosure straddles an integer at 512 terms")
+
+
+def _certified_floor_times_e_power(powers, q: int, n: int) -> int:
+    """floor(q!^n * factor * e^n), enclosure widened until the floor is certain.
 
     The factor is prod(b ** k) over the (positive rational b, k >= 0) powers.
     A numerator p is at least 2^(bits(p) - 1) and a denominator r at most
     2^bits(r - 1), so a factor past 513!/2 is refused before any power is formed.
+    Past _EXACT_FACTORIAL_MAX, q! is formed only after the same check with
+    sum(floor(log2 i) for i <= q), a lower bound on bits(q!) - 1, in its place.
     """
     low_bits = sum(k * (b.numerator.bit_length() - 1 - (b.denominator - 1).bit_length())
                    for b, k in powers)
-    if low_bits >= _AMBIGUOUS_FACTOR_BITS:
-        raise FloorAmbiguous(
-            f"factor exceeds 2^{low_bits}, so the enclosure straddles an integer at 512 terms")
-    rational_factor = prod(b ** k for b, k in powers)
+    if q > _EXACT_FACTORIAL_MAX:
+        # each i in [2^j, 2^(j+1)) adds j: O(log q) integer steps
+        _refuse_ambiguous(low_bits + n * sum(j * (min(q + 1, 2 << j) - (1 << j))
+                                             for j in range(q.bit_length())))
+    q_factorial = factorial(q)
+    _refuse_ambiguous(low_bits + n * (q_factorial.bit_length() - 1))
+    rational_factor = q_factorial ** n * prod(b ** k for b, k in powers)
     terms = 8
     while terms <= 512:
         lo_e, hi_e = _e_enclosure(terms)
@@ -258,7 +270,7 @@ def truncation_m0(n: int, d: int, deg_v: int, delta, q: int, eps) -> BoundReport
     _check_positive(n=n, d=d, deg_v=deg_v, delta=delta, q=q, eps=eps)
     m0 = _certified_floor_times_e_power(
         ((d, n * n + n), (deg_v, n + 1), (delta, n), (2 * n + 4, n), (n + 1, n),
-         (factorial(q), n), (1 / eps, n)), n)
+         (1 / eps, n)), q, n)
     return BoundReport(m0, defect_total(delta, n),
                        truncation_coefficient(q, delta, n, eps))
 
@@ -271,7 +283,7 @@ def truncation_m0_subgeneral(n: int, d: int, deg_v: int, l: int, q: int, eps) ->
         raise DomainError(f"l must be at least n, got l={l}, n={n}")
     m0 = _certified_floor_times_e_power(
         ((deg_v, n + 1), (d, n * n + n), (l - n + 1, n), (2 * n + 4, n),
-         (factorial(q), n), (1 / eps, n)), n)
+         (1 / eps, n)), q, n)
     delta_eff = Fraction(l - n + 1)
     return BoundReport(m0, defect_total(delta_eff, n),
                        truncation_coefficient(q, delta_eff, n, eps))

@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +19,8 @@ import pytest
 
 from hyperpos.polyring import HomoPoly
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 MODULES = ("cli", "groebner", "heights", "polyring", "position", "replace", "weights")
 
 
@@ -73,3 +76,13 @@ def test_traced_session_reports_every_layer(spans, tmp_path, capsys):
     assert metrics["position.gb_calls_per_subset"] >= 0
     assert metrics["replace.candidates"] >= 2
     assert metrics["heights.sample_points.points"] == 5
+
+
+def test_bench_smoke_passes():
+    """`bench/run.py --smoke` runs every workload, traced and untraced, at a
+    tiny size: answers must match bench/pinned.json and metric names
+    BENCHMARK.json.  It writes only under the ignored .benchrun/."""
+    done = subprocess.run([sys.executable, "bench/run.py", "--smoke"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1:] == ['{"smoke": "ok"}'], done.stderr
+    assert done.returncode == 0

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -729,6 +730,24 @@ class TestMarginPowerBudget:
         assert code == 2
         assert payload["error"] == "DegreeBudgetExceeded"
         assert "lcm of the degrees" in payload["message"]
+
+
+class TestM0FactorialBudget:
+    """`m0` with a large q is refused before q! is formed: q = 10^6 spent
+    10 s forming it, and 10^7 ran past two minutes."""
+
+    @pytest.mark.parametrize("q", ["10000000", "10" * 30])
+    def test_large_q_refused_at_once(self, q):
+        env = {**os.environ, "PYTHONPATH": str(Path(hyperpos.__file__).parents[1])}
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "hyperpos", "m0", "--n", "1", "--d", "1",
+                               "--degv", "1", "--delta", "1", "--q", q, "--eps", "1/2",
+                               "--no-cache"], env=env, capture_output=True, text=True, timeout=20)
+        assert time.perf_counter() - start < 2
+        assert done.returncode == 2
+        payload = json.loads(done.stdout)["payload"]
+        assert payload["error"] == "FloorAmbiguous"
+        assert payload["message"].startswith("factor exceeds 2^")
 
 
 class TestParserReuse:

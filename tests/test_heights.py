@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
@@ -149,6 +150,25 @@ class TestPrimes:
         for composite in (101 * 103, 101 ** 2, 7 * 101 * 103):
             with pytest.raises(FactorBudgetExceeded, match="no prime factor up to 100"):
                 heights._prime_factors(composite)
+
+    def test_large_primes_skip_trial_division(self):
+        # trial division alone spends about 0.06 s on each 40-bit prime
+        primes = [p for p in range(2 ** 40 - 600, 2 ** 40) if heights._is_prime(p)]
+        assert len(primes) >= 10
+        start = time.perf_counter()
+        for p in primes:
+            assert heights._prime_factors(p) == [p]
+            assert heights._prime_factors(-1009 * p) == [1009, p]
+        assert time.perf_counter() - start < 0.5
+
+    def test_prime_test_leaves_other_numbers_to_trial_division(self):
+        # past MAX_PRIME_TEST the test would refuse; small factors still split
+        assert heights._prime_factors(2 ** 100) == [2]
+        assert heights._prime_factors(43 ** 20) == [43]
+        assert heights._prime_factors(3 ** 50 * 10007) == [3, 10007]
+        assert heights._prime_factors(2 ** 5 * (2 ** 61 - 1)) == [2, 2 ** 61 - 1]
+        with pytest.raises(FactorBudgetExceeded, match="past"):
+            heights._prime_factors(2 ** 89 - 1)
 
     def test_semiprime_past_the_real_budget(self):
         with pytest.raises(FactorBudgetExceeded):

@@ -127,6 +127,17 @@ class TestPrinting:
             p = HomoPoly(nvars, terms)
             assert parse_poly(str(p), nvars) == p
 
+    # the canonical text, exactly: a spelling that merely parses back is not enough
+    @pytest.mark.parametrize("text, nvars", [
+        ("5", 1), ("-5", 1), ("-1/2", 1),
+        ("-1*x0", 1),
+        ("x0 - x1", 2),
+        ("-1/2*x0 + x1", 2),
+        ("x0^2*x1 - 3*x2^3", 3),
+    ])
+    def test_canonical_text(self, text, nvars):
+        assert str(P(text, nvars)) == text
+
     def test_grevlex_descending_iteration(self):
         p = P("x2^2 + x0*x2 + x1^2", 3)
         monos = [m for m, _ in p.sorted_terms()]

@@ -308,6 +308,24 @@ class TestTruncationBound:
         with pytest.raises(FloorAmbiguous, match="factor exceeds 2\\^4641"):
             truncation_m0(40, 3, 2, 2, 20, F(1, 2))
 
+    def test_factorial_bound_refuses_before_q_factorial(self, monkeypatch):
+        # sum(floor(log2 i)) for i <= 20 is 54 against the exact 61 bits - 1,
+        # so with the bound in use the stated size drops by 40 * 7
+        monkeypatch.setattr(weights, "_EXACT_FACTORIAL_MAX", 0)
+        with pytest.raises(FloorAmbiguous, match="factor exceeds 2\\^4361,"):
+            truncation_m0(40, 3, 2, 2, 20, F(1, 2))
+        with pytest.raises(FloorAmbiguous, match="factor exceeds 2\\^4321,"):
+            truncation_m0_subgeneral(40, 3, 2, 79, 20, F(1, 2))
+
+    def test_factorial_bound_below_the_limit_goes_on(self, monkeypatch):
+        # eps = 2^12 takes the bound to 3841 < 3884, while the exact 4121 refuses
+        answers = [truncation_m0(2, 2, 3, F(3, 2), 5, 1), truncation_m0_subgeneral(2, 1, 1, 2, 4, 1)]
+        monkeypatch.setattr(weights, "_EXACT_FACTORIAL_MAX", 0)
+        with pytest.raises(FloorAmbiguous, match="factor exceeds 2\\^4121,"):
+            truncation_m0(40, 3, 2, 2, 20, 2 ** 12)
+        assert answers == [truncation_m0(2, 2, 3, F(3, 2), 5, 1),
+                           truncation_m0_subgeneral(2, 1, 1, 2, 4, 1)]
+
     def test_huge_factor_is_ambiguous_at_every_term_count(self, monkeypatch):
         # without the early refusal the enclosure runs to 512 terms and still
         # straddles an integer; the message stays short
