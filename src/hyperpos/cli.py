@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__, groebner
 from .errors import DomainError
 from .groebner import EMPTY, GREVLEX, groebner_basis, hilbert_function, ideal_profile
-from .heights import (INFINITE, Place, RationalPoint, default_places, height_point,
+from .heights import (INFINITE, Place, RationalPoint, height_point,
                       height_poly, height_scalar, product_formula_check,
                       summarize_margins, theorem15_margin, weil_function)
 from .polyring import (int_from_json, parse_poly, poly_to_json, polys_from_json,
@@ -285,9 +285,8 @@ def cmd_pfcheck(args):
 
 def cmd_margin(args):
     v, fam, knobs = _load_config(args.config)
-    if args.primes is None:
-        places = default_places()
-    else:
+    places = None  # theorem15_margin's default places
+    if args.primes is not None:
         places = (INFINITE,) + tuple(Place.finite(p) for p in args.primes)
     if args.delta is not None:
         delta = args.delta

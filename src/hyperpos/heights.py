@@ -375,9 +375,11 @@ class LogRational:
         return self._compare(other) <= 0
 
     def __hash__(self):
-        # divide out of the root every k for which the argument is a k-th power
-        num, den, root = self.argument.numerator, self.argument.denominator, self.root
-        for k in _prime_factors(root):
+        # divide out of the root every k for which the argument is a k-th power;
+        # a k-th power other than 1 has more than k bits, and log(1)/r is 0 for every r
+        num, den = self.argument.numerator, self.argument.denominator
+        root = 1 if num == den else self.root
+        for k in range(2, min(root, max(num.bit_length(), den.bit_length())) + 1):
             while root % k == 0:
                 a, b = _exact_root(num, k), _exact_root(den, k)
                 if a is None or b is None:
@@ -418,21 +420,19 @@ def _coefficient_places(values) -> tuple:
 
 
 def height_poly(q: HomoPoly) -> LogRational:
-    coeffs = list(q.terms.values())
-    if not coeffs:
+    """H(q) = max|m_i| for the primitive integer form m of q.
+
+    With q = g·m, g > 0 and the coefficients of m coprime integers, max_i |c_i|_p
+    is |g|_p at every prime p and max_i |c_i| = g·max|m_i|, so the product
+    formula leaves max|m_i|: no coefficient is factored.
+    """
+    if q.is_zero:
         raise ZeroPolynomial("height of the zero polynomial is undefined")
-    arg = max(abs(c) for c in coeffs)
-    for v in _coefficient_places(coeffs):
-        arg *= max(normalized_abs(c, v) for c in coeffs)
-    return LogRational(arg)
+    return LogRational(max(map(abs, q.content_free().terms.values())))
 
 
 # ---------------------------------------------------------------------------
 # Weil functions
-
-def _poly_norm(q: HomoPoly, v: Place) -> Fraction:
-    return max(normalized_abs(c, v) for c in q.terms.values())
-
 
 def _value_off_hypersurface(q: HomoPoly, x: RationalPoint) -> Fraction:
     if not q.terms:
@@ -444,10 +444,14 @@ def _value_off_hypersurface(q: HomoPoly, x: RationalPoint) -> Fraction:
 
 
 def weil_function(q: HomoPoly, x: RationalPoint, v: Place) -> LogRational:
-    value = _value_off_hypersurface(q, x)
+    # a scale of q cancels between |q|_v and |q(x)|_v, so q enters as its
+    # primitive integer form m, with |m|_p = 1 at every prime and |m|_oo = H(m);
     # |x|_v is max|x_i| at oo, and 1 at every prime: the coordinates are coprime integers
-    point = 1 if v.is_finite else height_point(x).argument ** q.degree
-    return LogRational(point * _poly_norm(q, v) / normalized_abs(value, v))
+    m = q.content_free()
+    value = _value_off_hypersurface(m, x)
+    if v.is_finite:
+        return LogRational(1 / normalized_abs(value, v))
+    return LogRational(height_point(x).argument ** q.degree * height_poly(m).argument / abs(value))
 
 
 def weil_support(q: HomoPoly, x: RationalPoint) -> tuple:
@@ -489,13 +493,16 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
     check_degree(lift, "lcm of the degrees")  # as `lcm_degree` does, before any power
     multiplier = delta * (v.dim_n + 1) + eps
     # lhs is the product over v in S and members of weil_function(Q_j, x, v)^e_j,
-    # e_j = lift/d_j.  Coprime integer coordinates give |x|_v = 1 at every prime,
-    # so it is C * h(x)^P / prod_v |prod_j Q_j(x)^e_j|_v with C = prod_v prod_j
-    # |Q_j|_v^e_j, h(x) = max|x_i|, P = sum_j d_j e_j, and h(x)^P only if oo is in S.
+    # e_j = lift/d_j: C * h(x)^P / |prod_j m_j(x)^e_j|_S with m_j the primitive
+    # integer form of Q_j, C = prod_j H(m_j)^e_j and P = sum_j d_j e_j = q * lift
+    # when oo is in S, and C = 1, P = 0 otherwise.  A scale of Q_j cancels
+    # between C and |V|_S, and |x|_v = 1 at every prime for coprime coordinates.
+    members = [m.content_free() for m in fam.members]
     exponents = [lift // d for d in fam.degrees]
-    point_power = sum(d * e for d, e in zip(fam.degrees, exponents)) if INFINITE in places else 0
-    coefficients = prod(_poly_norm(m, place) ** e
-                        for place in places for m, e in zip(fam.members, exponents))
+    archimedean = INFINITE in places
+    point_power = len(members) * lift if archimedean else 0
+    coefficients = prod(height_poly(m).argument ** e
+                        for m, e in zip(members, exponents)) if archimedean else 1
     logs = {}  # each Decimal(n).ln() is taken once per call
     reports = []
     for x in points:
@@ -505,7 +512,7 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
             if g.evaluate(x.coords) != 0:
                 raise PointNotOnVariety(f"{x!r} does not satisfy a defining equation")
         value = 1
-        for j, (member, e) in enumerate(zip(fam.members, exponents)):
+        for j, (member, e) in enumerate(zip(members, exponents)):
             val = member.evaluate(x.coords)
             if val == 0:
                 raise PointOnHypersurface(f"{x!r} lies on family member {j + 1}")
@@ -561,11 +568,11 @@ def _prefixes(shell: int, length: int):
 
 
 def _pivot_terms(pivot: HomoPoly) -> tuple:
-    """The pivot with cleared denominators, as (k, coef, ((i, e), ...)) per
-    term: an integer coef times x_last^k times the prefix powers x_i^e."""
-    den = lcm(*(c.denominator for c in pivot.terms.values()))
-    return tuple((m[-1], int(c * den), tuple((i, e) for i, e in enumerate(m[:-1]) if e))
-                 for m, c in pivot.terms.items())
+    """The pivot's primitive integer form, which has the pivot's integer roots,
+    as (k, coef, ((i, e), ...)) per term: an integer coef times x_last^k times
+    the prefix powers x_i^e."""
+    return tuple((m[-1], int(c), tuple((i, e) for i, e in enumerate(m[:-1]) if e))
+                 for m, c in pivot.content_free().terms.items())
 
 
 def _horner(a: list, t: int) -> int:

@@ -8,9 +8,12 @@ the one packed loop ran over both fields.
 `theorem15_margin` and `weil_function` are the margin and the Weil function
 that take the norm |x|_v of the point at every place, as they stood before
 `heights` read it off the coprime-coordinate invariant (max|x_i| at oo, 1 at
-every prime).  They share no arithmetic with the code they check: `evaluate`
-is the earlier `HomoPoly.evaluate`, which builds a Fraction for every
-coordinate and term; `normalized_abs` takes one place at a time, where
+every prime).  They and `height_poly` also take the norm |Q|_v of each
+polynomial place by place, where `heights` reads every one of them off the
+polynomial's primitive integer form; `height_poly` factors the coefficients
+to find their places.  They share no arithmetic with the code they check:
+`evaluate` is the earlier `HomoPoly.evaluate`, which builds a Fraction for
+every coordinate and term; `normalized_abs` takes one place at a time, where
 `heights` strips every prime of S in one pass; and `log_value` takes both
 logarithms afresh, where the margin memoizes them.
 """
@@ -24,8 +27,9 @@ from math import prod
 from hyperpos import groebner
 from hyperpos.errors import DomainError
 from hyperpos.groebner import GroebnerBasis
-from hyperpos.heights import (LogRational, MarginReport, PointNotOnVariety, PointOnHypersurface,
-                              ZeroInput, default_places)
+from hyperpos.heights import (INFINITE, LogRational, MarginReport, PointNotOnVariety,
+                              PointOnHypersurface, ZeroInput, _coefficient_places,
+                              default_places)
 from hyperpos.polyring import DimensionMismatch, HomoPoly, ZeroPolynomial, mono_divides, mono_mul
 
 
@@ -292,6 +296,14 @@ def log_value(lr, digits=50):
 
 def _poly_norm(q, v):
     return max(normalized_abs(c, v) for c in q.terms.values())
+
+
+def height_poly(q):
+    """The product of |Q|_v over oo and the primes of the coefficients."""
+    coeffs = list(q.terms.values())
+    if not coeffs:
+        raise ZeroPolynomial("height of the zero polynomial is undefined")
+    return LogRational(prod(_poly_norm(q, v) for v in (INFINITE,) + _coefficient_places(coeffs)))
 
 
 def _point_norm(x, v):

@@ -654,15 +654,21 @@ class TestPrimeBudget:
                             "--eps", "1/2", "--primes", f"2,{BIG_PRIME}", "--no-cache")
         assert code == 0 and len(report["payload"]["reports"]) == 1
 
+    def test_height_poly_needs_no_factoring(self, runj):
+        # (10^9 + 7)(10^9 + 9) is refused by pfcheck, but the height of a
+        # polynomial is read off its primitive integer form
+        code, report = runj("height", "--poly", f"{(10 ** 9 + 7) * (10 ** 9 + 9)}*x0 + x1",
+                            "--nvars", "2", "--no-cache")
+        assert code == 0 and report["payload"]["argument"] == "1000000016000000063/1"
+
     @pytest.mark.parametrize("argv", [
         # (10^9 + 7)(10^9 + 9): no factor up to the budget, and composite
         ["pfcheck", f"--x={(10 ** 9 + 7) * (10 ** 9 + 9)}"],
-        ["height", "--poly", f"{(10 ** 9 + 7) * (10 ** 9 + 9)}*x0 + x1", "--nvars", "2"],
         # 2^89 - 1 is prime, but past the limit of the primality test
         ["pfcheck", f"--x=1/{2 ** 89 - 1}"],
         ["weil", "--poly", "x0", "--nvars", "2", "--point", "1,1",
          "--place", "3317044064679887385961981"],
-    ], ids=["pfcheck-semiprime", "height-semiprime", "pfcheck-past-limit", "weil-past-limit"])
+    ], ids=["pfcheck-semiprime", "pfcheck-past-limit", "weil-past-limit"])
     def test_unsettled_is_two(self, runj, argv):
         code, report = runj(*argv, "--no-cache")
         assert code == 2

@@ -274,6 +274,13 @@ class TestLogRational:
         # equal arguments under different roots are different values
         assert len({LogRational(4, 2), LogRational(4), LogRational(2, 2)}) == 3
 
+    def test_hash_of_a_root_past_the_factoring_budget(self):
+        # the root (10^9 + 7)(10^9 + 9) has no prime factor up to MAX_TRIAL_DIVISOR
+        root = (10 ** 9 + 7) * (10 ** 9 + 9)
+        assert hash(LogRational(2, root)) == hash(LogRational(4, 2 * root))
+        assert hash(LogRational(F(8, 27), 3 * root)) == hash(LogRational(F(2, 3), root))
+        assert hash(LogRational(1, root)) == hash(LOG_ONE)
+
     ARGS = (1, 2, 3, 4, 7, 8, 9, 1000, 1024, F(1, 2), F(3, 2), F(4, 7), F(27, 8),
             F(16, 31), F(2, 1025))  # some near each end of their bit-length window
 
@@ -375,6 +382,33 @@ class TestHeights:
     def test_poly_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
             height_poly(HomoPoly.zero(2))
+
+    def test_poly_coefficients_are_not_factored(self):
+        # 41 coefficients 1000003 * p, p a 40-bit prime: factoring each took 0.06 s
+        primes = [p for p in range(2 ** 40 - 2000, 2 ** 40) if heights._is_prime(p)][-41:]
+        assert len(primes) == 41
+        q = HomoPoly(2, {(i, 40 - i): 1000003 * p for i, p in enumerate(primes)})
+        start = time.perf_counter()
+        h = height_poly(q)
+        assert time.perf_counter() - start < 0.05
+        assert (h.argument, h.root) == (max(primes), 1)
+
+
+SMALL_PRIME_PRODUCTS = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)),
+                                max_size=10).map(math.prod)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_height_poly_against_the_place_by_place_oracle(nvars, degree, data):
+    """Coefficients made of small primes keep the oracle's factoring cheap."""
+    coefficient = st.builds(lambda sign, num, den: sign * F(num, den), st.sampled_from((1, -1)),
+                            SMALL_PRIME_PRODUCTS, SMALL_PRIME_PRODUCTS)
+    monos = data.draw(st.lists(st.sampled_from(_monomials(nvars + 1, degree)),
+                               min_size=1, max_size=6, unique=True))
+    q = HomoPoly(nvars + 1, {m: data.draw(coefficient) for m in monos})
+    new, old = height_poly(q), oracles.height_poly(q)
+    assert (new.argument, new.root) == (old.argument, old.root), str(q)
 
 
 class TestWeilFunction:
@@ -545,9 +579,9 @@ class TestMarginAgainstWeil:
         fam = build_family(build_variety([], num_vars=3), [parse_poly(t, 3) for t in MIXED])
         assert fam.lcm_d == 6
         two, three = Place.finite(2), Place.finite(3)
-        assert heights._poly_norm(fam.members[0], two) == F(1, 2)
-        assert heights._poly_norm(fam.members[2], three) == F(1, 3)
-        assert heights._poly_norm(fam.members[3], two) == 2
+        assert oracles._poly_norm(fam.members[0], two) == F(1, 2)
+        assert oracles._poly_norm(fam.members[2], three) == F(1, 3)
+        assert oracles._poly_norm(fam.members[3], two) == 2
 
 
 # Small primes of S divide the member values of points with small coordinates.

@@ -16,6 +16,10 @@ is allowed.
 Inside `cli`, only the printer `_json_value` names `rat_to_str` or `EMPTY`
 (or spells "EMPTY"), so no `cmd_*` handler renders a value itself.
 
+Inside `heights`, only `_coefficient_places` names `_prime_factors`: heights,
+Weil functions and margins read every coefficient norm off the primitive
+integer form, and only the places of a given number are found by factoring.
+
 The package also loads `sqlite3` only when a command uses the disk cache.
 
 No float decides a margin: `heights.theorem15_margin` and `LogRational` hold
@@ -219,6 +223,44 @@ def test_checker_finds_a_second_printer():
               "    return {'dims': [d for d in args.dims if d is not EMPTY]}\n"
               "SENTINEL = EMPTY\n")
     assert renderers(source) == ["cmd_dim", "cmd_delta", "cmd_profile", 11]
+
+
+def factoring_uses(source, allowed="_coefficient_places"):
+    """Each reference to `_prime_factors` outside the definition `allowed`: the
+    qualified name of the definition it is in, or its line at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name != allowed:
+                    visit(child, scope + (child.name,))
+            elif getattr(child, "id", getattr(child, "attr", None)) == "_prime_factors":
+                found.append(".".join(scope) or child.lineno)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_coefficient_places_factors():
+    source = (ROOT / "src" / "hyperpos" / "heights.py").read_text(encoding="utf-8")
+    assert factoring_uses(source) == []
+
+
+def test_checker_finds_factoring():
+    source = ("def _prime_factors(n):\n    return [n]\n"
+              "def _coefficient_places(values):\n"
+              "    return [p for v in values for p in _prime_factors(v)]\n"
+              "class LogRational:\n"
+              "    def __hash__(self):\n"
+              "        return hash(tuple(_prime_factors(self.root)))\n"
+              "def height_poly(q):\n"
+              "    factor = _prime_factors\n"
+              "    return max(factor(c) for c in q)\n"
+              "SMALL = _prime_factors(12)\n")
+    assert factoring_uses(source) == ["LogRational.__hash__", "height_poly", 11]
 
 
 FLOAT_NAMES = {"float", "math", "cmath", "log", "log2", "log10", "log1p", "exp", "expm1",
