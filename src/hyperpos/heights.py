@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, lcm, prod
-from typing import NamedTuple, Optional, Sequence
+from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .polyring import HomoPoly, ZeroPolynomial, check_degree
@@ -226,6 +226,9 @@ class RationalPoint:
     def __post_init__(self):
         raw = []
         for c in self.coords:
+            if type(c) is int:
+                raw.append(c)
+                continue
             f = Fraction(c)
             if f.denominator != 1:
                 raise DomainError(f"point coordinates must be integers, got {c}")
@@ -455,9 +458,12 @@ def weil_function(q: HomoPoly, x: RationalPoint, v: Place) -> LogRational:
 
 
 def weil_support(q: HomoPoly, x: RationalPoint) -> tuple:
-    """Places where the Weil function can be nonzero: all others contribute 0."""
-    value = _value_off_hypersurface(q, x)
-    return (INFINITE,) + _coefficient_places(list(q.terms.values()) + [value])
+    """Places where the Weil function can be nonzero: all others contribute 0.
+
+    At a prime p it is log(1/|m(x)|_p) for the primitive integer form m of q,
+    so only the primes of the integer m(x) are listed; no coefficient is factored.
+    """
+    return (INFINITE,) + _coefficient_places([_value_off_hypersurface(q.content_free(), x)])
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +546,17 @@ def summarize_margins(reports) -> MarginSummary:
 # ---------------------------------------------------------------------------
 # point sampling
 
-# Most coordinate prefixes one sample_points call may walk.  In P^N, shell s
-# has (2s+1)^N prefixes of the first N coordinates; a shell that would take
-# the running total past this budget is refused before it is enumerated.
+# Most prefix tests one sample_points call may make.  Each canonical prefix of
+# the first N coordinates is walked once, on its own shell: in P^N, shells
+# 1..s hold ((2s+1)^N + 1)/2 of them.  A prefix whose pivot vanishes, or has
+# degree 3 or more in the last coordinate, is tested again at each later shell,
+# and each such test counts too.  A shell that would take the running total
+# past this budget is refused before any of it is walked.
 MAX_SAMPLE_PREFIXES = 10 ** 7
 
 # Work of sample_points, summed over runs: "prefixes" of the first N
-# coordinates solved for the last one, "candidates" (coprime tuples that reach
-# the check of every generator) and "points" kept.
+# coordinates walked (each once), "candidates" (coprime tuples that reach the
+# check of every generator) and "points" kept.
 SAMPLE_COUNTS = Counter()
 
 
@@ -555,16 +564,20 @@ class SampleBudgetExceeded(DomainError):
     code = "SampleBudgetExceeded"
 
 
-def _prefixes(shell: int, length: int):
-    """Tuples in [-shell, shell]^length whose first nonzero entry is positive,
-    and the zero tuple, in lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-    for rest in _prefixes(shell, length - 1):
-        yield (0,) + rest
-    full = range(-shell, shell + 1)
-    yield from iter_product(range(1, shell + 1), *[full] * (length - 1))
+def _surface(shell: int, length: int):
+    """Canonical prefixes (first nonzero entry positive) of max-norm exactly
+    `shell`, generated without the cube.  x_j is the first entry of norm
+    `shell`.  The entries before it are all zero, with x_j = shell, or a
+    canonical head of smaller norm, with x_j = ±shell; those after it run over
+    [-shell, shell]."""
+    full = [range(-shell, shell + 1)]
+    inner = [range(1 - shell, shell)]
+    for j in range(length):
+        tail = full * (length - 1 - j)
+        yield from iter_product(*[(0,)] * j, (shell,), *tail)
+        for k in range(j):
+            yield from iter_product(*[(0,)] * k, range(1, shell), *inner * (j - 1 - k),
+                                    (-shell, shell), *tail)
 
 
 def _pivot_terms(pivot: HomoPoly) -> tuple:
@@ -582,62 +595,120 @@ def _horner(a: list, t: int) -> int:
     return val
 
 
-def _last_coordinates(terms, degree, prefix, shell) -> Sequence:
-    """Values t of the last coordinate that keep prefix + (t,) on the shell
-    with a positive first entry, narrowed to the integer roots of the pivot."""
-    norm = max(map(abs, prefix), default=0)
-    if norm == shell:
-        allowed = range(-shell, shell + 1)
-    else:
-        allowed = (-shell, shell) if norm else (shell,)
-    if terms is None:
-        return allowed
-    a = [0] * (degree + 1)
-    for k, c, powers in terms:
-        for i, e in powers:
-            c *= prefix[i] ** e
-        a[k] += c
-    ak = next((c for c in a if c), 0)
-    if not ak:
-        return allowed
-    # a nonzero root divides the lowest nonzero coefficient ak
-    return [t for t in allowed if (t == 0 or ak % t == 0) and _horner(a, t) == 0]
+def _integer_roots(a: list, shell: int) -> tuple:
+    """Integer roots of the nonzero polynomial a[0] + a[1] t + ..., as
+    (roots, bound).
+
+    0 is a root iff a[0] = 0; the rest are roots of the polynomial left after
+    t^m is factored out.  If that has degree 1, its root comes from one exact
+    division, and if degree 2, from the integer square root of the
+    discriminant: every root is listed and bound is 0.  From degree 3 on, only
+    the roots with |t| <= shell are listed, and any other one has
+    shell < |t| <= bound: it divides the lowest nonzero coefficient, and lies
+    inside Cauchy's bound.
+    """
+    m, d = 0, len(a) - 1
+    while not a[m]:
+        m += 1
+    while not a[d]:
+        d -= 1
+    roots = [0] if m else []
+    if d - m == 1:
+        t, r = divmod(-a[m], a[d])
+        if not r:
+            roots.append(t)
+    elif d - m == 2:
+        c, b, a2 = a[m:d + 1]
+        disc = b * b - 4 * a2 * c
+        r = isqrt(disc) if disc >= 0 else -1
+        if r * r == disc:
+            for num in {-b - r, -b + r}:
+                t, rem = divmod(num, 2 * a2)
+                if not rem:
+                    roots.append(t)
+    elif d - m > 2:
+        low = abs(a[m])
+        bound = min(low, 1 + max(map(abs, a[m:d])) // abs(a[d]))
+        near = min(shell, bound)
+        roots += (t for t in range(-near, near + 1) if t and low % t == 0 and _horner(a, t) == 0)
+        return roots, bound
+    return roots, 0
 
 
 def sample_points(v: Variety, count: int, max_shell: int = 64) -> tuple:
     """First `count` canonical rational points on V, enumerated by max-norm.
 
-    Shell by shell, each in lexicographic order of the coordinates.  Only the
-    surface of each shell is walked: the first N coordinates run over the
-    shell's cube and the last one is solved for as an integer root of the
-    first generator (the pivot).  The pivot only narrows the candidates; every
-    generator is still checked exactly on each of them.
+    Shell by shell, each in lexicographic order of the coordinates.  Each
+    canonical prefix of the first N coordinates is walked once, on the surface
+    of its own shell s'.  Substituted into the first generator (the pivot), it
+    leaves a polynomial in the last coordinate t whose integer roots are found
+    with no shell bound (`_integer_roots`), and each candidate goes into the
+    bucket of its own shell max(s', |t|).  A prefix on which the pivot
+    vanishes identically (every prefix when V is all of P^N) keeps every t of
+    shell s' and then t = ±s at each later shell s; a fibre of degree 3 or
+    more is tested at t = ±s until s passes its root bound.  Once every prefix
+    of norm <= s is walked, bucket s is complete: it is sorted, and every
+    generator is checked exactly on each coprime candidate in turn.
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     gens = v.generators
     length = v.num_vars - 1
-    terms = _pivot_terms(gens[0]) if gens else None
+    terms = _pivot_terms(gens[0]) if gens else ()
     degree = gens[0].degree if gens else 0
+    buckets = {}
+    vanishing = []      # prefixes that keep every t
+    pending = []        # (prefix, fibre, lowest coefficient, root bound) of degree >= 3
     found = []
-    walked = 0
+    retests = 0
     for shell in range(1, max_shell + 1):
-        walked += (2 * shell + 1) ** length
-        if walked > MAX_SAMPLE_PREFIXES:
+        pending = [p for p in pending if p[3] >= shell]
+        retests += len(vanishing) + len(pending)
+        tests = ((2 * shell + 1) ** length + 1) // 2 + retests
+        if tests > MAX_SAMPLE_PREFIXES:
             raise SampleBudgetExceeded(
-                f"shell {shell} would take the walk to {walked} coordinate prefixes, "
+                f"shell {shell} would take the walk to {tests} prefix tests, "
                 f"past the budget of {MAX_SAMPLE_PREFIXES}")
-        for prefix in _prefixes(shell, length):
+        bucket = buckets.setdefault(shell, [])
+        ends = (-shell, shell)
+        for prefix in vanishing:
+            bucket += [prefix + (t,) for t in ends]
+        for prefix, a, low, _ in pending:
+            bucket += [prefix + (t,) for t in ends if low % t == 0 and _horner(a, t) == 0]
+        if shell == 1:
+            # the zero prefix: of its tuples only (0, ..., 0, 1) is canonical and coprime
             SAMPLE_COUNTS["prefixes"] += 1
-            for t in _last_coordinates(terms, degree, prefix, shell):
-                tup = prefix + (t,)
-                if gcd(*tup) != 1:
-                    continue
-                SAMPLE_COUNTS["candidates"] += 1
-                if any(g.evaluate(tup) != 0 for g in gens):
-                    continue
-                found.append(RationalPoint(tup))
-                SAMPLE_COUNTS["points"] += 1
-                if len(found) == count:
-                    return tuple(found)
+            axis = (0,) * length + (1,)
+            if not gens or gens[0].evaluate(axis) == 0:
+                bucket.append(axis)
+        for prefix in _surface(shell, length):
+            SAMPLE_COUNTS["prefixes"] += 1
+            a = [0] * (degree + 1)
+            for k, c, powers in terms:
+                for i, e in powers:
+                    c *= prefix[i] ** e
+                a[k] += c
+            if not any(a):
+                vanishing.append(prefix)
+                bucket += [prefix + (t,) for t in range(-shell, shell + 1)]
+                continue
+            roots, bound = _integer_roots(a, shell)
+            if bound > shell:
+                pending.append((prefix, a, next(filter(None, a)), bound))
+            for t in roots:
+                s = abs(t)
+                if s <= shell:
+                    bucket.append(prefix + (t,))
+                elif s <= max_shell:
+                    buckets.setdefault(s, []).append(prefix + (t,))
+        for tup in sorted(buckets.pop(shell)):
+            if gcd(*tup) != 1:
+                continue
+            SAMPLE_COUNTS["candidates"] += 1
+            if any(g.evaluate(tup) != 0 for g in gens):
+                continue
+            found.append(RationalPoint(tup))
+            SAMPLE_COUNTS["points"] += 1
+            if len(found) == count:
+                return tuple(found)
     raise DomainError(f"only {len(found)} points found within max-norm {max_shell}")

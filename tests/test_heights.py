@@ -449,6 +449,23 @@ class TestWeilFunction:
         assert Place.finite(7) not in support
         assert weil_function(q, x, Place.finite(7)) == LOG_ONE
 
+    def test_support_reads_the_primitive_value_only(self):
+        # 6*x0 + 12*x1 = 6·(x0 + 2*x1), and m(1, 1) = 3: the primes of 6 are not listed
+        assert weil_support(parse_poly("6*x0 + 12*x1", 2), RationalPoint((1, 1))) == (
+            INFINITE, Place.finite(3))
+
+    def test_support_factors_no_coefficient(self):
+        # the coefficient is (10^9 + 7)(10^9 + 9), past the factoring budget;
+        # m(1, 1) = (10^9 + 8)^2 = 2^6 · 3^4 · 7^2 · 109^4 · 167^2
+        q = parse_poly("1000000016000000063*x0 + x1", 2)
+        x = RationalPoint((1, 1))
+        support = weil_support(q, x)
+        assert support == (INFINITE,) + tuple(Place.finite(p) for p in (2, 3, 7, 109, 167))
+        total = LOG_ONE
+        for v in support:
+            total = total + weil_function(q, x, v)
+        assert total == height_point(x).scale(q.degree) + height_poly(q)
+
 
 class TestMargin:
     def test_frozen_point(self, p1, fam3):
@@ -783,6 +800,14 @@ def variety(texts, nvars):
     return build_variety([parse_poly(t, nvars) for t in texts], num_vars=nvars)
 
 
+def outcome(sampler, v, count, max_shell):
+    """The sampler's points, or the message it stops with."""
+    try:
+        return [tuple(getattr(p, "coords", p)) for p in sampler(v, count, max_shell)]
+    except DomainError as exc:
+        return str(exc)
+
+
 class TestSampleOracle:
     @pytest.mark.parametrize("texts, nvars, count", [
         ((), 2, 60),
@@ -797,28 +822,95 @@ class TestSampleOracle:
         (("x0^2 - x1^2",), 3, 30),
         # y^2 z = x^3 - x z^2: 0 is a root of the pivot where x = 0
         (("x1^2*x2 - x0^3 + x0*x2^2",), 3, 4),
+        # the lines x2 = x0 + x1, x2 = 2*x1, x2 = -x0: the pivot has degree 3
+        # in the last variable, with roots past the prefix's shell
+        (("2*x0^2*x1 + 2*x0*x1^2 - x0^2*x2 - x0*x1*x2 + 2*x1^2*x2 - 3*x1*x2^2 + x2^3",), 3, 40),
+        # the lines x2 = x0 + 2*x1 and x2 = x1 - 3*x0: two integer roots on every prefix
+        (("-3*x0^2 - 5*x0*x1 + 2*x1^2 + 2*x0*x2 - 3*x1*x2 + x2^2",), 3, 40),
+        # x2 = x1^2/x0 lies on a later shell than the prefix (x0, x1) for most points
+        (("x0*x2 - x1^2",), 3, 30),
     ])
     def test_same_points_as_cube_scan(self, texts, nvars, count):
         v = variety(texts, nvars)
         assert [p.coords for p in sample_points(v, count)] == cube_scan(v, count)
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 12), st.data())
+    def test_random_plane_curves(self, degree, count, data):
+        monos = data.draw(st.lists(st.sampled_from(_monomials(3, degree)),
+                                   min_size=1, max_size=4, unique=True))
+        coefficients = st.integers(-3, 3).filter(bool)
+        v = build_variety([HomoPoly(3, {m: F(data.draw(coefficients)) for m in monos})])
+        assert outcome(sample_points, v, count, 3) == outcome(cube_scan, v, count, 3)
+
     def test_counts_on_conic(self):
         SAMPLE_COUNTS.clear()
         sample_points(variety(["x0*x2 - x1^2"], 3), 12)
-        # shells 1..8 solve 2s^2 + 2s + 1 prefixes each (488); the 12th point,
-        # (4:6:9), is reached at the 83rd prefix of shell 9
-        assert SAMPLE_COUNTS == {"prefixes": 571, "candidates": 12, "points": 12}
+        # the 12th point, (4:6:9), lies on shell 9: shells 1..9 walk every
+        # canonical prefix of norm <= 9 once, ((2·9 + 1)^2 + 1)/2 = 181 of them
+        assert SAMPLE_COUNTS == {"prefixes": 181, "candidates": 12, "points": 12}
+
+    def test_conic_walks_each_prefix_once(self):
+        # the cube walk took 181161 prefixes through shell 64, its whole cube each shell
+        SAMPLE_COUNTS.clear()
+        points = sample_points(variety(["x0*x2 - x1^2"], 3), 80)
+        shell = max(map(abs, points[-1].coords))
+        assert shell == 64
+        assert SAMPLE_COUNTS["prefixes"] == ((2 * shell + 1) ** 2 + 1) // 2
+
+
+@st.composite
+def fibres(draw):
+    """Coefficients a[0], a[1], ... of a polynomial in t: planted integer roots
+    in [-12, 12] times a rest with coefficients in [-9, 9], whose own integer
+    roots divide a number of at most 9, so that every integer root lies in
+    [-12, 12].  Up to two leading coefficients are zero."""
+    planted = draw(st.lists(st.integers(-12, 12), max_size=4))
+    a = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5 - len(planted)).filter(any))
+    for r in planted:
+        a = [x - r * y for x, y in zip([0] + a, a + [0])]
+    return a + [0] * draw(st.integers(0, 2))
+
+
+class TestIntegerRoots:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(fibres(), st.integers(0, 15))
+    @example([1, 0, 1], 5)              # t^2 + 1: no roots
+    @example([0, 0, 3], 0)              # 3t^2: only 0
+    @example([6, -5, 1, 0, 0], 1)       # (t - 2)(t - 3), leading coefficients 0
+    @example([4, 0, -5, 0, 1], 1)       # (t^2 - 1)(t^2 - 4): roots past the shell
+    def test_against_brute_force(self, a, shell):
+        expected = [t for t in range(-40, 41) if heights._horner(a, t) == 0]
+        roots, bound = heights._integer_roots(a, shell)
+        nonzero = [k for k, c in enumerate(a) if c]
+        if nonzero[-1] - nonzero[0] <= 2:
+            assert bound == 0
+        # with a bound, the roots left out lie on the shells past `shell` up to it
+        assert sorted(roots) == [t for t in expected if not bound or abs(t) <= shell]
+        assert all(abs(t) <= max(shell, bound) for t in expected if bound)
 
 
 class TestSampleBudget:
     def test_shell_past_budget_is_refused(self, monkeypatch):
-        # the conic's 12th point lies on shell 9; shells 1..9 cost 3^2 + ... + 19^2 = 1329
+        # the conic's 12th point lies on shell 9.  Shells 1..9 walk 181 prefixes
+        # (test_counts_on_conic); the pivot vanishes on no nonzero prefix, and
+        # the zero prefix is never re-tested, so nothing is tested twice
         v = variety(["x0*x2 - x1^2"], 3)
-        monkeypatch.setattr(heights, "MAX_SAMPLE_PREFIXES", 1329)
+        monkeypatch.setattr(heights, "MAX_SAMPLE_PREFIXES", 181)
         assert len(sample_points(v, 12)) == 12
-        monkeypatch.setattr(heights, "MAX_SAMPLE_PREFIXES", 1328)
+        monkeypatch.setattr(heights, "MAX_SAMPLE_PREFIXES", 180)
         with pytest.raises(SampleBudgetExceeded, match="shell 9"):
             sample_points(v, 12)
+
+    def test_retests_count(self, monkeypatch):
+        # P^1's 8th point, (2:1), lies on shell 2: the prefixes 0, 1 and 2 are
+        # walked, and 1, which keeps every t, is tested again at shell 2
+        v = variety([], 2)
+        monkeypatch.setattr(heights, "MAX_SAMPLE_PREFIXES", 4)
+        assert len(sample_points(v, 8)) == 8
+        monkeypatch.setattr(heights, "MAX_SAMPLE_PREFIXES", 3)
+        with pytest.raises(SampleBudgetExceeded, match="shell 2"):
+            sample_points(v, 8)
 
     def test_many_variables_refused_before_walking(self):
         # 20 variables: shell 1 alone has 3^19 prefixes, far past the budget
