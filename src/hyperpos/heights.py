@@ -78,12 +78,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _strip(n: int, p: int) -> tuple:
-    """n with every factor p divided out, and the p-part p^ord_p(n) of n."""
+def _strip(n: int, primes) -> tuple:
+    """n with every factor of the given primes divided out, and the part of n
+    made of them, the product of p^ord_p(n)."""
     part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
+    for p in primes:
+        while n % p == 0:
+            n //= p
+            part *= p
     return n, part
 
 
@@ -113,7 +115,7 @@ def _prime_factors(n: int) -> list:
             break
         if n % d == 0:
             out.append(d)
-            n, _ = _strip(n, d)
+            n, _ = _strip(n, (d,))
             done = _large_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
@@ -181,18 +183,10 @@ def _s_norm(x, places) -> Fraction:
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("absolute value of zero has no normalization")
-    num, den = abs(x.numerator), x.denominator
-    num_part = den_part = 1
-    archimedean = False
-    for v in places:
-        if v.prime is None:
-            archimedean = True
-            continue
-        num, part = _strip(num, v.prime)
-        num_part *= part
-        den, part = _strip(den, v.prime)
-        den_part *= part
-    return Fraction(num, den) if archimedean else Fraction(den_part, num_part)
+    primes = [v.prime for v in places if v.is_finite]
+    num, num_part = _strip(abs(x.numerator), primes)
+    den, den_part = _strip(x.denominator, primes)
+    return Fraction(num, den) if INFINITE in places else Fraction(den_part, num_part)
 
 
 def normalized_abs(x, v: Place) -> Fraction:
@@ -307,6 +301,15 @@ class LogRational:
             raise DomainError(f"root must be a positive integer, got {self.root}")
         object.__setattr__(self, "argument", argument)
 
+    @classmethod
+    def _trusted(cls, argument: Fraction, root: int) -> "LogRational":
+        """log(argument)/root for a positive Fraction and a positive int root;
+        nothing is checked or converted."""
+        lr = object.__new__(cls)
+        object.__setattr__(lr, "argument", argument)
+        object.__setattr__(lr, "root", root)
+        return lr
+
     def _key(self, other):
         """Both arguments lifted to the common root r, and r."""
         r = lcm(self.root, other.root)
@@ -354,17 +357,22 @@ class LogRational:
     def _compare(self, other):
         """-1, 0 or 1 as self is below, equal to or above other, exactly.
 
-        The arguments are lifted to the common root and compared; lifts past
-        the power budget are compared by `_log_sign` instead.  The lifts m and
-        k, the lcm of the two roots over each root, are coprime.
+        With m and k the lcm of the two roots over each root, a^m is compared
+        with b^k in integers, as a_num^m * b_den^k against b_num^k * a_den^m;
+        lifts past the power budget are compared by `_log_sign` instead.  The
+        lifts m and k are coprime.
         """
         r = lcm(self.root, other.root)
         m, k = r // self.root, r // other.root
+        a, b = self.argument, other.argument
         try:
-            a, b = _power(self.argument, m), _power(other.argument, k)
+            check_power_bound("a lifted log argument", [(max(a.numerator, a.denominator), m)],
+                              [(max(b.numerator, b.denominator), k)])
         except PowerBudgetExceeded:
-            return _log_sign(self.argument, m, other.argument, k)
-        return (a > b) - (a < b)
+            return _log_sign(a, m, b, k)
+        left = a.numerator ** m * b.denominator ** k
+        right = b.numerator ** k * a.denominator ** m
+        return (left > right) - (left < right)
 
     def __eq__(self, other):
         if not isinstance(other, LogRational):
@@ -499,33 +507,44 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
     check_degree(lift, "lcm of the degrees")  # as `lcm_degree` does, before any power
     multiplier = delta * (v.dim_n + 1) + eps
     # lhs is the product over v in S and members of weil_function(Q_j, x, v)^e_j,
-    # e_j = lift/d_j: C * h(x)^P / |prod_j m_j(x)^e_j|_S with m_j the primitive
-    # integer form of Q_j, C = prod_j H(m_j)^e_j and P = sum_j d_j e_j = q * lift
-    # when oo is in S, and C = 1, P = 0 otherwise.  A scale of Q_j cancels
-    # between C and |V|_S, and |x|_v = 1 at every prime for coprime coordinates.
+    # e_j = lift/d_j: C * h(x)^P / |V|_S with V = prod_j m_j(x)^e_j, m_j the
+    # primitive integer form of Q_j, C = prod_j H(m_j)^e_j and P = sum_j d_j e_j
+    # = q * lift when oo is in S, and C = 1, P = 0 otherwise.  A scale of Q_j
+    # cancels between C and |V|_S, and |x|_v = 1 at every prime for coprime
+    # coordinates.  V is an integer, so |V|_S is |V| with the primes of S
+    # stripped when oo is in S, and 1 over the part stripped otherwise.
     members = [m.content_free() for m in fam.members]
     exponents = [lift // d for d in fam.degrees]
     archimedean = INFINITE in places
+    primes = [p.prime for p in places if p.is_finite]
     point_power = len(members) * lift if archimedean else 0
-    coefficients = prod(height_poly(m).argument ** e
+    coefficients = prod(height_poly(m).argument.numerator ** e
                         for m, e in zip(members, exponents)) if archimedean else 1
+    # rhs is h(x) scaled by the multiplier, log(h^power)/root, as `LogRational.scale` forms it
+    power, root = multiplier.numerator, multiplier.denominator
     logs = {}  # each Decimal(n).ln() is taken once per call
     reports = []
     for x in points:
-        if x.ambient + 1 != v.num_vars:
-            raise DomainError(f"{x!r} has {x.ambient + 1} coordinates, ambient needs {v.num_vars}")
+        coords = x.coords
+        if len(coords) != v.num_vars:
+            raise DomainError(f"{x!r} has {len(coords)} coordinates, ambient needs {v.num_vars}")
         for g in v.generators:
-            if g.evaluate(x.coords) != 0:
+            if g.integer_value(coords) != 0:
                 raise PointNotOnVariety(f"{x!r} does not satisfy a defining equation")
         value = 1
         for j, (member, e) in enumerate(zip(members, exponents)):
-            val = member.evaluate(x.coords)
+            val = member.integer_value(coords)
             if val == 0:
                 raise PointOnHypersurface(f"{x!r} lies on family member {j + 1}")
             value *= val ** e
-        h = height_point(x)
-        lhs = LogRational(coefficients * h.argument ** point_power / _s_norm(value, places), lift)
-        rhs = h.scale(multiplier)
+        if power < 0:
+            raise DomainError(f"scale factor must be non-negative, got {multiplier}")
+        h = max(map(abs, coords))
+        check_power_bound(f"a log argument to the power {power}", [(h, power)])
+        rough, part = _strip(abs(value), primes)
+        lhs = LogRational._trusted(
+            Fraction(coefficients * h ** point_power, rough) if archimedean else Fraction(part), lift)
+        rhs = LogRational._trusted(Fraction(h ** power), root)
         slack = float(rhs.value(logs=logs) - lhs.value(logs=logs))
         reports.append(MarginReport(x, lhs, rhs, slack))
     return reports

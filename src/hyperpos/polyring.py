@@ -319,22 +319,28 @@ class HomoPoly:
         pt = [x if type(x) is int else Fraction(x) for x in point]
         if not self.terms:
             return Fraction(0)
+        # the point is a/b with integers a_i: Q(a/b) = Q(a)/b^d, since Q is homogeneous
+        b = lcm(*(x.denominator for x in pt))
+        a = [x.numerator * (b // x.denominator) for x in pt]
+        value = self.integer_value(a)  # fills the memo that holds den
+        return Fraction(value, self._integer_terms[0] * b ** self._degree)
+
+    def integer_value(self, point: Sequence) -> int:
+        """den * Q(point) for a point of `nvars` integers, den the lcm of the
+        coefficient denominators: Q(point) itself when every coefficient is an
+        integer.  The length of the point is not checked."""
         if self._integer_terms is None:
             # the coefficients over their common denominator, computed once per object
             den = lcm(*(c.denominator for c in self.terms.values()))
             self._integer_terms = den, tuple(
                 (c.numerator * (den // c.denominator), tuple((i, e) for i, e in enumerate(m) if e))
                 for m, c in self.terms.items())
-        den, terms = self._integer_terms
-        # the point is a/b with integers a_i: Q(a/b) = Q(a)/b^d, since Q is homogeneous
-        b = lcm(*(x.denominator for x in pt))
-        a = [x.numerator * (b // x.denominator) for x in pt]
         total = 0
-        for c, powers in terms:
+        for c, powers in self._integer_terms[1]:
             for i, e in powers:
-                c *= a[i] ** e
+                c *= point[i] ** e
             total += c
-        return Fraction(total, den * b ** self._degree)
+        return total
 
     def content_free(self):
         """Integer-primitive scalar multiple (positive leading content)."""

@@ -11,26 +11,35 @@ that take the norm |x|_v of the point at every place, as they stood before
 every prime).  They and `height_poly` also take the norm |Q|_v of each
 polynomial place by place, where `heights` reads every one of them off the
 polynomial's primitive integer form; `height_poly` factors the coefficients
-to find their places.  They share no arithmetic with the code they check:
-`evaluate` is the earlier `HomoPoly.evaluate`, which builds a Fraction for
-every coordinate and term; `normalized_abs` takes one place at a time, where
-`heights` strips every prime of S in one pass; and `log_value` takes both
-logarithms afresh, where the margin memoizes them.
+to find their places.  `evaluate` is the earlier `HomoPoly.evaluate`, which
+builds a Fraction for every coordinate and term, where the margin takes each
+member value as one int from `HomoPoly.integer_value`; `normalized_abs` takes
+one place at a time, where `heights` strips every prime of S in one pass; and
+`log_value` takes both logarithms afresh, where the margin memoizes them.
+`compare` is `LogRational._compare` as it stood before it compared the
+cross products a_num^m * b_den^k and b_num^k * a_den^m as ints: it forms the
+lifted Fractions a^m and b^k.
+
+What they still share with `heights`: the checked `LogRational` constructor,
+`LogRational.scale` (the oracle margin's right side, through
+`heights._power`), and `compare`'s power budget and, past it,
+`heights._log_sign`, which decides a sign both ways.
 """
 
 import heapq
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
-from hyperpos import groebner
+from hyperpos import groebner, heights
 from hyperpos.errors import DomainError
 from hyperpos.groebner import GroebnerBasis
 from hyperpos.heights import (INFINITE, LogRational, MarginReport, PointNotOnVariety,
                               PointOnHypersurface, ZeroInput, _coefficient_places,
                               default_places)
 from hyperpos.polyring import DimensionMismatch, HomoPoly, ZeroPolynomial, mono_divides, mono_mul
+from hyperpos.replace import PowerBudgetExceeded
 
 
 def mono_div(b, a):
@@ -292,6 +301,24 @@ def log_value(lr, digits=50):
     with localcontext() as ctx:
         ctx.prec = digits
         return +out
+
+
+def compare(x, y):
+    """LogRational._compare on lifted Fractions: log(a)/r against log(b)/s as
+    a^(l/r) against b^(l/s), l = lcm(r, s), with lifts past the power budget
+    left to `heights._log_sign`."""
+    r = lcm(x.root, y.root)
+    m, k = r // x.root, r // y.root
+    try:
+        a, b = heights._power(x.argument, m), heights._power(y.argument, k)
+    except PowerBudgetExceeded:
+        return heights._log_sign(x.argument, m, y.argument, k)
+    return (a > b) - (a < b)
+
+
+def negative_points(reports):
+    """summarize_margins' negative points, each sign taken by `compare`."""
+    return tuple(r.point for r in reports if compare(r.rhs, r.lhs) < 0)
 
 
 def _poly_norm(q, v):

@@ -491,6 +491,53 @@ class TestMarginCommand:
                 > full["payload"]["reports"][0]["slack_approx"])
 
 
+class TestMarginRefusalOrder:
+    """Each point is refused for its coordinate count, then for lying off V,
+    then on a member, before a negative multiplier or a power budget is."""
+
+    @staticmethod
+    def margin(runj, tmp_path, ambient, variety, family, points, delta):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"ambient": ambient, "variety": variety, "family": family}))
+        pts = tmp_path / "pts.txt"
+        pts.write_text("".join(p + "\n" for p in points))
+        code, report = runj("margin", "--config", str(conf), "--points", str(pts),
+                            "--eps", "1/2", f"--delta={delta}", "--no-cache")
+        return code, report["payload"]
+
+    P1 = (1, [], ["x0", "x1", "x0 + x1"])
+    CONIC = (2, ["x0*x2 - x1^2"], ["x0", "x1", "x2"])
+
+    def test_negative_multiplier(self, runj, tmp_path):
+        # 2 * (-1) + 1/2
+        code, payload = self.margin(runj, tmp_path, *self.P1, ["1,2"], "-1")
+        assert code == 2
+        assert payload == {"error": "DomainError",
+                           "message": "scale factor must be non-negative, got -3/2"}
+
+    @pytest.mark.parametrize("point, member", [("1,-1", 3), ("0,1", 1), ("1,0", 2)])
+    def test_point_on_member_before_negative_multiplier(self, runj, tmp_path, point, member):
+        code, payload = self.margin(runj, tmp_path, *self.P1, [point, "1,2"], "-1")
+        assert code == 2
+        assert payload["error"] == "PointOnHypersurface"
+        assert payload["message"] == f"({point.replace(',', ':')}) lies on family member {member}"
+
+    def test_coordinate_count_first(self, runj, tmp_path):
+        code, payload = self.margin(runj, tmp_path, *self.P1, ["0,1,1"], "-1")
+        assert code == 2
+        assert payload["error"] == "DomainError"
+        assert "point has 3 coordinates, expected 2" in payload["message"]
+
+    def test_off_the_variety_first(self, runj, tmp_path):
+        # (0:1:1) is off the conic and on the member x0; 2 * (-1) + 1/2 < 0
+        code, payload = self.margin(runj, tmp_path, *self.CONIC, ["0,1,1", "1,1,1"], "-1")
+        assert code == 2
+        assert payload == {"error": "PointNotOnVariety",
+                           "message": "(0:1:1) does not satisfy a defining equation"}
+        code, payload = self.margin(runj, tmp_path, *self.CONIC, ["1,1,1"], "-1")
+        assert payload["message"] == "scale factor must be non-negative, got -3/2"
+
+
 class TestInputHandling:
     def test_invalid_json_is_domain_error(self, runj, tmp_path):
         path = tmp_path / "broken.json"

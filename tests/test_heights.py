@@ -339,6 +339,34 @@ def test_log_hash_ignores_the_chosen_root(num, den, root, power):
     assert x == y and hash(x) == hash(y)
 
 
+POSITIVE = (st.fractions(F(1, 1000), 1000, max_denominator=1000).filter(bool)
+            | st.builds(F, st.integers(1, 2 ** 70), st.integers(1, 2 ** 70)))
+
+
+@st.composite
+def log_pairs(draw):
+    """Two LogRationals with arguments above and below 1, often one value held
+    two ways, log(c^p)/(r p) and log(c^q)/(r q)."""
+    base = draw(POSITIVE)
+    if draw(st.booleans()):
+        r, p, q = (draw(st.integers(1, 6)) for _ in range(3))
+        return LogRational(base ** p, r * p), LogRational(base ** q, r * q)
+    return LogRational(base, draw(st.integers(1, 40))), LogRational(draw(POSITIVE), draw(st.integers(1, 40)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(log_pairs())
+@example((LogRational(4, 2), LogRational(2)))
+@example((LogRational(F(1, 4), 2), LogRational(F(1, 2))))
+@example((LogRational(F(27, 8), 3), LogRational(F(9, 4), 2)))
+@example((LogRational(F(1, 2), 3), LogRational(F(1, 3), 5)))
+@example((LogRational(1, 7), LogRational(1)))
+def test_comparison_against_the_lifted_oracle(pair):
+    x, y = pair
+    assert x._compare(y) == oracles.compare(x, y)
+    assert y._compare(x) == oracles.compare(y, x)
+
+
 class TestHeights:
     def test_point_examples(self):
         assert height_point(RationalPoint((1, 2, 3))) == LogRational(3)
@@ -542,6 +570,25 @@ class TestMargin:
         with pytest.raises(DegreeBudgetExceeded, match="lcm of the degrees 1001"):
             theorem15_margin(p1, fam, 1, 1, None, [RationalPoint((1, 1))])
 
+    def test_refusals_in_order(self, p1, fam3):
+        # the multiplier is 2 * delta + eps: -3/2 below, and with eps = 1/10000019
+        # the rhs h^20000039 needs far more bits than the power budget for h > 1
+        negative, huge = (-1, F(1, 2)), (1, F(1, 10000019))
+        assert theorem15_margin(p1, fam3, *negative, None, []) == []
+        assert theorem15_margin(p1, fam3, *huge, None, []) == []
+        on_member, off = RationalPoint((1, -1)), RationalPoint((1, 2))
+        for knobs in (negative, huge):
+            with pytest.raises(PointOnHypersurface, match=r"^\(1:-1\) lies on family member 3$"):
+                theorem15_margin(p1, fam3, *knobs, None, [on_member, off])
+            with pytest.raises(DomainError, match="3 coordinates"):
+                theorem15_margin(p1, fam3, *knobs, None, [RationalPoint((1, 0, 1)), off])
+        with pytest.raises(DomainError, match=r"^scale factor must be non-negative, got -3/2$"):
+            theorem15_margin(p1, fam3, *negative, None, [off, on_member])
+        with pytest.raises(PowerBudgetExceeded, match="power 20000039"):
+            theorem15_margin(p1, fam3, *huge, None, [off, on_member])
+        # h = 1: every power of it is 1, and nothing is refused
+        assert theorem15_margin(p1, fam3, *huge, None, [RationalPoint((1, 1))])[0].rhs == LOG_ONE
+
     def test_reports_keep_input_order(self, p1, fam3):
         pts = [RationalPoint((5, 2)), RationalPoint((2, 5)), RationalPoint((3, 4))]
         reports = theorem15_margin(p1, fam3, 1, F(1, 2), None, pts)
@@ -670,6 +717,11 @@ def oracle_cases(draw):
     return case
 
 
+def margin_rows(reports):
+    return [(r.point, r.lhs.argument, r.lhs.root, r.rhs.argument, r.rhs.root, r.slack)
+            for r in reports]
+
+
 # MIXED has |Q_j|_v != 1 at 2 and 3; the points' member values carry 2, 3 and 5
 MIXED_POINTS = [(2, 3, 1), (4, 1, 3), (6, 5, 2), (1, 10, 9)]
 
@@ -685,11 +737,25 @@ class TestMarginAgainstOracle:
     @example(oracle_case("P2", [parse_poly(t, 3) for t in MIXED], MIXED_POINTS,
                          (Place.finite(5), INFINITE, Place.finite(2))))
     def test_margin(self, case):
-        def rows(reports):
-            return [(r.point, r.lhs.argument, r.lhs.root, r.rhs.argument, r.rhs.root, r.slack)
-                    for r in reports]
+        new, old = theorem15_margin(*case), oracles.theorem15_margin(*case)
+        assert margin_rows(new) == margin_rows(old)
+        assert summarize_margins(new).negative_points == oracles.negative_points(old)
 
-        assert rows(theorem15_margin(*case)) == rows(oracles.theorem15_margin(*case))
+    @pytest.mark.parametrize("name, count", [("P1", 420), ("P2", 300)])
+    def test_bench_inputs(self, name, count):
+        """The benchmark's two margin sessions: the first canonical points off
+        the members x0, x1, x0 + x1 (and x0 + x1 + x2), eps 1/2 and delta 1."""
+        nvars = ORACLE_VARIETIES[name].num_vars
+        members = [parse_poly(f"x{i}", nvars) for i in range(nvars)]
+        members.append(parse_poly(" + ".join(f"x{i}" for i in range(nvars)), nvars))
+        coords = [x.coords for x in sample_points(ORACLE_VARIETIES[name], count)]
+        case = oracle_case(name, members, coords, None)
+        new, old = theorem15_margin(*case), oracles.theorem15_margin(*case)
+        assert len(new) > count // 2
+        assert margin_rows(new) == margin_rows(old)
+        summary = summarize_margins(new)
+        assert summary == (min(r.slack for r in old), oracles.negative_points(old))
+        assert summary.negative_points
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(oracle_cases())

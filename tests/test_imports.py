@@ -22,8 +22,10 @@ integer form, and only the places of a given number are found by factoring.
 
 The package also loads `sqlite3` only when a command uses the disk cache.
 
-No float decides a margin: `heights.theorem15_margin` and `LogRational` hold
-no float literal and name no float function (`math.log`, `float` and the
+No float decides a margin: `heights.theorem15_margin`, `summarize_margins`,
+`LogRational` and every helper they run (the integer evaluator
+`HomoPoly.integer_value`, the strip `_strip`, the power budget, `_log_sign`)
+hold no float literal and name no float function (`math.log`, `float` and the
 like), except `LogRational.__float__` and the display-only `slack`, and
 `heights` takes only integer functions from `math`.
 """
@@ -269,11 +271,19 @@ INTEGER_MATH = {"comb", "gcd", "isqrt", "lcm", "prod"}
 
 
 def float_uses(source, scopes):
-    """Float literals and float names inside the top-level definitions named in
-    `scopes`, outside `__float__` methods and assignments to `slack`."""
+    """Float literals and float names inside the definitions named in `scopes`,
+    top-level names or "Class.method", outside `__float__` methods and
+    assignments to `slack`."""
     found = []
-    stack = [node for node in ast.parse(source).body if getattr(node, "name", None) in scopes]
-    assert {node.name for node in stack} == set(scopes)
+    tree = ast.parse(source)
+    stack = []
+    for scope in sorted(scopes):
+        node = tree
+        for name in scope.split("."):
+            matches = [item for item in node.body if getattr(item, "name", None) == name]
+            assert matches, f"no definition {scope}"
+            node = matches[0]
+        stack.append(node)
     while stack:
         node = stack.pop(0)
         if isinstance(node, ast.FunctionDef) and node.name == "__float__":
@@ -290,9 +300,20 @@ def float_uses(source, scopes):
     return found
 
 
+# what the margin loop and the summary's sign run, by module
+MARGIN_SCOPES = {
+    "heights": {"theorem15_margin", "summarize_margins", "LogRational", "_strip", "_s_norm",
+                "height_poly", "_log_sign", "_ln", "_exact_root", "_power"},
+    "polyring": {"HomoPoly.integer_value", "HomoPoly.content_free"},
+    "replace": {"check_power_bound", "_power_bits"},
+}
+
+
 def test_margin_decides_without_floats():
+    for module, scopes in MARGIN_SCOPES.items():
+        source = (ROOT / "src" / "hyperpos" / f"{module}.py").read_text(encoding="utf-8")
+        assert float_uses(source, scopes) == [], module
     source = (ROOT / "src" / "hyperpos" / "heights.py").read_text(encoding="utf-8")
-    assert float_uses(source, {"theorem15_margin", "LogRational"}) == []
     for node in ast.parse(source).body:
         if isinstance(node, ast.Import):
             assert all(alias.name not in ("math", "cmath") for alias in node.names)
@@ -312,6 +333,10 @@ def test_checker_finds_a_float():
               "        slack = float(x) * 0.5\n"
               "        yield x * 0.5\n")
     assert sorted(float_uses(source, {"theorem15_margin", "LogRational"})) == ["0.5", "log", "math"]
+    assert float_uses(source, {"LogRational.value"}) == ["log", "math"]
+    assert float_uses(source, {"LogRational.__float__"}) == []
+    with pytest.raises(AssertionError):
+        float_uses(source, {"LogRational.missing"})
 
 
 @pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])
