@@ -2,11 +2,14 @@
 
 There is one Buchberger loop, `_buchberger`.  It works on monomials packed
 into ints (`_packing`) and runs over the integers mod MODULUS or over Q; only
-the coefficient arithmetic differs between the two fields.  Bases, normal
+the coefficient arithmetic differs between the two fields.  A pair's lcm, its
+degree and the coprimality test are a few int operations on guard-bit masks
+(`_lcm`, `_degree`), so no exponent tuple is made in the loop.  Bases, normal
 forms and Hilbert data are exact rational arithmetic, and the reduced basis
 and `normal_form` share the loop's one reducer, `_reduce`.  Dimensions come
 out of the leading-term ideal combinatorially, so no primary decomposition or
-radical computation is ever needed.  Hilbert values and degrees come from one
+radical computation is ever needed: `_dimension_of_leads` reads them off the
+support masks of the packed leads.  Hilbert values and degrees come from one
 numerator of the leading-term ideal's Hilbert series (`_hilbert_numerator`).
 
 `projective_dimension` is the one place that answers "what is dim V(gens)?".
@@ -15,6 +18,8 @@ the Macaulay matrix has rank mod p at most its rank over Q in every degree, so
 H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod p is therefore EMPTY
 over Q, and a dim_p equal to a proven lower bound is the exact dimension.
 Every other query runs the loop over Q and reads the dimension off its leads.
+A polynomial enters both passes content-free and packed, made once per
+polynomial and modulus and kept on it (`_member_terms`).
 
 `modp_dimension` runs the mod-p pass alone and returns dim_p, the upper
 bound; the replacement search accepts a candidate on it.
@@ -170,6 +175,35 @@ def _unpack(mono, num_vars):
                  for s in range(0, _FIELD_BITS * num_vars, _FIELD_BITS))
 
 
+def _lcm(a, b, guard, weighted=None):
+    """Packed lcm of the packed monomials a and b: in each field the larger
+    exponent.  `weighted` is the multipliers of a packing with a weight field,
+    which is then recomputed; None for a packing without one."""
+    # the guard bit of a field survives (a | guard) - b exactly where a's
+    # exponent is at least b's, and g - (g >> 15) fills those fields below it
+    g = ((a | guard) - b) & guard
+    mask = g - (g >> (_FIELD_BITS - 1))
+    lcm = (a & mask) | (b & ~mask)
+    return lcm if weighted is None else _pack(_unpack(lcm, len(weighted)), weighted)
+
+
+# 2^16 is 1 mod 2^16 - 1, so a packed int is congruent to the sum of its fields
+_FIELD_SUM = (1 << _FIELD_BITS) - 1
+
+
+def _degree(mono, fields):
+    """Degree of the packed monomial `mono`, if it is below 2^16 - 1: the sum of
+    its exponent fields, the bits of `fields`, which leave out a weight field.
+    The lcm of two monomials of degree below 2^15 has degree below 2^16 - 1."""
+    return (mono & fields) % _FIELD_SUM
+
+
+def _support(mono, guard):
+    """The guard bits of the fields where the packed monomial `mono` has a
+    nonzero exponent: e + 2^15 - 1 keeps its top bit exactly when e >= 1."""
+    return ((mono | guard) - (guard >> (_FIELD_BITS - 1))) & guard
+
+
 class _Rationals:
     """Q as the modulus of the loop's arithmetic: `x % RATIONALS` is x."""
 
@@ -227,32 +261,33 @@ PAIR_COUNTS = Counter()
 def _buchberger(polys, packing, p):
     """Monic Groebner basis of <polys> over Z/p, or over Q for p = RATIONALS.
 
-    `polys` are nonempty dicts from exponent tuple to int (mod p) or Fraction
-    (over Q), each homogeneous.  Returns (lead_exps, leads, tails): the lead of
-    each element as an exponent tuple and packed, and its tail as in `_monic`.
-    Raises PackedDegreeExceeded when a degree would overflow a packed field.
+    `polys` are nonempty packed term dicts, as `_pack_poly` makes them, each
+    homogeneous; they are read, not changed.  Returns (leads, tails): the
+    packed lead of each element and its tail as in `_monic`.  Raises
+    PackedDegreeExceeded when the degree of a pair would overflow a packed field.
     """
     mults, guard = packing
     nv = len(mults)
-    lead_exps, leads, tails = [], [], []
+    fields = (1 << (_FIELD_BITS * nv)) - 1  # the exponent fields, below any weight field
+    weighted = mults if any(m > fields for m in mults) else None
+    leads, tails = [], []
     pairs = []      # heap of (lcm degree, packed lcm, i, j)
     pending = set()
     coprime = chain = zero = generators = 0
 
     def add(poly):
         lead, tail = _monic(poly, p)
-        exps = _unpack(lead, nv)
         new = len(leads)
-        for j, other in enumerate(lead_exps):
-            lcm = tuple(a if a > b else b for a, b in zip(exps, other))
-            heapq.heappush(pairs, (sum(lcm), _pack(lcm, mults), j, new))
+        for j, other in enumerate(leads):
+            lcm = _lcm(lead, other, guard, weighted)
+            # every element has a degree below 2^15, so its lcms have degrees below 2^16 - 1
+            heapq.heappush(pairs, (_degree(lcm, fields), lcm, j, new))
             pending.add((j, new))
-        lead_exps.append(exps)
         leads.append(lead)
         tails.append(tail)
 
     for poly in polys:
-        rest = _reduce(_pack_poly(poly, mults, p), leads, tails, guard, p)
+        rest = _reduce(dict(poly), leads, tails, guard, p)
         if rest:
             add(rest)
     while pairs:
@@ -260,7 +295,7 @@ def _buchberger(polys, packing, p):
         pending.discard((i, j))
         if degree >= _FIELD_TOP:
             raise PackedDegreeExceeded(degree)
-        if all(a == 0 or b == 0 for a, b in zip(lead_exps[i], lead_exps[j])):
+        if lcm == leads[i] + leads[j]:  # the two sum to lcm + gcd, so the gcd is 1
             coprime += 1
             continue
         probe = lcm | guard
@@ -290,7 +325,7 @@ def _buchberger(polys, packing, p):
         counts = {"pairs": comb(len(leads), 2), "coprime": coprime, "chain": chain,
                   "zero": zero, "generators": generators}
         PAIR_COUNTS.update({k: v for k, v in counts.items() if v})
-    return lead_exps, leads, tails
+    return leads, tails
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +352,8 @@ class GroebnerBasis:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "leading_monomials",
                            tuple(_unpack(lead, self.num_vars) for lead, _ in elements))
-        object.__setattr__(self, "_reducers", tuple(zip(*elements)))
+        object.__setattr__(self, "_reducers", (tuple(lead for lead, _ in elements),
+                                               tuple(tail for _, tail in elements)))
 
 
 def normal_form(p: HomoPoly, gb: GroebnerBasis) -> HomoPoly:
@@ -346,14 +382,14 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
                    num_vars: Optional[int] = None) -> GroebnerBasis:
     """Reduced Groebner basis of <gens>, deterministic for fixed input."""
     nv = _ring_size(gens, num_vars)
-    packing = _packing(order, nv)
-    lead_exps, leads, tails = _buchberger([g.terms for g in gens if not g.is_zero],
-                                          packing, RATIONALS)
-    guard = packing[1]
+    mults, guard = packing = _packing(order, nv)
+    leads, tails = _buchberger([_pack_poly(g.terms, mults, RATIONALS) for g in gens if not g.is_zero],
+                               packing, RATIONALS)
     # minimalize: the leads are distinct, so keep each one that no other divides
     keep = [i for i, lead in enumerate(leads)
             if not any(k != i and ((lead | guard) - other) & guard == guard
                        for k, other in enumerate(leads))]
+    lead_exps = {i: _unpack(leads[i], nv) for i in keep}
     keep.sort(key=lambda i: order.key(lead_exps[i]))
     min_leads = [leads[i] for i in keep]
     min_tails = [tails[i] for i in keep]
@@ -370,23 +406,6 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
 
 # ---------------------------------------------------------------------------
 # dimension / Hilbert data
-
-def _cone_dimension(lead_monomials, num_vars):
-    """Krull dimension of the affine cone cut out by the leading-term ideal.
-
-    Largest variable subset S with no leading monomial supported inside S;
-    -1 flags the unit ideal.
-    """
-    if any(mono_degree(m) == 0 for m in lead_monomials):
-        return -1
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lead_monomials]
-    for size in range(num_vars, 0, -1):
-        for sub in combinations(range(num_vars), size):
-            sset = frozenset(sub)
-            if not any(sup <= sset for sup in supports):
-                return size
-    return 0
-
 
 def _minimal_monomials(monos):
     """Minimal generators of the monomial ideal <monos>, by ascending degree."""
@@ -493,7 +512,7 @@ class IdealProfile(NamedTuple):
 
 
 def ideal_profile(gb: GroebnerBasis) -> IdealProfile:
-    dim = _dimension_of_leads(gb.leading_monomials, gb.num_vars)
+    dim = _dimension_of_leads(gb._reducers[0], gb.num_vars)
     if dim is EMPTY:
         return IdealProfile(EMPTY, None)
     # the numerator is (1 - t)^codim Q(t) with Q(1) the degree, so the
@@ -514,19 +533,54 @@ MODULUS = 1073741789
 DIMENSION_COUNTS = Counter()
 
 
-def _dimension_of_leads(lead_monomials, num_vars):
-    cone = _cone_dimension(lead_monomials, num_vars)
-    return EMPTY if cone <= 0 else cone - 1
+def _dimension_of_leads(leads, num_vars):
+    """Projective dimension, or EMPTY, of an ideal whose leading-term ideal the
+    packed `leads` generate.
+
+    The affine cone of the leading-term ideal has Krull dimension |S| for the
+    largest variable subset S that holds the support of no lead, that is, whose
+    complement meets every support.  No lead or a constant lead is the whole
+    space or the unit ideal.
+    """
+    tops = [_FIELD_TOP << s for s in range(0, _FIELD_BITS * num_vars, _FIELD_BITS)]
+    guard = sum(tops)
+    supports = {_support(lead, guard) for lead in leads}
+    if 0 in supports:
+        return EMPTY
+    for size in range(num_vars):
+        for complement in combinations(tops, size):
+            mask = sum(complement)
+            if all(support & mask for support in supports):
+                return num_vars - size - 1
+    return EMPTY
 
 
-def _modp_dimension(basis, num_vars):
-    """dim_p of the content-free `basis`; None when a degree overflows a packed field."""
+def _member_terms(g, p):
+    """Packed grevlex term dict of g's content-free form over the field of `p`.
+
+    It is made once per polynomial and modulus and kept on `g`, which is never
+    changed in place; the modulus is part of the key because MODULUS may
+    change between calls.  Callers must not change the dict.
+    """
+    memo = getattr(g, "_packed_terms", None)
+    if memo is None:
+        memo = g._packed_terms = {}
+    terms = memo.get(p)
+    if terms is None:
+        free = g.content_free()
+        coefficients = free.terms if p is RATIONALS else {m: c.numerator for m, c in free.terms.items()}
+        terms = memo[p] = _pack_poly(coefficients, _packing(GREVLEX, g.nvars)[0], p)
+    return terms
+
+
+def _modp_dimension(gens, num_vars):
+    """dim_p of the nonzero `gens`; None when a degree overflows a packed field."""
     try:
-        lead_exps, _, _ = _buchberger([{m: c.numerator for m, c in g.terms.items()} for g in basis],
-                                      _packing(GREVLEX, num_vars), MODULUS)
+        leads, _ = _buchberger([_member_terms(g, MODULUS) for g in gens],
+                               _packing(GREVLEX, num_vars), MODULUS)
     except PackedDegreeExceeded:
         return None
-    return _dimension_of_leads(lead_exps, num_vars)
+    return _dimension_of_leads(leads, num_vars)
 
 
 def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
@@ -546,14 +600,14 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     if dim is not None:
         DIMENSION_COUNTS["cached"] += 1
         return dim
-    basis = [g.content_free() for g in gens]
-    dim = _modp_dimension(basis, nv)
+    dim = _modp_dimension(gens, nv)
     if dim is not None and (dim is EMPTY or dim == lower):
         DIMENSION_COUNTS["modp"] += 1
     else:
         DIMENSION_COUNTS["exact"] += 1
-        lead_exps, _, _ = _buchberger([g.terms for g in basis], _packing(GREVLEX, nv), RATIONALS)
-        dim = _dimension_of_leads(lead_exps, nv)
+        leads, _ = _buchberger([_member_terms(g, RATIONALS) for g in gens],
+                               _packing(GREVLEX, nv), RATIONALS)
+        dim = _dimension_of_leads(leads, nv)
     _cache_store(key, dim)
     return dim
 
@@ -576,7 +630,7 @@ def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
     if dim is not None:
         DIMENSION_COUNTS["cached"] += 1
         return dim
-    dim = _modp_dimension([g.content_free() for g in gens], nv)
+    dim = _modp_dimension(gens, nv)
     if dim is None:
         return projective_dimension(gens, nv, lower)
     DIMENSION_COUNTS["modp_bound"] += 1

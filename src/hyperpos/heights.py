@@ -520,9 +520,11 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
     point_power = len(members) * lift if archimedean else 0
     coefficients = prod(height_poly(m).argument.numerator ** e
                         for m, e in zip(members, exponents)) if archimedean else 1
-    # rhs is h(x) scaled by the multiplier, log(h^power)/root, as `LogRational.scale` forms it
+    # rhs is h(x) scaled by the multiplier, log(h^power)/root, as `LogRational.scale`
+    # forms it; it depends on h alone, so it and its value are made once per h
     power, root = multiplier.numerator, multiplier.denominator
     logs = {}  # each Decimal(n).ln() is taken once per call
+    sides = {}  # h -> (rhs, rhs value)
     reports = []
     for x in points:
         coords = x.coords
@@ -540,12 +542,15 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
         if power < 0:
             raise DomainError(f"scale factor must be non-negative, got {multiplier}")
         h = max(map(abs, coords))
-        check_power_bound(f"a log argument to the power {power}", [(h, power)])
+        if h not in sides:
+            check_power_bound(f"a log argument to the power {power}", [(h, power)])
+            rhs = LogRational._trusted(Fraction(h ** power), root)
+            sides[h] = rhs, rhs.value(logs=logs)
+        rhs, rhs_value = sides[h]
         rough, part = _strip(abs(value), primes)
         lhs = LogRational._trusted(
             Fraction(coefficients * h ** point_power, rough) if archimedean else Fraction(part), lift)
-        rhs = LogRational._trusted(Fraction(h ** power), root)
-        slack = float(rhs.value(logs=logs) - lhs.value(logs=logs))
+        slack = float(rhs_value - lhs.value(logs=logs))
         reports.append(MarginReport(x, lhs, rhs, slack))
     return reports
 

@@ -96,7 +96,7 @@ def _check_terms(count, what="polynomial"):
 
 
 # Most variables a ring may have, checked before anything of that length is
-# made.  `groebner._cone_dimension` may test all 2^N variable subsets, over
+# made.  `groebner._dimension_of_leads` may test all 2^N variable subsets, over
 # 4 * 10^9 at 32, so no larger ring could be answered; inputs use at most 6.
 MAX_VARIABLES = 32
 
@@ -174,7 +174,9 @@ def int_from_json(value, name: str) -> int:
 class HomoPoly:
     """Homogeneous polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_degree", "_key_text", "_integer_terms")
+    # `_packed_terms` is the one memo that another module fills: `groebner`
+    # keeps the packed term dicts there, one per modulus; it is unset until then
+    __slots__ = ("nvars", "terms", "_degree", "_key_text", "_integer_terms", "_packed_terms")
 
     def __init__(self, nvars: int, terms=None):
         check_num_vars(nvars)

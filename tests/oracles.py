@@ -3,7 +3,11 @@
 `tuple_groebner_basis` is the loop over Q on exponent tuples, with its own
 reducer and S-polynomial builder; `modp_lead_monomials` is the grevlex pass
 mod `groebner.MODULUS` on packed ints.  Both are the code as it stood before
-the one packed loop ran over both fields.
+the one packed loop ran over both fields: they form each pair's lcm, degree
+and coprimality test on exponent tuples, where the loop uses guard-bit masks.
+`cone_dimension` is the dimension read-off on exponent tuples, by frozensets
+of variables, that `groebner._dimension_of_leads` replaced with support masks
+of the packed leads.
 
 `theorem15_margin` and `weil_function` are the margin and the Weil function
 that take the norm |x|_v of the point at every place, as they stood before
@@ -30,6 +34,7 @@ import heapq
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 
 from hyperpos import groebner, heights
@@ -258,6 +263,29 @@ def modp_lead_monomials(polys, num_vars):
         if rest:
             add(rest)
     return lead_exps
+
+
+def cone_dimension(lead_monomials, num_vars):
+    """Krull dimension of the affine cone cut out by the leading-term ideal.
+
+    Largest variable subset S with no leading monomial supported inside S;
+    -1 flags the unit ideal.
+    """
+    if any(sum(m) == 0 for m in lead_monomials):
+        return -1
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lead_monomials]
+    for size in range(num_vars, 0, -1):
+        for sub in combinations(range(num_vars), size):
+            sset = frozenset(sub)
+            if not any(sup <= sset for sup in supports):
+                return size
+    return 0
+
+
+def dimension_of_leads(lead_monomials, num_vars):
+    """Projective dimension, or EMPTY, read off exponent-tuple leads by `cone_dimension`."""
+    cone = cone_dimension(lead_monomials, num_vars)
+    return groebner.EMPTY if cone <= 0 else cone - 1
 
 
 def evaluate(q, point):

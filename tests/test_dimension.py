@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import modp_lead_monomials
+from oracles import dimension_of_leads, modp_lead_monomials
 from test_acceptance import _check_replacement, random_form
 
 from hyperpos import groebner
@@ -150,8 +150,10 @@ def test_unlucky_prime_falls_back_to_exact():
     # x0 - p*x1 is x0 mod p, so the mod-p pass sees a line where Q has a point
     v, fam = family_of(3, ("x0", f"x0 - {MODULUS}*x1"))
     gens = [parse_poly("x0", 3), parse_poly(f"x0 - {MODULUS}*x1", 3)]
-    leads, _, _ = groebner._buchberger([{m: int(c) for m, c in g.terms.items()} for g in gens],
-                                       groebner._packing(GREVLEX, 3), MODULUS)
+    mults, _ = packing = groebner._packing(GREVLEX, 3)
+    leads, _ = groebner._buchberger(
+        [groebner._pack_poly({m: int(c) for m, c in g.terms.items()}, mults, MODULUS) for g in gens],
+        packing, MODULUS)
     assert groebner._dimension_of_leads(leads, 3) == 1
     assert intersection_dimension(v, fam, [0]) == 1
     assert intersection_dimension(v, fam, [1]) == 1
@@ -166,18 +168,21 @@ def assert_modp_loop_matches_oracle(gens, nvars):
     basis = [g.content_free() for g in gens if not g.is_zero]
     polys = [{m: c.numerator for m, c in g.terms.items()} for g in basis]
     old = modp_lead_monomials(polys, nvars)
+    mults, _ = packing = groebner._packing(GREVLEX, nvars)
     try:
-        new, _, _ = groebner._buchberger(polys, groebner._packing(GREVLEX, nvars),
-                                         groebner.MODULUS)
+        leads, _ = groebner._buchberger(
+            [groebner._pack_poly(poly, mults, groebner.MODULUS) for poly in polys],
+            packing, groebner.MODULUS)
+        new = [groebner._unpack(lead, nvars) for lead in leads]
     except PackedDegreeExceeded:
         new = None
     assert (new is None) == (old is None)
     if old is not None:
         assert set(groebner._minimal_monomials(new)) == set(groebner._minimal_monomials(old))
-        assert groebner._modp_dimension(basis, nvars) == groebner._dimension_of_leads(old, nvars)
+        assert groebner._modp_dimension(basis, nvars) == dimension_of_leads(old, nvars)
 
 
-SMALL_PRIMES = (None, 7)
+SMALL_PRIMES = (None, 7, 2)
 
 
 def bench_pool_families():
@@ -229,6 +234,47 @@ def test_modp_loop_matches_oracle_on_small_families(case):
             for size in range(1, len(members) + 1):
                 for combo in combinations(members, size):
                     assert_modp_loop_matches_oracle(list(combo), nvars)
+
+
+def memo_queries():
+    """(gens, nvars, lower) for every subset of some families, sharing their
+    member objects as the walk does: a bench pool family, the small gate
+    families, and a family with rational coefficients for which the primes 2
+    and 7 are unlucky."""
+    nvars, members = next(bench_pool_families())
+    configurations = [(build_variety([], num_vars=nvars), members[:6])]
+    for v, fam in other_gate_families():
+        configurations.append((v, list(fam.members)))
+    v, fam = family_of(3, ("1/2*x0 + 3/4*x1", "x0 - 14*x1", "x2 - 7/3*x0", "x1^2 - 2*x0*x2"))
+    configurations.append((v, list(fam.members)))
+    for v, members in configurations:
+        for size in range(1, len(members) + 1):
+            for combo in combinations(members, size):
+                lower = v.dim_n - size
+                yield list(v.generators) + list(combo), v.num_vars, lower if lower >= 0 else None
+
+
+def fresh(polys):
+    return [HomoPoly(g.nvars, g.terms) for g in polys]
+
+
+def test_packed_memo_never_changes_an_answer(monkeypatch):
+    """Each member is packed once per modulus and kept on the polynomial; the
+    same objects asked again under another modulus answer as fresh ones do."""
+    queries = list(memo_queries())
+    answers = {}
+    for prime in (MODULUS, 7, 2, MODULUS):
+        monkeypatch.setattr(groebner, "MODULUS", prime)
+        answers[prime] = []
+        for gens, nvars, lower in queries:
+            for query in (projective_dimension, groebner.modp_dimension):
+                answer = query(gens, nvars, lower)
+                assert answer == query(fresh(gens), nvars, lower), (prime, query, gens)
+                answers[prime].append(answer)
+    # each small prime is unlucky for some query, so a memo read under the
+    # wrong modulus would show
+    assert answers[7] != answers[MODULUS] and answers[2] != answers[MODULUS]
+    assert all(EMPTY in dims and 0 in dims for dims in answers.values())
 
 
 def dense_quadric(rng, nvars):

@@ -18,7 +18,7 @@ from conftest import (cache_rows, certify, leading_monomial, lex, parse_many, s_
                       write_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reduce_terms, tuple_groebner_basis
+from oracles import dimension_of_leads, reduce_terms, tuple_groebner_basis
 
 from hyperpos import groebner
 from hyperpos.errors import DomainError
@@ -600,6 +600,104 @@ class TestPackedDegreeLimit:
         # the mod-p pass had no answer, so the query went to the pass over Q
         assert DIMENSION_COUNTS == {"exact": 1}
         assert groebner._modp_dimension([self.high_degree()], 2) is None
+
+
+FIELD_MAX = 2 ** 15 - 1
+
+
+@st.composite
+def packed_cases(draw):
+    """1-32 variables, grevlex or a weighted order on them with rational weights
+    (so the weight field has multipliers of several sizes), and a seeded rng
+    for the exponents."""
+    nvars = draw(st.integers(1, 32))
+    rng = random.Random(draw(st.integers(0, 10 ** 9)))
+    if draw(st.booleans()):
+        return nvars, GREVLEX, rng
+    return nvars, weighted_order([Fraction(rng.randint(0, 9), rng.randint(1, 6))
+                                  for _ in range(nvars)]), rng
+
+
+def exponents(rng, nvars):
+    """Exponents up to 2^15 - 1, a third of them 0 and some 2^15 - 1."""
+    return tuple(rng.choice((0, FIELD_MAX, rng.randint(1, FIELD_MAX))) for _ in range(nvars))
+
+
+def low_degree(rng, nvars):
+    """Exponents up to 2^15 - 1 of degree below 2^15, as every monomial of the
+    loop has: the gaps between sorted cuts of the degree, some set to 0."""
+    degree = rng.randint(0, FIELD_MAX)
+    cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+    gaps = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+    rng.shuffle(gaps)
+    return tuple(e if rng.random() < 0.7 else 0 for e in gaps)
+
+
+class TestPackedPairs:
+    """The loop's packed pair arithmetic against exponent-tuple arithmetic."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(packed_cases())
+    def test_lcm_coprimality_and_support(self, case):
+        nvars, order, rng = case
+        a, b = exponents(rng, nvars), exponents(rng, nvars)
+        mults, guard = groebner._packing(order, nvars)
+        pa, pb = groebner._pack(a, mults), groebner._pack(b, mults)
+        lcm = tuple(max(x, y) for x, y in zip(a, b))
+        packed = groebner._lcm(pa, pb, guard, mults)
+        assert packed == groebner._pack(lcm, mults)
+        # without the multipliers only the weight field can be wrong
+        assert groebner._unpack(groebner._lcm(pa, pb, guard), nvars) == lcm
+        if order == GREVLEX:
+            assert groebner._lcm(pa, pb, guard) == packed
+        assert (packed == pa + pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+        for mono, packed_mono in ((a, pa), (b, pb), (lcm, packed)):
+            support = sum(groebner._FIELD_TOP << (16 * i) for i, e in enumerate(mono) if e)
+            assert groebner._support(packed_mono, guard) == support
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(packed_cases())
+    def test_lcm_degree(self, case):
+        nvars, order, rng = case
+        a, b = low_degree(rng, nvars), low_degree(rng, nvars)
+        mults, guard = groebner._packing(order, nvars)
+        fields = (1 << (16 * nvars)) - 1
+        pa, pb = groebner._pack(a, mults), groebner._pack(b, mults)
+        assert groebner._degree(pa, fields) == sum(a)
+        lcm = groebner._lcm(pa, pb, guard, mults)
+        assert groebner._degree(lcm, fields) == sum(max(x, y) for x, y in zip(a, b))
+
+    def test_largest_lcm_degree(self):
+        # two leads of degree 2^15 - 1 have an lcm of degree 2^16 - 2, one
+        # below the modulus of the field sum, and the loop refuses it
+        a, b = (FIELD_MAX, 0, 0), (0, 1, FIELD_MAX - 1)
+        mults, guard = groebner._packing(GREVLEX, 3)
+        lcm = groebner._lcm(groebner._pack(a, mults), groebner._pack(b, mults), guard)
+        assert groebner._degree(lcm, (1 << 48) - 1) == 2 * FIELD_MAX
+        gens = [HomoPoly(3, {a: 1}), HomoPoly(3, {b: 1})]
+        with pytest.raises(PackedDegreeExceeded, match=f"degree {2 * FIELD_MAX} exceeds"):
+            groebner_basis(gens, GREVLEX)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(monomial_ideals())
+    def test_read_off_matches_the_tuple_oracle(self, case):
+        nvars, monos = case
+        expected = dimension_of_leads(monos, nvars)
+        for order in (GREVLEX, weighted_order(range(nvars, 0, -1))):
+            mults, _ = groebner._packing(order, nvars)
+            leads = [groebner._pack(m, mults) for m in monos]
+            assert groebner._dimension_of_leads(leads, nvars) == expected, order
+
+    def test_read_off_in_many_variables(self):
+        # the point ideal (x0, ..., x_{N-2}) and one quadric in N = 12 variables
+        nvars = 12
+        point = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars - 1)]
+        quadric = [(1,) + (0,) * (nvars - 2) + (1,)]
+        mults, _ = groebner._packing(GREVLEX, nvars)
+        for monos, dim in ((point, 0), (quadric, nvars - 2), ([], nvars - 1)):
+            assert dimension_of_leads(monos, nvars) == dim
+            assert groebner._dimension_of_leads([groebner._pack(m, mults) for m in monos],
+                                                nvars) == dim
 
 
 @pytest.fixture(scope="module")

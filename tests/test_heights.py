@@ -812,6 +812,24 @@ class TestLogMemo:
         # four logarithms per point without the memo
         assert len(integers) < 2 * len(points)
 
+    def test_one_right_side_per_height(self, monkeypatch):
+        rendered = []
+        value = LogRational.value
+
+        def counting_value(self, *args, **kwargs):
+            rendered.append(self)
+            return value(self, *args, **kwargs)
+
+        monkeypatch.setattr(LogRational, "value", counting_value)
+        v, fam, points = memo_case("P2", 120)
+        reports = theorem15_margin(v, fam, 1, F(1, 2), None, points)
+        heights_seen = {max(map(abs, x.coords)) for x in points}
+        # one value per point for the left side, one per distinct h(x) for the right
+        assert len(rendered) == len(points) + len(heights_seen) < 2 * len(points)
+        for r in reports:
+            assert r.rhs == LogRational(max(map(abs, r.point.coords))).scale(F(7, 2))
+            assert r.slack == float(oracles.log_value(r.rhs) - oracles.log_value(r.lhs)), r.point
+
     def test_memo_is_keyed_by_precision(self):
         logs = {}
         x = LogRational(F(10, 3), 2)

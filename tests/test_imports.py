@@ -20,6 +20,11 @@ Inside `heights`, only `_coefficient_places` names `_prime_factors`: heights,
 Weil functions and margins read every coefficient norm off the primitive
 integer form, and only the places of a given number are found by factoring.
 
+Only `groebner` touches `HomoPoly._packed_terms`, the packed term dicts it
+keeps on a polynomial per modulus: no other module of the package or of the
+tests reads, writes or deletes the slot, by attribute or by `getattr` and its
+kin.  (`polyring` only declares it in `__slots__`.)
+
 The package also loads `sqlite3` only when a command uses the disk cache.
 
 No float decides a margin: `heights.theorem15_margin`, `summarize_margins`,
@@ -337,6 +342,42 @@ def test_checker_finds_a_float():
     assert float_uses(source, {"LogRational.__float__"}) == []
     with pytest.raises(AssertionError):
         float_uses(source, {"LogRational.missing"})
+
+
+MEMO_SLOT = "_packed_terms"
+ATTRIBUTE_FUNCTIONS = {"getattr", "setattr", "hasattr", "delattr"}
+
+
+def memo_slot_uses(source):
+    """Lines that name the packed memo slot as an attribute, or pass its name
+    to `getattr`, `setattr`, `hasattr` or `delattr`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == MEMO_SLOT:
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ATTRIBUTE_FUNCTIONS
+              and any(isinstance(arg, ast.Constant) and arg.value == MEMO_SLOT for arg in node.args)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "groebner.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_groebner_touches_the_packed_memo(path):
+    assert memo_slot_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_a_memo_use():
+    source = ("class HomoPoly:\n"
+              "    __slots__ = ('terms', '_packed_terms')\n"
+              "def scale(p):\n"
+              "    p._packed_terms = None\n"
+              "    del p._packed_terms\n"
+              "    return getattr(p, '_packed_terms', None), hasattr(p, 'terms')\n"
+              "setattr(HomoPoly, '_packed_terms', {})\n")
+    assert memo_slot_uses(source) == [4, 5, 6, 7]
+    groebner = (ROOT / "src" / "hyperpos" / "groebner.py").read_text(encoding="utf-8")
+    assert memo_slot_uses(groebner)
 
 
 @pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])
