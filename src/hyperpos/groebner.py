@@ -26,7 +26,9 @@ bound; the replacement search accepts a candidate on it.
 
 The on-disk cache is one SQLite table per cache directory.  It holds settled
 dimensions under versioned keys, and the dim_p of `modp_dimension` in rows
-that name the modulus.  Stores are held in memory and written by
+that name the modulus.  Rows are read one at a time, or many dimension
+records in one statement by `prefetch_dimensions`, which the subset walk
+calls once per level.  Stores are held in memory and written by
 `close_cache` in one transaction.  Reduced bases are never cached.
 """
 
@@ -540,18 +542,27 @@ def _dimension_of_leads(leads, num_vars):
     The affine cone of the leading-term ideal has Krull dimension |S| for the
     largest variable subset S that holds the support of no lead, that is, whose
     complement meets every support.  No lead or a constant lead is the whole
-    space or the unit ideal.
+    space or the unit ideal.  A variable that alone is the support of a lead
+    lies in every such complement, so only subsets of the other, free
+    variables are scanned, against the supports that the forced ones leave
+    unhit; when every variable is forced, no S is left and the answer is EMPTY.
     """
     tops = [_FIELD_TOP << s for s in range(0, _FIELD_BITS * num_vars, _FIELD_BITS)]
     guard = sum(tops)
     supports = {_support(lead, guard) for lead in leads}
     if 0 in supports:
         return EMPTY
-    for size in range(num_vars):
-        for complement in combinations(tops, size):
+    forced = 0
+    for support in supports:
+        if not support & (support - 1):  # a single guard bit
+            forced |= support
+    unhit = [support for support in supports if not support & forced]
+    free = [top for top in tops if not top & forced]
+    for size in range(len(free)):
+        for complement in combinations(free, size):
             mask = sum(complement)
-            if all(support & mask for support in supports):
-                return num_vars - size - 1
+            if all(support & mask for support in unhit):
+                return len(free) - size - 1
     return EMPTY
 
 
@@ -657,6 +668,11 @@ _CREATE_TABLE = ("CREATE TABLE IF NOT EXISTS dimensions (key TEXT NOT NULL, "
 # seconds one statement waits for another process's lock before it gives up;
 # a read then misses and a flush is dropped, so a shared directory never stalls
 _BUSY_TIMEOUT_S = 0.25
+# the JSON text around the generators in a key, by (CACHE_FORMAT, __version__, vars)
+_KEY_FRAMES = {}
+# most keys one batched read names, below SQLite's historic limit of 999
+# parameters per statement
+_PREFETCH_CHUNK = 500
 _session = None
 
 
@@ -692,13 +708,16 @@ def close_cache() -> None:
 
 
 class _CacheSession:
-    """The cache database between two flushes: rows read on demand, stores held in memory."""
+    """The cache database between two flushes: rows read one at a time or a
+    walk level at a time, stores held in memory."""
 
-    __slots__ = ("path", "stored", "db", "readable")
+    __slots__ = ("path", "stored", "read", "db", "readable")
 
     def __init__(self, directory):
         self.path = os.path.join(directory, CACHE_FILE)
         self.stored = {}  # (key, modulus) -> "EMPTY" or int, as the row will hold it
+        # (key, modulus) -> the value a batched read found, or None for no row
+        self.read = {}
         self.db = None
         # a new directory has nothing to read: the database is made by the first flush
         self.readable = os.path.isfile(self.path)
@@ -713,19 +732,40 @@ class _CacheSession:
         return self.db
 
     def fetch(self, key, modulus):
-        value = self.stored.get((key, modulus))
-        if value is None and self.readable:
-            import sqlite3
-            try:
-                row = self.connect().execute(
-                    "SELECT value FROM dimensions WHERE key = ? AND modulus = ?",
-                    (key, modulus)).fetchone()
-            except (sqlite3.Error, OSError):
-                # busy, unreadable or not a database: no more reads in this session
-                self.readable = False
-                return None
-            value = None if row is None else row[0]
-        return value
+        record = key, modulus
+        if record in self.stored:
+            return self.stored[record]
+        if record in self.read:
+            return self.read[record]
+        if not self.readable:
+            return None
+        import sqlite3
+        try:
+            row = self.connect().execute(
+                "SELECT value FROM dimensions WHERE key = ? AND modulus = ?", record).fetchone()
+        except (sqlite3.Error, OSError):
+            # busy, unreadable or not a database: no more reads in this session
+            self.readable = False
+            return None
+        return None if row is None else row[0]
+
+    def prefetch(self, keys):
+        """Read the dimension records of `keys` that this session does not
+        know yet, _PREFETCH_CHUNK keys per statement, into `read`."""
+        keys = [key for key in keys if (key, 0) not in self.stored and (key, 0) not in self.read]
+        if not keys:
+            return
+        import sqlite3
+        try:
+            db = self.connect()
+            for start in range(0, len(keys), _PREFETCH_CHUNK):
+                chunk = keys[start:start + _PREFETCH_CHUNK]
+                rows = db.execute("SELECT key, value FROM dimensions WHERE modulus = 0 AND key IN "
+                                  f"({','.join('?' * len(chunk))})", chunk).fetchall()
+                self.read.update(((key, 0), None) for key in chunk)
+                self.read.update(((key, 0), value) for key, value in rows)
+        except (sqlite3.Error, OSError):
+            self.readable = False  # as in `fetch`
 
     def close(self):
         if not self.stored and self.db is None:
@@ -757,18 +797,39 @@ def _cache_session():
 
 
 def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
-    """SHA-256 key of the content-free generators, independent of their order."""
-    payload = json.dumps(
-        {
-            "format": CACHE_FORMAT,
-            "version": __version__,
-            "vars": num_vars,
-            "generators": sorted(g.key_text() for g in gens),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """SHA-256 key of the content-free generators, independent of their order.
+
+    The hashed text is the compact JSON object {"format", "generators", "vars",
+    "version"} with sorted keys, and the generators are the key texts in
+    sorted order.  It is joined from each polynomial's memoized quoted key
+    text, sorted by the raw text, so no object is encoded per query.
+    """
+    # the tag is read per call: CACHE_FORMAT and __version__ may be rebound
+    tag = CACHE_FORMAT, __version__, num_vars
+    frame = _KEY_FRAMES.get(tag)
+    if frame is None:
+        frame = _KEY_FRAMES[tag] = (f'{{"format":{json.dumps(CACHE_FORMAT)},"generators":[',
+                                    f'],"vars":{json.dumps(num_vars)},'
+                                    f'"version":{json.dumps(__version__)}}}')
+    quoted = ",".join([g.quoted_key_text() for g in sorted(gens, key=HomoPoly.key_text)])
+    return hashlib.sha256((frame[0] + quoted + frame[1]).encode()).hexdigest()
+
+
+def prefetch_dimensions(gen_lists: Sequence[Sequence[HomoPoly]], num_vars: int) -> None:
+    """Read the dimension records of several generator lists at once, ahead
+    of their `projective_dimension` queries.
+
+    Rows found and rows missing are both kept for the session, so those
+    queries read no row again.  A database refusal turns reads off as a
+    single read does.  A disabled cache, or a new or unreadable database,
+    reads nothing and hashes no key.
+    """
+    if _CACHE_DIR is None:
+        return
+    session = _cache_session()
+    if session.readable:
+        session.prefetch([cache_key([g for g in gens if not g.is_zero], num_vars)
+                          for gens in gen_lists])
 
 
 def _cache_fetch(key, modulus=None):

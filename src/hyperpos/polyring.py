@@ -96,8 +96,9 @@ def _check_terms(count, what="polynomial"):
 
 
 # Most variables a ring may have, checked before anything of that length is
-# made.  `groebner._dimension_of_leads` may test all 2^N variable subsets, over
-# 4 * 10^9 at 32, so no larger ring could be answered; inputs use at most 6.
+# made.  `groebner._dimension_of_leads` skips the variables that a lead on one
+# variable forces, but an ideal with no such lead may make it test all 2^N
+# variable subsets, over 4 * 10^9 at 32, so no larger ring could be answered.
 MAX_VARIABLES = 32
 
 
@@ -176,7 +177,8 @@ class HomoPoly:
 
     # `_packed_terms` is the one memo that another module fills: `groebner`
     # keeps the packed term dicts there, one per modulus; it is unset until then
-    __slots__ = ("nvars", "terms", "_degree", "_key_text", "_integer_terms", "_packed_terms")
+    __slots__ = ("nvars", "terms", "_degree", "_key_text", "_quoted_key_text", "_integer_terms",
+                 "_packed_terms")
 
     def __init__(self, nvars: int, terms=None):
         check_num_vars(nvars)
@@ -200,7 +202,7 @@ class HomoPoly:
             clean[mono] = clean.get(mono, Fraction(0)) + coef
         self.terms = {m: c for m, c in clean.items() if c != 0}
         self._degree = degree if self.terms else None
-        self._key_text = None
+        self._key_text = self._quoted_key_text = None
         self._integer_terms = None
 
     # construction helpers -------------------------------------------------
@@ -212,7 +214,7 @@ class HomoPoly:
         p.nvars = nvars
         p.terms = terms
         p._degree = sum(next(iter(terms))) if terms else None
-        p._key_text = None
+        p._key_text = p._quoted_key_text = None
         p._integer_terms = None
         return p
 
@@ -367,6 +369,13 @@ class HomoPoly:
             self._key_text = json.dumps(poly_to_json(self.content_free()),
                                         sort_keys=True, separators=(",", ":"))
         return self._key_text
+
+    def quoted_key_text(self) -> str:
+        """`key_text` as a JSON string literal, computed once per object: the
+        bytes that a JSON encoding of a list of key texts holds for this one."""
+        if self._quoted_key_text is None:
+            self._quoted_key_text = json.dumps(self.key_text())
+        return self._quoted_key_text
 
     # printing -------------------------------------------------------------
     def __str__(self):
@@ -529,10 +538,13 @@ def poly_combine(coeffs: Sequence, polys: Sequence[HomoPoly]) -> HomoPoly:
             degree = p.degree
         elif p.degree != degree:
             raise DegreeMismatch(f"degrees {degree} and {p.degree}")
-    out = HomoPoly.zero(nvars)
+    out = {}
     for c, p in zip(coeffs, polys):
-        out = out + p.scale(c)
-    return out
+        c = Fraction(c)
+        if c:
+            for m, v in p.terms.items():
+                out[m] = out.get(m, 0) + c * v
+    return HomoPoly._trusted(nvars, {m: v for m, v in out.items() if v})
 
 
 class LcmLift(NamedTuple):

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .groebner import (EMPTY, GREVLEX, GroebnerBasis, dim_at_most, groebner_basis,
-                       ideal_profile, normal_form, projective_dimension)
+                       ideal_profile, normal_form, prefetch_dimensions, projective_dimension)
 from .polyring import (ConstantMember, EmptyInput, HomoPoly, int_from_json, lcm_degree,
                        polys_from_json)
 
@@ -150,7 +150,12 @@ def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=(), dimension=
             return EMPTY
         if parent is not None:
             lower = max(lower, parent - 1)
-    return dimension(list(v.generators) + list(polys), v.num_vars, lower if lower >= 0 else None)
+    return dimension(_meet_generators(v, polys), v.num_vars, lower if lower >= 0 else None)
+
+
+def _meet_generators(v, polys):
+    """The generators of V cut by `polys`, as `meet_dimension` queries them."""
+    return list(v.generators) + list(polys)
 
 
 def _subset_dim(v, fam, idxs):
@@ -185,6 +190,8 @@ def _nonvoid_subsets(v, fam):
     ends its level: no subset of its size can pass it, and `delta` refuses
     it.  That level is then only partly known, so the next one scans every
     combination, lazily, and void immediate subsets settle what they can.
+    The dimension records of a fully known level are read from the disk
+    cache in one batch before it is walked; the lazy scan reads its own.
     """
     visited = 0
 
@@ -207,6 +214,9 @@ def _nonvoid_subsets(v, fam):
             candidates = list(visit(
                 c + (j,) for c in level for j in range(c[-1] + 1 if c else 0, fam.q)
                 if all(c[:i] + c[i + 1:] + (j,) in nonvoid for i in range(len(c)))))
+            prefetch_dimensions([_meet_generators(v, [fam.members[i] for i in c])
+                                 for c in candidates if (v, frozenset(c)) not in fam._memo],
+                                v.num_vars)
         level, cut = [], False
         for combo in candidates:
             dim = _subset_dim(v, fam, frozenset(combo))

@@ -9,6 +9,10 @@ and coprimality test on exponent tuples, where the loop uses guard-bit masks.
 of variables, that `groebner._dimension_of_leads` replaced with support masks
 of the packed leads.
 
+`fold_combine` is `polyring.poly_combine` as it stood before it summed every
+scaled member into one dict: a fold of `+` over `HomoPoly.scale`, from the
+zero polynomial.
+
 `theorem15_margin` and `weil_function` are the margin and the Weil function
 that take the norm |x|_v of the point at every place, as they stood before
 `heights` read it off the coprime-coordinate invariant (max|x_i| at oo, 1 at
@@ -286,6 +290,14 @@ def dimension_of_leads(lead_monomials, num_vars):
     """Projective dimension, or EMPTY, read off exponent-tuple leads by `cone_dimension`."""
     cone = cone_dimension(lead_monomials, num_vars)
     return groebner.EMPTY if cone <= 0 else cone - 1
+
+
+def fold_combine(coeffs, polys):
+    """Sum of coeffs[i] * polys[i], one intermediate polynomial per member."""
+    out = HomoPoly.zero(polys[0].nvars)
+    for c, p in zip(coeffs, polys):
+        out = out + p.scale(c)
+    return out
 
 
 def evaluate(q, point):

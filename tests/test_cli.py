@@ -4,12 +4,15 @@ Every invocation goes through main(argv) with an explicit cache flag so no
 test touches the user-level cache directory.
 """
 
+import importlib.util
 import json
 import math
 import os
+import sqlite3
 import subprocess
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,8 @@ from conftest import cache_rows
 from test_walk import dense_plane_family
 
 import hyperpos
-from hyperpos import __version__, cli, groebner, polyring
+from hyperpos import __version__, cli, groebner, polyring, position
+from hyperpos.groebner import DIMENSION_COUNTS
 from hyperpos.polyring import poly_to_json
 
 
@@ -883,6 +887,114 @@ class TestCacheWiring:
         assert (cache / groebner.CACHE_FILE).read_bytes() == garbage
 
 
+class _Recorded:
+    """A cache connection that records each statement it is asked to run, one
+    per row for `executemany`, before SQLite prepares it, so a statement that
+    a lock or a broken file refuses is recorded too."""
+
+    def __init__(self, db, seen):
+        self.db, self.seen = db, seen
+
+    def execute(self, sql, params=()):
+        self.seen.append((sql, tuple(params)))
+        return self.db.execute(sql, params)
+
+    def executemany(self, sql, rows):
+        rows = list(rows)
+        self.seen.extend((sql, tuple(row)) for row in rows)
+        return self.db.executemany(sql, rows)
+
+
+@pytest.fixture()
+def statements(monkeypatch):
+    """(sql, parameters) of every statement that the disk cache runs."""
+    seen = []
+    connect = groebner._CacheSession.connect
+    monkeypatch.setattr(groebner._CacheSession, "connect",
+                        lambda session: _Recorded(connect(session), seen))
+    return seen
+
+
+@pytest.fixture(scope="module")
+def bench_pool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBatchedRead:
+    """The subset walk reads the dimension records of a level in one statement."""
+
+    @pytest.fixture(params=[6, 8])
+    def family(self, request, bench_pool, tmp_path):
+        """A P^2 q=11 family of the benchmark's pool, and its walk's levels:
+        entry 6 queries sizes 1 to 4, entry 8 sizes 1 to 3."""
+        texts = bench_pool.quadric_family(3, 11, request.param)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"ambient": 2, "variety": [], "family": texts}))
+        v = position.build_variety([], num_vars=3)
+        fam = position.build_family(v, [polyring.parse_poly(t, 3) for t in texts])
+        position.distributive_constant(v, fam)
+        return str(path), len({len(subset) for _, subset in fam._memo})
+
+    @staticmethod
+    def selects(statements):
+        return [sql for sql, _ in statements if sql.startswith("SELECT")]
+
+    def test_one_select_per_level(self, run, family, statements, tmp_path):
+        config, levels = family
+        cache = str(tmp_path / "cache")
+        DIMENSION_COUNTS.clear()
+        assert run("delta", "--config", config, "--cache-dir", cache)[0] == 0
+        queries = sum(DIMENSION_COUNTS.values())
+        for command in ("delta", "classify"):
+            expected = run(command, "--config", config, "--no-cache")
+            DIMENSION_COUNTS.clear()
+            statements.clear()
+            assert run(command, "--config", config, "--cache-dir", cache) == expected
+            assert DIMENSION_COUNTS == {"cached": queries}
+            assert len(self.selects(statements)) == levels
+            assert all(" IN (" in s for s in self.selects(statements))
+
+    def test_prefetched_miss_computed_and_written_once(self, run, family, statements, tmp_path):
+        config, levels = family
+        cache = tmp_path / "cache"
+        expected = run("delta", "--config", config, "--cache-dir", str(cache))
+        rows = cache_rows(cache)
+        with closing(sqlite3.connect(cache / groebner.CACHE_FILE)) as db, db:
+            db.execute("DELETE FROM dimensions WHERE key = ?", (rows[0][0],))
+        DIMENSION_COUNTS.clear()
+        statements.clear()
+        assert run("delta", "--config", config, "--cache-dir", str(cache)) == expected
+        assert DIMENSION_COUNTS["cached"] == len(rows) - 1
+        assert sum(DIMENSION_COUNTS.values()) == len(rows)
+        assert len(self.selects(statements)) == levels
+        assert [params for sql, params in statements if sql.startswith("INSERT")] == [rows[0]]
+        assert cache_rows(cache) == rows
+
+    @pytest.mark.parametrize("broken", ["locked", "garbage"])
+    def test_unreadable_database_runs_uncached(self, run, family, statements, tmp_path, broken):
+        config, _ = family
+        cache = tmp_path / "cache"
+        assert run("delta", "--config", config, "--cache-dir", str(cache))[0] == 0
+        expected = run("delta", "--config", config, "--no-cache")
+        if broken == "garbage":
+            (cache / groebner.CACHE_FILE).write_bytes(bytes(range(256)) * 16)
+        before = (cache / groebner.CACHE_FILE).read_bytes()
+        statements.clear()
+        with closing(sqlite3.connect(cache / groebner.CACHE_FILE, isolation_level=None)) as other:
+            if broken == "locked":
+                other.execute("BEGIN EXCLUSIVE")  # another process in the middle of a write
+            assert run("delta", "--config", config, "--cache-dir", str(cache)) == expected
+            if broken == "locked":
+                other.execute("ROLLBACK")
+        # the batched read of the first level is refused, and no row is read after it
+        assert len(self.selects(statements)) == 1
+        assert (cache / groebner.CACHE_FILE).read_bytes() == before
+
+
 def test_two_processes_share_one_cache_dir(run, tmp_path):
     _, fam = dense_plane_family(10)
     conf = tmp_path / "conics.json"
@@ -941,6 +1053,17 @@ def test_fat_points_of_many_leading_monomials(tmp_path):
             commands.append(["hilbert", "--ideal", str(path), "--u", str(u), "--no-cache"])
             expected.append([0, {"u": u, "value": math.comb(min(u, d - 1) + 3, 3)}])
     assert _run_batch(commands) == expected
+
+
+def test_point_ideal_in_the_largest_ring(runj, tmp_path):
+    # (x0, ..., x30) in P^31: every variable but one is forced, so the
+    # read-off scans no subset (a scan of subsets took 46 s on P^24)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"ambient": 31, "polys": [f"x{i}" for i in range(31)]}))
+    start = time.perf_counter()
+    code, report = runj("dim", "--ideal", str(path), "--no-cache")
+    assert time.perf_counter() - start < 1
+    assert (code, report["payload"]) == (0, {"ambient": 31, "dimension": 0, "degree": 1})
 
 
 def test_high_degree_leading_monomial(tmp_path):

@@ -300,6 +300,18 @@ def monomial_ideals(draw):
     return nvars, monos
 
 
+@st.composite
+def pure_power_ideals(draw):
+    """Pure powers x_i^e (e = 1-3) of some of 1-10 variables, and up to 6 more
+    monomials with exponents 0-2, so that the read-off forces some variables
+    and scans the rest."""
+    nvars = draw(st.integers(1, 10))
+    powers = draw(st.dictionaries(st.integers(0, nvars - 1), st.integers(1, 3), max_size=nvars))
+    monos = [tuple(e if v == i else 0 for v in range(nvars)) for i, e in powers.items()]
+    monos += draw(st.lists(st.tuples(*[st.integers(0, 2)] * nvars), max_size=6))
+    return nvars, list(dict.fromkeys(monos))
+
+
 def _matches_oracles(gb):
     for u in range(9):
         assert hilbert_function(gb, u) == walk_hilbert(gb, u), u
@@ -678,8 +690,8 @@ class TestPackedPairs:
         with pytest.raises(PackedDegreeExceeded, match=f"degree {2 * FIELD_MAX} exceeds"):
             groebner_basis(gens, GREVLEX)
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(monomial_ideals())
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(monomial_ideals() | pure_power_ideals())
     def test_read_off_matches_the_tuple_oracle(self, case):
         nvars, monos = case
         expected = dimension_of_leads(monos, nvars)
@@ -696,6 +708,17 @@ class TestPackedPairs:
         mults, _ = groebner._packing(GREVLEX, nvars)
         for monos, dim in ((point, 0), (quadric, nvars - 2), ([], nvars - 1)):
             assert dimension_of_leads(monos, nvars) == dim
+            assert groebner._dimension_of_leads([groebner._pack(m, mults) for m in monos],
+                                                nvars) == dim
+
+    def test_forced_variables_skip_the_scan(self):
+        # in 32 variables the scan of all 2^32 subsets would take hours: the
+        # point ideal, every variable, and x0^3 beside a lead on the other 31
+        nvars = 32
+        unit = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+        mults, _ = groebner._packing(GREVLEX, nvars)
+        for monos, dim in ((unit[:-1], 0), (unit, EMPTY),
+                           ([(3,) + (0,) * 31, (0,) + (1,) * 31], nvars - 3)):
             assert groebner._dimension_of_leads([groebner._pack(m, mults) for m in monos],
                                                 nvars) == dim
 
@@ -941,6 +964,16 @@ class TestCacheKey:
         assert groebner.cache_key(gens, 3) == self.RECORDED
         # memoized texts give the same key, in any generator order
         assert groebner.cache_key(gens[::-1], 3) == self.RECORDED
+
+    def test_texts_sorted_by_the_raw_text(self):
+        # members whose coefficient texts differ at their second character;
+        # a key text writes each coefficient as "n/1", so a quote meets no
+        # digit there and the raw and quoted sorts agree
+        gens = parse_many(("x0^2 + 12*x1^2", "12*x0^2 + x1^2"), 3)
+        assert [g.key_text() for g in gens] == sorted(g.key_text() for g in gens)
+        assert [g.quoted_key_text() for g in gens] == sorted(g.quoted_key_text() for g in gens)
+        for batch in (gens, gens[::-1]):
+            assert groebner.cache_key(batch, 3) == _key_oracle(batch, 3)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(rational_quadrics(), rational_quadrics(size=(1, 1)),

@@ -25,7 +25,9 @@ keeps on a polynomial per modulus: no other module of the package or of the
 tests reads, writes or deletes the slot, by attribute or by `getattr` and its
 kin.  (`polyring` only declares it in `__slots__`.)
 
-The package also loads `sqlite3` only when a command uses the disk cache.
+The package also loads `sqlite3` only when a command uses the disk cache,
+and only `groebner` imports `sqlite3` or names the cache session
+(`_CacheSession`, `_session`), so single and batched reads stay in one module.
 
 No float decides a margin: `heights.theorem15_margin`, `summarize_margins`,
 `LogRational` and every helper they run (the integer evaluator
@@ -378,6 +380,45 @@ def test_checker_finds_a_memo_use():
     assert memo_slot_uses(source) == [4, 5, 6, 7]
     groebner = (ROOT / "src" / "hyperpos" / "groebner.py").read_text(encoding="utf-8")
     assert memo_slot_uses(groebner)
+
+
+CACHE_NAMES = {"_CacheSession", "_session"}
+
+
+def cache_uses(source):
+    """Lines that import `sqlite3`, or name the cache session as a bare name,
+    an attribute or an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "sqlite3" for alias in node.names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "sqlite3" or \
+                    any(alias.name in CACHE_NAMES for alias in node.names):
+                found.append(node.lineno)
+        elif getattr(node, "id", getattr(node, "attr", None)) in CACHE_NAMES:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "groebner.py"],
+                         ids=lambda p: p.name)
+def test_only_groebner_reads_the_cache(path):
+    assert cache_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_a_cache_use():
+    source = ("import sqlite3\n"
+              "import sqlite3.dbapi2 as db\n"
+              "from sqlite3 import connect\n"
+              "from .groebner import _CacheSession, cache_key\n"
+              "from . import groebner\n"
+              "def rows(keys):\n"
+              "    return groebner._session.read, _CacheSession('.').prefetch(keys)\n")
+    assert cache_uses(source) == [1, 2, 3, 4, 7, 7]
+    groebner = (ROOT / "src" / "hyperpos" / "groebner.py").read_text(encoding="utf-8")
+    assert cache_uses(groebner)
 
 
 @pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])

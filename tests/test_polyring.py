@@ -202,6 +202,26 @@ class TestEvalAgainstOracle:
             assert p.evaluate(point) == oracles.evaluate(p, point)
 
 
+@st.composite
+def combine_cases(draw):
+    """1 to 5 polynomials of one degree (0 to 3) in 1 to 4 variables, some of
+    them zero, with integer or rational coefficients, some of them zero; a
+    last member may cancel the sum of the others to the zero polynomial."""
+    nvars = draw(st.integers(1, 4))
+    monos = [tuple(combo.count(i) for i in range(nvars))
+             for combo in combinations_with_replacement(range(nvars), draw(st.integers(0, 3)))]
+    rational = st.integers(-6, 6) | st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+    polys, coeffs = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=5, unique=True))
+        polys.append(HomoPoly(nvars, {m: draw(rational) for m in chosen}))
+        coeffs.append(draw(rational))
+    if draw(st.booleans()):
+        polys.append(-oracles.fold_combine(coeffs, polys))
+        coeffs.append(1)
+    return tuple(coeffs), tuple(polys)
+
+
 class TestCombine:
     def test_cancellation(self):
         assert poly_combine((1, -1), (P("x0", 2), P("x0", 2))).is_zero
@@ -228,6 +248,17 @@ class TestCombine:
         lhs = poly_combine(tuple(x + y for x, y in zip(a, b)), polys)
         rhs = poly_combine(a, polys) + poly_combine(b, polys)
         assert lhs == rhs
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(combine_cases())
+    @example(((0, Fraction(1, 2)), (P("x0", 2), HomoPoly.zero(2))))
+    @example(((2, -1), (P("x0 + 1/2*x1", 2), P("2*x0 + x1", 2))))
+    def test_matches_the_fold(self, case):
+        coeffs, polys = case
+        out, expected = poly_combine(coeffs, polys), oracles.fold_combine(coeffs, polys)
+        assert out == expected
+        assert out._degree == expected._degree
+        assert all(type(c) is Fraction and c for c in out.terms.values())
 
 
 class TestLcmDegree:
