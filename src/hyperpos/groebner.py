@@ -18,18 +18,18 @@ the Macaulay matrix has rank mod p at most its rank over Q in every degree, so
 H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod p is therefore EMPTY
 over Q, and a dim_p equal to a proven lower bound is the exact dimension.
 Every other query runs the loop over Q and reads the dimension off its leads.
-A polynomial enters both passes content-free and packed, made once per
-polynomial and modulus and kept on it (`_member_terms`).
+A polynomial enters both passes as its primitive form, packed once per
+modulus and kept on it beside its cache-key texts (`_member_terms`).
 
 `modp_dimension` runs the mod-p pass alone and returns dim_p, the upper
 bound; the replacement search accepts a candidate on it.
 
 The on-disk cache is one SQLite table per cache directory.  It holds settled
 dimensions under versioned keys, and the dim_p of `modp_dimension` in rows
-that name the modulus.  Rows are read one at a time, or many dimension
-records in one statement by `prefetch_dimensions`, which the subset walk
-calls once per level.  Stores are held in memory and written by
-`close_cache` in one transaction.  Reduced bases are never cached.
+that name the modulus.  Rows are read in batches: a walk level's dimension
+records in one statement by `prefetch_dimensions`, and any other fetch as a
+batch of one.  Stores are held in memory and written by `close_cache` in one
+transaction.  Reduced bases are never cached.
 """
 
 from __future__ import annotations
@@ -569,13 +569,13 @@ def _dimension_of_leads(leads, num_vars):
 def _member_terms(g, p):
     """Packed grevlex term dict of g's content-free form over the field of `p`.
 
-    It is made once per polynomial and modulus and kept on `g`, which is never
-    changed in place; the modulus is part of the key because MODULUS may
-    change between calls.  Callers must not change the dict.
+    It is made once per polynomial and modulus and kept on `g` beside its key
+    texts; the modulus is part of the key because MODULUS may change between
+    calls.  Callers must not change the dict.
     """
-    memo = getattr(g, "_packed_terms", None)
+    memo = getattr(g, "_groebner_memo", None)
     if memo is None:
-        memo = g._packed_terms = {}
+        memo = g._groebner_memo = {}
     terms = memo.get(p)
     if terms is None:
         free = g.content_free()
@@ -708,15 +708,15 @@ def close_cache() -> None:
 
 
 class _CacheSession:
-    """The cache database between two flushes: rows read one at a time or a
-    walk level at a time, stores held in memory."""
+    """The cache database between two flushes: rows read in batches, a walk
+    level or a lone fetch at a time, stores held in memory."""
 
     __slots__ = ("path", "stored", "read", "db", "readable")
 
     def __init__(self, directory):
         self.path = os.path.join(directory, CACHE_FILE)
         self.stored = {}  # (key, modulus) -> "EMPTY" or int, as the row will hold it
-        # (key, modulus) -> the value a batched read found, or None for no row
+        # (key, modulus) -> the value a read found, or None for no row
         self.read = {}
         self.db = None
         # a new directory has nothing to read: the database is made by the first flush
@@ -735,37 +735,27 @@ class _CacheSession:
         record = key, modulus
         if record in self.stored:
             return self.stored[record]
-        if record in self.read:
-            return self.read[record]
-        if not self.readable:
-            return None
-        import sqlite3
-        try:
-            row = self.connect().execute(
-                "SELECT value FROM dimensions WHERE key = ? AND modulus = ?", record).fetchone()
-        except (sqlite3.Error, OSError):
-            # busy, unreadable or not a database: no more reads in this session
-            self.readable = False
-            return None
-        return None if row is None else row[0]
+        if record not in self.read:
+            self.prefetch([key], modulus)  # a batch of one
+        return self.read.get(record)
 
-    def prefetch(self, keys):
-        """Read the dimension records of `keys` that this session does not
-        know yet, _PREFETCH_CHUNK keys per statement, into `read`."""
-        keys = [key for key in keys if (key, 0) not in self.stored and (key, 0) not in self.read]
-        if not keys:
+    def prefetch(self, keys, modulus=0):
+        """Read the records of `keys` under `modulus` that this session does
+        not know yet, _PREFETCH_CHUNK keys per statement, into `read`."""
+        keys = [k for k in keys if (k, modulus) not in self.stored and (k, modulus) not in self.read]
+        if not keys or not self.readable:
             return
         import sqlite3
         try:
             db = self.connect()
             for start in range(0, len(keys), _PREFETCH_CHUNK):
                 chunk = keys[start:start + _PREFETCH_CHUNK]
-                rows = db.execute("SELECT key, value FROM dimensions WHERE modulus = 0 AND key IN "
-                                  f"({','.join('?' * len(chunk))})", chunk).fetchall()
-                self.read.update(((key, 0), None) for key in chunk)
-                self.read.update(((key, 0), value) for key, value in rows)
+                found = dict(db.execute("SELECT key, value FROM dimensions WHERE modulus = ? AND key IN "
+                                        f"({','.join('?' * len(chunk))})", [modulus, *chunk]))
+                for key in chunk:
+                    self.read[key, modulus] = found.get(key)
         except (sqlite3.Error, OSError):
-            self.readable = False  # as in `fetch`
+            self.readable = False  # busy, unreadable or not a database: no more reads
 
     def close(self):
         if not self.stored and self.db is None:
@@ -796,6 +786,23 @@ def _cache_session():
     return _session
 
 
+def _key_texts(g):
+    """(text, quoted) for g, made once per polynomial: the compact JSON of
+    `poly_to_json(m)` with sorted keys for g's content-free form m, written
+    directly since every coefficient of m is an integer n ("n/1"), and that
+    text as a JSON string literal, the bytes a JSON list of texts holds."""
+    memo = getattr(g, "_groebner_memo", None)
+    if memo is None:
+        memo = g._groebner_memo = {}
+    texts = memo.get("key")
+    if texts is None:
+        terms = ",".join([f'{{"coef":"{c.numerator}/1","exp":[{",".join(map(str, m))}]}}'
+                          for m, c in g.content_free().sorted_terms()])
+        text = f'{{"terms":[{terms}],"vars":{g.nvars}}}'
+        texts = memo["key"] = text, json.dumps(text)
+    return texts
+
+
 def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
     """SHA-256 key of the content-free generators, independent of their order.
 
@@ -811,7 +818,7 @@ def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
         frame = _KEY_FRAMES[tag] = (f'{{"format":{json.dumps(CACHE_FORMAT)},"generators":[',
                                     f'],"vars":{json.dumps(num_vars)},'
                                     f'"version":{json.dumps(__version__)}}}')
-    quoted = ",".join([g.quoted_key_text() for g in sorted(gens, key=HomoPoly.key_text)])
+    quoted = ",".join([q for _, q in sorted(map(_key_texts, gens))])
     return hashlib.sha256((frame[0] + quoted + frame[1]).encode()).hexdigest()
 
 

@@ -17,7 +17,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .polyring import HomoPoly, ZeroPolynomial, check_degree
+from .polyring import DimensionMismatch, HomoPoly, ZeroPolynomial, check_degree
 from .position import HypersurfaceFamily, Variety
 from .replace import PowerBudgetExceeded, check_power_bound
 
@@ -445,10 +445,13 @@ def height_poly(q: HomoPoly) -> LogRational:
 # ---------------------------------------------------------------------------
 # Weil functions
 
-def _value_off_hypersurface(q: HomoPoly, x: RationalPoint) -> Fraction:
+def _value_off_hypersurface(q: HomoPoly, x: RationalPoint) -> int:
+    """m(x) for the primitive integer form m of q, refused when it is 0."""
     if not q.terms:
         raise ZeroPolynomial("Weil function of the zero polynomial is undefined")
-    value = q.evaluate(x.coords)
+    if len(x.coords) != q.nvars:
+        raise DimensionMismatch(f"point has {len(x.coords)} coordinates, ring has {q.nvars} variables")
+    value = q.integer_value(x.coords)
     if value == 0:
         raise PointOnHypersurface(f"{x!r} lies on the hypersurface")
     return value
@@ -458,11 +461,10 @@ def weil_function(q: HomoPoly, x: RationalPoint, v: Place) -> LogRational:
     # a scale of q cancels between |q|_v and |q(x)|_v, so q enters as its
     # primitive integer form m, with |m|_p = 1 at every prime and |m|_oo = H(m);
     # |x|_v is max|x_i| at oo, and 1 at every prime: the coordinates are coprime integers
-    m = q.content_free()
-    value = _value_off_hypersurface(m, x)
+    value = _value_off_hypersurface(q, x)
     if v.is_finite:
         return LogRational(1 / normalized_abs(value, v))
-    return LogRational(height_point(x).argument ** q.degree * height_poly(m).argument / abs(value))
+    return LogRational(height_point(x).argument ** q.degree * height_poly(q).argument / abs(value))
 
 
 def weil_support(q: HomoPoly, x: RationalPoint) -> tuple:
@@ -471,7 +473,7 @@ def weil_support(q: HomoPoly, x: RationalPoint) -> tuple:
     At a prime p it is log(1/|m(x)|_p) for the primitive integer form m of q,
     so only the primes of the integer m(x) are listed; no coefficient is factored.
     """
-    return (INFINITE,) + _coefficient_places([_value_off_hypersurface(q.content_free(), x)])
+    return (INFINITE,) + _coefficient_places([_value_off_hypersurface(q, x)])
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +514,14 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
     # = q * lift when oo is in S, and C = 1, P = 0 otherwise.  A scale of Q_j
     # cancels between C and |V|_S, and |x|_v = 1 at every prime for coprime
     # coordinates.  V is an integer, so |V|_S is |V| with the primes of S
-    # stripped when oo is in S, and 1 over the part stripped otherwise.
-    members = [m.content_free() for m in fam.members]
+    # stripped when oo is in S, and 1 over the part stripped otherwise.  Each
+    # Q_j gives m_j(x) as `integer_value` and H(m_j) as `height_poly`.
     exponents = [lift // d for d in fam.degrees]
     archimedean = INFINITE in places
     primes = [p.prime for p in places if p.is_finite]
-    point_power = len(members) * lift if archimedean else 0
+    point_power = len(fam.members) * lift if archimedean else 0
     coefficients = prod(height_poly(m).argument.numerator ** e
-                        for m, e in zip(members, exponents)) if archimedean else 1
+                        for m, e in zip(fam.members, exponents)) if archimedean else 1
     # rhs is h(x) scaled by the multiplier, log(h^power)/root, as `LogRational.scale`
     # forms it; it depends on h alone, so it and its value are made once per h
     power, root = multiplier.numerator, multiplier.denominator
@@ -534,7 +536,7 @@ def theorem15_margin(v: Variety, fam: HypersurfaceFamily, delta, eps,
             if g.integer_value(coords) != 0:
                 raise PointNotOnVariety(f"{x!r} does not satisfy a defining equation")
         value = 1
-        for j, (member, e) in enumerate(zip(members, exponents)):
+        for j, (member, e) in enumerate(zip(fam.members, exponents)):
             val = member.integer_value(coords)
             if val == 0:
                 raise PointOnHypersurface(f"{x!r} lies on family member {j + 1}")
@@ -703,7 +705,7 @@ def sample_points(v: Variety, count: int, max_shell: int = 64) -> tuple:
             # the zero prefix: of its tuples only (0, ..., 0, 1) is canonical and coprime
             SAMPLE_COUNTS["prefixes"] += 1
             axis = (0,) * length + (1,)
-            if not gens or gens[0].evaluate(axis) == 0:
+            if not gens or gens[0].integer_value(axis) == 0:
                 bucket.append(axis)
         for prefix in _surface(shell, length):
             SAMPLE_COUNTS["prefixes"] += 1
@@ -729,7 +731,7 @@ def sample_points(v: Variety, count: int, max_shell: int = 64) -> tuple:
             if gcd(*tup) != 1:
                 continue
             SAMPLE_COUNTS["candidates"] += 1
-            if any(g.evaluate(tup) != 0 for g in gens):
+            if any(g.integer_value(tup) != 0 for g in gens):
                 continue
             found.append(RationalPoint(tup))
             SAMPLE_COUNTS["points"] += 1

@@ -9,7 +9,6 @@ so all outputs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import NamedTuple, Sequence
@@ -173,12 +172,15 @@ def int_from_json(value, name: str) -> int:
 # polynomials
 
 class HomoPoly:
-    """Homogeneous polynomial with exact rational coefficients."""
+    """Homogeneous polynomial with exact rational coefficients.
 
-    # `_packed_terms` is the one memo that another module fills: `groebner`
-    # keeps the packed term dicts there, one per modulus; it is unset until then
-    __slots__ = ("nvars", "terms", "_degree", "_key_text", "_quoted_key_text", "_integer_terms",
-                 "_packed_terms")
+    Q = γ·m for its content γ > 0 and its primitive integer form m, worked
+    out on first use and kept in `_primitive`; nothing changes `terms` in place.
+    """
+
+    # `_groebner_memo` is the one memo that another module fills: `groebner`
+    # keeps packed term dicts and cache-key texts there; it is unset until then
+    __slots__ = ("nvars", "terms", "_degree", "_primitive", "_groebner_memo")
 
     def __init__(self, nvars: int, terms=None):
         check_num_vars(nvars)
@@ -202,8 +204,7 @@ class HomoPoly:
             clean[mono] = clean.get(mono, Fraction(0)) + coef
         self.terms = {m: c for m, c in clean.items() if c != 0}
         self._degree = degree if self.terms else None
-        self._key_text = self._quoted_key_text = None
-        self._integer_terms = None
+        self._primitive = None
 
     # construction helpers -------------------------------------------------
     @classmethod
@@ -214,8 +215,7 @@ class HomoPoly:
         p.nvars = nvars
         p.terms = terms
         p._degree = sum(next(iter(terms))) if terms else None
-        p._key_text = p._quoted_key_text = None
-        p._integer_terms = None
+        p._primitive = None
         return p
 
     @classmethod
@@ -326,56 +326,43 @@ class HomoPoly:
         # the point is a/b with integers a_i: Q(a/b) = Q(a)/b^d, since Q is homogeneous
         b = lcm(*(x.denominator for x in pt))
         a = [x.numerator * (b // x.denominator) for x in pt]
-        value = self.integer_value(a)  # fills the memo that holds den
-        return Fraction(value, self._integer_terms[0] * b ** self._degree)
+        num, den, _, _ = self._primitive or self._primitive_form()  # Q = (num/den)·m
+        return Fraction(self.integer_value(a) * num, den * b ** self._degree)
 
     def integer_value(self, point: Sequence) -> int:
-        """den * Q(point) for a point of `nvars` integers, den the lcm of the
-        coefficient denominators: Q(point) itself when every coefficient is an
-        integer.  The length of the point is not checked."""
-        if self._integer_terms is None:
-            # the coefficients over their common denominator, computed once per object
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            self._integer_terms = den, tuple(
-                (c.numerator * (den // c.denominator), tuple((i, e) for i, e in enumerate(m) if e))
-                for m, c in self.terms.items())
+        """m(point) = Q(point) / γ for a point of `nvars` integers, m the
+        primitive integer form: Q(point) itself for a primitive Q.  The length
+        of the point is not checked."""
+        memo = self._primitive or self._primitive_form()
+        if memo[3] is None:
+            # m's coefficients as ints, each with the nonzero powers (i, e) of its monomial
+            memo[3] = tuple((c.numerator, tuple((i, e) for i, e in enumerate(m) if e))
+                            for m, c in self.content_free().terms.items())
         total = 0
-        for c, powers in self._integer_terms[1]:
+        for c, powers in memo[3]:
             for i, e in powers:
                 c *= point[i] ** e
             total += c
         return total
 
     def content_free(self):
-        """Integer-primitive scalar multiple (positive leading content)."""
-        if self.is_zero:
-            return self
-        den = 1
-        for c in self.terms.values():
-            den = lcm(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * (den // c.denominator)))
-        if den == num == 1:
-            return self  # already integer-primitive
-        return self.scale(Fraction(den, num))
+        """The primitive integer form m of Q = γ·m: content γ > 0, so the signs
+        are kept (-2*x0 + 4*x1 gives -x0 + 2*x1).  `self` when Q is already
+        primitive, otherwise one polynomial made on first use."""
+        free = (self._primitive or self._primitive_form())[2]
+        return self if free is None else free
 
-    def key_text(self) -> str:
-        """Canonical JSON text of the content-free form, computed once per object.
-
-        The memo never goes stale because nothing changes `terms` in place.
-        """
-        if self._key_text is None:
-            self._key_text = json.dumps(poly_to_json(self.content_free()),
-                                        sort_keys=True, separators=(",", ":"))
-        return self._key_text
-
-    def quoted_key_text(self) -> str:
-        """`key_text` as a JSON string literal, computed once per object: the
-        bytes that a JSON encoding of a list of key texts holds for this one."""
-        if self._quoted_key_text is None:
-            self._quoted_key_text = json.dumps(self.key_text())
-        return self._quoted_key_text
+    def _primitive_form(self):
+        """Fill `_primitive` with [num, den, m, None] for γ = num/den in lowest
+        terms, m None when it is `self` (so the memo makes no reference cycle);
+        `integer_value` fills in the last entry on its first call."""
+        ratios = [c.as_integer_ratio() for c in self.terms.values()]
+        den = lcm(*[d for _, d in ratios])
+        num = gcd(*[n * (den // d) for n, d in ratios]) or 1  # 0 only for the zero polynomial
+        free = None if den == num == 1 else HomoPoly._trusted(self.nvars, {
+            m: Fraction(n * (den // d) // num) for m, (n, d) in zip(self.terms, ratios)})
+        self._primitive = [num, den, free, None]
+        return self._primitive
 
     # printing -------------------------------------------------------------
     def __str__(self):

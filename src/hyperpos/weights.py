@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, floor, gcd, lcm, prod
+from math import comb, factorial, floor, gcd, prod
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -107,11 +107,12 @@ def hilbert_weight_bruteforce(v: Variety, u: int, c, cap: int = DEFAULT_ORACLE_C
     size = len(coords)
     residues = []
     for m in monos:
-        nf = normal_form(HomoPoly(v.num_vars, {m: Fraction(1)}), v.gb)
-        den = lcm(*(cc.denominator for cc in nf.terms.values()))
+        # a residue enters as its primitive integer form: a positive scale
+        # leaves every rank decision of `_reduce_row` unchanged
+        nf = normal_form(HomoPoly(v.num_vars, {m: Fraction(1)}), v.gb).content_free()
         row = [0] * size
         for mm, cc in nf.terms.items():
-            row[coords[mm]] = int(cc * den)
+            row[coords[mm]] = cc.numerator
         residues.append(row)
     weights = [_mono_weight(m, c) for m in monos]
     echelon = []  # (pivot column, row) per chosen index, in the order chosen

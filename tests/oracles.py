@@ -9,6 +9,10 @@ and coprimality test on exponent tuples, where the loop uses guard-bit masks.
 of variables, that `groebner._dimension_of_leads` replaced with support masks
 of the packed leads.
 
+`content_free` is `HomoPoly.content_free` as it stood before the content and
+the primitive form were worked out once per polynomial and kept on it: two
+passes over the coefficients and a scale on every call.
+
 `fold_combine` is `polyring.poly_combine` as it stood before it summed every
 scaled member into one dict: a fold of `+` over `HomoPoly.scale`, from the
 zero polynomial.
@@ -39,7 +43,7 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from hyperpos import groebner, heights
 from hyperpos.errors import DomainError
@@ -298,6 +302,22 @@ def fold_combine(coeffs, polys):
     for c, p in zip(coeffs, polys):
         out = out + p.scale(c)
     return out
+
+
+def content_free(p):
+    """The primitive integer form of p by two passes over its coefficients,
+    an lcm of the denominators and a gcd of the scaled numerators, and a scale."""
+    if p.is_zero:
+        return p
+    den = 1
+    for c in p.terms.values():
+        den = lcm(den, c.denominator)
+    num = 0
+    for c in p.terms.values():
+        num = gcd(num, abs(c.numerator * (den // c.denominator)))
+    if den == num == 1:
+        return p
+    return p.scale(Fraction(den, num))
 
 
 def evaluate(q, point):

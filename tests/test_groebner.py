@@ -18,7 +18,7 @@ from conftest import (cache_rows, certify, leading_monomial, lex, parse_many, s_
                       write_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import dimension_of_leads, reduce_terms, tuple_groebner_basis
+from oracles import content_free, dimension_of_leads, reduce_terms, tuple_groebner_basis
 
 from hyperpos import groebner
 from hyperpos.errors import DomainError
@@ -933,7 +933,7 @@ def _key_oracle(gens, num_vars):
     """The cache key as computed before the key texts were memoized."""
     payload = json.dumps({
         "format": groebner.CACHE_FORMAT, "version": groebner.__version__, "vars": num_vars,
-        "generators": sorted(json.dumps(poly_to_json(g.content_free()), sort_keys=True,
+        "generators": sorted(json.dumps(poly_to_json(content_free(g)), sort_keys=True,
                                         separators=(",", ":")) for g in gens),
     }, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -970,8 +970,10 @@ class TestCacheKey:
         # a key text writes each coefficient as "n/1", so a quote meets no
         # digit there and the raw and quoted sorts agree
         gens = parse_many(("x0^2 + 12*x1^2", "12*x0^2 + x1^2"), 3)
-        assert [g.key_text() for g in gens] == sorted(g.key_text() for g in gens)
-        assert [g.quoted_key_text() for g in gens] == sorted(g.quoted_key_text() for g in gens)
+        texts = [groebner._key_texts(g)[0] for g in gens]
+        quoted = [groebner._key_texts(g)[1] for g in gens]
+        assert texts == sorted(texts)
+        assert quoted == sorted(quoted)
         for batch in (gens, gens[::-1]):
             assert groebner.cache_key(batch, 3) == _key_oracle(batch, 3)
 
@@ -981,7 +983,7 @@ class TestCacheKey:
     def test_key_matches_oracle(self, gens, other, c):
         (q,) = other
         for g in gens:
-            g.key_text()  # fill the memo before deriving new polynomials
+            groebner._key_texts(g)  # fill the memo before deriving new polynomials
         derived = [g + q for g in gens] + [g * q for g in gens] + [g.scale(c) for g in gens]
         for batch in (gens, derived, gens + derived):
             batch = [g for g in batch if not g.is_zero]
@@ -1000,6 +1002,8 @@ class TestCacheKey:
         assert projective_dimension(gens, 3) is EMPTY
         monkeypatch.setattr(HomoPoly, "content_free",
                             lambda self: pytest.fail("content_free on a cache hit"))
+        monkeypatch.setattr(HomoPoly, "_primitive_form",
+                            lambda self: pytest.fail("primitive form computed on a cache hit"))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 3) is EMPTY
         assert DIMENSION_COUNTS == {"cached": 1}

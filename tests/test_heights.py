@@ -1,5 +1,6 @@
 """Places, heights, Weil functions, and the margin pipeline."""
 
+import gc
 import math
 import random
 import time
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hyperpos import groebner
 from hyperpos.errors import DomainError
 import hyperpos.heights as heights
 import hyperpos.replace as replace
@@ -41,7 +43,8 @@ from hyperpos.heights import (
     weil_function,
     weil_support,
 )
-from hyperpos.polyring import DegreeBudgetExceeded, ZeroPolynomial, HomoPoly, parse_poly
+from hyperpos.polyring import (DegreeBudgetExceeded, DimensionMismatch, ZeroPolynomial, HomoPoly,
+                               parse_poly)
 from hyperpos.position import build_family, build_variety
 from hyperpos.replace import MAX_POWER_BITS, PowerBudgetExceeded
 
@@ -448,6 +451,10 @@ class TestWeilFunction:
         q = parse_poly("x0", 2)
         assert weil_function(q, RationalPoint((1, 2)), Place.finite(2)) == LOG_ONE
 
+    def test_point_of_another_ring(self):
+        with pytest.raises(DimensionMismatch, match="point has 3 coordinates, ring has 2 variables"):
+            weil_function(parse_poly("x0", 2), RationalPoint((1, 2, 3)), INFINITE)
+
     def test_point_on_hypersurface(self):
         with pytest.raises(PointOnHypersurface):
             weil_function(parse_poly("x1", 2), RationalPoint((1, 0)), INFINITE)
@@ -724,6 +731,45 @@ def margin_rows(reports):
 
 # MIXED has |Q_j|_v != 1 at 2 and 3; the points' member values carry 2, 3 and 5
 MIXED_POINTS = [(2, 3, 1), (4, 1, 3), (6, 5, 2), (1, 10, 9)]
+
+
+def test_one_primitive_form_per_polynomial(monkeypatch):
+    """The cache key, the packings over Z/p and over Q, and a margin all read
+    each member's one primitive form: it is worked out once per object."""
+    built = Counter()
+    build = HomoPoly._primitive_form
+
+    def counting(self):
+        built[id(self)] += 1
+        return build(self)
+
+    monkeypatch.setattr(HomoPoly, "_primitive_form", counting)
+    v = build_variety([], num_vars=3)
+    fam = build_family(v, [parse_poly(t, 3) for t in MIXED])
+    groebner.cache_key(fam.members, 3)
+    for prime in (groebner.MODULUS, groebner.RATIONALS):
+        for g in fam.members:
+            groebner._member_terms(g, prime)
+    points = [RationalPoint(c) for c in MIXED_POINTS]
+    assert len(theorem15_margin(v, fam, 1, F(1, 2), None, points)) == len(points)
+    assert built == Counter(id(g) for g in fam.members)
+
+
+def test_memos_make_no_reference_cycle():
+    """A polynomial whose memos are all filled is freed by reference counting
+    alone: a primitive one does not hold itself as its own primitive form."""
+    gc.collect()
+    gc.disable()
+    try:
+        for text in ("x0^2 - x1*x2", "2*x0*x1 + 4*x2^2", "1/2*x0*x1 + x2^2"):
+            q = parse_poly(text, 3)
+            groebner.cache_key([q], 3)
+            groebner._member_terms(q, groebner.MODULUS)
+            assert q.integer_value((1, 2, 3)) != 0
+            del q
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestMarginAgainstOracle:

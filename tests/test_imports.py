@@ -20,10 +20,12 @@ Inside `heights`, only `_coefficient_places` names `_prime_factors`: heights,
 Weil functions and margins read every coefficient norm off the primitive
 integer form, and only the places of a given number are found by factoring.
 
-Only `groebner` touches `HomoPoly._packed_terms`, the packed term dicts it
-keeps on a polynomial per modulus: no other module of the package or of the
-tests reads, writes or deletes the slot, by attribute or by `getattr` and its
-kin.  (`polyring` only declares it in `__slots__`.)
+Only `groebner` touches `HomoPoly._groebner_memo`, the packed term dicts and
+cache-key texts it keeps on a polynomial, and only `polyring` touches
+`HomoPoly._primitive`, the content and primitive form of a polynomial: no
+other module of the package or of the tests reads, writes or deletes either
+slot, by attribute or by `getattr` and its kin.  (`polyring` only declares
+`_groebner_memo` in `__slots__`.)
 
 The package also loads `sqlite3` only when a command uses the disk cache,
 and only `groebner` imports `sqlite3` or names the cache session
@@ -31,10 +33,11 @@ and only `groebner` imports `sqlite3` or names the cache session
 
 No float decides a margin: `heights.theorem15_margin`, `summarize_margins`,
 `LogRational` and every helper they run (the integer evaluator
-`HomoPoly.integer_value`, the strip `_strip`, the power budget, `_log_sign`)
-hold no float literal and name no float function (`math.log`, `float` and the
-like), except `LogRational.__float__` and the display-only `slack`, and
-`heights` takes only integer functions from `math`.
+`HomoPoly.integer_value` and the primitive form it reads, the strip `_strip`,
+the power budget, `_log_sign`) hold no float literal and name no float
+function (`math.log`, `float` and the like), except `LogRational.__float__`
+and the display-only `slack`, and `heights` takes only integer functions
+from `math`.
 """
 
 import ast
@@ -311,7 +314,7 @@ def float_uses(source, scopes):
 MARGIN_SCOPES = {
     "heights": {"theorem15_margin", "summarize_margins", "LogRational", "_strip", "_s_norm",
                 "height_poly", "_log_sign", "_ln", "_exact_root", "_power"},
-    "polyring": {"HomoPoly.integer_value", "HomoPoly.content_free"},
+    "polyring": {"HomoPoly.integer_value", "HomoPoly.content_free", "HomoPoly._primitive_form"},
     "replace": {"check_power_bound", "_power_bits"},
 }
 
@@ -346,19 +349,21 @@ def test_checker_finds_a_float():
         float_uses(source, {"LogRational.missing"})
 
 
-MEMO_SLOT = "_packed_terms"
+# the memo slots of HomoPoly: the one `groebner` fills, and the primitive form
+# that only `polyring` reads
+GROEBNER_SLOT, PRIMITIVE_SLOT = "_groebner_memo", "_primitive"
 ATTRIBUTE_FUNCTIONS = {"getattr", "setattr", "hasattr", "delattr"}
 
 
-def memo_slot_uses(source):
-    """Lines that name the packed memo slot as an attribute, or pass its name
+def memo_slot_uses(source, slot=GROEBNER_SLOT):
+    """Lines that name the memo slot `slot` as an attribute, or pass its name
     to `getattr`, `setattr`, `hasattr` or `delattr`."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == MEMO_SLOT:
+        if isinstance(node, ast.Attribute) and node.attr == slot:
             found.append(node.lineno)
         elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ATTRIBUTE_FUNCTIONS
-              and any(isinstance(arg, ast.Constant) and arg.value == MEMO_SLOT for arg in node.args)):
+              and any(isinstance(arg, ast.Constant) and arg.value == slot for arg in node.args)):
             found.append(node.lineno)
     return sorted(found)
 
@@ -369,17 +374,25 @@ def test_only_groebner_touches_the_packed_memo(path):
     assert memo_slot_uses(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polyring.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_polyring_touches_the_primitive_memo(path):
+    assert memo_slot_uses(path.read_text(encoding="utf-8"), PRIMITIVE_SLOT) == []
+
+
 def test_checker_finds_a_memo_use():
-    source = ("class HomoPoly:\n"
-              "    __slots__ = ('terms', '_packed_terms')\n"
-              "def scale(p):\n"
-              "    p._packed_terms = None\n"
-              "    del p._packed_terms\n"
-              "    return getattr(p, '_packed_terms', None), hasattr(p, 'terms')\n"
-              "setattr(HomoPoly, '_packed_terms', {})\n")
-    assert memo_slot_uses(source) == [4, 5, 6, 7]
-    groebner = (ROOT / "src" / "hyperpos" / "groebner.py").read_text(encoding="utf-8")
-    assert memo_slot_uses(groebner)
+    for slot, owner in ((GROEBNER_SLOT, "groebner.py"), (PRIMITIVE_SLOT, "polyring.py")):
+        source = ("class HomoPoly:\n"
+                  f"    __slots__ = ('terms', '{slot}')\n"
+                  "def scale(p):\n"
+                  f"    p.{slot} = None\n"
+                  f"    del p.{slot}\n"
+                  f"    return getattr(p, '{slot}', None), hasattr(p, 'terms')\n"
+                  f"setattr(HomoPoly, '{slot}', {{}})\n")
+        assert memo_slot_uses(source, slot) == [4, 5, 6, 7]
+        assert memo_slot_uses(source, "_other") == []
+        module = (ROOT / "src" / "hyperpos" / owner).read_text(encoding="utf-8")
+        assert memo_slot_uses(module, slot)
 
 
 CACHE_NAMES = {"_CacheSession", "_session"}

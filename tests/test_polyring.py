@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import content_free
 from hyperpos import polyring
 from hyperpos.groebner import GREVLEX, groebner_basis, normal_form
 from hyperpos.polyring import (
@@ -449,6 +451,34 @@ def test_arithmetic_results_match_validated_construction(results):
         assert degree(r) == degree(checked)
         assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
         assert all(type(m) is tuple and len(m) == r.nvars for m in r.terms)
+
+
+@given(arithmetic_results(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_primitive_form_matches_the_oracle(results, data):
+    for r in results:
+        num, den, free, _ = r._primitive_form()
+        assert num > 0 and den > 0 and gcd(num, den) == 1
+        content = Fraction(num, den)
+        m = r.content_free()
+        assert r.content_free() is m and m is (r if free is None else free)
+        assert (m is r) == (content == 1)
+        assert m == content_free(r) and r == m.scale(content)
+        assert all(c.denominator == 1 for c in m.terms.values())
+        assert gcd(*(c.numerator for c in m.terms.values())) == (1 if m.terms else 0)
+        point = data.draw(st.lists(st.integers(-9, 9), min_size=r.nvars, max_size=r.nvars))
+        value = oracles.evaluate(r, point)
+        assert r.evaluate(point) == value
+        assert r.integer_value(point) * content == value
+        assert m.integer_value(point) == r.integer_value(point)
+
+
+def test_content_free_keeps_the_signs():
+    p = P("-2*x0 + 4*x1", 2)
+    assert p.content_free() == P("-1*x0 + 2*x1", 2) == content_free(p)
+    assert p.integer_value((1, 1)) == 1 and p.evaluate((1, 1)) == 2
+    primitive = P("-1*x0 + 2*x1", 2)
+    assert primitive.content_free() is primitive
 
 
 class TestJson:
