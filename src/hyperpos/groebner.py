@@ -17,7 +17,10 @@ It first runs the loop over the integers mod MODULUS.  For integer generators
 the Macaulay matrix has rank mod p at most its rank over Q in every degree, so
 H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod p is therefore EMPTY
 over Q, and a dim_p equal to a proven lower bound is the exact dimension.
-Every other query runs the loop over Q and reads the dimension off its leads.
+The mod-p pass stops with pairs still queued once its leads that are powers
+of one variable prove that answer (`_modp_dimension`); the loop over Q always
+finishes.  Every other query runs the loop over Q and reads the dimension off
+its leads.
 A polynomial enters both passes as its primitive form, packed once per
 modulus and kept on it beside its cache-key texts (`_member_terms`).
 
@@ -260,13 +263,18 @@ def _pair(a, b):
 PAIR_COUNTS = Counter()
 
 
-def _buchberger(polys, packing, p):
+def _buchberger(polys, packing, p, stop=-1):
     """Monic Groebner basis of <polys> over Z/p, or over Q for p = RATIONALS.
 
     `polys` are nonempty packed term dicts, as `_pack_poly` makes them, each
     homogeneous; they are read, not changed.  Returns (leads, tails): the
     packed lead of each element and its tail as in `_monic`.  Raises
     PackedDegreeExceeded when the degree of a pair would overflow a packed field.
+
+    A variable is forced once some lead is a power of it alone.  The loop
+    returns, with pairs still queued, as soon as at most `stop` variables are
+    not forced; the elements so far are then only part of a basis.  The
+    default -1 never stops, and only `_modp_dimension` passes a threshold.
     """
     mults, guard = packing
     nv = len(mults)
@@ -276,9 +284,16 @@ def _buchberger(polys, packing, p):
     pairs = []      # heap of (lcm degree, packed lcm, i, j)
     pending = set()
     coprime = chain = zero = generators = 0
+    forced = 0      # the single-guard-bit supports of the leads so far, ORed
+    free = nv       # the variables not in `forced`
 
     def add(poly):
+        nonlocal forced, free
         lead, tail = _monic(poly, p)
+        support = _support(lead, guard)
+        if not support & (support - 1):
+            forced |= support
+            free = nv - forced.bit_count()
         new = len(leads)
         for j, other in enumerate(leads):
             lcm = _lcm(lead, other, guard, weighted)
@@ -292,7 +307,7 @@ def _buchberger(polys, packing, p):
         rest = _reduce(dict(poly), leads, tails, guard, p)
         if rest:
             add(rest)
-    while pairs:
+    while pairs and free > stop:
         degree, lcm, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
         if degree >= _FIELD_TOP:
@@ -584,11 +599,19 @@ def _member_terms(g, p):
     return terms
 
 
-def _modp_dimension(gens, num_vars):
-    """dim_p of the nonzero `gens`; None when a degree overflows a packed field."""
+def _modp_dimension(gens, num_vars, lower=None):
+    """dim_p of the nonzero `gens`; None when a degree overflows a packed field.
+
+    `lower` is a proven lower bound on the dimension over Q, or None.  The
+    pass stops once its leads leave f variables free with f - 1 <= `lower`,
+    or f = 0 with no bound.  The leads so far lie in the leading-term ideal
+    mod p, so dim_p <= f - 1 <= lower <= dim_Q <= dim_p: dim_p is `lower`,
+    or EMPTY when f = 0, and the leads so far read it off.
+    """
     try:
         leads, _ = _buchberger([_member_terms(g, MODULUS) for g in gens],
-                               _packing(GREVLEX, num_vars), MODULUS)
+                               _packing(GREVLEX, num_vars), MODULUS,
+                               0 if lower is None else lower + 1)
     except PackedDegreeExceeded:
         return None
     return _dimension_of_leads(leads, num_vars)
@@ -611,7 +634,7 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     if dim is not None:
         DIMENSION_COUNTS["cached"] += 1
         return dim
-    dim = _modp_dimension(gens, nv)
+    dim = _modp_dimension(gens, nv, lower)
     if dim is not None and (dim is EMPTY or dim == lower):
         DIMENSION_COUNTS["modp"] += 1
     else:
@@ -641,7 +664,7 @@ def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
     if dim is not None:
         DIMENSION_COUNTS["cached"] += 1
         return dim
-    dim = _modp_dimension(gens, nv)
+    dim = _modp_dimension(gens, nv, lower)
     if dim is None:
         return projective_dimension(gens, nv, lower)
     DIMENSION_COUNTS["modp_bound"] += 1

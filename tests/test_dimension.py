@@ -7,6 +7,7 @@ compares it with `ideal_profile(groebner_basis(...))`, the exact route.
 
 import importlib.util
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from hyperpos.groebner import (
     EMPTY,
     GREVLEX,
     MODULUS,
+    PAIR_COUNTS,
     PackedDegreeExceeded,
     groebner_basis,
     ideal_profile,
@@ -164,7 +166,13 @@ def test_unlucky_prime_falls_back_to_exact():
 
 def assert_modp_loop_matches_oracle(gens, nvars):
     """The packed loop mod MODULUS against the mod-p pass it replaced: the same
-    minimal lead ideal and the same dim_p."""
+    minimal lead ideal and the same dim_p.
+
+    `_modp_dimension` may stop early under a bound, and must still give the
+    full pass's dim_p under no bound and under every bound 0 .. dim_p.  A
+    proven bound is at most dim_Q <= dim_p, and the stop's proof needs only
+    bound <= dim_p, so this covers every bound a caller can pass.
+    """
     basis = [g.content_free() for g in gens if not g.is_zero]
     polys = [{m: c.numerator for m, c in g.terms.items()} for g in basis]
     old = modp_lead_monomials(polys, nvars)
@@ -179,7 +187,9 @@ def assert_modp_loop_matches_oracle(gens, nvars):
     assert (new is None) == (old is None)
     if old is not None:
         assert set(groebner._minimal_monomials(new)) == set(groebner._minimal_monomials(old))
-        assert groebner._modp_dimension(basis, nvars) == dimension_of_leads(old, nvars)
+        expected = dimension_of_leads(old, nvars)
+        for bound in [None] + ([] if expected is EMPTY else list(range(expected + 1))):
+            assert groebner._modp_dimension(basis, nvars, bound) == expected, bound
 
 
 SMALL_PRIMES = (None, 7, 2)
@@ -234,6 +244,124 @@ def test_modp_loop_matches_oracle_on_small_families(case):
             for size in range(1, len(members) + 1):
                 for combo in combinations(members, size):
                     assert_modp_loop_matches_oracle(list(combo), nvars)
+
+
+def coincident_families():
+    """(nvars, variety, members) whose members meet more than general position
+    allows: a repeated member, members through a common point or a common
+    line, and reducible varieties."""
+    yield 3, (), ("x0 + x1", "x2^2 - x0*x1", "x0 + x1", "3*x0 + 3*x1", "x2")
+    yield 3, (), ("x0", "x1", "x0 + x1", "x0 - 2*x1", "x0*x2 + x1^2", "x2^2")
+    yield 4, (), ("x0", "x1", "x0*x2 + x1*x3", "x0*x3 - x1*x2", "x0^2 + x1*x2", "x2 + x3")
+    yield 4, (), ("x0 + x1", "x0*x2 - x1*x3", "x2", "x0*x3 + x1^2", "x3")
+    yield 4, ("x0*x1",), ("x2", "x3", "x0 + x2", "x1 + x3", "x2^2 - x0*x3")
+    yield 4, ("x0*x1", "x0*x2"), ("x3", "x1 + x2", "x0 - x3", "x1*x3 + x2^2")
+    yield 3, ("x0*x1*x2",), ("x0 + x1 + x2", "x0*x1 + x1*x2", "x2", "x0 - x1")
+
+
+@pytest.mark.parametrize("prime", SMALL_PRIMES)
+def test_modp_loop_matches_oracle_on_coincident_families(monkeypatch, prime):
+    if prime:
+        monkeypatch.setattr(groebner, "MODULUS", prime)
+    for nvars, variety, members in coincident_families():
+        variety = [parse_poly(t, nvars) for t in variety]
+        members = [parse_poly(t, nvars) for t in members]
+        for size in range(1, len(members) + 1):
+            for combo in combinations(members, size):
+                assert_modp_loop_matches_oracle(variety + list(combo), nvars)
+
+
+@st.composite
+def coincident_draws(draw):
+    """A random family forced to coincide: one member repeated and scaled,
+    every member through a coordinate point or a coordinate line, or V the
+    product of two linear forms."""
+    nvars = draw(st.integers(3, 4))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    kind = draw(st.sampled_from(("repeat", "point", "line", "reducible")))
+    variables = [HomoPoly(nvars, {tuple(int(i == k) for i in range(nvars)): 1})
+                 for k in range(nvars)]
+    variety = []
+    if kind in ("point", "line"):
+        # in the ideal of the point where x0..x_{n-1} vanish, or the line x0 = x1 = 0
+        through = variables[:nvars - 1 if kind == "point" else 2]
+        members = []
+        for _ in range(draw(st.integers(2, 4))):
+            degree = draw(st.integers(1, 2))
+            member = HomoPoly(nvars, {})
+            for x in through:
+                member = member + x * random_form(rng, nvars, degree - 1, spread=2)
+            members.append(member if not member.is_zero else through[0] ** degree)
+    else:
+        members = [random_form(rng, nvars, draw(st.integers(1, 2)), spread=2)
+                   for _ in range(draw(st.integers(2, 4)))]
+        if kind == "repeat":
+            members += [members[0], members[0] * -3]
+        else:
+            variety = [random_form(rng, nvars, 1, spread=2) * random_form(rng, nvars, 1, spread=2)]
+    return nvars, variety, members
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(coincident_draws())
+def test_modp_loop_matches_oracle_on_random_coincident_families(case):
+    nvars, variety, members = case
+    for prime in SMALL_PRIMES:
+        with pytest.MonkeyPatch.context() as mp:
+            if prime:
+                mp.setattr(groebner, "MODULUS", prime)
+            for size in range(1, len(members) + 1):
+                for combo in combinations(members, size):
+                    assert_modp_loop_matches_oracle(variety + list(combo), nvars)
+
+
+def test_void_subsets_stop_with_pairs_queued(monkeypatch):
+    """The top level of a family in general position: each 4-subset of dense
+    P^3 quadrics is void, and the pass with no bound stops with pairs still
+    queued, so it reduces fewer S-polynomials, with the full pass's answer."""
+    reductions = Counter()  # calls of `_reduce` under each threshold
+    reduce = groebner._reduce
+
+    def counted(*args):
+        reductions[stop] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counted)
+    rng = random.Random(5)
+    members = [dense_quadric(rng, 4).content_free() for _ in range(6)]
+    mults, _ = packing = groebner._packing(GREVLEX, 4)
+    for combo in combinations(members, 4):
+        polys = [groebner._pack_poly({m: c.numerator for m, c in g.terms.items()}, mults, MODULUS)
+                 for g in combo]
+        reductions.clear()
+        leads = {}
+        for stop in (-1, 0):
+            leads[stop], _ = groebner._buchberger(polys, packing, MODULUS, stop)
+        assert leads[0] == leads[-1][:len(leads[0])]
+        assert reductions[0] < reductions[-1]
+        assert groebner._dimension_of_leads(leads[0], 4) is EMPTY
+        assert groebner._modp_dimension(list(combo), 4) is EMPTY
+
+
+@pytest.mark.parametrize("prime", (7, 2))
+def test_exact_pass_forms_every_pair(monkeypatch, prime):
+    """Only the mod-p pass stops early.  Under an unlucky prime some queries
+    go to the pass over Q with a bound that its dimension meets, and that pass
+    still does the pair work of `groebner_basis` on the same generators."""
+    monkeypatch.setattr(groebner, "MODULUS", prime)
+    exact = 0
+    for gens, nvars, lower in memo_queries():
+        PAIR_COUNTS.clear()
+        DIMENSION_COUNTS.clear()
+        dim = projective_dimension(fresh(gens), nvars, lower)
+        if DIMENSION_COUNTS != {"exact": 1}:
+            continue
+        counts = Counter(PAIR_COUNTS)
+        PAIR_COUNTS.clear()
+        assert exact_dim(gens, nvars) == dim
+        assert counts == PAIR_COUNTS, gens
+        exact += dim == lower or lower is None and dim is EMPTY
+    assert exact > 0
 
 
 def memo_queries():

@@ -613,6 +613,24 @@ class TestPackedDegreeLimit:
         assert DIMENSION_COUNTS == {"exact": 1}
         assert groebner._modp_dimension([self.high_degree()], 2) is None
 
+    def test_settled_modp_pass_stops_before_the_overflowing_pair(self):
+        # the pair of x0^16384 and x1^16384 has degree 2^15, but once both
+        # leads are in, every variable is forced and the mod-p pass stops
+        # with the pair still queued
+        gens = [HomoPoly(2, {(16384, 0): 1}), HomoPoly(2, {(0, 16384): 1})]
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 2) is EMPTY
+        assert modp_dimension(gens, 2) is EMPTY
+        assert DIMENSION_COUNTS == {"modp": 1, "modp_bound": 1}
+        with pytest.raises(PackedDegreeExceeded, match="degree 32768"):
+            groebner_basis(gens, GREVLEX)
+        # in P^2 one variable stays free: the bound 0 settles the query, no
+        # bound does not, and then the pair is popped and refused
+        gens = [HomoPoly(3, {(16384, 0, 0): 1}), HomoPoly(3, {(0, 16384, 0): 1})]
+        assert projective_dimension(gens, 3, lower=0) == 0
+        with pytest.raises(PackedDegreeExceeded, match="degree 32768"):
+            projective_dimension(gens, 3)
+
 
 FIELD_MAX = 2 ** 15 - 1
 
@@ -901,7 +919,7 @@ class TestCacheRecords:
         assert [row[1] for row in cache_rows(tmp_path)] == [7, 1073741789]
 
     def test_modp_overflow_goes_to_projective_dimension(self, monkeypatch):
-        monkeypatch.setattr(groebner, "_modp_dimension", lambda basis, nv: None)
+        monkeypatch.setattr(groebner, "_modp_dimension", lambda basis, nv, lower=None: None)
         DIMENSION_COUNTS.clear()
         assert modp_dimension(parse_many(("x0*x2 - x1^2",), 3)) == 1
         assert DIMENSION_COUNTS == {"exact": 1}

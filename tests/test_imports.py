@@ -13,6 +13,11 @@ Outside `groebner`, only `position.meet_dimension` may run a dimension query
 generators and derives the lower bound.  Passing a query on as an argument
 is allowed.
 
+Only `groebner._modp_dimension` may pass `_buchberger` a stop threshold, so
+the passes over Q (`groebner_basis` and the exact pass) always finish their
+pairs; every other use of `_buchberger` in the package is a plain call with
+three arguments.
+
 Inside `cli`, only the printer `_json_value` names `rat_to_str` or `EMPTY`
 (or spells "EMPTY"), so no `cmd_*` handler renders a value itself.
 
@@ -198,6 +203,60 @@ def test_checker_finds_a_second_engine():
               "    return groebner.modp_dimension(polys)\n")
     assert second_engines(source, "meet_dimension") == [5, 10]
     assert second_engines(source) == [3, 5, 10]
+
+
+def threshold_passers(source, allowed="_modp_dimension"):
+    """Lines outside the function `allowed` that could pass `_buchberger` a
+    stop threshold: a call with a fourth argument, a keyword or an unpacked
+    argument, or any other use of the name than calling it."""
+    found = []
+
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "_buchberger"
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS) and getattr(child, "name", None) == allowed:
+                continue
+            if isinstance(child, ast.Call) and named(child.func):
+                if (len(child.args) > 3 or child.keywords
+                        or any(isinstance(arg, ast.Starred) for arg in child.args)):
+                    found.append(child.lineno)
+                for arg in child.args + [k.value for k in child.keywords]:
+                    visit(arg)
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)) and named(child):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_only_the_modp_pass_stops_early():
+    for path in PACKAGE:
+        assert threshold_passers(path.read_text(encoding="utf-8")) == [], path.name
+    # the checker is not vacuous: `_modp_dimension` does pass a threshold
+    source = (ROOT / "src" / "hyperpos" / "groebner.py").read_text(encoding="utf-8")
+    assert threshold_passers(source, None)
+
+
+def test_checker_finds_a_threshold():
+    source = ("def _buchberger(polys, packing, p, stop=-1):\n"
+              "    return polys\n"
+              "def _modp_dimension(gens, packing, lower):\n"
+              "    return _buchberger(gens, packing, 7, lower + 1)\n"
+              "def projective_dimension(gens, packing, lower):\n"
+              "    _buchberger(gens, packing, 0)\n"
+              "    _buchberger(gens, packing, 0, lower)\n"
+              "    return groebner._buchberger(gens, packing, p=0, stop=lower)\n"
+              "def groebner_basis(args):\n"
+              "    return _buchberger(*args)\n"
+              "def basis(gens, packing):\n"
+              "    run = _buchberger\n"
+              "    return partial(groebner._buchberger, stop=0)(gens, packing, 0)\n")
+    assert threshold_passers(source) == [7, 8, 10, 12, 13]
+    assert threshold_passers(source, None) == [4, 7, 8, 10, 12, 13]
 
 
 RENDERING = {"rat_to_str", "EMPTY"}
