@@ -22,7 +22,7 @@ of one variable prove that answer (`_modp_dimension`); the loop over Q always
 finishes.  Every other query runs the loop over Q and reads the dimension off
 its leads.
 A polynomial enters both passes as its primitive form, packed once per
-modulus and kept on it beside its cache-key texts (`_member_terms`).
+modulus and kept on it beside its cache-key digest (`_member_terms`).
 
 `modp_dimension` runs the mod-p pass alone and returns dim_p, the upper
 bound; the replacement search accepts a candidate on it.
@@ -40,7 +40,6 @@ from __future__ import annotations
 import atexit
 import hashlib
 import heapq
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -269,7 +268,8 @@ def _buchberger(polys, packing, p, stop=-1):
     `polys` are nonempty packed term dicts, as `_pack_poly` makes them, each
     homogeneous; they are read, not changed.  Returns (leads, tails): the
     packed lead of each element and its tail as in `_monic`.  Raises
-    PackedDegreeExceeded when the degree of a pair would overflow a packed field.
+    PackedDegreeExceeded when a pair that neither the coprime test nor the
+    chain criterion skips has a degree that would overflow a packed field.
 
     A variable is forced once some lead is a power of it alone.  The loop
     returns, with pairs still queued, as soon as at most `stop` variables are
@@ -310,8 +310,7 @@ def _buchberger(polys, packing, p, stop=-1):
     while pairs and free > stop:
         degree, lcm, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
-        if degree >= _FIELD_TOP:
-            raise PackedDegreeExceeded(degree)
+        # both tests hold at any lcm degree: every field of an lcm is below 2^15
         if lcm == leads[i] + leads[j]:  # the two sum to lcm + gcd, so the gcd is 1
             coprime += 1
             continue
@@ -321,6 +320,8 @@ def _buchberger(polys, packing, p, stop=-1):
                for k in range(len(leads))):
             chain += 1
             continue
+        if degree >= _FIELD_TOP:
+            raise PackedDegreeExceeded(degree)
         # S-polynomial of two monic elements: the leads cancel, the tails remain
         work = {t + lcm - leads[i]: -neg % p for t, neg in tails[i]}
         shift = lcm - leads[j]
@@ -585,7 +586,7 @@ def _member_terms(g, p):
     """Packed grevlex term dict of g's content-free form over the field of `p`.
 
     It is made once per polynomial and modulus and kept on `g` beside its key
-    texts; the modulus is part of the key because MODULUS may change between
+    digest; the modulus is part of the key because MODULUS may change between
     calls.  Callers must not change the dict.
     """
     memo = getattr(g, "_groebner_memo", None)
@@ -632,16 +633,22 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     key = cache_key(gens, nv) if _CACHE_DIR is not None else None
     dim = _cache_fetch(key)
     if dim is not None:
-        DIMENSION_COUNTS["cached"] += 1
         return dim
     dim = _modp_dimension(gens, nv, lower)
     if dim is not None and (dim is EMPTY or dim == lower):
         DIMENSION_COUNTS["modp"] += 1
-    else:
-        DIMENSION_COUNTS["exact"] += 1
-        leads, _ = _buchberger([_member_terms(g, RATIONALS) for g in gens],
-                               _packing(GREVLEX, nv), RATIONALS)
-        dim = _dimension_of_leads(leads, nv)
+        _cache_store(key, dim)
+        return dim
+    return _exact_dimension(gens, nv, key)
+
+
+def _exact_dimension(gens, num_vars, key):
+    """Dimension over Q of the nonzero `gens` from the pass over Q, stored as
+    the dimension record under `key`."""
+    DIMENSION_COUNTS["exact"] += 1
+    leads, _ = _buchberger([_member_terms(g, RATIONALS) for g in gens],
+                           _packing(GREVLEX, num_vars), RATIONALS)
+    dim = _dimension_of_leads(leads, num_vars)
     _cache_store(key, dim)
     return dim
 
@@ -655,18 +662,19 @@ def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
     the usual dimension record.  Every dim_p is cached in a mod-p record filed
     under MODULUS, so a record made under another modulus is a miss, and the
     answer never depends on the cache.  When the pass would overflow a packed
-    degree field there is no dim_p, and the answer is `projective_dimension`'s.
+    degree field there is no dim_p, and the answer is the dimension over Q:
+    the dimension record under the same key, or else the pass over Q.
     """
     nv = _ring_size(gens, num_vars)
     gens = [g for g in gens if not g.is_zero]
     key = cache_key(gens, nv) if _CACHE_DIR is not None else None
     dim = _cache_fetch(key, MODULUS)
     if dim is not None:
-        DIMENSION_COUNTS["cached"] += 1
         return dim
     dim = _modp_dimension(gens, nv, lower)
     if dim is None:
-        return projective_dimension(gens, nv, lower)
+        dim = _cache_fetch(key)
+        return dim if dim is not None else _exact_dimension(gens, nv, key)
     DIMENSION_COUNTS["modp_bound"] += 1
     if dim is EMPTY or dim == lower:
         _cache_store(key, dim)
@@ -679,7 +687,7 @@ def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
 
 _CACHE_DIR = None
 # bump when the meaning of a key changes
-CACHE_FORMAT = "hyperpos-cache/3"
+CACHE_FORMAT = "hyperpos-cache/4"
 # the one database file in a cache directory; its number is the storage
 # layout, bumped when the table changes
 CACHE_FILE = "dimensions-4.sqlite3"
@@ -691,8 +699,6 @@ _CREATE_TABLE = ("CREATE TABLE IF NOT EXISTS dimensions (key TEXT NOT NULL, "
 # seconds one statement waits for another process's lock before it gives up;
 # a read then misses and a flush is dropped, so a shared directory never stalls
 _BUSY_TIMEOUT_S = 0.25
-# the JSON text around the generators in a key, by (CACHE_FORMAT, __version__, vars)
-_KEY_FRAMES = {}
 # most keys one batched read names, below SQLite's historic limit of 999
 # parameters per statement
 _PREFETCH_CHUNK = 500
@@ -809,40 +815,30 @@ def _cache_session():
     return _session
 
 
-def _key_texts(g):
-    """(text, quoted) for g, made once per polynomial: the compact JSON of
-    `poly_to_json(m)` with sorted keys for g's content-free form m, written
-    directly since every coefficient of m is an integer n ("n/1"), and that
-    text as a JSON string literal, the bytes a JSON list of texts holds."""
+def _key_digest(g):
+    """SHA-256 digest of g's content-free form m, made once per polynomial:
+    the terms of m, grevlex-descending, each as the line "c:e_0,...,e_n"."""
     memo = getattr(g, "_groebner_memo", None)
     if memo is None:
         memo = g._groebner_memo = {}
-    texts = memo.get("key")
-    if texts is None:
-        terms = ",".join([f'{{"coef":"{c.numerator}/1","exp":[{",".join(map(str, m))}]}}'
-                          for m, c in g.content_free().sorted_terms()])
-        text = f'{{"terms":[{terms}],"vars":{g.nvars}}}'
-        texts = memo["key"] = text, json.dumps(text)
-    return texts
+    digest = memo.get("key")
+    if digest is None:
+        lines = "".join([f"{c.numerator}:{','.join(map(str, m))}\n"
+                         for m, c in g.content_free().sorted_terms()])
+        digest = memo["key"] = hashlib.sha256(lines.encode()).digest()
+    return digest
 
 
 def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
     """SHA-256 key of the content-free generators, independent of their order.
 
-    The hashed text is the compact JSON object {"format", "generators", "vars",
-    "version"} with sorted keys, and the generators are the key texts in
-    sorted order.  It is joined from each polynomial's memoized quoted key
-    text, sorted by the raw text, so no object is encoded per query.
+    The hashed bytes are the lines CACHE_FORMAT, __version__ and num_vars,
+    then the generators' 32-byte digests (`_key_digest`) in sorted order; a
+    repeated generator is hashed twice.
     """
-    # the tag is read per call: CACHE_FORMAT and __version__ may be rebound
-    tag = CACHE_FORMAT, __version__, num_vars
-    frame = _KEY_FRAMES.get(tag)
-    if frame is None:
-        frame = _KEY_FRAMES[tag] = (f'{{"format":{json.dumps(CACHE_FORMAT)},"generators":[',
-                                    f'],"vars":{json.dumps(num_vars)},'
-                                    f'"version":{json.dumps(__version__)}}}')
-    quoted = ",".join([q for _, q in sorted(map(_key_texts, gens))])
-    return hashlib.sha256((frame[0] + quoted + frame[1]).encode()).hexdigest()
+    # read per call: CACHE_FORMAT and __version__ may be rebound
+    head = f"{CACHE_FORMAT}\n{__version__}\n{num_vars}\n".encode()
+    return hashlib.sha256(head + b"".join(sorted(map(_key_digest, gens)))).hexdigest()
 
 
 def prefetch_dimensions(gen_lists: Sequence[Sequence[HomoPoly]], num_vars: int) -> None:
@@ -862,26 +858,27 @@ def prefetch_dimensions(gen_lists: Sequence[Sequence[HomoPoly]], num_vars: int) 
                           for gens in gen_lists])
 
 
-def _cache_fetch(key, modulus=None):
-    """The dimension stored under `key`; None for a miss.
+def _cache_fetch(key, modulus=0):
+    """The dimension stored under `key`, counted as "cached"; None for a miss.
 
-    A mod-p record is read under its modulus, a dimension record (`modulus`
-    None) under 0, so neither is ever read as the other.  A stored value that
-    is neither "EMPTY" nor a non-negative int is a miss and gets recomputed;
-    so is every read that the database refuses.
+    A mod-p record is read under its modulus, a dimension record under 0, so
+    neither is ever read as the other.  A stored value that is neither
+    "EMPTY" nor a non-negative int is a miss and gets recomputed; so is every
+    read that the database refuses.
     """
     if _CACHE_DIR is None or key is None:
         return None
-    value = _cache_session().fetch(key, modulus or 0)
+    value = _cache_session().fetch(key, modulus)
     if value == "EMPTY":
-        return EMPTY
-    if type(value) is not int or value < 0:
+        value = EMPTY
+    elif type(value) is not int or value < 0:
         return None
+    DIMENSION_COUNTS["cached"] += 1
     return value
 
 
-def _cache_store(key, value, modulus=None):
+def _cache_store(key, value, modulus=0):
     if _CACHE_DIR is None or key is None:
         return
     # called only after a miss, so the flush also replaces a malformed row
-    _cache_session().stored[key, modulus or 0] = "EMPTY" if value is EMPTY else value
+    _cache_session().stored[key, modulus] = "EMPTY" if value is EMPTY else value

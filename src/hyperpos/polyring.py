@@ -179,7 +179,7 @@ class HomoPoly:
     """
 
     # `_groebner_memo` is the one memo that another module fills: `groebner`
-    # keeps packed term dicts and cache-key texts there; it is unset until then
+    # keeps packed term dicts and a cache-key digest there; it is unset until then
     __slots__ = ("nvars", "terms", "_degree", "_primitive", "_groebner_memo")
 
     def __init__(self, nvars: int, terms=None):

@@ -13,6 +13,10 @@ of the packed leads.
 the primitive form were worked out once per polynomial and kept on it: two
 passes over the coefficients and a scale on every call.
 
+`cache_key` is not an earlier implementation: it writes `groebner.cache_key`
+out from its definition, on `content_free` and its own grevlex sort, so it
+shares neither the memoized digests nor `HomoPoly.sorted_terms`.
+
 `fold_combine` is `polyring.poly_combine` as it stood before it summed every
 scaled member into one dict: a fold of `+` over `HomoPoly.scale`, from the
 zero polynomial.
@@ -38,6 +42,7 @@ What they still share with `heights`: the checked `LogRational` constructor,
 `heights._log_sign`, which decides a sign both ways.
 """
 
+import hashlib
 import heapq
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -318,6 +323,22 @@ def content_free(p):
     if den == num == 1:
         return p
     return p.scale(Fraction(den, num))
+
+
+def cache_key(gens, num_vars):
+    """The cache key by its definition: SHA-256 of the lines CACHE_FORMAT,
+    __version__ and num_vars, then the sorted SHA-256 digests of the
+    generators' content-free forms.  A digest hashes one line "c:e_0,...,e_n"
+    per term, grevlex-descending: within one degree, ascending in the
+    reversed exponent tuple."""
+    digests = []
+    for g in gens:
+        free = content_free(g)
+        text = "".join(f"{int(free.terms[m])}:{','.join(str(e) for e in m)}\n"
+                       for m in sorted(free.terms, key=lambda m: m[::-1]))
+        digests.append(hashlib.sha256(text.encode()).digest())
+    head = f"{groebner.CACHE_FORMAT}\n{groebner.__version__}\n{num_vars}\n"
+    return hashlib.sha256(head.encode() + b"".join(sorted(digests))).hexdigest()
 
 
 def evaluate(q, point):

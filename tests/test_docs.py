@@ -4,6 +4,10 @@ Every module-level budget `MAX_*` in src/hyperpos is documented with its value:
 README "Input limits" must name each one as `module.NAME` followed by its
 decimal value in parentheses, as in `polyring.MAX_DEGREE` (1000).
 
+README "Cache" names the cache-format tag and the database file by value, each
+followed by its name in parentheses, as in `dimensions-4.sqlite3`
+(`groebner.CACHE_FILE`), and the values are the current ones.
+
 README's `Subcommands:` list names the CLI's subcommands, in the parser's order.
 """
 
@@ -13,7 +17,7 @@ import importlib
 import re
 from pathlib import Path
 
-from hyperpos import cli
+from hyperpos import cli, groebner
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hyperpos"
@@ -29,14 +33,14 @@ def module_budgets():
                         yield path.stem, target.id
 
 
-def input_limits_section():
+def readme_section(heading):
     text = (ROOT / "README.md").read_text()
-    start = text.index("### Input limits")
-    return text[start:text.index("\n## ", start)]
+    start = text.index(f"\n{heading}\n")
+    return text[start:text.index("\n##", start + 1)]  # up to the next heading
 
 
 def test_every_budget_documented_with_its_value():
-    section = input_limits_section()
+    section = readme_section("### Input limits")
     budgets = list(module_budgets())
     assert ("position", "MAX_WALK_SUBSETS") in budgets
     assert ("replace", "MAX_POWER_BITS") in budgets
@@ -45,6 +49,14 @@ def test_every_budget_documented_with_its_value():
         assert found, f"{module}.{name} is not named in README Input limits"
         actual = getattr(importlib.import_module(f"hyperpos.{module}"), name)
         assert all(int(text) == actual for text in found), (module, name, found)
+
+
+def test_cache_tags_documented_with_their_values():
+    section = readme_section("### Cache")
+    for name in ("CACHE_FORMAT", "CACHE_FILE"):
+        found = re.findall(rf"`([^`]+)`\s+\(`groebner\.{name}`\)", section)
+        assert found, f"groebner.{name} is not named in README Cache"
+        assert set(found) == {getattr(groebner, name)}, (name, found)
 
 
 def test_subcommand_list_matches_the_parser():

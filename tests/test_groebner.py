@@ -12,13 +12,15 @@ from contextlib import closing
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from conftest import (cache_rows, certify, leading_monomial, lex, parse_many, s_polynomial,
                       write_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import content_free, dimension_of_leads, reduce_terms, tuple_groebner_basis
+from oracles import cache_key as key_oracle
+from oracles import dimension_of_leads, reduce_terms, tuple_groebner_basis
 
 from hyperpos import groebner
 from hyperpos.errors import DomainError
@@ -600,10 +602,22 @@ class TestPackedDegreeLimit:
             normal_form(self.high_degree(), gb)
 
     def test_pair_degree_refused(self):
-        # each input fits a packed field, the lcm of their leads does not
-        gens = [HomoPoly(2, {(16384, 0): 1}), HomoPoly(2, {(0, 16384): 1})]
+        # each input fits a packed field, the lcm of their leads does not,
+        # and the leads share both variables, so the pair must be reduced
+        gens = [HomoPoly(2, {(16384, 1): 1}), HomoPoly(2, {(1, 16384): 1})]
         with pytest.raises(PackedDegreeExceeded, match="degree 32768 exceeds"):
             groebner_basis(gens, GREVLEX)
+
+    def test_coprime_pair_of_any_degree_is_skipped(self):
+        # the lcm of x0^16384 and x1^16384 has degree 2^15, but coprime leads
+        # are skipped before the degree is tested: the inputs are their own basis
+        gens = [HomoPoly(2, {(16384, 0): 1}), HomoPoly(2, {(0, 16384): 1})]
+        assert set(groebner_basis(gens, GREVLEX).generators) == set(gens)
+        # in P^2 the point (0:0:1) is left, settled by the pass over Q
+        gens = [HomoPoly(3, {(16384, 0, 0): 1}), HomoPoly(3, {(0, 16384, 0): 1})]
+        DIMENSION_COUNTS.clear()
+        assert projective_dimension(gens, 3) == 0
+        assert DIMENSION_COUNTS == {"exact": 1}
 
     def test_modp_overflow_is_handed_to_projective_dimension(self):
         DIMENSION_COUNTS.clear()
@@ -613,11 +627,19 @@ class TestPackedDegreeLimit:
         assert DIMENSION_COUNTS == {"exact": 1}
         assert groebner._modp_dimension([self.high_degree()], 2) is None
 
+    @staticmethod
+    def overflowing_family(nvars):
+        # the pair of x0^16384*x1 and x0*x1^16384 has degree 2^15 and is not
+        # coprime; x0^16385 and x1^16385 force x0 and x1, and neither divides
+        # the pair's lcm, so the chain criterion does not skip it
+        pad = (0,) * (nvars - 2)
+        return [HomoPoly(nvars, {(16384, 1) + pad: 1}), HomoPoly(nvars, {(1, 16384) + pad: 1}),
+                HomoPoly(nvars, {(16385, 0) + pad: 1}), HomoPoly(nvars, {(0, 16385) + pad: 1})]
+
     def test_settled_modp_pass_stops_before_the_overflowing_pair(self):
-        # the pair of x0^16384 and x1^16384 has degree 2^15, but once both
-        # leads are in, every variable is forced and the mod-p pass stops
-        # with the pair still queued
-        gens = [HomoPoly(2, {(16384, 0): 1}), HomoPoly(2, {(0, 16384): 1})]
+        # once the four leads are in, every variable of P^1 is forced and the
+        # mod-p pass stops with the overflowing pair still queued
+        gens = self.overflowing_family(2)
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 2) is EMPTY
         assert modp_dimension(gens, 2) is EMPTY
@@ -626,10 +648,35 @@ class TestPackedDegreeLimit:
             groebner_basis(gens, GREVLEX)
         # in P^2 one variable stays free: the bound 0 settles the query, no
         # bound does not, and then the pair is popped and refused
-        gens = [HomoPoly(3, {(16384, 0, 0): 1}), HomoPoly(3, {(0, 16384, 0): 1})]
+        gens = self.overflowing_family(3)
         assert projective_dimension(gens, 3, lower=0) == 0
         with pytest.raises(PackedDegreeExceeded, match="degree 32768"):
             projective_dimension(gens, 3)
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_overflowing_modp_dimension_keys_and_passes_once(self, tmp_path, monkeypatch, recorded):
+        # no lead forces a variable, so the mod-p pass pops the pair and fails;
+        # the query then reads the dimension record under the key already made
+        gens = [HomoPoly(3, {(16384, 1, 0): 1}), HomoPoly(3, {(1, 16384, 0): 1})]
+        if recorded:
+            write_rows(tmp_path, (groebner.cache_key(gens, 3), 0, 1))
+        set_cache_dir(str(tmp_path))
+        keys, passes = [], []
+        cache_key, buchberger = groebner.cache_key, groebner._buchberger
+        monkeypatch.setattr(groebner, "cache_key", lambda *a: keys.append(a) or cache_key(*a))
+        monkeypatch.setattr(groebner, "_buchberger", lambda polys, packing, p, *a:
+                            passes.append(p) or buchberger(polys, packing, p, *a))
+        DIMENSION_COUNTS.clear()
+        if recorded:
+            assert modp_dimension(gens, 3) == 1
+            assert passes == [groebner.MODULUS]
+            assert DIMENSION_COUNTS == {"cached": 1}
+        else:
+            with pytest.raises(PackedDegreeExceeded, match="degree 32768"):
+                modp_dimension(gens, 3)
+            assert passes == [groebner.MODULUS, groebner.RATIONALS]
+            assert DIMENSION_COUNTS == {"exact": 1}
+        assert len(keys) == 1
 
 
 FIELD_MAX = 2 ** 15 - 1
@@ -699,13 +746,18 @@ class TestPackedPairs:
 
     def test_largest_lcm_degree(self):
         # two leads of degree 2^15 - 1 have an lcm of degree 2^16 - 2, one
-        # below the modulus of the field sum, and the loop refuses it
+        # below the modulus of the field sum; they are coprime, and the loop
+        # skips them
         a, b = (FIELD_MAX, 0, 0), (0, 1, FIELD_MAX - 1)
         mults, guard = groebner._packing(GREVLEX, 3)
         lcm = groebner._lcm(groebner._pack(a, mults), groebner._pack(b, mults), guard)
         assert groebner._degree(lcm, (1 << 48) - 1) == 2 * FIELD_MAX
         gens = [HomoPoly(3, {a: 1}), HomoPoly(3, {b: 1})]
-        with pytest.raises(PackedDegreeExceeded, match=f"degree {2 * FIELD_MAX} exceeds"):
+        assert set(groebner_basis(gens, GREVLEX).generators) == set(gens)
+        # leads that share a variable have an lcm of degree at most 2^16 - 3,
+        # and the loop refuses it
+        gens = [HomoPoly(3, {(FIELD_MAX - 1, 1, 0): 1}), HomoPoly(3, {b: 1})]
+        with pytest.raises(PackedDegreeExceeded, match=f"degree {2 * FIELD_MAX - 1} exceeds"):
             groebner_basis(gens, GREVLEX)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -947,16 +999,6 @@ class TestCacheRecords:
         assert groebner_basis(gens, GREVLEX) == expected
 
 
-def _key_oracle(gens, num_vars):
-    """The cache key as computed before the key texts were memoized."""
-    payload = json.dumps({
-        "format": groebner.CACHE_FORMAT, "version": groebner.__version__, "vars": num_vars,
-        "generators": sorted(json.dumps(poly_to_json(content_free(g)), sort_keys=True,
-                                        separators=(",", ":")) for g in gens),
-    }, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 @st.composite
 def rational_quadrics(draw, nvars=3, size=(1, 4)):
     monos = list(groebner._all_monomials(nvars, 2))
@@ -973,39 +1015,55 @@ class TestCacheKey:
     # a non-primitive member, a rational one with the same content-free form,
     # and a negative rational one
     GENS = ("x0^2 - x1*x2", "2*x0*x1 + 4*x2^2", "1/2*x0*x1 + x2^2", "-3*x1^2 + 9/4*x0*x2")
-    # cache_key of GENS in hyperpos 0.1.0 under hyperpos-cache/3, before the
-    # key texts were memoized
-    RECORDED = "f34d535746ea67f2d0ece9bf2bc4cb702d45164a8203f65afce1350a0232918f"
+    # cache_key of GENS in hyperpos 0.1.0 under hyperpos-cache/4, the first
+    # format keyed by per-polynomial digests
+    RECORDED = "3c0b364479d30634d54b9e0de018c4b227e890103dc0faff33856097d83a0f6e"
 
     def test_key_bytes_unchanged(self):
         gens = parse_many(self.GENS, 3)
         assert groebner.cache_key(gens, 3) == self.RECORDED
-        # memoized texts give the same key, in any generator order
+        # memoized digests give the same key, in any generator order
         assert groebner.cache_key(gens[::-1], 3) == self.RECORDED
 
-    def test_texts_sorted_by_the_raw_text(self):
-        # members whose coefficient texts differ at their second character;
-        # a key text writes each coefficient as "n/1", so a quote meets no
-        # digit there and the raw and quoted sorts agree
-        gens = parse_many(("x0^2 + 12*x1^2", "12*x0^2 + x1^2"), 3)
-        texts = [groebner._key_texts(g)[0] for g in gens]
-        quoted = [groebner._key_texts(g)[1] for g in gens]
-        assert texts == sorted(texts)
-        assert quoted == sorted(quoted)
-        for batch in (gens, gens[::-1]):
-            assert groebner.cache_key(batch, 3) == _key_oracle(batch, 3)
+    def test_format_and_file(self):
+        # keys changed meaning with the digests; the table did not
+        assert groebner.CACHE_FORMAT == "hyperpos-cache/4"
+        assert groebner.CACHE_FILE == "dimensions-4.sqlite3"
 
     @settings(derandomize=True, max_examples=60, deadline=None)
+    # members whose coefficient texts differ at their second character
+    @example(gens=list(parse_many(("x0^2 + 12*x1^2", "12*x0^2 + x1^2"), 3)),
+             other=parse_many(("x0*x1",), 3), c=Fraction(-1, 2))
     @given(rational_quadrics(), rational_quadrics(size=(1, 1)),
            st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
     def test_key_matches_oracle(self, gens, other, c):
         (q,) = other
         for g in gens:
-            groebner._key_texts(g)  # fill the memo before deriving new polynomials
+            groebner._key_digest(g)  # fill the memo before deriving new polynomials
         derived = [g + q for g in gens] + [g * q for g in gens] + [g.scale(c) for g in gens]
         for batch in (gens, derived, gens + derived):
             batch = [g for g in batch if not g.is_zero]
-            assert groebner.cache_key(batch, 3) == _key_oracle(batch, 3)
+            assert groebner.cache_key(batch, 3) == key_oracle(batch, 3)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(rational_quadrics(), st.randoms(use_true_random=False),
+           st.lists(st.fractions(min_value=0, max_value=9, max_denominator=6).filter(bool),
+                    min_size=4, max_size=4))
+    def test_key_names_the_generator_multiset_and_the_tag(self, gens, rng, scales):
+        key = groebner.cache_key(gens, 3)
+        assert key == key_oracle(gens, 3)
+        # any order and any positive rescaling: the content-free forms are the same
+        scaled = [g.scale(c) for g, c in zip(gens, scales)]
+        rng.shuffle(scaled)
+        assert groebner.cache_key(scaled, 3) == key
+        # a repeated or dropped generator, another ring size, format or version
+        others = {groebner.cache_key(gens + gens[:1], 3), groebner.cache_key(gens[1:], 3),
+                  groebner.cache_key(gens, 4)}
+        with patch.object(groebner, "CACHE_FORMAT", "hyperpos-cache/3"):
+            others.add(groebner.cache_key(gens, 3))
+        with patch.object(groebner, "__version__", "0.0.0"):
+            others.add(groebner.cache_key(gens, 3))
+        assert len(others) == 5 and key not in others
 
     def test_record_under_recorded_key_is_cached(self, tmp_path):
         write_rows(tmp_path, (self.RECORDED, 0, "EMPTY"))

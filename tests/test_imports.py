@@ -26,7 +26,7 @@ Weil functions and margins read every coefficient norm off the primitive
 integer form, and only the places of a given number are found by factoring.
 
 Only `groebner` touches `HomoPoly._groebner_memo`, the packed term dicts and
-cache-key texts it keeps on a polynomial, and only `polyring` touches
+cache-key digest it keeps on a polynomial, and only `polyring` touches
 `HomoPoly._primitive`, the content and primitive form of a polynomial: no
 other module of the package or of the tests reads, writes or deletes either
 slot, by attribute or by `getattr` and its kin.  (`polyring` only declares
