@@ -82,18 +82,15 @@ def _read_json(path):
 
 
 def _load_config(path):
-    """SessionConfig file: geometry keys plus optional seed/precision knobs."""
+    """SessionConfig file: geometry keys plus the optional precision knob."""
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise DomainError(f"configuration in {path} must be a JSON object")
     v, fam = load_configuration(obj)
-    knobs = {
-        "seed": int_from_json(obj.get("seed", 0), "seed"),
-        "precision": int_from_json(obj.get("precision", _DEFAULT_PRECISION), "precision"),
-    }
-    if knobs["precision"] < 1:
-        raise DomainError(f"precision must be positive, got {knobs['precision']}")
-    return v, fam, knobs
+    precision = int_from_json(obj.get("precision", _DEFAULT_PRECISION), "precision")
+    if precision < 1:
+        raise DomainError(f"precision must be positive, got {precision}")
+    return v, fam, precision
 
 
 def _load_ideal(path):
@@ -198,10 +195,9 @@ def cmd_profile(args):
 
 
 def cmd_replace(args):
-    v, fam, knobs = _load_config(args.config)
+    v, fam, _ = _load_config(args.config)
     prof = dimension_profile(v, fam, _ordering_from(args, fam))
-    seed = args.seed if args.seed is not None else knobs["seed"]
-    system = build_replacement(v, fam, prof, seed=seed, max_bound=args.bound)
+    system = build_replacement(v, fam, prof)
     verdict = verify_replacement(v, system)
     if not verdict.ok:
         raise RuntimeError("replacement system failed its own re-verification")
@@ -284,7 +280,7 @@ def cmd_pfcheck(args):
 
 
 def cmd_margin(args):
-    v, fam, knobs = _load_config(args.config)
+    v, fam, digits = _load_config(args.config)
     places = None  # theorem15_margin's default places
     if args.primes is not None:
         places = (INFINITE,) + tuple(Place.finite(p) for p in args.primes)
@@ -295,7 +291,6 @@ def cmd_margin(args):
     points = _load_points(args.points, v.num_vars)
     reports = theorem15_margin(v, fam, delta, args.eps, places, points)
     summary = summarize_margins(reports)
-    digits = knobs["precision"]
     return {
         "delta": delta,
         "eps": args.eps,
@@ -359,8 +354,6 @@ def _build_parser():
     p = sub.add_parser("replace", parents=[common], help="replacement system construction")
     p.add_argument("--config", required=True)
     p.add_argument("--order", type=_int_list, help="1-based member ordering")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int, default=8, help="spiral coefficient pool bound")
 
     p = sub.add_parser("schedule", parents=[common], help="exponent schedule from t-values")
     p.add_argument("--t", type=_int_list, required=True)

@@ -1,19 +1,18 @@
 """Constructive replacement of an ordered family by n+1 well-placed
 hypersurfaces, plus the exponent-schedule inequality machinery.
 
-The replacement search tries small integer coefficient vectors first in a
-fixed spiral order, then falls back to seeded random draws; every accepted
-candidate has passed the prefix dimension check, nothing is trusted on the
-strength of genericity alone.  A candidate is judged on its dimension mod p,
-an upper bound on its dimension over Q; only when no candidate of a level
-meets the bound mod p is that level searched again over Q.
+Step u of the replacement search tries the points c(s) = (s^t_u, ..., s, 1)
+of the moment curve for s = 0, 1, ... up to a cap that the Bezout inequality
+proves large enough; every accepted candidate has passed the prefix
+dimension check, nothing is trusted on the strength of genericity alone.  A
+candidate is judged on its dimension mod p, an upper bound on its dimension
+over Q; only when no point of a step meets the bound mod p is that step
+searched again over Q.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from itertools import islice, product
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -145,34 +144,12 @@ class ReplacementSystem(NamedTuple):
     family: HypersurfaceFamily
 
 
-_SPIRAL_LEVEL_CAP = 20000
-_RANDOM_STAGES = ((16, 300), (64, 300), (1024, 400))
-
-
-def _candidates(t_u, level, seed, max_bound):
-    """The nonzero coefficient vectors of length t_u + 1 that one level tries,
-    in order: the spiral pools of bounds 1, 2, 4 and 8 up to `max_bound`, each
-    cut at _SPIRAL_LEVEL_CAP vectors, then the seeded random stages."""
-    for bound in (b for b in (1, 2, 4, 8) if b <= max_bound):
-        values = [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]
-        nonzero = (c for c in product(values, repeat=t_u + 1) if any(c))
-        yield from islice(nonzero, _SPIRAL_LEVEL_CAP)
-    rng = random.Random(seed * 1000003 + level)
-    for spread, tries in _RANDOM_STAGES:
-        for _ in range(tries):
-            cand = tuple(rng.randint(-spread, spread) for _ in range(t_u + 1))
-            if any(cand):
-                yield cand
-
-
-def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionProfile,
-                      seed: int = 0, max_bound: int = 8) -> ReplacementSystem:
+def build_replacement(v: Variety, fam: HypersurfaceFamily,
+                      profile: DimensionProfile) -> ReplacementSystem:
     """Realize the profile by n+1 combinations with strictly dropping prefixes."""
     if len(set(fam.degrees)) != 1:
         raise SameDegreeRequired(
             f"members must share one degree, got {sorted(set(fam.degrees))}; lift by lcm powers first")
-    if max_bound < 1:
-        raise BelowOne(f"coefficient pool bound must be at least 1, got {max_bound}")
     n = v.dim_n
     ordered = [fam.members[i] for i in profile.ordering]
     width = profile.l_value + 1
@@ -183,25 +160,30 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily, profile: DimensionPro
         raise SearchExhausted("leading member does not cut the variety; profile is stale")
     for u in range(1, n + 1):
         t_u = profile.t_values[u]
-        tries = ((dimension, cand) for dimension in (modp_dimension, projective_dimension)
-                 for cand in _candidates(t_u, u, seed, max_bound))
+        # X = V cut by P_0..P_{u-1} has at most K = prod(deg g) * d^u components
+        # (Bezout), and the c that vanish on one of its top components meet the
+        # curve c(s) = (s^t_u, ..., s, 1) in at most t_u points; so K * t_u + 1
+        # points hold one accepted over Q.  s = 0 is Q_{t_u} alone.
+        cap = prod(g.degree for g in v.generators) * fam.degrees[0] ** u * t_u + 1
+        tries = ((dimension, tuple(s ** (t_u - i) for i in range(t_u + 1)))
+                 for dimension in (modp_dimension, projective_dimension) for s in range(cap))
         for dimension, cand in tries:
             # Under modp_dimension, dim_p <= n - u - 1 proves acceptance, since
             # dim_p bounds dim_Q from above, and it is the exact dimension, since
             # `meet_dimension`'s lower bound for u + 1 members is n - u - 1.
-            # A combination that is zero or vanishes on V leaves the prefix at
-            # n - u, so both rules reject it with no test of its own.
+            # A combination that is zero or vanishes on V (only a stale profile
+            # gives one) leaves the prefix at n - u, so both rules reject it.
             combined = poly_combine(cand, ordered[:t_u + 1])
             dim = meet_dimension(v, replacements + [combined], (prefix_dim,), dimension)
             if dim_at_most(dim, n - u - 1):
                 break
         else:
-            # A wrong rejection mod p only moves the search to a later candidate.
-            # The level reruns over Q when the mod-p search finds nothing, so
-            # exhaustion means that no candidate works over Q.
+            # A wrong rejection mod p only moves the search to a later point.
+            # The level reruns over Q when the mod-p search finds nothing, and
+            # over Q one of the cap points is accepted whenever the profile is
+            # that of the family, so exhaustion means a stale profile.
             raise SearchExhausted(
-                f"no admissible combination at step {u} after spiral bound {max_bound} "
-                f"and random spread {_RANDOM_STAGES[-1][0]}")
+                f"no admissible combination at step {u} among {cap} points of the moment curve")
         replacements.append(combined)
         rows.append(tuple(Fraction(c) for c in cand) + (Fraction(0),) * (width - len(cand)))
         prefix_dim = dim

@@ -144,7 +144,7 @@ def test_criterion_02_power_inequality_grid():
 
 def _check_replacement(v, fam):
     prof = dimension_profile(v, fam, tuple(range(fam.q)))
-    system = build_replacement(v, fam, prof, seed=11)
+    system = build_replacement(v, fam, prof)
     verdict = verify_replacement(v, system)
     assert verdict.ok
     width = prof.l_value + 1
@@ -355,7 +355,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
         ["delta", "--config", str(conf), "--table"],
         ["classify", "--config", str(conf)],
         ["profile", "--config", str(conf)],
-        ["replace", "--config", str(conf), "--seed", "7", "--bound", "8"],
+        ["replace", "--config", str(conf)],
         ["schedule", "--t", "0,1,2"],
         ["ineq", "--t", "0,1,2", "--a", "3/2,1"],
         ["hilbert", "--ideal", str(ideal), "--u", "4"],

@@ -319,8 +319,7 @@ class TestFrozenPayloads:
                                      "message": "--order must be a permutation of 1..3"}
 
     def test_replace(self, runj, coord_config):
-        code, report = runj("replace", "--config", coord_config,
-                            "--seed", "5", "--no-cache")
+        code, report = runj("replace", "--config", coord_config, "--no-cache")
         assert code == 0
         payload = report["payload"]
         assert payload["ok"] is True
@@ -328,11 +327,10 @@ class TestFrozenPayloads:
         assert len(payload["coeff_matrix"]) == 3
         assert payload["prefix_dims"] == [1, 0, "EMPTY"]
 
-    def test_replace_rejects_zero_bound(self, runj, coord_config):
-        code, report = runj("replace", "--config", coord_config,
-                            "--bound", "0", "--no-cache")
-        assert code == 2
-        assert report["payload"]["error"] == "BelowOne"
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--bound", "8"]])
+    def test_replace_search_options_are_gone(self, run, coord_config, option):
+        code, _ = run("replace", "--config", coord_config, *option, "--no-cache")
+        assert code == 1  # an argparse error: the search has no knobs
 
     def test_schedule(self, runj):
         _, report = runj("schedule", "--t", "0,1,2", "--no-cache")
@@ -604,8 +602,18 @@ class TestInputHandling:
         code, _ = run("delta", "--config", str(path), "--cap", "14", "--no-cache")
         assert code == 1  # the --cap option is gone
 
-    @pytest.mark.parametrize("knobs", [{"seed": "abc"}, {"precision": []},
-                                       {"precision": 2.5}, {"seed": True}])
+    @pytest.mark.parametrize("seed", [7, "abc"])
+    def test_seed_key_ignored(self, runj, coord_config, tmp_path, seed):
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps({"ambient": 2, "variety": [],
+                                    "family": ["x0", "x1", "x2"], "seed": seed}))
+        code, report = runj("replace", "--config", str(path), "--no-cache")
+        assert code == 0
+        assert report["payload"] == runj("replace", "--config", coord_config,
+                                         "--no-cache")[1]["payload"]
+
+    @pytest.mark.parametrize("knobs", [{"precision": "abc"}, {"precision": []},
+                                       {"precision": 2.5}, {"precision": True}])
     def test_non_integer_knob_is_domain_error(self, runj, tmp_path, knobs):
         path = tmp_path / "knobs.json"
         path.write_text(json.dumps({"ambient": 2, "variety": [],
@@ -817,7 +825,7 @@ class TestParserReuse:
         env = {**os.environ, "PYTHONPATH": str(Path(hyperpos.__file__).parents[1])}
         sequence = [
             ["delta", "--config", coord_config, "--table", "--no-cache"],
-            ["replace", "--config", coord_config, "--seed", "3", "--no-cache"],
+            ["replace", "--config", coord_config, "--no-cache"],
             ["pfcheck", "--no-cache"],  # no --x: an argparse error, exit 1
             ["schedule", "--t", "0,1,3", "--no-cache"],
             ["delta", "--config", coord_config, "--no-cache"],

@@ -431,14 +431,15 @@ def test_general_position_family_settles_mod_p():
 
 def test_replacement_candidates_settle_mod_p():
     # the pair products of P^2: t = (0, 2, 3), the first prefix is one
-    # projective_dimension query, then two accepted and three rejected
-    # candidates, each settled by its mod-p pass alone (the Q rule built three
-    # bases over Q for the rejections)
+    # projective_dimension query, then two accepted candidates and one
+    # rejected (x1*x2, which vanishes on the line x1 = 0 of V(x0*x1)), each
+    # settled by its mod-p pass alone (the Q rule builds a basis over Q for
+    # the rejection)
     v, fam = family_of(3, ("x0*x1", "x0*x2", "x1*x2", "x0^2 + x1^2 + x2^2"))
     profile = dimension_profile(v, fam, (0, 1, 2, 3))
     DIMENSION_COUNTS.clear()
     build_replacement(v, fam, profile)
-    assert DIMENSION_COUNTS == {"modp": 1, "modp_bound": 5}
+    assert DIMENSION_COUNTS == {"modp": 1, "modp_bound": 3}
 
 
 def test_empty_mod_p_is_empty_without_bound():

@@ -32,7 +32,8 @@ FILES = {
     "conf.json": {"ambient": 2, "variety": [], "family": ["x0", "x1", "x2"]},
     "conic.json": {"ambient": 2, "polys": ["x0*x2 - x1^2"]},
     "pts.txt": "1,1,2\n1,2,3\n",
-    # five lines with rational coefficients; knobs for the seed and the rounding
+    # five lines with rational coefficients; the rounding knob, and a seed key
+    # that configs may still carry and that is ignored
     "mixed.json": {"ambient": 2, "variety": [],
                    "family": ["x0", "x1", "x2", "x0 + x1 + x2", "1/2*x0 - 3*x1"],
                    "precision": 6, "seed": 3},
@@ -61,7 +62,7 @@ CASES = [
     ["classify", "--config", "pencil.json"],
     ["profile", "--config", "conf.json"],
     ["profile", "--config", "mixed.json", "--order", "5,3,1,2,4"],
-    ["replace", "--config", "conf.json", "--seed", "7", "--bound", "8"],
+    ["replace", "--config", "conf.json"],
     ["replace", "--config", "quadric.json"],
     ["schedule", "--t", "0,2,3,7"],
     ["ineq", "--t", "0,1,3", "--a", "5/2,4/3"],

@@ -35,6 +35,7 @@ slot, by attribute or by `getattr` and its kin.  (`polyring` only declares
 The package also loads `sqlite3` only when a command uses the disk cache,
 and only `groebner` imports `sqlite3` or names the cache session
 (`_CacheSession`, `_session`), so single and batched reads stay in one module.
+A `replace` run never loads `random`: its search draws nothing.
 
 No float decides a margin: `heights.theorem15_margin`, `summarize_margins`,
 `LogRational` and every helper they run (the integer evaluator
@@ -493,18 +494,36 @@ def test_checker_finds_a_cache_use():
     assert cache_uses(groebner)
 
 
-@pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])
-def test_sqlite3_loaded_only_for_the_disk_cache(tmp_path, cache_flag, loaded):
+def loaded_after_run(tmp_path, argv, module, *flags):
+    """Whether `module` is in sys.modules after a fresh Python process, started
+    with `flags`, imports `hyperpos.cli` and runs `argv` on three lines of the
+    plane, with "CONF" in `argv` naming their config file."""
     conf = tmp_path / "lines.json"
     conf.write_text(json.dumps({"ambient": 2, "variety": [], "family": ["x0", "x1", "x2"]}))
-    argv = ["delta", "--config", str(conf), cache_flag]
-    if cache_flag == "--cache-dir":
-        argv.append(str(tmp_path / "cache"))
+    argv = [str(conf) if arg == "CONF" else arg for arg in argv]
     script = ("import sys\n"
               "from hyperpos import cli\n"
               "assert cli.main(sys.argv[1:]) == 0\n"
-              "sys.stderr.write(str('sqlite3' in sys.modules))\n")
+              f"sys.stderr.write(str({module!r} in sys.modules))\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stderr == str(loaded)
+    return done.stderr == "True"
+
+
+@pytest.mark.parametrize("cache_flag, loaded", [("--no-cache", False), ("--cache-dir", True)])
+def test_sqlite3_loaded_only_for_the_disk_cache(tmp_path, cache_flag, loaded):
+    argv = ["delta", "--config", "CONF", cache_flag]
+    if cache_flag == "--cache-dir":
+        argv.append(str(tmp_path / "cache"))
+    assert loaded_after_run(tmp_path, argv, "sqlite3") is loaded
+
+
+@pytest.mark.parametrize("cache_flag", ["--no-cache", "--cache-dir"])
+def test_random_not_loaded_by_replace(tmp_path, cache_flag):
+    # the search walks a fixed curve and draws nothing; -S leaves out what the
+    # interpreter's site packages import at start-up
+    argv = ["replace", "--config", "CONF", cache_flag]
+    if cache_flag == "--cache-dir":
+        argv.append(str(tmp_path / "cache"))
+    assert not loaded_after_run(tmp_path, argv, "random", "-S")

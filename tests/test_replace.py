@@ -7,6 +7,9 @@ from math import prod
 
 import pytest
 from conftest import cache_rows, parse_many
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_acceptance import random_form
 from test_dimension import criterion_03_families
 
 from hyperpos import groebner, replace
@@ -168,7 +171,7 @@ class TestBuildReplacement:
         v = plane()
         fam = linear_family(v, ["x0", "x1", "x2"])
         prof = dimension_profile(v, fam, (0, 1, 2))
-        sys = build_replacement(v, fam, prof, seed=1)
+        sys = build_replacement(v, fam, prof)
         assert sys.replacements == fam.members
         assert sys.coeff_matrix == (
             (1, 0, 0),
@@ -180,7 +183,7 @@ class TestBuildReplacement:
         v = plane()
         fam = linear_family(v, ["x1", "x2", "x1 + x2", "x0"])
         prof = dimension_profile(v, fam, (0, 1, 2, 3))
-        sys = build_replacement(v, fam, prof, seed=1)
+        sys = build_replacement(v, fam, prof)
         assert sys.replacements[0] == fam.members[0]
         assert sys.coeff_matrix[1][2:] == (0, 0)
         assert sys.coeff_matrix[2][3] != 0  # must involve the completing member
@@ -194,14 +197,14 @@ class TestBuildReplacement:
         prof_fam = linear_family(v, ["x0", "x1", "x2"])
         prof = dimension_profile(v, prof_fam, (0, 1, 2))
         with pytest.raises(SameDegreeRequired):
-            build_replacement(v, fam, prof, seed=1)
+            build_replacement(v, fam, prof)
 
     def test_deterministic(self):
         v = plane()
         fam = linear_family(v, ["x1", "x2", "x1 + x2", "x0"])
         prof = dimension_profile(v, fam, (0, 1, 2, 3))
-        a = build_replacement(v, fam, prof, seed=7)
-        b = build_replacement(v, fam, prof, seed=7)
+        a = build_replacement(v, fam, prof)
+        b = build_replacement(v, fam, prof)
         assert a.coeff_matrix == b.coeff_matrix
         assert a.replacements == b.replacements
 
@@ -209,7 +212,7 @@ class TestBuildReplacement:
         v = plane()
         fam = linear_family(v, ["x1", "x1 - x2", "x2", "x0"])
         prof = dimension_profile(v, fam, (0, 1, 2, 3))
-        sys = build_replacement(v, fam, prof, seed=3)
+        sys = build_replacement(v, fam, prof)
         for u, row in enumerate(sys.coeff_matrix):
             t_u = prof.t_values[u]
             assert all(c == 0 for c in row[t_u + 1:])
@@ -220,7 +223,7 @@ class TestBuildReplacement:
         v = build_variety(parse_many(["x0^2 + x1^2 + x2^2 - x3^2"], 4))
         fam = build_family(v, parse_many(["x0", "x1", "x2", "x3"], 4))
         prof = dimension_profile(v, fam, (0, 1, 2, 3))
-        sys = build_replacement(v, fam, prof, seed=2)
+        sys = build_replacement(v, fam, prof)
         verdict = verify_replacement(v, sys)
         assert verdict.ok
         assert verdict.prefix_dims[-1] is EMPTY
@@ -231,7 +234,7 @@ class TestVerifyReplacement:
         v = plane()
         fam = linear_family(v, ["x0", "x1", "x2"])
         prof = dimension_profile(v, fam, (0, 1, 2))
-        verdict = verify_replacement(v, build_replacement(v, fam, prof, seed=1))
+        verdict = verify_replacement(v, build_replacement(v, fam, prof))
         assert verdict.prefix_dims == (1, 0, EMPTY)
         assert verdict.bounds_met == (True, True, True)
         assert verdict.ok
@@ -240,7 +243,7 @@ class TestVerifyReplacement:
         v = plane()
         fam = linear_family(v, ["x0", "x1", "x2"])
         prof = dimension_profile(v, fam, (0, 1, 2))
-        good = build_replacement(v, fam, prof, seed=1)
+        good = build_replacement(v, fam, prof)
         bad = ReplacementSystem(
             (good.replacements[0], good.replacements[0], good.replacements[2]),
             good.coeff_matrix, prof, fam)
@@ -253,7 +256,7 @@ class TestVerifyReplacement:
         v = plane()
         fam = linear_family(v, ["x0", "x1", "x2"])
         prof = dimension_profile(v, fam, (0, 1, 2))
-        good = build_replacement(v, fam, prof, seed=1)
+        good = build_replacement(v, fam, prof)
         rows = list(good.coeff_matrix)
         rows[1] = (Fraction(2), Fraction(1), Fraction(0))
         bad = ReplacementSystem(good.replacements, tuple(rows), prof, fam)
@@ -265,7 +268,7 @@ class TestVerifyReplacement:
         v = plane()
         fam = linear_family(v, ["x0", "x1", "x2"])
         prof = dimension_profile(v, fam, (0, 1, 2))
-        good = build_replacement(v, fam, prof, seed=1)
+        good = build_replacement(v, fam, prof)
         # P_0 = 2*x0 is the combination its row names and cuts as x0 does
         rows = ((Fraction(2), Fraction(0), Fraction(0)),) + good.coeff_matrix[1:]
         replacements = (fam.members[0] * 2,) + good.replacements[1:]
@@ -278,7 +281,7 @@ class TestVerifyReplacement:
         fam = linear_family(v, ["x0", "x1", "x2"])
         prof = dimension_profile(v, fam, (0, 1, 2))
         assert prof.t_values == (0, 1, 2)
-        good = build_replacement(v, fam, prof, seed=1)
+        good = build_replacement(v, fam, prof)
         assert good.replacements[1] == fam.members[1]
         # P_1 = x1 is what the row's first t_1 + 1 = 2 entries combine to, but
         # the row also names Q_2, past t_1
@@ -291,42 +294,27 @@ class TestVerifyReplacement:
 
 
 # ---------------------------------------------------------------------------
-# the search rule: mod p first, Q only when a level is exhausted mod p
+# the search rule: points of the moment curve up to the proven cap, mod p
+# first, Q only when a level is exhausted mod p
 
-def candidate_order(t_u, level, seed, max_bound):
-    """The coefficient vectors of one level, in the order the search tries them."""
-    for bound in (b for b in (1, 2, 4, 8) if b <= max_bound):
-        values = [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]
-        tried = (c for c in product(values, repeat=t_u + 1) if any(c))
-        for count, cand in enumerate(tried, 1):
-            if count > replace._SPIRAL_LEVEL_CAP:
-                break
-            yield cand
-    rng = random.Random(seed * 1000003 + level)
-    for spread, tries in replace._RANDOM_STAGES:
-        for _ in range(tries):
-            cand = tuple(rng.randint(-spread, spread) for _ in range(t_u + 1))
-            if any(cand):
-                yield cand
+def search_cap(v, fam, u, t_u):
+    """K * t_u + 1, with K = prod(deg g over V's generators) * d^u.
+
+    K bounds the number of components of V cut by u members of degree d (the
+    Bezout inequality), and the coefficient vectors that vanish on one of them
+    meet the moment curve in at most t_u points.
+    """
+    return prod(g.degree for g in v.generators) * fam.degrees[0] ** u * t_u + 1
 
 
-@pytest.mark.parametrize("t_u, level, seed, max_bound",
-                         [(0, 1, 0, 8), (1, 1, 0, 1), (1, 2, 7, 2), (2, 3, 11, 8), (3, 1, 5, 4)])
-def test_candidates_follow_the_pinned_order(monkeypatch, t_u, level, seed, max_bound):
-    # small caps, so that the random stages are reached and compared too
-    monkeypatch.setattr(replace, "_SPIRAL_LEVEL_CAP", 7)
-    monkeypatch.setattr(replace, "_RANDOM_STAGES", ((2, 5), (40, 6)))
-    expected = list(candidate_order(t_u, level, seed, max_bound))
-    assert list(replace._candidates(t_u, level, seed, max_bound)) == expected
-    assert len(expected) > 7
+def curve_order(v, fam, u, t_u):
+    """The coefficient vectors of step u, in the order the search tries them:
+    (s^t_u, ..., s, 1) for s = 0 .. cap - 1."""
+    for s in range(search_cap(v, fam, u, t_u)):
+        yield tuple(s ** (t_u - i) for i in range(t_u + 1))
 
 
-@pytest.mark.parametrize("t_u", [0, 1, 2])
-def test_candidates_follow_the_pinned_order_at_full_caps(t_u):
-    assert list(replace._candidates(t_u, 2, 3, 8)) == list(candidate_order(t_u, 2, 3, 8))
-
-
-def q_rule_replacement(v, fam, profile, seed=0, max_bound=8):
+def q_rule_replacement(v, fam, profile):
     """The search with every candidate judged on its dimension over Q.
 
     This is the rule that the mod-p search replaced, kept as its oracle: it
@@ -345,7 +333,7 @@ def q_rule_replacement(v, fam, profile, seed=0, max_bound=8):
     for u in range(1, n + 1):
         t_u = profile.t_values[u]
         lower = None if prefix_dim is EMPTY or prefix_dim < 1 else prefix_dim - 1
-        for cand in candidate_order(t_u, u, seed, max_bound):
+        for cand in curve_order(v, fam, u, t_u):
             combined = poly_combine(cand, ordered[:t_u + 1])
             if combined.is_zero or normal_form(combined, v.gb).is_zero:
                 continue
@@ -367,42 +355,84 @@ def pair_products(nvars):
 
 
 def gate_cases():
-    """(variety, family, ordering, seed) of every replacement the gate builds."""
+    """(variety, family, ordering) of every replacement the gate builds."""
     for v, fam in criterion_03_families():
-        yield v, fam, tuple(range(fam.q)), 11
+        yield v, fam, tuple(range(fam.q))
     v = plane()
-    yield v, linear_family(v, ["x0", "x1", "x2"]), (0, 1, 2), 7  # criterion 10
+    yield v, linear_family(v, ["x0", "x1", "x2"]), (0, 1, 2)  # criterion 10
 
 
 def bench_cases():
     p3 = build_variety([], num_vars=4)
-    yield p3, build_family(p3, parse_many(pair_products(4), 4)), tuple(range(7)), 0
+    yield p3, build_family(p3, parse_many(pair_products(4), 4)), tuple(range(7))
     p4 = build_variety([], num_vars=5)
     order = tuple(i - 1 for i in (2, 11, 6, 8, 5, 1, 3, 4, 10, 9, 7))
-    yield p4, build_family(p4, parse_many(pair_products(5), 5)), order, 0
+    pairs = build_family(p4, parse_many(pair_products(5), 5))
+    yield p4, pairs, order
+    yield p4, pairs, tuple(range(11))  # the natural order
 
 
-def outcome(search, v, fam, ordering, seed):
+def outcome(search, v, fam, ordering):
     """(replacements, coeff_matrix), or the name of the DomainError raised."""
     try:
         profile = dimension_profile(v, fam, ordering)
-        return search(v, fam, profile, seed)
+        return search(v, fam, profile)
     except DomainError as exc:
         return type(exc).__name__
 
 
-def modp_rule(v, fam, profile, seed):
-    system = build_replacement(v, fam, profile, seed=seed)
+def modp_rule(v, fam, profile):
+    system = build_replacement(v, fam, profile)
     assert verify_replacement(v, system).ok
     return system.replacements, system.coeff_matrix
+
+
+SWEEP_VARIETIES = {
+    "P2": (3, []),
+    "P3": (4, []),
+    "conic": (3, ["x0*x2 - x1^2"]),
+    "twisted cubic": (4, ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]),
+    # a line and a point: X can have a top component inside the point
+    "line and point": (3, ["x0*x1", "x0*x2"]),
+}
+
+
+@st.composite
+def random_systems(draw):
+    nvars, texts = SWEEP_VARIETIES[draw(st.sampled_from(sorted(SWEEP_VARIETIES)))]
+    v = build_variety(parse_many(texts, nvars), num_vars=nvars)
+    degree = draw(st.integers(1, 2))
+    q = draw(st.integers(v.dim_n + 1, v.dim_n + 3))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    members = [random_form(rng, nvars, degree, spread=2, max_terms=4) for _ in range(q)]
+    return v, members, draw(st.permutations(range(q)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(random_systems())
+def test_random_systems_accept_below_the_cap(system):
+    v, members, ordering = system
+    try:
+        fam = build_family(v, members)
+        profile = dimension_profile(v, fam, ordering)
+    except DomainError:
+        assume(False)  # a member vanishes on V, or the ordering has no valid profile
+    built = build_replacement(v, fam, profile)
+    assert verify_replacement(v, built).ok
+    for u in range(1, v.dim_n + 1):
+        t_u = profile.t_values[u]
+        row = built.coeff_matrix[u]
+        s = row[t_u - 1]  # c(s) ends in (s, 1)
+        assert row[:t_u + 1] == tuple(s ** (t_u - i) for i in range(t_u + 1))
+        assert 0 <= s < search_cap(v, fam, u, t_u)
 
 
 @pytest.mark.parametrize("cases", [gate_cases, bench_cases])
 def test_modp_rule_equals_q_rule(cases):
     built = 0
-    for v, fam, ordering, seed in cases():
-        expected = outcome(q_rule_replacement, v, fam, ordering, seed)
-        assert outcome(modp_rule, v, fam, ordering, seed) == expected, fam.members
+    for v, fam, ordering in cases():
+        expected = outcome(q_rule_replacement, v, fam, ordering)
+        assert outcome(modp_rule, v, fam, ordering) == expected, fam.members
         built += not isinstance(expected, str)
     assert built >= 2
 
@@ -413,14 +443,14 @@ SMALL_PRIME = 3
 def test_unlucky_small_prime_still_verifies(monkeypatch):
     monkeypatch.setattr(groebner, "MODULUS", SMALL_PRIME)
     differs = 0
-    for v, fam, ordering, seed in gate_cases():
+    for v, fam, ordering in gate_cases():
         try:
             profile = dimension_profile(v, fam, ordering)
-            system = build_replacement(v, fam, profile, seed=seed)
+            system = build_replacement(v, fam, profile)
         except DomainError:
             continue
         assert verify_replacement(v, system).ok, fam.members
-        oracle = q_rule_replacement(v, fam, profile, seed)
+        oracle = q_rule_replacement(v, fam, profile)
         differs += (system.replacements, system.coeff_matrix) != oracle
     # some rejection mod 3 was wrong, and the search took a later candidate
     assert differs > 0
@@ -428,15 +458,17 @@ def test_unlucky_small_prime_still_verifies(monkeypatch):
 
 def test_modp_records_of_one_modulus_never_read_under_another(monkeypatch, tmp_path):
     large = groebner.MODULUS
-    v = plane()
-    # x0 + 3*x1 is x0 mod 3: level 1 accepts it over Q but rejects it mod 3
-    fam = linear_family(v, ["x0", "x0 + 3*x1", "x2"])
+    v = build_variety([], num_vars=2)
+    # V(x0*x1) is [1:0] and [0:1]; step 1 tries s^2*Q0 + s*Q1 + Q2, which is
+    # s + 3 at [0:1].  Over Q, s = 0 is accepted; mod 3 it vanishes there, and
+    # s = 1 is accepted instead
+    fam = build_family(v, parse_many(["x0*x1", "x1^2", "x0^2 + 3*x1^2"], 2))
     profile = dimension_profile(v, fam, (0, 1, 2))
 
     def search(modulus):
         monkeypatch.setattr(groebner, "MODULUS", modulus)
         DIMENSION_COUNTS.clear()
-        system = build_replacement(v, fam, profile, seed=1)
+        system = build_replacement(v, fam, profile)
         assert verify_replacement(v, system).ok
         return system.coeff_matrix, DIMENSION_COUNTS["modp_bound"]
 
@@ -454,21 +486,27 @@ def test_modp_records_of_one_modulus_never_read_under_another(monkeypatch, tmp_p
     assert search(large) == (large_rows, 0)
 
 
-def test_stale_profile_exhausts_after_q_fallback(monkeypatch):
-    v = plane()
-    # the profile of three coordinate lines, with the members of a family whose
-    # first two lines coincide: no combination of them cuts the line to a point
-    profile = dimension_profile(v, linear_family(v, ["x0", "x1", "x2"]), (0, 1, 2))
-    stale = linear_family(v, ["x0", "2*x0", "x1"])
-    monkeypatch.setattr(replace, "_SPIRAL_LEVEL_CAP", 4)
-    monkeypatch.setattr(replace, "_RANDOM_STAGES", ((3, 5),))
+def test_stale_profile_exhausts_after_q_fallback():
+    # V is the line x0 = 0 and the point [1:0:0].  The profile is that of x1^2,
+    # x1*x2, x2^2 + x0^2, t = (0, 2); the members are those of a family whose
+    # every combination is a multiple of x1^2, so none cuts V(x1^2), the points
+    # [0:0:1] and [1:0:0], away
+    v = build_variety(parse_many(["x0*x1", "x0*x2"], 3), num_vars=3)
+    profile = dimension_profile(
+        v, build_family(v, parse_many(["x1^2", "x1*x2", "x2^2 + x0^2"], 3)), (0, 1, 2))
+    assert profile.t_values == (0, 2)
+    stale = build_family(v, parse_many(["x1^2", "2*x1^2", "-1*x1^2"], 3))
+    cap = search_cap(v, stale, 1, 2)
+    # deg x0*x1 * deg x0*x2 * d^1 * t_1 + 1; V's degree (1, from its line alone)
+    # would give 5
+    assert (v.degree_delta, cap) == (1, 2 * 2 * 2 * 2 + 1)
     DIMENSION_COUNTS.clear()
     with pytest.raises(SearchExhausted, match="step 1"):
-        build_replacement(v, stale, profile, seed=1)
-    assert DIMENSION_COUNTS["modp_bound"] > 0
-    assert DIMENSION_COUNTS["exact"] > 0  # the level was searched again over Q
+        build_replacement(v, stale, profile)
+    # the prefix, then every point of the curve mod p, then again over Q
+    assert DIMENSION_COUNTS == {"modp": 1, "modp_bound": cap, "exact": cap}
     with pytest.raises(SearchExhausted):
-        q_rule_replacement(v, stale, profile, seed=1)
+        q_rule_replacement(v, stale, profile)
 
 
 def conic():
@@ -476,23 +514,27 @@ def conic():
 
 
 # W = V(Q0) meets the conic x0*x2 = x1^2 in [1:0:0], [0:0:1], [1:1:1] and
-# [1:-1:1].  On W, Q1 = -Q2, and Q3, Q2 + Q3 and Q2 - Q3 each vanish at one of
-# those points, so every earlier candidate is rejected before Q1 + Q2, which
-# is zero on the conic.  The first variant writes Q1 as -Q2 plus the conic's
-# equation, so Q1 + Q2 lies in its ideal; the second writes Q1 = -Q2, so
-# Q1 + Q2 is the zero polynomial.
+# [1:-1:1], and the profile's first three members meet on W in [1:0:0] and
+# [0:0:1], so t = (0, 3).  Under its own profile no point of the curve is zero
+# or vanishes on V: on the component of X where Q_0..Q_{t_u - 1} vanish, c(s)
+# is Q_{t_u}.  So the families below run under this stale profile.  Step 1
+# tries Q3 = x2^2, which vanishes at [1:0:0], then Q0 + Q1 + Q2 + Q3, then
+# 8*Q0 + 4*Q1 + 2*Q2 + Q3, which is 2*x0^2 - x2^2 on W and is accepted.  In the
+# first family Q0 + Q1 + Q2 + Q3 is the conic's equation, so it lies in its
+# ideal; in the second it is the zero polynomial.
+PROFILE_FAMILY = ["x0*x1 - x1*x2", "x1^2", "x1*x2", "x0^2 + x2^2"]
 DEPENDENT_FAMILIES = {
-    "in_ideal": ["x0*x1 - x1*x2", "x0*x2 - x1^2 - x2^2", "x2^2", "x0^2 - x0*x1 - x0*x2"],
-    "zero": ["x0*x1 - x1*x2", "-1*x2^2", "x2^2", "x0^2 - x0*x1 - x0*x2"],
+    "in_ideal": ["x0*x1 - x1*x2", "x0^2", "x0*x2 - x1^2 - x0*x1 + x1*x2 - x0^2 - x2^2", "x2^2"],
+    "zero": ["x0*x1 - x1*x2", "x0^2", "-1*x0*x1 + x1*x2 - x0^2 - x2^2", "x2^2"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(DEPENDENT_FAMILIES))
 def test_combination_vanishing_on_the_variety_is_rejected(monkeypatch, name):
     v = conic()
-    fam = build_family(v, parse_many(DEPENDENT_FAMILIES[name], 3))
-    profile = dimension_profile(v, fam, (0, 1, 2, 3))
+    profile = dimension_profile(v, build_family(v, parse_many(PROFILE_FAMILY, 3)), (0, 1, 2, 3))
     assert profile.t_values == (0, 3)
+    fam = build_family(v, parse_many(DEPENDENT_FAMILIES[name], 3))
     tried = []
 
     def recording_combine(coeffs, polys):
