@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__, groebner
 from .errors import DomainError
@@ -76,7 +75,8 @@ def _place_arg(text):
 
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
     except ValueError as exc:
         raise DomainError(f"invalid JSON in {path}: {exc}")
 
@@ -107,7 +107,9 @@ def _load_ideal(path):
 
 def _load_points(path, num_vars):
     points = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    for line_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
@@ -477,7 +479,8 @@ def _digest(args):
             continue
         if key in _FILE_ARGS:
             h.update(f"\n{key}:".encode())
-            h.update(Path(value).read_bytes())
+            with open(value, "rb") as handle:
+                h.update(handle.read())
         else:
             h.update(f"\n{key}={value!r}".encode())
     return h.hexdigest()

@@ -24,15 +24,11 @@ its leads.
 A polynomial enters both passes as its primitive form, packed once per
 modulus and kept on it beside its cache-key digest (`_member_terms`).
 
-`modp_dimension` runs the mod-p pass alone and returns dim_p, the upper
-bound; the replacement search accepts a candidate on it.
-
 The on-disk cache is one SQLite table per cache directory.  It holds settled
-dimensions under versioned keys, and the dim_p of `modp_dimension` in rows
-that name the modulus.  Rows are read in batches: a walk level's dimension
-records in one statement by `prefetch_dimensions`, and any other fetch as a
-batch of one.  Stores are held in memory and written by `close_cache` in one
-transaction.  Reduced bases are never cached.
+dimensions, one row per versioned key.  Rows are read in batches: a walk
+level's records in one statement by `prefetch_dimensions`, and any other fetch
+as a batch of one.  Stores are held in memory and written by `close_cache` in
+one transaction.  Reduced bases are never cached.
 """
 
 from __future__ import annotations
@@ -545,9 +541,7 @@ def ideal_profile(gb: GroebnerBasis) -> IdealProfile:
 
 # largest prime below 2^30, so residues and their products stay small ints
 MODULUS = 1073741789
-# How each dimension query was settled: "cached" (a dimension or mod-p
-# record), "modp" or "exact" in projective_dimension, and "modp_bound" for a
-# modp_dimension answer computed by its mod-p pass alone.
+# How each dimension query was settled: "cached", "modp" or "exact".
 DIMENSION_COUNTS = Counter()
 
 
@@ -626,7 +620,7 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     dim W - 1 for V(gens) = W cut by one more hypersurface (Hartshorne I.7.2).
     The mod-p dimension is an upper bound, so it is the answer when it is
     EMPTY or equals `lower`; otherwise the leads of a basis over Q decide.
-    Settled dimensions are cached as dimension records.
+    Every settled dimension is cached under its key.
     """
     nv = _ring_size(gens, num_vars)
     gens = [g for g in gens if not g.is_zero]
@@ -637,48 +631,12 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
     dim = _modp_dimension(gens, nv, lower)
     if dim is not None and (dim is EMPTY or dim == lower):
         DIMENSION_COUNTS["modp"] += 1
-        _cache_store(key, dim)
-        return dim
-    return _exact_dimension(gens, nv, key)
-
-
-def _exact_dimension(gens, num_vars, key):
-    """Dimension over Q of the nonzero `gens` from the pass over Q, stored as
-    the dimension record under `key`."""
-    DIMENSION_COUNTS["exact"] += 1
-    leads, _ = _buchberger([_member_terms(g, RATIONALS) for g in gens],
-                           _packing(GREVLEX, num_vars), RATIONALS)
-    dim = _dimension_of_leads(leads, num_vars)
+    else:
+        DIMENSION_COUNTS["exact"] += 1
+        leads, _ = _buchberger([_member_terms(g, RATIONALS) for g in gens],
+                               _packing(GREVLEX, nv), RATIONALS)
+        dim = _dimension_of_leads(leads, nv)
     _cache_store(key, dim)
-    return dim
-
-
-def modp_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
-                   lower: Optional[int] = None):
-    """dim_p of V(gens): an upper bound on its dimension over Q, from one mod-p pass.
-
-    dim_p is the dimension over Q when it is EMPTY or equals the proven lower
-    bound `lower` (as in `projective_dimension`); it is then also stored as
-    the usual dimension record.  Every dim_p is cached in a mod-p record filed
-    under MODULUS, so a record made under another modulus is a miss, and the
-    answer never depends on the cache.  When the pass would overflow a packed
-    degree field there is no dim_p, and the answer is the dimension over Q:
-    the dimension record under the same key, or else the pass over Q.
-    """
-    nv = _ring_size(gens, num_vars)
-    gens = [g for g in gens if not g.is_zero]
-    key = cache_key(gens, nv) if _CACHE_DIR is not None else None
-    dim = _cache_fetch(key, MODULUS)
-    if dim is not None:
-        return dim
-    dim = _modp_dimension(gens, nv, lower)
-    if dim is None:
-        dim = _cache_fetch(key)
-        return dim if dim is not None else _exact_dimension(gens, nv, key)
-    DIMENSION_COUNTS["modp_bound"] += 1
-    if dim is EMPTY or dim == lower:
-        _cache_store(key, dim)
-    _cache_store(key, dim, MODULUS)
     return dim
 
 
@@ -690,12 +648,8 @@ _CACHE_DIR = None
 CACHE_FORMAT = "hyperpos-cache/4"
 # the one database file in a cache directory; its number is the storage
 # layout, bumped when the table changes
-CACHE_FILE = "dimensions-4.sqlite3"
-# A dimension record is the row (key, 0, value), a mod-p record the row
-# (key, p, value).  Modulus 0 rather than NULL, because SQLite treats NULLs
-# in a primary key as distinct and INSERT OR REPLACE would add duplicates.
-_CREATE_TABLE = ("CREATE TABLE IF NOT EXISTS dimensions (key TEXT NOT NULL, "
-                 "modulus INTEGER NOT NULL, value, PRIMARY KEY (key, modulus)) WITHOUT ROWID")
+CACHE_FILE = "dimensions-5.sqlite3"
+_CREATE_TABLE = "CREATE TABLE IF NOT EXISTS dimensions (key TEXT PRIMARY KEY, value) WITHOUT ROWID"
 # seconds one statement waits for another process's lock before it gives up;
 # a read then misses and a flush is dropped, so a shared directory never stalls
 _BUSY_TIMEOUT_S = 0.25
@@ -744,9 +698,8 @@ class _CacheSession:
 
     def __init__(self, directory):
         self.path = os.path.join(directory, CACHE_FILE)
-        self.stored = {}  # (key, modulus) -> "EMPTY" or int, as the row will hold it
-        # (key, modulus) -> the value a read found, or None for no row
-        self.read = {}
+        self.stored = {}  # key -> "EMPTY" or int, as the row will hold it
+        self.read = {}  # key -> the value a read found, or None for no row
         self.db = None
         # a new directory has nothing to read: the database is made by the first flush
         self.readable = os.path.isfile(self.path)
@@ -760,18 +713,17 @@ class _CacheSession:
                                       isolation_level=None, check_same_thread=False)
         return self.db
 
-    def fetch(self, key, modulus):
-        record = key, modulus
-        if record in self.stored:
-            return self.stored[record]
-        if record not in self.read:
-            self.prefetch([key], modulus)  # a batch of one
-        return self.read.get(record)
+    def fetch(self, key):
+        if key in self.stored:
+            return self.stored[key]
+        if key not in self.read:
+            self.prefetch([key])  # a batch of one
+        return self.read.get(key)
 
-    def prefetch(self, keys, modulus=0):
-        """Read the records of `keys` under `modulus` that this session does
-        not know yet, _PREFETCH_CHUNK keys per statement, into `read`."""
-        keys = [k for k in keys if (k, modulus) not in self.stored and (k, modulus) not in self.read]
+    def prefetch(self, keys):
+        """Read the records of `keys` that this session does not know yet,
+        _PREFETCH_CHUNK keys per statement, into `read`."""
+        keys = [k for k in keys if k not in self.stored and k not in self.read]
         if not keys or not self.readable:
             return
         import sqlite3
@@ -779,10 +731,10 @@ class _CacheSession:
             db = self.connect()
             for start in range(0, len(keys), _PREFETCH_CHUNK):
                 chunk = keys[start:start + _PREFETCH_CHUNK]
-                found = dict(db.execute("SELECT key, value FROM dimensions WHERE modulus = ? AND key IN "
-                                        f"({','.join('?' * len(chunk))})", [modulus, *chunk]))
+                found = dict(db.execute("SELECT key, value FROM dimensions WHERE key IN "
+                                        f"({','.join('?' * len(chunk))})", chunk))
                 for key in chunk:
-                    self.read[key, modulus] = found.get(key)
+                    self.read[key] = found.get(key)
         except (sqlite3.Error, OSError):
             self.readable = False  # busy, unreadable or not a database: no more reads
 
@@ -795,9 +747,8 @@ class _CacheSession:
                 db = self.connect()
                 db.execute("BEGIN IMMEDIATE")
                 db.execute(_CREATE_TABLE)
-                db.executemany("INSERT OR REPLACE INTO dimensions VALUES (?, ?, ?)",
-                               [(key, modulus, value)
-                                for (key, modulus), value in self.stored.items()])
+                db.executemany("INSERT OR REPLACE INTO dimensions VALUES (?, ?)",
+                               self.stored.items())
                 db.execute("COMMIT")
         except (sqlite3.Error, OSError):
             pass  # the rows are dropped; closing rolls back an open transaction
@@ -858,17 +809,15 @@ def prefetch_dimensions(gen_lists: Sequence[Sequence[HomoPoly]], num_vars: int) 
                           for gens in gen_lists])
 
 
-def _cache_fetch(key, modulus=0):
+def _cache_fetch(key):
     """The dimension stored under `key`, counted as "cached"; None for a miss.
 
-    A mod-p record is read under its modulus, a dimension record under 0, so
-    neither is ever read as the other.  A stored value that is neither
-    "EMPTY" nor a non-negative int is a miss and gets recomputed; so is every
-    read that the database refuses.
+    A stored value that is neither "EMPTY" nor a non-negative int is a miss
+    and gets recomputed; so is every read that the database refuses.
     """
     if _CACHE_DIR is None or key is None:
         return None
-    value = _cache_session().fetch(key, modulus)
+    value = _cache_session().fetch(key)
     if value == "EMPTY":
         value = EMPTY
     elif type(value) is not int or value < 0:
@@ -877,8 +826,8 @@ def _cache_fetch(key, modulus=0):
     return value
 
 
-def _cache_store(key, value, modulus=0):
+def _cache_store(key, value):
     if _CACHE_DIR is None or key is None:
         return
     # called only after a miss, so the flush also replaces a malformed row
-    _cache_session().stored[key, modulus] = "EMPTY" if value is EMPTY else value
+    _cache_session().stored[key] = "EMPTY" if value is EMPTY else value

@@ -2,8 +2,9 @@
 
 The distributive constant, position classes, and dimension profiles all
 reduce to projective dimensions of subset intersections, and `meet_dimension`
-answers them for `replace` and `weights` too: it adds V's generators and the
-proven lower bound that lets the mod-p pass settle the answer.  Subset
+answers them for every candidate of the replacement search and for `weights`
+too: it adds V's generators and the proven lower bound that lets the mod-p
+pass settle the answer, which is always the answer over Q.  Subset
 dimensions are memoized per family.  `delta` and `classify` share one walk
 over the non-void subsets, which are down-closed: a set is visited only when
 its immediate subsets S - {i} are all non-void and memoized, each tightening
@@ -137,8 +138,8 @@ def _validate_subset(fam, subset):
     return idxs
 
 
-def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=(), dimension=projective_dimension):
-    """Projective dimension of V cut by `polys`, or EMPTY, from `dimension`.
+def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=()):
+    """Projective dimension of V cut by `polys`, or EMPTY.
 
     Each member cuts at most one dimension (Hartshorne I.7.2), so the answer is
     at least n - len(polys), and d - 1 for each known d in `parents`, the
@@ -150,7 +151,7 @@ def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=(), dimension=
             return EMPTY
         if parent is not None:
             lower = max(lower, parent - 1)
-    return dimension(_meet_generators(v, polys), v.num_vars, lower if lower >= 0 else None)
+    return projective_dimension(_meet_generators(v, polys), v.num_vars, lower if lower >= 0 else None)
 
 
 def _meet_generators(v, polys):

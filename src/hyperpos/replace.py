@@ -5,9 +5,9 @@ Step u of the replacement search tries the points c(s) = (s^t_u, ..., s, 1)
 of the moment curve for s = 0, 1, ... up to a cap that the Bezout inequality
 proves large enough; every accepted candidate has passed the prefix
 dimension check, nothing is trusted on the strength of genericity alone.  A
-candidate is judged on its dimension mod p, an upper bound on its dimension
-over Q; only when no point of a step meets the bound mod p is that step
-searched again over Q.
+candidate is judged on its prefix dimension over Q, the question
+`meet_dimension` answers for the subset walk too, so the accepted point does
+not depend on the prime of the mod-p pass.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .groebner import dim_at_most, modp_dimension, projective_dimension
+from .groebner import dim_at_most
 from .polyring import DimensionMismatch, poly_combine
 from .position import DimensionProfile, HypersurfaceFamily, Variety, meet_dimension
 
@@ -165,23 +165,20 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily,
         # curve c(s) = (s^t_u, ..., s, 1) in at most t_u points; so K * t_u + 1
         # points hold one accepted over Q.  s = 0 is Q_{t_u} alone.
         cap = prod(g.degree for g in v.generators) * fam.degrees[0] ** u * t_u + 1
-        tries = ((dimension, tuple(s ** (t_u - i) for i in range(t_u + 1)))
-                 for dimension in (modp_dimension, projective_dimension) for s in range(cap))
-        for dimension, cand in tries:
-            # Under modp_dimension, dim_p <= n - u - 1 proves acceptance, since
-            # dim_p bounds dim_Q from above, and it is the exact dimension, since
-            # `meet_dimension`'s lower bound for u + 1 members is n - u - 1.
-            # A combination that is zero or vanishes on V (only a stale profile
-            # gives one) leaves the prefix at n - u, so both rules reject it.
+        for s in range(cap):
+            # n - u - 1 is `meet_dimension`'s lower bound for u + 1 members, so
+            # a dim_p at most n - u - 1 accepts in the mod-p pass, and any
+            # other candidate is judged over Q.  A combination that is zero
+            # or vanishes on V (only a stale profile gives one) leaves the
+            # prefix at n - u and is rejected.
+            cand = tuple(s ** (t_u - i) for i in range(t_u + 1))
             combined = poly_combine(cand, ordered[:t_u + 1])
-            dim = meet_dimension(v, replacements + [combined], (prefix_dim,), dimension)
+            dim = meet_dimension(v, replacements + [combined], (prefix_dim,))
             if dim_at_most(dim, n - u - 1):
                 break
         else:
-            # A wrong rejection mod p only moves the search to a later point.
-            # The level reruns over Q when the mod-p search finds nothing, and
-            # over Q one of the cap points is accepted whenever the profile is
-            # that of the family, so exhaustion means a stale profile.
+            # one of the cap points is accepted whenever the profile is that
+            # of the family, so exhaustion means a stale profile
             raise SearchExhausted(
                 f"no admissible combination at step {u} among {cap} points of the moment curve")
         replacements.append(combined)

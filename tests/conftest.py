@@ -52,13 +52,13 @@ def certify(gb):
 
 
 def cache_rows(directory):
-    """Every (key, modulus, value) row of the cache database in `directory`.
+    """Every (key, value) row of the cache database in `directory`.
 
     The stores held in memory are written first, as at the end of a command.
     """
     groebner_mod.close_cache()
     with closing(sqlite3.connect(directory / groebner_mod.CACHE_FILE)) as db:
-        return sorted(db.execute("SELECT key, modulus, value FROM dimensions"))
+        return sorted(db.execute("SELECT key, value FROM dimensions"))
 
 
 def write_rows(directory, *rows):
@@ -67,4 +67,4 @@ def write_rows(directory, *rows):
     with closing(sqlite3.connect(directory / groebner_mod.CACHE_FILE)) as db, db:
         db.execute(groebner_mod._CREATE_TABLE)
         db.execute("DELETE FROM dimensions")
-        db.executemany("INSERT INTO dimensions VALUES (?, ?, ?)", rows)
+        db.executemany("INSERT INTO dimensions VALUES (?, ?)", rows)

@@ -132,7 +132,9 @@ class TestExitCodes:
     def test_missing_file_is_one(self, runj):
         code, report = runj("dim", "--ideal", "/no/such/file.json", "--no-cache")
         assert code == 1
-        assert report["payload"]["error"] == "UsageError"
+        assert report["payload"] == {
+            "error": "UsageError",
+            "message": "[Errno 2] No such file or directory: '/no/such/file.json'"}
 
     def test_domain_error_is_two_with_name(self, runj):
         code, report = runj("pfcheck", "--x", "0", "--no-cache")
@@ -1022,6 +1024,37 @@ def test_two_processes_share_one_cache_dir(run, tmp_path):
             out, err = proc.communicate(timeout=60)
             assert (proc.returncode, out, err) == (0, expected[c][1], "")
     assert cache_rows(cache)
+
+
+def test_older_cache_file_is_never_opened(run, bench_pool, tmp_path, monkeypatch):
+    conf = tmp_path / "family.json"
+    conf.write_text(json.dumps({"ambient": 2, "variety": [],
+                                "family": bench_pool.quadric_family(3, 11, 6)}))
+    commands = ("delta", "replace")
+    expected = {c: run(c, "--config", str(conf), "--no-cache") for c in commands}
+    fresh = tmp_path / "fresh"
+    for c in commands:
+        assert run(c, "--config", str(conf), "--cache-dir", str(fresh)) == expected[c]
+    rows = cache_rows(fresh)
+    # the layout of dimensions-4.sqlite3, with a wrong dimension and a wrong
+    # mod-p answer under every key that the two commands ask for today
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old = cache / "dimensions-4.sqlite3"
+    with closing(sqlite3.connect(old)) as db, db:
+        db.execute("CREATE TABLE dimensions (key TEXT NOT NULL, modulus INTEGER NOT NULL, "
+                   "value, PRIMARY KEY (key, modulus)) WITHOUT ROWID")
+        db.executemany("INSERT INTO dimensions VALUES (?, ?, ?)",
+                       [(key, modulus, 0 if value == "EMPTY" else "EMPTY")
+                        for key, value in rows for modulus in (0, groebner.MODULUS)])
+    before = old.read_bytes()
+    for c in commands:
+        assert run(c, "--config", str(conf), "--cache-dir", str(cache)) == expected[c]
+    assert old.read_bytes() == before
+    assert cache_rows(cache) == rows
+    # the planted rows are wrong answers that a read of the old file would take
+    monkeypatch.setattr(groebner, "CACHE_FILE", old.name)
+    assert run("delta", "--config", str(conf), "--cache-dir", str(cache)) != expected["delta"]
 
 
 # Runs each argv list through cli.main in one process and prints

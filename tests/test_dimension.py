@@ -395,7 +395,7 @@ def test_packed_memo_never_changes_an_answer(monkeypatch):
         monkeypatch.setattr(groebner, "MODULUS", prime)
         answers[prime] = []
         for gens, nvars, lower in queries:
-            for query in (projective_dimension, groebner.modp_dimension):
+            for query in (projective_dimension, groebner._modp_dimension):
                 answer = query(gens, nvars, lower)
                 assert answer == query(fresh(gens), nvars, lower), (prime, query, gens)
                 answers[prime].append(answer)
@@ -430,16 +430,15 @@ def test_general_position_family_settles_mod_p():
 
 
 def test_replacement_candidates_settle_mod_p():
-    # the pair products of P^2: t = (0, 2, 3), the first prefix is one
-    # projective_dimension query, then two accepted candidates and one
-    # rejected (x1*x2, which vanishes on the line x1 = 0 of V(x0*x1)), each
-    # settled by its mod-p pass alone (the Q rule builds a basis over Q for
-    # the rejection)
+    # the pair products of P^2: t = (0, 2, 3), the first prefix and two
+    # accepted candidates are settled by their mod-p passes alone; the
+    # rejected one (x1*x2, which vanishes on the line x1 = 0 of V(x0*x1))
+    # stays above the bound mod p, so a pass over Q confirms it
     v, fam = family_of(3, ("x0*x1", "x0*x2", "x1*x2", "x0^2 + x1^2 + x2^2"))
     profile = dimension_profile(v, fam, (0, 1, 2, 3))
     DIMENSION_COUNTS.clear()
     build_replacement(v, fam, profile)
-    assert DIMENSION_COUNTS == {"modp": 1, "modp_bound": 3}
+    assert DIMENSION_COUNTS == {"modp": 3, "exact": 1}
 
 
 def test_empty_mod_p_is_empty_without_bound():

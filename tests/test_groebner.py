@@ -37,7 +37,6 @@ from hyperpos.groebner import (
     groebner_basis,
     hilbert_function,
     ideal_profile,
-    modp_dimension,
     normal_form,
     projective_dimension,
     set_cache_dir,
@@ -453,7 +452,7 @@ class TestDiskCache:
         assert projective_dimension(gens, 3) == 0
         assert list(tmp_path.iterdir()) == []
         set_cache_dir(None)  # a library caller's stores are written here
-        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), 0, 0)]
+        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), 0)]
 
     def test_stores_written_at_exit(self, tmp_path):
         # a library caller that never closes the cache
@@ -466,11 +465,11 @@ class TestDiskCache:
         done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout == "0\n"
-        assert cache_rows(tmp_path) == [(groebner.cache_key(parse_many(self.GENS, 3), 3), 0, 0)]
+        assert cache_rows(tmp_path) == [(groebner.cache_key(parse_many(self.GENS, 3), 3), 0)]
 
     def test_busy_database_misses_and_drops_the_write(self, tmp_path):
         gens = parse_many(self.GENS, 3)
-        write_rows(tmp_path, (groebner.cache_key(gens, 3), 0, 0))
+        write_rows(tmp_path, (groebner.cache_key(gens, 3), 0))
         with closing(sqlite3.connect(tmp_path / groebner.CACHE_FILE,
                                      isolation_level=None)) as other:
             other.execute("BEGIN EXCLUSIVE")  # another process in the middle of a write
@@ -478,13 +477,13 @@ class TestDiskCache:
             DIMENSION_COUNTS.clear()
             start = time.perf_counter()
             assert projective_dimension(gens, 3) == 0
-            assert modp_dimension(parse_many(("x0",), 3), 3) == 1
+            assert projective_dimension(parse_many(("x0",), 3), 3) == 1
             groebner.close_cache()
             # one timed-out read turns reads off; the flush gives up once more
             assert time.perf_counter() - start < 10 * groebner._BUSY_TIMEOUT_S
-            assert DIMENSION_COUNTS == {"exact": 1, "modp_bound": 1}
+            assert DIMENSION_COUNTS == {"exact": 2}
             other.execute("ROLLBACK")
-        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), 0, 0)]
+        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), 0)]
 
 
 class TestPairQueue:
@@ -518,7 +517,7 @@ class TestPairQueue:
         assert DIMENSION_COUNTS == {"exact": 1}
         assert PAIR_COUNTS == {"pairs": 3, "coprime": 1, "zero": 1, "generators": 1}
         PAIR_COUNTS.clear()
-        assert modp_dimension(gens, 3) == 0
+        assert groebner._modp_dimension(gens, 3) == 0
         assert PAIR_COUNTS == {}
 
     def test_bases_are_not_cached(self, tmp_path):
@@ -620,12 +619,12 @@ class TestPackedDegreeLimit:
         assert DIMENSION_COUNTS == {"exact": 1}
 
     def test_modp_overflow_is_handed_to_projective_dimension(self):
+        assert groebner._modp_dimension([self.high_degree()], 2) is None
         DIMENSION_COUNTS.clear()
         with pytest.raises(PackedDegreeExceeded):
-            modp_dimension([self.high_degree()], 2)
+            projective_dimension([self.high_degree()], 2)
         # the mod-p pass had no answer, so the query went to the pass over Q
         assert DIMENSION_COUNTS == {"exact": 1}
-        assert groebner._modp_dimension([self.high_degree()], 2) is None
 
     @staticmethod
     def overflowing_family(nvars):
@@ -642,8 +641,7 @@ class TestPackedDegreeLimit:
         gens = self.overflowing_family(2)
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 2) is EMPTY
-        assert modp_dimension(gens, 2) is EMPTY
-        assert DIMENSION_COUNTS == {"modp": 1, "modp_bound": 1}
+        assert DIMENSION_COUNTS == {"modp": 1}
         with pytest.raises(PackedDegreeExceeded, match="degree 32768"):
             groebner_basis(gens, GREVLEX)
         # in P^2 one variable stays free: the bound 0 settles the query, no
@@ -655,11 +653,12 @@ class TestPackedDegreeLimit:
 
     @pytest.mark.parametrize("recorded", [False, True])
     def test_overflowing_modp_dimension_keys_and_passes_once(self, tmp_path, monkeypatch, recorded):
-        # no lead forces a variable, so the mod-p pass pops the pair and fails;
-        # the query then reads the dimension record under the key already made
+        # no lead forces a variable, so the mod-p pass pops the pair and fails,
+        # and the pass over Q fails on it too; a record under the key is read
+        # before either pass
         gens = [HomoPoly(3, {(16384, 1, 0): 1}), HomoPoly(3, {(1, 16384, 0): 1})]
         if recorded:
-            write_rows(tmp_path, (groebner.cache_key(gens, 3), 0, 1))
+            write_rows(tmp_path, (groebner.cache_key(gens, 3), 1))
         set_cache_dir(str(tmp_path))
         keys, passes = [], []
         cache_key, buchberger = groebner.cache_key, groebner._buchberger
@@ -668,12 +667,12 @@ class TestPackedDegreeLimit:
                             passes.append(p) or buchberger(polys, packing, p, *a))
         DIMENSION_COUNTS.clear()
         if recorded:
-            assert modp_dimension(gens, 3) == 1
-            assert passes == [groebner.MODULUS]
+            assert projective_dimension(gens, 3) == 1
+            assert passes == []
             assert DIMENSION_COUNTS == {"cached": 1}
         else:
             with pytest.raises(PackedDegreeExceeded, match="degree 32768"):
-                modp_dimension(gens, 3)
+                projective_dimension(gens, 3)
             assert passes == [groebner.MODULUS, groebner.RATIONALS]
             assert DIMENSION_COUNTS == {"exact": 1}
         assert len(keys) == 1
@@ -852,7 +851,7 @@ class TestCacheRecords:
 
     def test_dimension_record_repeats_its_key(self, tmp_path):
         row = self.dim_record(tmp_path)
-        assert row == (groebner.cache_key(parse_many(self.GENS, 3), 3), 0, 0)
+        assert row == (groebner.cache_key(parse_many(self.GENS, 3), 3), 0)
         DIMENSION_COUNTS.clear()
         assert projective_dimension(parse_many(self.GENS, 3), 3, 0) == 0
         assert DIMENSION_COUNTS == {"cached": 1}
@@ -882,20 +881,20 @@ class TestCacheRecords:
         key = groebner.cache_key(gens, 3)
         assert stale_key != key
         # a wrong answer filed under the old key
-        write_rows(tmp_path, (stale_key, 0, 2))
+        write_rows(tmp_path, (stale_key, 2))
         set_cache_dir(str(tmp_path))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 3, 0) == 0
         assert DIMENSION_COUNTS == {"modp": 1}
 
     @pytest.mark.parametrize("edit", [
-        lambda r: ("0" * 64, *r[1:]),
-        lambda r: (*r[:2], 0.0),
-        lambda r: (*r[:2], -3),
-        lambda r: (*r[:2], "2"),
-        lambda r: (*r[:2], "empty"),
-        lambda r: (*r[:2], b"\x00"),
-        lambda r: (*r[:2], None),
+        lambda r: ("0" * 64, r[1]),
+        lambda r: (r[0], 0.0),
+        lambda r: (r[0], -3),
+        lambda r: (r[0], "2"),
+        lambda r: (r[0], "empty"),
+        lambda r: (r[0], b"\x00"),
+        lambda r: (r[0], None),
     ])
     def test_edited_record_is_a_miss(self, tmp_path, edit):
         row = self.dim_record(tmp_path)
@@ -911,70 +910,18 @@ class TestCacheRecords:
         assert projective_dimension(parse_many(TestDiskCache.GENS, 3), 3) == 0
         assert DIMENSION_COUNTS == {"exact": 1}
         key = groebner.cache_key(parse_many(TestDiskCache.GENS, 3), 3)
-        assert cache_rows(tmp_path) == [(key, 0, 0)]
+        assert cache_rows(tmp_path) == [(key, 0)]
 
-    def test_modp_record_names_its_modulus(self, tmp_path):
-        # one line in the plane: dim_p = 1, with no lower bound it is not settled
+    def test_modp_overflow_goes_to_projective_dimension(self, tmp_path, monkeypatch):
+        # an overflowing mod-p pass has no answer: one pass over Q settles the
+        # query, even under a bound the mod-p answer would have met
+        monkeypatch.setattr(groebner, "_modp_dimension", lambda gens, nv, lower=None: None)
         set_cache_dir(str(tmp_path))
-        gens = parse_many(("x0",), 3)
-        DIMENSION_COUNTS.clear()
-        assert modp_dimension(gens, 3) == 1
-        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), groebner.MODULUS, 1)]
-        assert modp_dimension(gens, 3) == 1
-        assert DIMENSION_COUNTS == {"modp_bound": 1, "cached": 1}
-
-    def test_settled_modp_dimension_writes_the_dimension_record(self, tmp_path):
-        set_cache_dir(str(tmp_path / "modp"))
         gens = parse_many(self.GENS, 3)
-        assert modp_dimension(gens, 3, 0) == 0
-        set_cache_dir(str(tmp_path / "exact"))
-        assert projective_dimension(gens, 3, 0) == 0
-        key = groebner.cache_key(gens, 3)
-        (record,) = cache_rows(tmp_path / "exact")
-        # the same row as projective_dimension's record, beside the mod-p record
-        assert cache_rows(tmp_path / "modp") == [record, (key, groebner.MODULUS, 0)]
-
-    @pytest.mark.parametrize("edit", [
-        lambda r: (r[0], 7, 2),
-        lambda r: (r[0], -r[1], 2),
-        lambda r: (r[0], 0, 2),  # the dimension record of the same generators
-    ])
-    def test_edited_modp_record_is_a_miss(self, tmp_path, edit):
-        # a wrong value filed under another modulus
-        set_cache_dir(str(tmp_path))
-        gens = parse_many(("x0",), 3)
-        assert modp_dimension(gens, 3) == 1
-        (row,) = cache_rows(tmp_path)
-        write_rows(tmp_path, edit(row))
-        DIMENSION_COUNTS.clear()
-        assert modp_dimension(gens, 3) == 1
-        assert DIMENSION_COUNTS == {"modp_bound": 1}
-        assert cache_rows(tmp_path) == sorted([edit(row), row])  # rewritten
-
-    def test_modp_record_is_not_a_dimension_record(self, tmp_path):
-        # a planted dim_p of 2 would be a wrong dimension for two lines in the plane
-        gens = parse_many(self.GENS, 3)
-        write_rows(tmp_path, (groebner.cache_key(gens, 3), groebner.MODULUS, 2))
-        set_cache_dir(str(tmp_path))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(gens, 3, 0) == 0
-        assert DIMENSION_COUNTS == {"modp": 1}
-
-    def test_other_modulus_has_its_own_record(self, tmp_path, monkeypatch):
-        set_cache_dir(str(tmp_path))
-        gens = parse_many(("x0",), 3)
-        assert modp_dimension(gens, 3) == 1
-        monkeypatch.setattr(groebner, "MODULUS", 7)
-        DIMENSION_COUNTS.clear()
-        assert modp_dimension(gens, 3) == 1
-        assert DIMENSION_COUNTS == {"modp_bound": 1}
-        assert [row[1] for row in cache_rows(tmp_path)] == [7, 1073741789]
-
-    def test_modp_overflow_goes_to_projective_dimension(self, monkeypatch):
-        monkeypatch.setattr(groebner, "_modp_dimension", lambda basis, nv, lower=None: None)
-        DIMENSION_COUNTS.clear()
-        assert modp_dimension(parse_many(("x0*x2 - x1^2",), 3)) == 1
         assert DIMENSION_COUNTS == {"exact": 1}
+        assert cache_rows(tmp_path) == [(groebner.cache_key(gens, 3), 0)]
 
     def test_planted_basis_of_larger_ideal_is_not_read(self, tmp_path):
         # the reduced basis of the inputs ends in x1^3 - x0*x2^2; the edited one
@@ -1026,9 +973,10 @@ class TestCacheKey:
         assert groebner.cache_key(gens[::-1], 3) == self.RECORDED
 
     def test_format_and_file(self):
-        # keys changed meaning with the digests; the table did not
+        # keys changed meaning with the digests; the table lost its modulus
+        # column after them, so the file name moved on and the tag did not
         assert groebner.CACHE_FORMAT == "hyperpos-cache/4"
-        assert groebner.CACHE_FILE == "dimensions-4.sqlite3"
+        assert groebner.CACHE_FILE == "dimensions-5.sqlite3"
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     # members whose coefficient texts differ at their second character
@@ -1066,7 +1014,7 @@ class TestCacheKey:
         assert len(others) == 5 and key not in others
 
     def test_record_under_recorded_key_is_cached(self, tmp_path):
-        write_rows(tmp_path, (self.RECORDED, 0, "EMPTY"))
+        write_rows(tmp_path, (self.RECORDED, "EMPTY"))
         set_cache_dir(str(tmp_path))
         DIMENSION_COUNTS.clear()
         assert projective_dimension(parse_many(self.GENS, 3), 3) is EMPTY

@@ -9,7 +9,7 @@ other code of the package, or be named as library API in README "Library
 layout".  The `cmd_*` handlers are exempt: the CLI dispatches them by name.
 
 Outside `groebner`, only `position.meet_dimension` may run a dimension query
-(`projective_dimension` or `modp_dimension`), so that one function adds V's
+(`projective_dimension`), so that one function adds V's
 generators and derives the lower bound.  Passing a query on as an argument
 is allowed.
 
@@ -154,7 +154,7 @@ def test_checker_finds_an_unused_definition():
     assert unreferenced_definitions(sources, "API: `mod.listed`, `Spare`.") == []
 
 
-DIMENSION_QUERIES = {"projective_dimension", "modp_dimension"}
+DIMENSION_QUERIES = {"projective_dimension"}
 FUNCTIONS = ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda
 
 
@@ -193,17 +193,17 @@ def test_one_dimension_engine(path):
 
 def test_checker_finds_a_second_engine():
     source = ("from . import groebner\n"
-              "from .groebner import modp_dimension, projective_dimension\n"
-              "def meet_dimension(v, polys, dimension=projective_dimension):\n"
-              "    return dimension(polys)\n"
+              "from .groebner import projective_dimension\n"
+              "def meet_dimension(v, polys):\n"
+              "    return projective_dimension(polys)\n"
               "def _prefix_dim(v, polys, dimension=projective_dimension):\n"
               "    return dimension(polys)\n"
-              "def search(v, polys):\n"
-              "    for dimension in (modp_dimension, projective_dimension):\n"
-              "        meet_dimension(v, polys, dimension=dimension)\n"
-              "    return groebner.modp_dimension(polys)\n")
-    assert second_engines(source, "meet_dimension") == [5, 10]
-    assert second_engines(source) == [3, 5, 10]
+              "def search(v, polys, query=projective_dimension):\n"
+              "    meet_dimension(v, polys)\n"
+              "    return groebner.projective_dimension(polys)\n")
+    # a default argument and a direct call, named bare or through the module
+    assert second_engines(source, "meet_dimension") == [5, 7, 9]
+    assert second_engines(source) == [4, 5, 7, 9]
 
 
 def threshold_passers(source, allowed="_modp_dimension"):
@@ -517,6 +517,15 @@ def test_sqlite3_loaded_only_for_the_disk_cache(tmp_path, cache_flag, loaded):
     if cache_flag == "--cache-dir":
         argv.append(str(tmp_path / "cache"))
     assert loaded_after_run(tmp_path, argv, "sqlite3") is loaded
+
+
+@pytest.mark.parametrize("cache_flag", ["--no-cache", "--cache-dir"])
+def test_pathlib_not_loaded_by_delta(tmp_path, cache_flag):
+    # the CLI reads its files with `open`; -S as below
+    argv = ["delta", "--config", "CONF", cache_flag]
+    if cache_flag == "--cache-dir":
+        argv.append(str(tmp_path / "cache"))
+    assert not loaded_after_run(tmp_path, argv, "pathlib", "-S")
 
 
 @pytest.mark.parametrize("cache_flag", ["--no-cache", "--cache-dir"])

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
-from conftest import cache_rows, parse_many
+from conftest import parse_many
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_form
@@ -14,8 +14,7 @@ from test_dimension import criterion_03_families
 
 from hyperpos import groebner, replace
 from hyperpos.errors import DomainError
-from hyperpos.groebner import (DIMENSION_COUNTS, EMPTY, dim_at_most, normal_form,
-                               projective_dimension, set_cache_dir)
+from hyperpos.groebner import DIMENSION_COUNTS, EMPTY, dim_at_most, normal_form, projective_dimension
 from hyperpos.polyring import DimensionMismatch, poly_combine
 from hyperpos.position import build_family, build_variety, dimension_profile
 from hyperpos.replace import (
@@ -294,8 +293,8 @@ class TestVerifyReplacement:
 
 
 # ---------------------------------------------------------------------------
-# the search rule: points of the moment curve up to the proven cap, mod p
-# first, Q only when a level is exhausted mod p
+# the search rule: points of the moment curve up to the proven cap, each
+# judged on its prefix dimension over Q
 
 def search_cap(v, fam, u, t_u):
     """K * t_u + 1, with K = prod(deg g over V's generators) * d^u.
@@ -317,7 +316,8 @@ def curve_order(v, fam, u, t_u):
 def q_rule_replacement(v, fam, profile):
     """The search with every candidate judged on its dimension over Q.
 
-    This is the rule that the mod-p search replaced, kept as its oracle: it
+    The oracle asks `projective_dimension` itself, with V's generators and its
+    own bounds, and skips a combination that is zero or vanishes on V: it
     accepts the first candidate of each level whose prefix has dimension at
     most n - u - 1 over Q.
     """
@@ -381,7 +381,7 @@ def outcome(search, v, fam, ordering):
         return type(exc).__name__
 
 
-def modp_rule(v, fam, profile):
+def search_rule(v, fam, profile):
     system = build_replacement(v, fam, profile)
     assert verify_replacement(v, system).ok
     return system.replacements, system.coeff_matrix
@@ -432,58 +432,28 @@ def test_modp_rule_equals_q_rule(cases):
     built = 0
     for v, fam, ordering in cases():
         expected = outcome(q_rule_replacement, v, fam, ordering)
-        assert outcome(modp_rule, v, fam, ordering) == expected, fam.members
+        assert outcome(search_rule, v, fam, ordering) == expected, fam.members
         built += not isinstance(expected, str)
     assert built >= 2
 
 
-SMALL_PRIME = 3
+def unlucky_cases():
+    """The gate's cases, and one where s = 0 is rejected mod 3 but not over Q."""
+    yield from gate_cases()
+    # V(x0*x1) is [1:0] and [0:1]; step 1 tries s^2*Q0 + s*Q1 + Q2, which is
+    # s + 3 at [0:1], so it vanishes there mod 3 for s = 0
+    v = build_variety([], num_vars=2)
+    yield v, build_family(v, parse_many(["x0*x1", "x1^2", "x0^2 + 3*x1^2"], 2)), (0, 1, 2)
 
 
 def test_unlucky_small_prime_still_verifies(monkeypatch):
-    monkeypatch.setattr(groebner, "MODULUS", SMALL_PRIME)
-    differs = 0
-    for v, fam, ordering in gate_cases():
-        try:
-            profile = dimension_profile(v, fam, ordering)
-            system = build_replacement(v, fam, profile)
-        except DomainError:
-            continue
-        assert verify_replacement(v, system).ok, fam.members
-        oracle = q_rule_replacement(v, fam, profile)
-        differs += (system.replacements, system.coeff_matrix) != oracle
-    # some rejection mod 3 was wrong, and the search took a later candidate
-    assert differs > 0
-
-
-def test_modp_records_of_one_modulus_never_read_under_another(monkeypatch, tmp_path):
-    large = groebner.MODULUS
-    v = build_variety([], num_vars=2)
-    # V(x0*x1) is [1:0] and [0:1]; step 1 tries s^2*Q0 + s*Q1 + Q2, which is
-    # s + 3 at [0:1].  Over Q, s = 0 is accepted; mod 3 it vanishes there, and
-    # s = 1 is accepted instead
-    fam = build_family(v, parse_many(["x0*x1", "x1^2", "x0^2 + 3*x1^2"], 2))
-    profile = dimension_profile(v, fam, (0, 1, 2))
-
-    def search(modulus):
-        monkeypatch.setattr(groebner, "MODULUS", modulus)
-        DIMENSION_COUNTS.clear()
-        system = build_replacement(v, fam, profile)
-        assert verify_replacement(v, system).ok
-        return system.coeff_matrix, DIMENSION_COUNTS["modp_bound"]
-
-    small_rows, small_passes = search(SMALL_PRIME)
-    large_rows, large_passes = search(large)
-    assert small_rows != large_rows  # so reading a record across moduli would show
-
-    set_cache_dir(str(tmp_path))
-    assert search(SMALL_PRIME) == (small_rows, small_passes)
-    assert {modulus for _, modulus, _ in cache_rows(tmp_path)} == {0, SMALL_PRIME}
-    # recomputed under the large prime, not read from the small-prime records
-    assert search(large) == (large_rows, large_passes)
-    # each modulus reads its own records back
-    assert search(SMALL_PRIME) == (small_rows, 0)
-    assert search(large) == (large_rows, 0)
+    expected = [(case, outcome(q_rule_replacement, *case)) for case in unlucky_cases()]
+    assert sum(not isinstance(e, str) for _, e in expected) >= 2
+    # an unlucky prime only costs a pass over Q: the accepted points are the Q rule's
+    for prime in (2, 3):
+        monkeypatch.setattr(groebner, "MODULUS", prime)
+        for case, oracle in expected:
+            assert outcome(search_rule, *case) == oracle, (prime, case[1].members)
 
 
 def test_stale_profile_exhausts_after_q_fallback():
@@ -503,8 +473,8 @@ def test_stale_profile_exhausts_after_q_fallback():
     DIMENSION_COUNTS.clear()
     with pytest.raises(SearchExhausted, match="step 1"):
         build_replacement(v, stale, profile)
-    # the prefix, then every point of the curve mod p, then again over Q
-    assert DIMENSION_COUNTS == {"modp": 1, "modp_bound": cap, "exact": cap}
+    # the prefix settles mod p, then every point of the curve needs the pass over Q
+    assert DIMENSION_COUNTS == {"modp": 1, "exact": cap}
     with pytest.raises(SearchExhausted):
         q_rule_replacement(v, stale, profile)
 
