@@ -12,7 +12,7 @@ radical computation is ever needed: `_dimension_of_leads` reads them off the
 support masks of the packed leads.  Hilbert values and degrees come from one
 numerator of the leading-term ideal's Hilbert series (`_hilbert_numerator`).
 
-`projective_dimension` is the one place that answers "what is dim V(gens)?".
+`projective_dimensions` is the one place that answers "what is dim V(gens)?".
 It first runs the loop over the integers mod MODULUS.  For integer generators
 the Macaulay matrix has rank mod p at most its rank over Q in every degree, so
 H_p(u) >= H_Q(u) and dim_p >= dim_Q.  An EMPTY answer mod p is therefore EMPTY
@@ -25,10 +25,10 @@ A polynomial enters both passes as its primitive form, packed once per
 modulus and kept on it beside its cache-key digest (`_member_terms`).
 
 The on-disk cache is one SQLite table per cache directory.  It holds settled
-dimensions, one row per versioned key.  Rows are read in batches: a walk
-level's records in one statement by `prefetch_dimensions`, and any other fetch
-as a batch of one.  Stores are held in memory and written by `close_cache` in
-one transaction.  Reduced bases are never cached.
+dimensions, one row per versioned key.  `projective_dimensions` hashes each
+key of a batch, such as a walk level, once and reads the batch's rows in one
+statement per _PREFETCH_CHUNK keys.  Stores are held in memory and written by
+`close_cache` in one transaction.  Reduced bases are never cached.
 """
 
 from __future__ import annotations
@@ -612,32 +612,44 @@ def _modp_dimension(gens, num_vars, lower=None):
     return _dimension_of_leads(leads, num_vars)
 
 
+def projective_dimensions(queries, num_vars: Optional[int] = None):
+    """Projective dimensions over Q, or EMPTY, of the `(gens, lower)` queries,
+    yielded lazily in their order.
+
+    `lower`, when not None, must be a proven lower bound on the answer, such
+    as dim W - 1 for V(gens) = W cut by one more hypersurface (Hartshorne
+    I.7.2).  The mod-p dimension is an upper bound, so it is the answer when
+    it is EMPTY or equals `lower`; otherwise the leads of a basis over Q
+    decide.  The first answer asked for hashes each key once and reads the
+    batch's rows in one prefetch; a query runs only when its answer is asked
+    for.  Every settled dimension is cached under its key.
+    """
+    batch = []
+    for gens, lower in queries:
+        nv = _ring_size(gens, num_vars)
+        gens = [g for g in gens if not g.is_zero]
+        batch.append((gens, nv, lower, cache_key(gens, nv) if _CACHE_DIR is not None else None))
+    if _CACHE_DIR is not None:
+        _cache_session().prefetch([key for *_, key in batch])
+    for gens, nv, lower, key in batch:
+        dim = _cache_fetch(key)
+        if dim is None:
+            dim = _modp_dimension(gens, nv, lower)
+            if dim is not None and (dim is EMPTY or dim == lower):
+                DIMENSION_COUNTS["modp"] += 1
+            else:
+                DIMENSION_COUNTS["exact"] += 1
+                leads, _ = _buchberger([_member_terms(g, RATIONALS) for g in gens],
+                                       _packing(GREVLEX, nv), RATIONALS)
+                dim = _dimension_of_leads(leads, nv)
+            _cache_store(key, dim)
+        yield dim
+
+
 def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = None,
                          lower: Optional[int] = None):
-    """Projective dimension of V(gens) over Q, or EMPTY.
-
-    `lower`, when given, must be a proven lower bound on the answer, such as
-    dim W - 1 for V(gens) = W cut by one more hypersurface (Hartshorne I.7.2).
-    The mod-p dimension is an upper bound, so it is the answer when it is
-    EMPTY or equals `lower`; otherwise the leads of a basis over Q decide.
-    Every settled dimension is cached under its key.
-    """
-    nv = _ring_size(gens, num_vars)
-    gens = [g for g in gens if not g.is_zero]
-    key = cache_key(gens, nv) if _CACHE_DIR is not None else None
-    dim = _cache_fetch(key)
-    if dim is not None:
-        return dim
-    dim = _modp_dimension(gens, nv, lower)
-    if dim is not None and (dim is EMPTY or dim == lower):
-        DIMENSION_COUNTS["modp"] += 1
-    else:
-        DIMENSION_COUNTS["exact"] += 1
-        leads, _ = _buchberger([_member_terms(g, RATIONALS) for g in gens],
-                               _packing(GREVLEX, nv), RATIONALS)
-        dim = _dimension_of_leads(leads, nv)
-    _cache_store(key, dim)
-    return dim
+    """Projective dimension of V(gens) over Q, or EMPTY: a batch of one."""
+    return next(projective_dimensions([(gens, lower)], num_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +703,8 @@ def close_cache() -> None:
 
 
 class _CacheSession:
-    """The cache database between two flushes: rows read in batches, a walk
-    level or a lone fetch at a time, stores held in memory."""
+    """The cache database between two flushes: rows read a query batch at a
+    time, stores held in memory."""
 
     __slots__ = ("path", "stored", "read", "db", "readable")
 
@@ -714,11 +726,7 @@ class _CacheSession:
         return self.db
 
     def fetch(self, key):
-        if key in self.stored:
-            return self.stored[key]
-        if key not in self.read:
-            self.prefetch([key])  # a batch of one
-        return self.read.get(key)
+        return self.stored[key] if key in self.stored else self.read.get(key)
 
     def prefetch(self, keys):
         """Read the records of `keys` that this session does not know yet,
@@ -790,23 +798,6 @@ def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
     # read per call: CACHE_FORMAT and __version__ may be rebound
     head = f"{CACHE_FORMAT}\n{__version__}\n{num_vars}\n".encode()
     return hashlib.sha256(head + b"".join(sorted(map(_key_digest, gens)))).hexdigest()
-
-
-def prefetch_dimensions(gen_lists: Sequence[Sequence[HomoPoly]], num_vars: int) -> None:
-    """Read the dimension records of several generator lists at once, ahead
-    of their `projective_dimension` queries.
-
-    Rows found and rows missing are both kept for the session, so those
-    queries read no row again.  A database refusal turns reads off as a
-    single read does.  A disabled cache, or a new or unreadable database,
-    reads nothing and hashes no key.
-    """
-    if _CACHE_DIR is None:
-        return
-    session = _cache_session()
-    if session.readable:
-        session.prefetch([cache_key([g for g in gens if not g.is_zero], num_vars)
-                          for gens in gen_lists])
 
 
 def _cache_fetch(key):

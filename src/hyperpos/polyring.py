@@ -502,7 +502,7 @@ def parse_poly(text: str, num_vars: int) -> HomoPoly:
     for coef, mono in terms:
         merged[mono] = merged.get(mono, Fraction(0)) + coef
     _check_terms(len(merged))
-    return HomoPoly(num_vars, merged)
+    return HomoPoly._trusted(num_vars, {m: c for m, c in merged.items() if c})
 
 
 # ---------------------------------------------------------------------------

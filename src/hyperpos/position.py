@@ -1,15 +1,15 @@
 """Variety-plus-family configurations and their position invariants.
 
 The distributive constant, position classes, and dimension profiles all
-reduce to projective dimensions of subset intersections, and `meet_dimension`
-answers them for every candidate of the replacement search and for `weights`
-too: it adds V's generators and the proven lower bound that lets the mod-p
-pass settle the answer, which is always the answer over Q.  Subset
-dimensions are memoized per family.  `delta` and `classify` share one walk
-over the non-void subsets, which are down-closed: a set is visited only when
-its immediate subsets S - {i} are all non-void and memoized, each tightening
-the bound.  A subset of full dimension n ends its level, and the next level
-scans every combination.  The walk visits at most MAX_WALK_SUBSETS.
+reduce to projective dimensions of subset intersections.  `meet_dimensions`
+answers a batch of them, for the replacement search and `weights` too, with
+V's generators and the proven lower bounds that let the mod-p pass settle
+each answer, always the answer over Q.  Subset dimensions are memoized per
+family.  `delta` and `classify` share one walk over the non-void subsets,
+which are down-closed: a set is visited only when its immediate subsets
+S - {i} are all non-void and memoized, each tightening the bound.  A level is
+one batch.  A subset of full dimension n ends its level, and the next level
+scans every combination one at a time.  The walk visits at most MAX_WALK_SUBSETS.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .groebner import (EMPTY, GREVLEX, GroebnerBasis, dim_at_most, groebner_basis,
-                       ideal_profile, normal_form, prefetch_dimensions, projective_dimension)
+                       ideal_profile, normal_form, projective_dimensions)
 from .polyring import (ConstantMember, EmptyInput, HomoPoly, int_from_json, lcm_degree,
                        polys_from_json)
 
@@ -65,7 +65,7 @@ MAX_WALK_SUBSETS = 2 ** 14 - 1
 # ---------------------------------------------------------------------------
 # configuration types
 
-# Identity equality and hashing: `_subset_dim` keys its memo on the variety,
+# Identity equality and hashing: `_subset_dims` keys its memo on the variety,
 # and value equality would hash every generator on every lookup.
 @dataclass(eq=False, slots=True)
 class Variety:
@@ -138,38 +138,49 @@ def _validate_subset(fam, subset):
     return idxs
 
 
-def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=()):
-    """Projective dimension of V cut by `polys`, or EMPTY.
+def meet_dimensions(v: Variety, queries):
+    """Projective dimensions of V cut by each `polys` of the `(polys, parents)`
+    queries, or EMPTY, yielded lazily in their order.
 
-    Each member cuts at most one dimension (Hartshorne I.7.2), so the answer is
+    Each member cuts at most one dimension (Hartshorne I.7.2), so an answer is
     at least n - len(polys), and d - 1 for each known d in `parents`, the
-    dimensions of V cut by all but one of `polys`.  A void parent makes it EMPTY.
+    dimensions of V cut by all but one of `polys`.  A void parent makes it
+    EMPTY with no query; the other queries go to `projective_dimensions` as
+    one batch.
     """
-    lower = v.dim_n - len(polys)
-    for parent in parents:
-        if parent is EMPTY:
-            return EMPTY
-        if parent is not None:
-            lower = max(lower, parent - 1)
-    return projective_dimension(_meet_generators(v, polys), v.num_vars, lower if lower >= 0 else None)
+    void, batch = [], []
+    for polys, parents in queries:
+        void.append(any(parent is EMPTY for parent in parents))
+        if not void[-1]:
+            lower = max([v.dim_n - len(polys)] + [d - 1 for d in parents if d is not None])
+            batch.append((list(v.generators) + list(polys), lower if lower >= 0 else None))
+    dims = projective_dimensions(batch, v.num_vars)
+    for is_void in void:
+        yield EMPTY if is_void else next(dims)
 
 
-def _meet_generators(v, polys):
-    """The generators of V cut by `polys`, as `meet_dimension` queries them."""
-    return list(v.generators) + list(polys)
+def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=()):
+    """Projective dimension of V cut by `polys`, or EMPTY: a batch of one."""
+    return next(meet_dimensions(v, [(polys, parents)]))
 
 
-def _subset_dim(v, fam, idxs):
+def _subset_dims(v, fam, subsets):
+    """Memoized dimensions of V cut by each frozenset of member indices in
+    `subsets`, yielded lazily in order; the ones not memoized yet are one
+    `meet_dimensions` batch, with the memoized immediate subsets as parents."""
     memo = fam._memo
-    if (v, idxs) not in memo:
-        memo[v, idxs] = meet_dimension(v, [fam.members[i] for i in sorted(idxs)],
-                                       [memo.get((v, idxs - {i})) for i in idxs])
-    return memo[v, idxs]
+    todo = [idxs for idxs in dict.fromkeys(subsets) if (v, idxs) not in memo]
+    dims = meet_dimensions(v, [([fam.members[i] for i in sorted(idxs)],
+                                [memo.get((v, idxs - {i})) for i in idxs]) for idxs in todo])
+    for idxs in subsets:
+        if (v, idxs) not in memo:
+            memo[v, idxs] = next(dims)
+        yield memo[v, idxs]
 
 
 def intersection_dimension(v: Variety, fam: HypersurfaceFamily, subset):
     """Projective dimension of V meet the named members, or EMPTY."""
-    return _subset_dim(v, fam, _validate_subset(fam, subset))
+    return next(_subset_dims(v, fam, [_validate_subset(fam, subset)]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +202,8 @@ def _nonvoid_subsets(v, fam):
     ends its level: no subset of its size can pass it, and `delta` refuses
     it.  That level is then only partly known, so the next one scans every
     combination, lazily, and void immediate subsets settle what they can.
-    The dimension records of a fully known level are read from the disk
-    cache in one batch before it is walked; the lazy scan reads its own.
+    A fully known level is asked as one `_subset_dims` batch; the lazy scan
+    asks one subset at a time.  Either way no subset after a cut is asked.
     """
     visited = 0
 
@@ -209,18 +220,16 @@ def _nonvoid_subsets(v, fam):
     level, cut = [()], False
     for size in range(1, fam.q + 1):
         if cut:
-            candidates = visit(combinations(range(fam.q), size))
+            found = ((c, intersection_dimension(v, fam, c))
+                     for c in visit(combinations(range(fam.q), size)))
         else:
             nonvoid = set(level)
             candidates = list(visit(
                 c + (j,) for c in level for j in range(c[-1] + 1 if c else 0, fam.q)
                 if all(c[:i] + c[i + 1:] + (j,) in nonvoid for i in range(len(c)))))
-            prefetch_dimensions([_meet_generators(v, [fam.members[i] for i in c])
-                                 for c in candidates if (v, frozenset(c)) not in fam._memo],
-                                v.num_vars)
+            found = zip(candidates, _subset_dims(v, fam, [frozenset(c) for c in candidates]))
         level, cut = [], False
-        for combo in candidates:
-            dim = _subset_dim(v, fam, frozenset(combo))
+        for combo, dim in found:
             if dim is not EMPTY:
                 level.append(combo)
                 yield combo, dim
@@ -328,7 +337,7 @@ def dimension_profile(v: Variety, fam: HypersurfaceFamily,
     n = v.dim_n
     prefix_dims = []
     for p in range(1, fam.q + 1):
-        dim = _subset_dim(v, fam, frozenset(order[:p]))
+        dim = intersection_dimension(v, fam, order[:p])
         prefix_dims.append(dim)
         if dim is EMPTY:
             break

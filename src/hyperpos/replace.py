@@ -7,7 +7,8 @@ proves large enough; every accepted candidate has passed the prefix
 dimension check, nothing is trusted on the strength of genericity alone.  A
 candidate is judged on its prefix dimension over Q, the question
 `meet_dimension` answers for the subset walk too, so the accepted point does
-not depend on the prime of the mod-p pass.
+not depend on the prime of the mod-p pass.  `verify_replacement` asks its
+n + 1 prefix dimensions as one `meet_dimensions` batch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple, Sequence
 from .errors import DomainError
 from .groebner import dim_at_most
 from .polyring import DimensionMismatch, poly_combine
-from .position import DimensionProfile, HypersurfaceFamily, Variety, meet_dimension
+from .position import DimensionProfile, HypersurfaceFamily, Variety, meet_dimension, meet_dimensions
 
 
 class NotIncreasing(DomainError):
@@ -202,12 +203,10 @@ def verify_replacement(v: Variety, sys: ReplacementSystem) -> ReplacementVerdict
     n = v.dim_n
     profile = sys.source_profile
     ordered = [sys.family.members[i] for i in profile.ordering]
-    dims = []
-    met = []
-    for t in range(n + 1):
-        dim = meet_dimension(v, sys.replacements[:t + 1], dims[-1:])
-        dims.append(dim)
-        met.append(dim_at_most(dim, n - t - 1))
+    # no parents: t + 1 <= n hypersurfaces always meet V, and while the earlier
+    # bounds hold, d_{t-1} - 1 is at most the batch's bound n - t - 1
+    dims = tuple(meet_dimensions(v, [(sys.replacements[:t + 1], ()) for t in range(n + 1)]))
+    met = [dim_at_most(dim, n - t - 1) for t, dim in enumerate(dims)]
     combo_ok = len(sys.replacements) == n + 1 and len(sys.coeff_matrix) == n + 1
     if combo_ok and sys.coeff_matrix[0][0] != 1:
         combo_ok = False  # first row must be the unit row: P_0 is Q_order(0) itself
@@ -218,4 +217,4 @@ def verify_replacement(v: Variety, sys: ReplacementSystem) -> ReplacementVerdict
             continue
         if poly_combine(row[:t_u + 1], ordered[:t_u + 1]) != p_u:
             combo_ok = False
-    return ReplacementVerdict(tuple(dims), tuple(met), combo_ok)
+    return ReplacementVerdict(dims, tuple(met), combo_ok)

@@ -20,7 +20,7 @@ from conftest import cache_rows
 from test_walk import dense_plane_family
 
 import hyperpos
-from hyperpos import __version__, cli, groebner, polyring, position
+from hyperpos import __version__, cli, groebner, polyring, position, replace
 from hyperpos.groebner import DIMENSION_COUNTS
 from hyperpos.polyring import poly_to_json
 
@@ -1003,6 +1003,63 @@ class TestBatchedRead:
         # the batched read of the first level is refused, and no row is read after it
         assert len(self.selects(statements)) == 1
         assert (cache / groebner.CACHE_FILE).read_bytes() == before
+
+
+class TestOneKeyPerQuery:
+    """A batch of dimension queries hashes each key once, and verification
+    reads its n + 1 prefixes as one batch."""
+
+    @pytest.mark.parametrize("command", ["delta", "classify"])
+    def test_warm_walk_hashes_each_key_once(self, run, bench_pool, tmp_path, monkeypatch,
+                                            command):
+        conf = tmp_path / "family.json"
+        conf.write_text(json.dumps({"ambient": 2, "variety": [],
+                                    "family": bench_pool.quadric_family(3, 11, 6)}))
+        argv = (command, "--config", str(conf), "--cache-dir", str(tmp_path / "cache"))
+        expected = run(command, "--config", str(conf), "--no-cache")
+        assert run(*argv) == expected
+        keys = []
+        cache_key = groebner.cache_key
+        monkeypatch.setattr(groebner, "cache_key", lambda *a: keys.append(a) or cache_key(*a))
+        DIMENSION_COUNTS.clear()
+        assert run(*argv) == expected
+        assert DIMENSION_COUNTS == {"cached": len(keys)}
+        assert len(keys) > 50
+
+    def test_verification_reads_its_prefixes_in_one_statement(self, run, bench_pool, statements,
+                                                              tmp_path):
+        config = {"ambient": 3, "variety": [], "family": bench_pool.pair_products(4)}
+        conf = tmp_path / "pairs.json"
+        conf.write_text(json.dumps(config))
+        cache = tmp_path / "cache"
+        expected = run("replace", "--config", str(conf), "--no-cache")
+        for _ in range(2):  # a new directory, then the warm one
+            assert run("replace", "--config", str(conf), "--cache-dir", str(cache)) == expected
+        # a session of its own on the warm directory, as a library caller's
+        groebner.set_cache_dir(str(cache))
+        v, fam = position.load_configuration(config)
+        system = replace.build_replacement(v, fam, position.dimension_profile(v, fam, range(fam.q)))
+        groebner.close_cache()
+        DIMENSION_COUNTS.clear()
+        statements.clear()
+        verdict = replace.verify_replacement(v, system)
+        assert verdict.ok
+        assert [repr(d) if d is groebner.EMPTY else d for d in verdict.prefix_dims] == \
+            json.loads(expected[1])["payload"]["prefix_dims"]
+        assert DIMENSION_COUNTS == {"cached": v.dim_n + 1}
+        assert len(TestBatchedRead.selects(statements)) == 1
+
+
+def test_bench_smoke_lattice_ops_print_the_same_bytes_cached_or_not(run, bench_pool, tmp_path):
+    """Every lattice op of the benchmark's smoke scale, seed 1: uncached, on a
+    new cache directory and on that directory warm."""
+    ops = bench_pool.lattice_ops("smoke", bench_pool.choose(1), str(tmp_path))
+    assert sorted({op.kind for op in ops}) == ["classify", "delta", "replace"]
+    for i, op in enumerate(ops):
+        code, out = expected = run(*op.argv, "--no-cache")
+        assert code == 0 and (op.verify is None or op.verify(json.loads(out)["payload"])), op.key
+        for _ in range(2):
+            assert run(*op.argv, "--cache-dir", str(tmp_path / f"cache-{i}")) == expected, op.key
 
 
 def test_two_processes_share_one_cache_dir(run, tmp_path):

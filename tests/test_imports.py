@@ -8,10 +8,10 @@ Every module-level function and class of the package must be referenced by
 other code of the package, or be named as library API in README "Library
 layout".  The `cmd_*` handlers are exempt: the CLI dispatches them by name.
 
-Outside `groebner`, only `position.meet_dimension` may run a dimension query
-(`projective_dimension`), so that one function adds V's
-generators and derives the lower bound.  Passing a query on as an argument
-is allowed.
+Outside `groebner`, only `position.meet_dimensions` may run a dimension query
+(`projective_dimension` or the batch `projective_dimensions`), so that one
+function adds V's generators and derives the lower bounds.  Passing a query
+on as an argument is allowed.
 
 Only `groebner._modp_dimension` may pass `_buchberger` a stop threshold, so
 the passes over Q (`groebner_basis` and the exact pass) always finish their
@@ -154,7 +154,7 @@ def test_checker_finds_an_unused_definition():
     assert unreferenced_definitions(sources, "API: `mod.listed`, `Spare`.") == []
 
 
-DIMENSION_QUERIES = {"projective_dimension"}
+DIMENSION_QUERIES = {"projective_dimension", "projective_dimensions"}
 FUNCTIONS = ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda
 
 
@@ -187,22 +187,23 @@ def second_engines(source, engine=None):
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "groebner.py"],
                          ids=lambda p: p.name)
 def test_one_dimension_engine(path):
-    engine = "meet_dimension" if path.name == "position.py" else None
+    engine = "meet_dimensions" if path.name == "position.py" else None
     assert second_engines(path.read_text(encoding="utf-8"), engine) == []
 
 
 def test_checker_finds_a_second_engine():
     source = ("from . import groebner\n"
-              "from .groebner import projective_dimension\n"
-              "def meet_dimension(v, polys):\n"
-              "    return projective_dimension(polys)\n"
-              "def _prefix_dim(v, polys, dimension=projective_dimension):\n"
+              "from .groebner import projective_dimensions\n"
+              "def meet_dimensions(v, queries):\n"
+              "    return projective_dimensions(queries)\n"
+              "def _prefix_dim(v, polys, dimension=groebner.projective_dimension):\n"
               "    return dimension(polys)\n"
-              "def search(v, polys, query=projective_dimension):\n"
-              "    meet_dimension(v, polys)\n"
-              "    return groebner.projective_dimension(polys)\n")
-    # a default argument and a direct call, named bare or through the module
-    assert second_engines(source, "meet_dimension") == [5, 7, 9]
+              "def search(v, queries, query=projective_dimensions):\n"
+              "    meet_dimensions(v, queries)\n"
+              "    return groebner.projective_dimensions(queries)\n")
+    # a default argument and a direct call, single or batched, named bare or
+    # through the module
+    assert second_engines(source, "meet_dimensions") == [5, 7, 9]
     assert second_engines(source) == [4, 5, 7, 9]
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import test_golden
 from oracles import content_free
 from hyperpos import polyring
 from hyperpos.groebner import GREVLEX, groebner_basis, normal_form
@@ -105,6 +106,66 @@ class TestParser:
         p = P("5", 2)
         assert p.degree == 0
         assert p.terms == {(0, 0): Fraction(5)}
+
+
+def golden_texts():
+    """(text, nvars) of every polynomial that the golden set's inputs write as text."""
+    texts = []
+    for content in test_golden.FILES.values():
+        if isinstance(content, dict):
+            texts += [(t, content["ambient"] + 1) for key in ("variety", "family", "polys")
+                      for t in content.get(key, []) if isinstance(t, str)]
+    for argv in test_golden.CASES:
+        if "--poly" in argv and "--nvars" in argv:
+            texts.append((argv[argv.index("--poly") + 1], int(argv[argv.index("--nvars") + 1])))
+    return texts
+
+
+@st.composite
+def written_polys(draw):
+    """Text of 1 to 6 terms of one degree in 1 to 4 variables, with zero
+    coefficients and repeated monomials, so terms merge and may cancel."""
+    nvars = draw(st.integers(1, 4))
+    monos = [tuple(combo.count(i) for i in range(nvars))
+             for combo in combinations_with_replacement(range(nvars), draw(st.integers(0, 3)))]
+    terms = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3), st.sampled_from(monos)),
+                          min_size=1, max_size=6))
+    return " + ".join("*".join([f"{num}/{den}"] + [f"x{i}^{e}" for i, e in enumerate(mono) if e])
+                      for num, den, mono in terms), nvars
+
+
+class TestParseBuildsUnchecked:
+    """parse_poly checks each written term once and builds its result without
+    the constructor's checks; the result is the one the checked constructor
+    makes from the same terms."""
+
+    @staticmethod
+    def assert_as_checked(text, nvars):
+        p = parse_poly(text, nvars)
+        checked = HomoPoly(nvars, p.terms)
+        assert p == checked and list(p.terms) == list(checked.terms)
+        assert all(type(c) is Fraction and c for c in p.terms.values())
+        assert p.is_zero == checked.is_zero
+        assert p.is_zero or p.degree == checked.degree
+
+    def test_golden_texts(self):
+        texts = golden_texts()
+        assert len(texts) > 20
+        for text, nvars in texts:
+            self.assert_as_checked(text, nvars)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(written_polys())
+    @example(("x0^2 - x0^2 + x1^2", 2))
+    @example(("0*x0 + 0*x1", 2))
+    def test_written_terms(self, case):
+        self.assert_as_checked(*case)
+
+    def test_homogeneity_is_checked_before_cancellation(self):
+        with pytest.raises(NotHomogeneous):
+            P("x0^2 - x0^2 + x1", 2)
+        assert P("x0 - x0", 2).is_zero
+        assert P("x0 - x0", 2) == HomoPoly.zero(2)
 
 
 class TestPrinting:

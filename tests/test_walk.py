@@ -29,7 +29,6 @@ from hyperpos.position import (
     PositionClass,
     SubsetCapExceeded,
     UnboundedRatio,
-    _subset_dim,
     build_family,
     build_variety,
     classify_position,
@@ -48,7 +47,7 @@ def scan_distributive_constant(v, fam):
     table = {}
     for size in range(1, fam.q + 1):
         for combo in combinations(range(fam.q), size):
-            dim = _subset_dim(v, fam, frozenset(combo))
+            dim = intersection_dimension(v, fam, combo)
             if dim is EMPTY:
                 continue
             drop = n - dim
@@ -69,7 +68,7 @@ def scan_max_dims_by_size(v, fam):
     for size in range(1, fam.q + 1):
         best = EMPTY
         for combo in combinations(range(fam.q), size):
-            dim = _subset_dim(v, fam, frozenset(combo))
+            dim = intersection_dimension(v, fam, combo)
             if dim is EMPTY:
                 continue
             if best is EMPTY or dim > best:
