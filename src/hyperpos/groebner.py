@@ -541,7 +541,8 @@ def ideal_profile(gb: GroebnerBasis) -> IdealProfile:
 
 # largest prime below 2^30, so residues and their products stay small ints
 MODULUS = 1073741789
-# How each dimension query was settled: "cached", "modp" or "exact".
+# How each dimension query was settled: "cached", "modp" or "exact"; and
+# "inferred", the walk subsets that `position` settles with no query.
 DIMENSION_COUNTS = Counter()
 
 
@@ -620,9 +621,11 @@ def projective_dimensions(queries, num_vars: Optional[int] = None):
     as dim W - 1 for V(gens) = W cut by one more hypersurface (Hartshorne
     I.7.2).  The mod-p dimension is an upper bound, so it is the answer when
     it is EMPTY or equals `lower`; otherwise the leads of a basis over Q
-    decide.  The first answer asked for hashes each key once and reads the
-    batch's rows in one prefetch; a query runs only when its answer is asked
-    for.  Every settled dimension is cached under its key.
+    decide.  A zero-argument callable `lower` is a deferred bound: the mod-p
+    pass runs with none, and it is called only when that pass answers a
+    dimension.  The first answer asked for hashes each key once and reads
+    the batch's rows in one prefetch; a query runs only when its answer is
+    asked for.  Every settled dimension is cached under its key.
     """
     batch = []
     for gens, lower in queries:
@@ -634,7 +637,10 @@ def projective_dimensions(queries, num_vars: Optional[int] = None):
     for gens, nv, lower, key in batch:
         dim = _cache_fetch(key)
         if dim is None:
-            dim = _modp_dimension(gens, nv, lower)
+            deferred = callable(lower)
+            dim = _modp_dimension(gens, nv, None if deferred else lower)
+            if deferred and dim is not None and dim is not EMPTY:
+                lower = lower()
             if dim is not None and (dim is EMPTY or dim == lower):
                 DIMENSION_COUNTS["modp"] += 1
             else:

@@ -8,21 +8,24 @@ each answer, always the answer over Q.  Subset dimensions are memoized per
 family.  `delta` and `classify` share one walk over the non-void subsets,
 which are down-closed: a set is visited only when its immediate subsets
 S - {i} are all non-void and memoized, each tightening the bound.  A level is
-one batch.  A subset of full dimension n ends its level, and the next level
-scans every combination one at a time.  The walk visits at most MAX_WALK_SUBSETS.
+one batch, but level n + 1 is asked right after level 1 and settles the
+levels between where it can.  A subset of full dimension n ends its level,
+and the next level scans every combination one at a time.  The walk visits
+at most MAX_WALK_SUBSETS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .groebner import (EMPTY, GREVLEX, GroebnerBasis, dim_at_most, groebner_basis,
-                       ideal_profile, normal_form, projective_dimensions)
+from .groebner import (DIMENSION_COUNTS, EMPTY, GREVLEX, GroebnerBasis, dim_at_most,
+                       groebner_basis, ideal_profile, normal_form, projective_dimensions)
 from .polyring import (ConstantMember, EmptyInput, HomoPoly, int_from_json, lcm_degree,
                        polys_from_json)
 
@@ -146,17 +149,25 @@ def meet_dimensions(v: Variety, queries):
     at least n - len(polys), and d - 1 for each known d in `parents`, the
     dimensions of V cut by all but one of `polys`.  A void parent makes it
     EMPTY with no query; the other queries go to `projective_dimensions` as
-    one batch.
+    one batch.  `parents` may be a zero-argument callable, returning no void
+    parent, called only when the mod-p pass leaves the answer open.
     """
     void, batch = [], []
     for polys, parents in queries:
-        void.append(any(parent is EMPTY for parent in parents))
+        void.append(not callable(parents) and any(parent is EMPTY for parent in parents))
         if not void[-1]:
-            lower = max([v.dim_n - len(polys)] + [d - 1 for d in parents if d is not None])
-            batch.append((list(v.generators) + list(polys), lower if lower >= 0 else None))
+            floor = v.dim_n - len(polys)
+            batch.append((list(v.generators) + list(polys), partial(_lower_bound, floor, parents)
+                          if callable(parents) else _lower_bound(floor, parents)))
     dims = projective_dimensions(batch, v.num_vars)
     for is_void in void:
         yield EMPTY if is_void else next(dims)
+
+
+def _lower_bound(floor, parents):
+    parents = parents() if callable(parents) else parents
+    lower = max([floor] + [d - 1 for d in parents if d is not None])
+    return lower if lower >= 0 else None
 
 
 def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=()):
@@ -164,18 +175,29 @@ def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=()):
     return next(meet_dimensions(v, [(polys, parents)]))
 
 
-def _subset_dims(v, fam, subsets):
+def _subset_dims(v, fam, subsets, deferred=False):
     """Memoized dimensions of V cut by each frozenset of member indices in
     `subsets`, yielded lazily in order; the ones not memoized yet are one
-    `meet_dimensions` batch, with the memoized immediate subsets as parents."""
+    `meet_dimensions` batch, with the memoized immediate subsets as parents.
+    With `deferred` (subsets of one size), parents are asked only for a
+    query that its mod-p pass leaves open (`_asked_parents`)."""
     memo = fam._memo
     todo = [idxs for idxs in dict.fromkeys(subsets) if (v, idxs) not in memo]
     dims = meet_dimensions(v, [([fam.members[i] for i in sorted(idxs)],
-                                [memo.get((v, idxs - {i})) for i in idxs]) for idxs in todo])
+                                partial(_asked_parents, v, fam, idxs) if deferred
+                                else [memo.get((v, idxs - {i})) for i in idxs])
+                               for idxs in todo])
     for idxs in subsets:
         if (v, idxs) not in memo:
             memo[v, idxs] = next(dims)
         yield memo[v, idxs]
+
+
+def _asked_parents(v, fam, idxs):
+    """Dimensions of the immediate subsets of `idxs`, every proper subset asked bottom-up."""
+    for size in range(1, len(idxs)):
+        list(_subset_dims(v, fam, [frozenset(c) for c in combinations(sorted(idxs), size)]))
+    return [fam._memo[v, idxs - {i}] for i in idxs]
 
 
 def intersection_dimension(v: Variety, fam: HypersurfaceFamily, subset):
@@ -204,6 +226,10 @@ def _nonvoid_subsets(v, fam):
     combination, lazily, and void immediate subsets settle what they can.
     A fully known level is asked as one `_subset_dims` batch; the lazy scan
     asks one subset at a time.  Either way no subset after a cut is asked.
+
+    With no cut at level 1 and 2 <= n < q, levels 2..n+1 hold every
+    combination: they are counted against the budget, then settled from
+    level n + 1 where it can (`_settle_below_void_level`) before the walk.
     """
     visited = 0
 
@@ -217,8 +243,14 @@ def _nonvoid_subsets(v, fam):
                     f"subsets by size {len(combo)}")
             yield combo
 
-    level, cut = [()], False
+    n, level, cut = v.dim_n, [()], False
     for size in range(1, fam.q + 1):
+        if size == 2 and not cut and 2 <= n < fam.q:
+            # levels 2..n+1 hold every combination: count them before any query;
+            # the walk below visits them again
+            list(visit(c for k in range(2, n + 2) for c in combinations(range(fam.q), k)))
+            visited = fam.q
+            _settle_below_void_level(v, fam)
         if cut:
             found = ((c, intersection_dimension(v, fam, c))
                      for c in visit(combinations(range(fam.q), size)))
@@ -233,11 +265,29 @@ def _nonvoid_subsets(v, fam):
             if dim is not EMPTY:
                 level.append(combo)
                 yield combo, dim
-                if dim == v.dim_n:
+                if dim == n:
                     cut = True
                     break
         if not level:
             return
+
+
+def _settle_below_void_level(v, fam):
+    """Ask every (n+1)-subset as one deferred batch, then settle levels n..2
+    downward: S has dim n - |S| when a memoized S + {j} has dim n - |S| - 1
+    (EMPTY as -1), as dim S <= dim(S + {j}) + 1 (Hartshorne I.7.2) meets
+    dim S >= n - |S|.  A settled subset is counted "inferred", never cached."""
+    n, memo, members = v.dim_n, fam._memo, range(fam.q)
+    list(_subset_dims(v, fam, [frozenset(c) for c in combinations(members, n + 1)],
+                      deferred=True))
+    for size in range(n, 1, -1):
+        below = EMPTY if size == n else n - size - 1
+        for combo in combinations(members, size):
+            idxs = frozenset(combo)
+            if (v, idxs) not in memo and any(memo.get((v, idxs | {j})) == below
+                                             for j in members if j not in idxs):
+                memo[v, idxs] = n - size
+                DIMENSION_COUNTS["inferred"] += 1
 
 
 def distributive_constant(v: Variety, fam: HypersurfaceFamily,

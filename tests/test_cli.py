@@ -939,54 +939,60 @@ class TestBatchedRead:
 
     @pytest.fixture(params=[6, 8])
     def family(self, request, bench_pool, tmp_path):
-        """A P^2 q=11 family of the benchmark's pool, and its walk's levels:
-        entry 6 queries sizes 1 to 4, entry 8 sizes 1 to 3."""
+        """A P^2 q=11 family of the benchmark's pool, the levels a warm walk
+        reads, and the key of member 0's record.  Entry 6 walks sizes 1 to 4,
+        entry 8 sizes 1 to 3; warm, every pair is settled from a void triple,
+        so the walk reads every size but 2."""
         texts = bench_pool.quadric_family(3, 11, request.param)
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"ambient": 2, "variety": [], "family": texts}))
         v = position.build_variety([], num_vars=3)
         fam = position.build_family(v, [polyring.parse_poly(t, 3) for t in texts])
         position.distributive_constant(v, fam)
-        return str(path), len({len(subset) for _, subset in fam._memo})
+        return (str(path), len({len(subset) for _, subset in fam._memo} - {2}),
+                groebner.cache_key(fam.members[:1], 3))
 
     @staticmethod
     def selects(statements):
         return [sql for sql, _ in statements if sql.startswith("SELECT")]
 
     def test_one_select_per_level(self, run, family, statements, tmp_path):
-        config, levels = family
+        config, levels, _ = family
         cache = str(tmp_path / "cache")
         DIMENSION_COUNTS.clear()
         assert run("delta", "--config", config, "--cache-dir", cache)[0] == 0
-        queries = sum(DIMENSION_COUNTS.values())
+        walked = sum(DIMENSION_COUNTS.values())  # every subset the walk memoizes
         for command in ("delta", "classify"):
             expected = run(command, "--config", config, "--no-cache")
             DIMENSION_COUNTS.clear()
             statements.clear()
             assert run(command, "--config", config, "--cache-dir", cache) == expected
-            assert DIMENSION_COUNTS == {"cached": queries}
+            assert DIMENSION_COUNTS == {"cached": walked - 55, "inferred": 55}
             assert len(self.selects(statements)) == levels
             assert all(" IN (" in s for s in self.selects(statements))
 
     def test_prefetched_miss_computed_and_written_once(self, run, family, statements, tmp_path):
-        config, levels = family
+        config, levels, key = family
         cache = tmp_path / "cache"
         expected = run("delta", "--config", config, "--cache-dir", str(cache))
         rows = cache_rows(cache)
+        DIMENSION_COUNTS.clear()
+        assert run("delta", "--config", config, "--cache-dir", str(cache)) == expected
+        warm = dict(DIMENSION_COUNTS)
+        row = next(row for row in rows if row[0] == key)
         with closing(sqlite3.connect(cache / groebner.CACHE_FILE)) as db, db:
-            db.execute("DELETE FROM dimensions WHERE key = ?", (rows[0][0],))
+            db.execute("DELETE FROM dimensions WHERE key = ?", (key,))
         DIMENSION_COUNTS.clear()
         statements.clear()
         assert run("delta", "--config", config, "--cache-dir", str(cache)) == expected
-        assert DIMENSION_COUNTS["cached"] == len(rows) - 1
-        assert sum(DIMENSION_COUNTS.values()) == len(rows)
+        assert DIMENSION_COUNTS == {**warm, "cached": warm["cached"] - 1, "modp": 1}
         assert len(self.selects(statements)) == levels
-        assert [params for sql, params in statements if sql.startswith("INSERT")] == [rows[0]]
+        assert [params for sql, params in statements if sql.startswith("INSERT")] == [row]
         assert cache_rows(cache) == rows
 
     @pytest.mark.parametrize("broken", ["locked", "garbage"])
     def test_unreadable_database_runs_uncached(self, run, family, statements, tmp_path, broken):
-        config, _ = family
+        config, _, _ = family
         cache = tmp_path / "cache"
         assert run("delta", "--config", config, "--cache-dir", str(cache))[0] == 0
         expected = run("delta", "--config", config, "--no-cache")
@@ -1023,7 +1029,8 @@ class TestOneKeyPerQuery:
         monkeypatch.setattr(groebner, "cache_key", lambda *a: keys.append(a) or cache_key(*a))
         DIMENSION_COUNTS.clear()
         assert run(*argv) == expected
-        assert DIMENSION_COUNTS == {"cached": len(keys)}
+        # every pair is settled from a void triple: its key is never made
+        assert DIMENSION_COUNTS == {"cached": len(keys), "inferred": 55}
         assert len(keys) > 50
 
     def test_verification_reads_its_prefixes_in_one_statement(self, run, bench_pool, statements,

@@ -424,9 +424,11 @@ def test_general_position_family_settles_mod_p():
     report = distributive_constant(v, fam)
     assert report.delta == 1
     assert DIMENSION_COUNTS["exact"] == 0
-    # sizes 1..3 are computed, the size-4 subsets are EMPTY mod p, and the
-    # larger ones are void through a void immediate subset
-    assert DIMENSION_COUNTS["modp"] == 6 + 15 + 20 + 15
+    # the members and the size-4 subsets are computed, the size-4 ones EMPTY
+    # mod p; sizes 2 and 3 are settled from them, and the larger subsets are
+    # void through a void immediate subset
+    assert DIMENSION_COUNTS["modp"] == 6 + 15
+    assert DIMENSION_COUNTS["inferred"] == 15 + 20
 
 
 def test_replacement_candidates_settle_mod_p():

@@ -6,7 +6,7 @@ import pytest
 from conftest import parse_many
 
 from hyperpos import position
-from hyperpos.groebner import EMPTY
+from hyperpos.groebner import DIMENSION_COUNTS, EMPTY
 from hyperpos.polyring import EmptyInput, parse_poly
 from hyperpos.position import (
     ConstantMember,
@@ -146,11 +146,14 @@ class TestDistributiveConstant:
 
     def test_cap(self, monkeypatch):
         # 15 lines in general position: past the old 14-member cap, but the
-        # walk visits only 15 lines, 105 points and 455 void triples
+        # walk visits only 15 lines, 105 points and 455 void triples, and
+        # settles the points from the triples with no query
         v = plane()
         fam = family(v, [f"x0 + {k}*x1 + {k * k}*x2" for k in range(15)])
+        DIMENSION_COUNTS.clear()
         assert distributive_constant(v, fam).delta == 1
         assert len(fam._memo) == 15 + 105 + 455
+        assert DIMENSION_COUNTS["modp"] == 15 + 455
         monkeypatch.setattr(position, "MAX_WALK_SUBSETS", 2)
         with pytest.raises(SubsetCapExceeded):
             distributive_constant(v, family(v, ["x0", "x1", "x2"]))

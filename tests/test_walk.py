@@ -3,8 +3,10 @@
 The scan below is the walk these front ends used before: every one of the
 2^q - 1 subsets, by size and then lexicographically, void ones included,
 with `classify` ending a size at its first subset of full dimension n.  The
-non-void walk must give the same reports and classes and send the same
-`projective_dimension` queries, so `DIMENSION_COUNTS` match as well.
+non-void walk must give the same reports, `--table` rows and classes, and
+memoize the same subsets.  It may settle some of them with no query (counted
+as "inferred"), but it asks no more passes over Q than the scan, and its
+queries plus the settled subsets are the scan's queries.
 """
 
 import json
@@ -13,13 +15,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from conftest import cache_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_form
 from test_dimension import (criterion_01_families, criterion_03_families, family_of,
                             other_gate_families)
 
-from hyperpos import cli, position
+from hyperpos import cli, groebner, position
 from hyperpos.errors import DomainError
 from hyperpos.groebner import DIMENSION_COUNTS, EMPTY
 from hyperpos.polyring import HomoPoly, parse_poly, poly_to_json
@@ -128,16 +131,23 @@ def walk_visits(scan_memo):
 
 
 def assert_walk_matches_scan(v, fam, whole_lattice=True):
-    """Same answers and counts; when the scan stored every subset (no member
-    vanishes on a component of V), a memo of just the walk's visits."""
+    """Same answers and table rows, no more exact passes, and every query of
+    the scan either sent or settled; when the scan stored every subset (no
+    member vanishes on a component of V), a memo of just the walk's visits."""
     pairs = ((lambda v, f: distributive_constant(v, f, include_table=True),
               scan_distributive_constant),
              (classify_position, scan_classify_position))
     for walk, scan in pairs:
         walked, walk_counts, walk_memo = counted(walk, v, fam)
         scanned, scan_counts, scan_memo = counted(scan, v, fam)
-        assert walked == scanned, [str(m) for m in fam.members]
-        assert walk_counts == scan_counts, [str(m) for m in fam.members]
+        members = [str(m) for m in fam.members]
+        assert walked == scanned, members
+        if isinstance(walked, DistributiveReport):
+            assert list(walked.per_subset) == list(scanned.per_subset), members
+        assert walk_counts.get("exact", 0) <= scan_counts.get("exact", 0), members
+        assert sum(walk_counts.get(k, 0) for k in ("modp", "exact", "inferred")) == \
+            sum(scan_counts.get(k, 0) for k in ("modp", "exact")), members
+        assert "inferred" not in scan_counts
         if whole_lattice:
             assert len(scan_memo) == 2 ** fam.q - 1
             assert {s for _, s in walk_memo} == walk_visits(scan_memo)
@@ -240,6 +250,65 @@ def test_walk_matches_scan_on_two_lines(members):
     check_small_family(3, ("x1*x2",), members)
 
 
+def padded(form, nvars):
+    """`form` in the last variables of an nvars-variable ring."""
+    shift = (0,) * (nvars - form.nvars)
+    return HomoPoly(nvars, {shift + m: c for m, c in form.terms.items()})
+
+
+@st.composite
+def coincident_families(draw):
+    """2 to 7 members with forced coincidences on P^2, P^3 or the reducible
+    V(x0*x1, x0*x2): a multiple of an earlier member, a form without x0
+    (through the point (1:0:..:0)), a form in the last two variables (through
+    a common line of P^3, or the point (1:0:0) of P^2), or a random form."""
+    nvars, variety = draw(st.sampled_from(((3, ()), (4, ()), (4, ("x0*x1", "x0*x2")))))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    members = []
+    for kind in draw(st.lists(st.sampled_from(("repeat", "point", "line", "free")),
+                              min_size=2, max_size=7)):
+        degree = rng.randint(1, 2)
+        if kind == "repeat" and members:
+            members.append(rng.choice(members) * rng.choice((-2, 1, 3)))
+        elif kind in ("point", "line"):
+            width = nvars - 1 if kind == "point" else 2
+            members.append(padded(random_form(rng, width, degree), nvars))
+        else:
+            members.append(random_form(rng, nvars, degree))
+    return nvars, variety, members
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(coincident_families())
+def test_walk_matches_scan_on_coincident_families(case):
+    check_small_family(*case)
+
+
+def test_cache_filled_by_the_scan_reads_the_same_bytes(tmp_path, capsys):
+    # a cache holding a record for every subset the scan asked, at every
+    # level; the walk settles some of them instead of reading them
+    v, fam = family_of(3, ("x0", "x1", "x0 + x1", "x2", "x0 + x2", "x1 + 2*x2", "x0 - x1"))
+    cache = tmp_path / "cache"
+    groebner.set_cache_dir(str(cache))
+    scan_distributive_constant(v, fresh(fam))
+    groebner.close_cache()
+    groebner.set_cache_dir(None)
+    scanned = len(cache_rows(cache))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"ambient": 2, "variety": [],
+                                "family": [poly_to_json(m) for m in fam.members]}))
+    for argv in (["delta", "--table"], ["classify"]):
+        argv += ["--config", str(path)]
+        assert cli.main(argv + ["--no-cache"]) == 0
+        expected = capsys.readouterr().out
+        DIMENSION_COUNTS.clear()
+        assert cli.main(argv + ["--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == expected
+        assert set(DIMENSION_COUNTS) == {"cached", "inferred"}
+        assert DIMENSION_COUNTS["cached"] < scanned
+        assert len(cache_rows(cache)) == scanned
+
+
 # ---------------------------------------------------------------------------
 # what the walk visits
 
@@ -278,17 +347,17 @@ def test_thirty_plane_quadrics_within_default_budget(tmp_path, capsys):
 
 
 def test_budget_refuses_a_level_before_its_first_query(monkeypatch):
-    # the coordinate lines of P^2 visit 3 lines, 3 points, then 1 void triple
+    # the coordinate lines of P^2 visit 3 lines, 3 points, then 1 void
+    # triple; levels 2 and 3 are counted before the triple is asked
     v, fam = family_of(3, ("x0", "x1", "x2"))
     monkeypatch.setattr(position, "MAX_WALK_SUBSETS", 6)
     walk = position._nonvoid_subsets(v, fam)
-    assert [combo for combo, _ in (next(walk) for _ in range(6))] == \
-        [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    assert [combo for combo, _ in (next(walk) for _ in range(3))] == [(0,), (1,), (2,)]
     DIMENSION_COUNTS.clear()
-    with pytest.raises(SubsetCapExceeded):
+    with pytest.raises(SubsetCapExceeded, match="by size 3"):
         next(walk)
     assert DIMENSION_COUNTS == {}
-    assert len(fam._memo) == 6
+    assert len(fam._memo) == 3
     # one more visit in the budget and the triple is queried
     monkeypatch.setattr(position, "MAX_WALK_SUBSETS", 7)
     assert distributive_constant(v, fam).delta == 1
