@@ -38,7 +38,6 @@ import hashlib
 import heapq
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -77,28 +76,17 @@ def dim_at_most(dim, bound) -> bool:
 # ---------------------------------------------------------------------------
 # monomial orders
 
-@dataclass(frozen=True, slots=True)
-class MonomialOrder:
-    """Total multiplicative monomial order; larger key means larger monomial."""
+class MonomialOrder(NamedTuple):
+    """Total multiplicative monomial order; larger key means larger monomial.
 
-    kind: str
+    `weights` None is grevlex; a weight vector, which `weighted_order`
+    validates, ranks by weight first and breaks ties by grevlex.
+    """
+
     weights: Optional[tuple] = None
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "weighted"):
-            raise DomainError(f"unknown monomial order kind {self.kind!r}")
-        if self.kind == "weighted":
-            if self.weights is None:
-                raise DomainError("weighted order needs a weight vector")
-            weights = tuple(Fraction(w) for w in self.weights)
-            if any(w < 0 for w in weights):
-                raise DomainError("weights must be non-negative")
-            object.__setattr__(self, "weights", weights)
-        elif self.weights is not None:
-            raise DomainError(f"{self.kind} order takes no weights")
-
     def key(self, mono):
-        if self.kind == "grevlex":
+        if self.weights is None:
             return grevlex_key(mono)
         if len(mono) != len(self.weights):
             raise MixedAmbient(
@@ -107,11 +95,14 @@ class MonomialOrder:
         return (wdeg, grevlex_key(mono))
 
 
-GREVLEX = MonomialOrder("grevlex")
+GREVLEX = MonomialOrder()
 
 
 def weighted_order(weights) -> MonomialOrder:
-    return MonomialOrder("weighted", weights)
+    weights = tuple(Fraction(w) for w in weights)
+    if any(w < 0 for w in weights):
+        raise DomainError("weights must be non-negative")
+    return MonomialOrder(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -345,29 +336,16 @@ def _buchberger(polys, packing, p, stop=-1):
 # ---------------------------------------------------------------------------
 # Groebner bases
 
-@dataclass(frozen=True, slots=True)
-class GroebnerBasis:
-    """Reduced basis plus its order; immutable, safe to share across threads."""
+class GroebnerBasis(NamedTuple):
+    """Reduced basis plus its order; immutable, safe to share across threads.
+    Only `groebner_basis` makes one."""
 
     generators: tuple
     order: MonomialOrder
     num_vars: int
-    leading_monomials: tuple = field(init=False, repr=False, compare=False)
+    leading_monomials: tuple
     # (leads, tails) of the packed monic generators, as `_reduce` takes them
-    _reducers: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        for g in gens:
-            if g.nvars != self.num_vars:
-                raise MixedAmbient(f"generator in {g.nvars} variables, ambient has {self.num_vars}")
-        mults, _ = _packing(self.order, self.num_vars)
-        elements = [_monic(_pack_poly(g.terms, mults, RATIONALS), RATIONALS) for g in gens]
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "leading_monomials",
-                           tuple(_unpack(lead, self.num_vars) for lead, _ in elements))
-        object.__setattr__(self, "_reducers", (tuple(lead for lead, _ in elements),
-                                               tuple(tail for _, tail in elements)))
+    reducers: tuple
 
 
 def normal_form(p: HomoPoly, gb: GroebnerBasis) -> HomoPoly:
@@ -376,7 +354,7 @@ def normal_form(p: HomoPoly, gb: GroebnerBasis) -> HomoPoly:
     if p.is_zero or not gb.generators:
         return p
     mults, guard = _packing(gb.order, gb.num_vars)
-    leads, tails = gb._reducers
+    leads, tails = gb.reducers
     rest = _reduce(_pack_poly(p.terms, mults, RATIONALS), leads, tails, guard, RATIONALS)
     return HomoPoly._trusted(p.nvars, {_unpack(m, p.nvars): c for m, c in rest.items()})
 
@@ -409,13 +387,15 @@ def groebner_basis(gens: Sequence[HomoPoly], order: MonomialOrder,
     min_tails = [tails[i] for i in keep]
     # interreduce: no lead divides another or a term of its own element, so one
     # pass against the minimal elements leaves the reduced basis
-    monic = []
+    monic, reduced_tails = [], []
     for i in keep:
         terms = {lead_exps[i]: Fraction(1)}
         rest = _reduce({m: -neg for m, neg in tails[i]}, min_leads, min_tails, guard, RATIONALS)
         terms.update((_unpack(m, nv), c) for m, c in rest.items())
         monic.append(HomoPoly._trusted(nv, terms))
-    return GroebnerBasis(monic, order, nv)
+        reduced_tails.append(tuple((m, -c) for m, c in rest.items()))
+    return GroebnerBasis(tuple(monic), order, nv, tuple(lead_exps[i] for i in keep),
+                         (tuple(min_leads), tuple(reduced_tails)))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +506,7 @@ class IdealProfile(NamedTuple):
 
 
 def ideal_profile(gb: GroebnerBasis) -> IdealProfile:
-    dim = _dimension_of_leads(gb._reducers[0], gb.num_vars)
+    dim = _dimension_of_leads(gb.reducers[0], gb.num_vars)
     if dim is EMPTY:
         return IdealProfile(EMPTY, None)
     # the numerator is (1 - t)^codim Q(t) with Q(1) the degree, so the

@@ -9,7 +9,6 @@ one, so the normalized norm is the plain absolute value at each place.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product as iter_product
@@ -17,9 +16,9 @@ from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .polyring import DimensionMismatch, HomoPoly, ZeroPolynomial, check_degree
+from .polyring import (DimensionMismatch, HomoPoly, PowerBudgetExceeded, ZeroPolynomial,
+                       check_degree, check_power_bound)
 from .position import HypersurfaceFamily, Variety
-from .replace import PowerBudgetExceeded, check_power_bound
 
 
 class ZeroInput(DomainError):
@@ -141,18 +140,15 @@ def _exact_root(n: int, k: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # places and absolute values
 
-@dataclass(frozen=True, slots=True)
-class Place:
-    """A place of the rationals: the archimedean one or a prime."""
+class Place(NamedTuple):
+    """A place of the rationals: the archimedean one (prime None) or a prime."""
 
     prime: Optional[int] = None
 
-    def __post_init__(self):
-        if self.prime is not None and not _is_prime(self.prime):
-            raise DomainError(f"finite places need a prime, got {self.prime}")
-
     @classmethod
     def finite(cls, p: int) -> "Place":
+        if not _is_prime(p):
+            raise DomainError(f"finite places need a prime, got {p}")
         return cls(p)
 
     @property
@@ -211,15 +207,19 @@ def product_formula_check(x) -> ProductFormulaResult:
 # ---------------------------------------------------------------------------
 # points and log values
 
-@dataclass(frozen=True, slots=True)
+def _refuse_change(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 class RationalPoint:
     """Projective point with coprime integer coordinates, first nonzero positive."""
 
-    coords: tuple
+    __slots__ = ("coords",)
+    __setattr__ = __delattr__ = _refuse_change
 
-    def __post_init__(self):
+    def __init__(self, coords):
         raw = []
-        for c in self.coords:
+        for c in coords:
             if type(c) is int:
                 raw.append(c)
                 continue
@@ -234,6 +234,14 @@ class RationalPoint:
         if lead < 0:
             g = -g
         object.__setattr__(self, "coords", tuple(c // g for c in raw))
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalPoint):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
 
     @property
     def ambient(self) -> int:
@@ -283,23 +291,23 @@ def _log_sign(a: Fraction, m: int, b: Fraction, k: int) -> int:
         digits *= 2
 
 
-@dataclass(frozen=True, slots=True)
 class LogRational:
     """log(argument)/root held exactly; the log itself is taken only on render.
 
     Equal values can be held differently, as log(4)/2 and log(2) are.
     """
 
-    argument: Fraction
-    root: int = 1
+    __slots__ = ("argument", "root")
+    __setattr__ = __delattr__ = _refuse_change
 
-    def __post_init__(self):
-        argument = Fraction(self.argument)
+    def __init__(self, argument, root: int = 1):
+        argument = Fraction(argument)
         if argument <= 0:
             raise DomainError(f"log argument must be positive, got {argument}")
-        if self.root < 1:
-            raise DomainError(f"root must be a positive integer, got {self.root}")
+        if root < 1:
+            raise DomainError(f"root must be a positive integer, got {root}")
         object.__setattr__(self, "argument", argument)
+        object.__setattr__(self, "root", root)
 
     @classmethod
     def _trusted(cls, argument: Fraction, root: int) -> "LogRational":

@@ -94,6 +94,30 @@ def _check_terms(count, what="polynomial"):
         raise TermBudgetExceeded(count, what)
 
 
+# Most bits of an integer power that `ineq` prints or a log argument is lifted
+# to (`replace`, `heights`): an integer of at most 14284 bits has at most 4300
+# decimal digits, the most that int -> str accepts.
+MAX_POWER_BITS = 14284
+
+
+class PowerBudgetExceeded(DomainError):
+    code = "PowerBudgetExceeded"
+
+
+def _power_bits(pairs):
+    """Upper bound on the bit length of prod(x ** e) for the (int x >= 1, e) pairs."""
+    return sum(e * (x - 1).bit_length() for x, e in pairs) + 1
+
+
+def check_power_bound(what, *sides):
+    """Refuse, before they are formed, the products of powers over each side's
+    (x, e) pairs when the widest bound `_power_bits` puts on them passes 16
+    times the budget."""
+    bits = max(_power_bits(side) for side in sides)
+    if bits > 16 * MAX_POWER_BITS:
+        raise PowerBudgetExceeded(f"{what} may need {bits} bits, far past the budget of {MAX_POWER_BITS}")
+
+
 # Most variables a ring may have, checked before anything of that length is
 # made.  `groebner._dimension_of_leads` skips the variables that a lead on one
 # variable forces, but an ideal with no such lead may make it test all 2^N

@@ -16,7 +16,6 @@ at most MAX_WALK_SUBSETS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -24,8 +23,8 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .groebner import (DIMENSION_COUNTS, EMPTY, GREVLEX, GroebnerBasis, dim_at_most,
-                       groebner_basis, ideal_profile, normal_form, projective_dimensions)
+from .groebner import (DIMENSION_COUNTS, EMPTY, GREVLEX, dim_at_most, groebner_basis,
+                       ideal_profile, normal_form, projective_dimensions)
 from .polyring import (ConstantMember, EmptyInput, HomoPoly, int_from_json, lcm_degree,
                        polys_from_json)
 
@@ -68,17 +67,20 @@ MAX_WALK_SUBSETS = 2 ** 14 - 1
 # ---------------------------------------------------------------------------
 # configuration types
 
-# Identity equality and hashing: `_subset_dims` keys its memo on the variety,
-# and value equality would hash every generator on every lookup.
-@dataclass(eq=False, slots=True)
+# Plain slotted classes with identity equality and hashing: `_subset_dims`
+# keys its memo on the variety, and value equality would hash every generator
+# on every lookup.
 class Variety:
     """Projective variety V with cached basis, dimension n and degree."""
 
-    generators: tuple
-    gb: GroebnerBasis = field(repr=False)
-    dim_n: int
-    degree_delta: int
-    num_vars: int
+    __slots__ = ("generators", "gb", "dim_n", "degree_delta", "num_vars")
+
+    def __init__(self, generators, gb, dim_n, degree_delta, num_vars):
+        self.generators = generators
+        self.gb = gb
+        self.dim_n = dim_n
+        self.degree_delta = degree_delta
+        self.num_vars = num_vars
 
     @property
     def ambient(self):
@@ -95,14 +97,16 @@ def build_variety(gens: Sequence[HomoPoly], num_vars: Optional[int] = None) -> V
     return Variety(gb.generators, gb, prof.projective_dimension, prof.degree, gb.num_vars)
 
 
-@dataclass(eq=False, slots=True)
 class HypersurfaceFamily:
     """Hypersurfaces Q_1..Q_q, none vanishing identically on the variety."""
 
-    members: tuple
-    degrees: tuple
-    lcm_d: int
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("members", "degrees", "lcm_d", "_memo")
+
+    def __init__(self, members, degrees, lcm_d):
+        self.members = members
+        self.degrees = degrees
+        self.lcm_d = lcm_d
+        self._memo = {}
 
     @property
     def q(self):
@@ -170,9 +174,10 @@ def _lower_bound(floor, parents):
     return lower if lower >= 0 else None
 
 
-def meet_dimension(v: Variety, polys: Sequence[HomoPoly], parents=()):
-    """Projective dimension of V cut by `polys`, or EMPTY: a batch of one."""
-    return next(meet_dimensions(v, [(polys, parents)]))
+def meet_dimension(v: Variety, polys: Sequence[HomoPoly]):
+    """Projective dimension of V cut by `polys`, or EMPTY: a batch of one with
+    no parents."""
+    return next(meet_dimensions(v, [(polys, ())]))
 
 
 def _subset_dims(v, fam, subsets, deferred=False):

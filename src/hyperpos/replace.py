@@ -19,7 +19,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 from .groebner import dim_at_most
-from .polyring import DimensionMismatch, poly_combine
+from .polyring import (MAX_POWER_BITS, DimensionMismatch, PowerBudgetExceeded, check_power_bound,
+                       poly_combine)
 from .position import DimensionProfile, HypersurfaceFamily, Variety, meet_dimension, meet_dimensions
 
 
@@ -74,29 +75,6 @@ def exponent_schedule(t_values: Sequence[int]) -> ExponentSchedule:
     for u in range(n - 1, -1, -1):
         m[u] = t[u + 1] - t[u] + max(Fraction(0), m[u + 1] - delta)
     return ExponentSchedule(t, delta, tuple(m), max_index)
-
-
-# an integer of at most 14284 bits has at most 4300 decimal digits, the most
-# that int -> str accepts
-MAX_POWER_BITS = 14284
-
-
-class PowerBudgetExceeded(DomainError):
-    code = "PowerBudgetExceeded"
-
-
-def _power_bits(pairs):
-    """Upper bound on the bit length of prod(x ** e) for the (int x >= 1, e) pairs."""
-    return sum(e * (x - 1).bit_length() for x, e in pairs) + 1
-
-
-def check_power_bound(what, *sides):
-    """Refuse, before they are formed, the products of powers over each side's
-    (x, e) pairs when the widest bound `_power_bits` puts on them passes 16
-    times the budget."""
-    bits = max(_power_bits(side) for side in sides)
-    if bits > 16 * MAX_POWER_BITS:
-        raise PowerBudgetExceeded(f"{what} may need {bits} bits, far past the budget of {MAX_POWER_BITS}")
 
 
 class PowerInequalityResult(NamedTuple):
@@ -156,8 +134,7 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily,
     width = profile.l_value + 1
     rows = [tuple(Fraction(1 if j == 0 else 0) for j in range(width))]
     replacements = [ordered[0]]
-    prefix_dim = meet_dimension(v, replacements)
-    if not dim_at_most(prefix_dim, n - 1):
+    if not dim_at_most(meet_dimension(v, replacements), n - 1):
         raise SearchExhausted("leading member does not cut the variety; profile is stale")
     for u in range(1, n + 1):
         t_u = profile.t_values[u]
@@ -169,13 +146,13 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily,
         for s in range(cap):
             # n - u - 1 is `meet_dimension`'s lower bound for u + 1 members, so
             # a dim_p at most n - u - 1 accepts in the mod-p pass, and any
-            # other candidate is judged over Q.  A combination that is zero
-            # or vanishes on V (only a stale profile gives one) leaves the
-            # prefix at n - u and is rejected.
+            # other candidate is judged over Q.  The prefix so far has
+            # dimension exactly n - u, so it gives no tighter bound.  A
+            # combination that is zero or vanishes on V (only a stale profile
+            # gives one) leaves the prefix at n - u and is rejected.
             cand = tuple(s ** (t_u - i) for i in range(t_u + 1))
             combined = poly_combine(cand, ordered[:t_u + 1])
-            dim = meet_dimension(v, replacements + [combined], (prefix_dim,))
-            if dim_at_most(dim, n - u - 1):
+            if dim_at_most(meet_dimension(v, replacements + [combined]), n - u - 1):
                 break
         else:
             # one of the cap points is accepted whenever the profile is that
@@ -184,7 +161,6 @@ def build_replacement(v: Variety, fam: HypersurfaceFamily,
                 f"no admissible combination at step {u} among {cap} points of the moment curve")
         replacements.append(combined)
         rows.append(tuple(Fraction(c) for c in cand) + (Fraction(0),) * (width - len(cand)))
-        prefix_dim = dim
     return ReplacementSystem(tuple(replacements), tuple(rows), profile, fam)
 
 

@@ -49,15 +49,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from hyperpos import groebner, heights
 from hyperpos.errors import DomainError
-from hyperpos.groebner import GroebnerBasis
 from hyperpos.heights import (INFINITE, LogRational, MarginReport, PointNotOnVariety,
                               PointOnHypersurface, ZeroInput, _coefficient_places,
                               default_places)
-from hyperpos.polyring import DimensionMismatch, HomoPoly, ZeroPolynomial, mono_divides, mono_mul
-from hyperpos.replace import PowerBudgetExceeded
+from hyperpos.polyring import (DimensionMismatch, HomoPoly, PowerBudgetExceeded, ZeroPolynomial,
+                               mono_divides, mono_mul)
 
 
 def mono_div(b, a):
@@ -127,10 +127,17 @@ def s_terms(red_f, red_g, big):
     return out
 
 
+class TupleBasis(NamedTuple):
+    """The monic reduced basis, ascending, and the leading monomial of each element."""
+
+    generators: tuple
+    leading_monomials: tuple
+
+
 def tuple_groebner_basis(gens, order, num_vars=None):
     """Reduced Groebner basis of <gens> over Q, by the loop on exponent tuples.
 
-    Returns the GroebnerBasis and the Counter of its pair outcomes.
+    Returns the TupleBasis and the Counter of its pair outcomes.
     """
     nv = groebner._ring_size(gens, num_vars)
     basis = [g.content_free() for g in gens if not g.is_zero]
@@ -186,7 +193,7 @@ def tuple_groebner_basis(gens, order, num_vars=None):
         minimal[idx] = HomoPoly._trusted(nv, reduce_terms(minimal[idx].terms, others, order))
     monic = [g.scale(1 / g.terms[leading_monomial(g, order)]) for g in minimal]
     monic.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    return GroebnerBasis(monic, order, nv), counts
+    return TupleBasis(tuple(monic), tuple(leading_monomial(g, order) for g in monic)), counts
 
 
 FIELD_BITS = 16

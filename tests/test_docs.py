@@ -43,7 +43,7 @@ def test_every_budget_documented_with_its_value():
     section = readme_section("### Input limits")
     budgets = list(module_budgets())
     assert ("position", "MAX_WALK_SUBSETS") in budgets
-    assert ("replace", "MAX_POWER_BITS") in budgets
+    assert ("polyring", "MAX_POWER_BITS") in budgets
     for module, name in budgets:
         found = re.findall(rf"`{module}\.{name}`\s+\((\d+)", section)
         assert found, f"{module}.{name} is not named in README Input limits"

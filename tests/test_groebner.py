@@ -23,13 +23,11 @@ from oracles import cache_key as key_oracle
 from oracles import dimension_of_leads, reduce_terms, tuple_groebner_basis
 
 from hyperpos import groebner
-from hyperpos.errors import DomainError
 from hyperpos.groebner import (
     DIMENSION_COUNTS,
     EMPTY,
     GREVLEX,
     PAIR_COUNTS,
-    GroebnerBasis,
     MixedAmbient,
     MonomialBudgetExceeded,
     MonomialOrder,
@@ -61,10 +59,6 @@ class TestOrders:
         assert leading_monomial(P("x0 + x1", 2), lex(2)) == (1, 0)
         assert leading_monomial(P(CONIC, 3), lex(3)) == (1, 0, 1)
 
-    def test_lex_kind_refused(self):
-        with pytest.raises(DomainError, match="unknown monomial order kind 'lex'"):
-            MonomialOrder("lex")
-
     def test_weighted_picks_heavy_variable(self):
         p = P("x0*x1 + x1^2", 2)
         assert leading_monomial(p, weighted_order([1, 0])) == (1, 1)
@@ -87,6 +81,43 @@ class TestOrders:
     def test_negative_weight_rejected(self):
         with pytest.raises(Exception):
             weighted_order([1, -1])
+
+
+class TestRecords:
+    """Orders and bases are values: equal ones compare and hash alike, and
+    no field takes an assignment."""
+
+    def test_orders_are_values(self):
+        a, b = weighted_order([1, 2]), weighted_order((Fraction(1), Fraction(4, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert MonomialOrder() == GREVLEX and hash(MonomialOrder()) == hash(GREVLEX)
+        assert a != GREVLEX and a != weighted_order([2, 1])
+        with pytest.raises(AttributeError):
+            GREVLEX.weights = (1, 1)
+        with pytest.raises(AttributeError):
+            a.weights = None
+
+    def test_bases_are_values(self):
+        gens = parse_many([CONIC, "x0^2 - x1*x2", "x0*x1 - x2^2"], 3)
+        a, b = groebner_basis(gens, GREVLEX), groebner_basis(gens[::-1], GREVLEX)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != groebner_basis(gens, lex(3))
+        assert a != groebner_basis(gens[:2], GREVLEX)
+        for name in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+
+    def test_reducers_are_the_packed_monic_generators(self):
+        gens = parse_many([CONIC, "x0^2 - x1*x2"], 3)
+        for order in (GREVLEX, lex(3), weighted_order([1, 3, 2])):
+            gb = groebner_basis(gens, order)
+            mults, _ = groebner._packing(order, 3)
+            leads, tails = gb.reducers
+            assert len(leads) == len(tails) == len(gb.generators)
+            for g, lm, lead, tail in zip(gb.generators, gb.leading_monomials, leads, tails):
+                assert g.terms[lm] == 1 and groebner._pack(lm, mults) == lead
+                assert dict(tail) == {groebner._pack(m, mults): -c
+                                      for m, c in g.terms.items() if m != lm}
 
 
 class TestBasis:
@@ -208,7 +239,7 @@ class TestProfile:
 
     def test_unit_like_ideal(self):
         # constant in the ideal: cone collapses entirely
-        gb = GroebnerBasis([P("1", 2)], GREVLEX, 2)
+        gb = groebner_basis([P("1", 2)], GREVLEX)
         assert ideal_profile(gb).projective_dimension is EMPTY
 
     def test_twisted_cubic_degree(self):
@@ -362,7 +393,7 @@ class TestHilbert:
     @example((4, [(2, 0, 0, 0), (0, 0, 3, 0)]))        # pure powers, a line of degree 6
     def test_numerator_matches_the_walk(self, case):
         nvars, monos = case
-        _matches_oracles(GroebnerBasis([HomoPoly(nvars, {m: 1}) for m in monos], GREVLEX, nvars))
+        _matches_oracles(groebner_basis([HomoPoly(nvars, {m: 1}) for m in monos], GREVLEX, nvars))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(small_ideals())

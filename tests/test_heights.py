@@ -13,10 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hyperpos import groebner
+from hyperpos import groebner, polyring
 from hyperpos.errors import DomainError
 import hyperpos.heights as heights
-import hyperpos.replace as replace
 from hyperpos.heights import (
     INFINITE,
     MAX_PRIME_TEST,
@@ -43,10 +42,9 @@ from hyperpos.heights import (
     weil_function,
     weil_support,
 )
-from hyperpos.polyring import (DegreeBudgetExceeded, DimensionMismatch, ZeroPolynomial, HomoPoly,
-                               parse_poly)
+from hyperpos.polyring import (MAX_POWER_BITS, DegreeBudgetExceeded, DimensionMismatch,
+                               PowerBudgetExceeded, ZeroPolynomial, HomoPoly, parse_poly)
 from hyperpos.position import build_family, build_variety
-from hyperpos.replace import MAX_POWER_BITS, PowerBudgetExceeded
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +68,27 @@ class TestPlaces:
         assert Place.finite(5) != INFINITE
         assert len({INFINITE, Place.finite(2), Place.finite(2)}) == 2
 
+    def test_values_hashes_and_repr(self):
+        assert hash(Place.finite(5)) == hash(Place.finite(5)) and Place() == INFINITE
+        assert repr(INFINITE) == "Place(oo)" and repr(Place.finite(7)) == "Place(7)"
+        with pytest.raises(DomainError, match="finite places need a prime, got 4"):
+            Place.finite(4)
+        with pytest.raises(AttributeError):
+            INFINITE.prime = 2
+
     def test_default_set(self):
         places = default_places()
         assert places[0] is INFINITE
         assert [p.prime for p in places[1:]] == [2, 3, 5, 7, 11, 13]
+
+
+def test_varieties_and_families_compare_by_identity():
+    # the subset memo keys on the variety: equal generators make distinct varieties
+    gens = [parse_poly("x0*x2 - x1^2", 3)]
+    v, w = build_variety(gens), build_variety(gens)
+    assert v != w and v == v and len({v, w}) == 2
+    members = [parse_poly(t, 3) for t in ("x0", "x1")]
+    assert build_family(v, members) != build_family(v, members)
 
 
 class TestNormalizedAbs:
@@ -239,6 +254,21 @@ class TestRationalPoint:
         assert RationalPoint((3, 6)) == RationalPoint((1, 2))
         assert repr(RationalPoint((1, 2, 3))) == "(1:2:3)"
 
+    def test_hash_follows_equality(self):
+        assert hash(RationalPoint((3, 6))) == hash(RationalPoint((-1, -2)))
+        assert len({RationalPoint((3, 6)), RationalPoint((1, 2)), RationalPoint((2, 1))}) == 2
+        assert RationalPoint((1, 2)) != (1, 2)
+
+    def test_immutable(self):
+        x = RationalPoint((1, 2))
+        with pytest.raises(AttributeError):
+            x.coords = (2, 4)
+        with pytest.raises(AttributeError):
+            del x.coords
+        with pytest.raises(AttributeError):
+            x.ambient = 3
+        assert x.coords == (1, 2)
+
 
 class TestLogRational:
     def test_render(self):
@@ -266,6 +296,12 @@ class TestLogRational:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             LogRational(2).argument = F(3)
+        for lr in (LogRational(2, 3), LogRational._trusted(F(2), 3)):
+            with pytest.raises(AttributeError):
+                lr.root = 1
+            with pytest.raises(AttributeError):
+                del lr.argument
+            assert (lr.argument, lr.root) == (2, 3)
 
     def test_hash_agrees_with_cross_root_equality(self):
         assert len({LogRational(4, 2), LogRational(2)}) == 1
@@ -297,7 +333,7 @@ class TestLogRational:
 
     def test_logarithms_order_as_the_lifted_arguments(self, monkeypatch):
         # with no power budget every pair is compared by logarithms
-        monkeypatch.setattr(replace, "MAX_POWER_BITS", 0)
+        monkeypatch.setattr(polyring, "MAX_POWER_BITS", 0)
         values = [LogRational(a, r) for a in self.ARGS for r in (1, 2, 5, 77)]
         for x, y in product(values, repeat=2):
             lift = math.lcm(x.root, y.root)

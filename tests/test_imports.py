@@ -35,7 +35,9 @@ slot, by attribute or by `getattr` and its kin.  (`polyring` only declares
 The package also loads `sqlite3` only when a command uses the disk cache,
 and only `groebner` imports `sqlite3` or names the cache session
 (`_CacheSession`, `_session`), so single and batched reads stay in one module.
-A `replace` run never loads `random`: its search draws nothing.
+A `replace` run never loads `random`: its search draws nothing.  Importing
+`hyperpos.cli` loads none of `inspect`, `dataclasses`, `ast`, `dis`, `random`,
+`pathlib` or `sqlite3`, since a CLI call is mostly start-up.
 
 No float decides a margin: `heights.theorem15_margin`, `summarize_margins`,
 `LogRational` and every helper they run (the integer evaluator
@@ -375,8 +377,8 @@ def float_uses(source, scopes):
 MARGIN_SCOPES = {
     "heights": {"theorem15_margin", "summarize_margins", "LogRational", "_strip", "_s_norm",
                 "height_poly", "_log_sign", "_ln", "_exact_root", "_power"},
-    "polyring": {"HomoPoly.integer_value", "HomoPoly.content_free", "HomoPoly._primitive_form"},
-    "replace": {"check_power_bound", "_power_bits"},
+    "polyring": {"HomoPoly.integer_value", "HomoPoly.content_free", "HomoPoly._primitive_form",
+                 "check_power_bound", "_power_bits"},
 }
 
 
@@ -537,3 +539,19 @@ def test_random_not_loaded_by_replace(tmp_path, cache_flag):
     if cache_flag == "--cache-dir":
         argv.append(str(tmp_path / "cache"))
     assert not loaded_after_run(tmp_path, argv, "random", "-S")
+
+
+# modules that `import hyperpos.cli` leaves unloaded: each costs start-up time,
+# and none is needed to answer a command
+UNLOADED_AT_IMPORT = ("inspect", "dataclasses", "ast", "dis", "random", "pathlib", "sqlite3")
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # -S leaves out what the interpreter's site packages import at start-up
+    script = ("import sys\n"
+              "import hyperpos.cli\n"
+              f"sys.stdout.write(repr([m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules]))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]"
