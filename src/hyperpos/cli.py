@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, groebner
 from .errors import DomainError
@@ -431,12 +432,55 @@ class NumberTooLarge(DomainError):
 
 
 def _json_value(x):
-    """`json.dumps` hook: a Fraction prints as "a/b", the empty dimension as "EMPTY"."""
+    """The encoder's hook: a Fraction prints as "a/b", the empty dimension as "EMPTY"."""
     if isinstance(x, Fraction):
         return rat_to_str(x)
     if x is EMPTY:
         return "EMPTY"
     raise TypeError(f"{type(x).__name__} {x!r} has no JSON form")
+
+
+_INF = float("inf")
+
+
+def _encode(x, indent, out):
+    """Append to `out`, and return it, the text of `x` at the line start
+    `indent`, as `json.dumps(x, indent=2, sort_keys=True, default=_json_value)`
+    writes it: the same type tests in the same order, so bool goes before int,
+    and a float's NaN and infinities print as NaN and (-)Infinity."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        # refuses a number past sys.get_int_max_str_digits() with ValueError
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append("NaN" if x != x else "Infinity" if x == _INF else "-Infinity" if x == -_INF
+                   else float.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        inner = indent + "  "
+        out.append("[")
+        for item in x:
+            out.append(inner)
+            _encode(item, inner, out)
+            out.append(",")
+        out[-1] = indent + "]" if x else "[]"
+    elif isinstance(x, dict):
+        inner = indent + "  "
+        out.append("{")
+        for key in sorted(x):  # every payload's keys are str
+            out.append(f"{inner}{encode_basestring_ascii(key)}: ")
+            _encode(x[key], inner, out)
+            out.append(",")
+        out[-1] = indent + "}" if x else "{}"
+    else:
+        _encode(_json_value(x), indent, out)
+    return out
 
 
 def _render(args, started, digest, payload):
@@ -455,8 +499,7 @@ def _render(args, started, digest, payload):
     if getattr(args, "timing", False):
         report["timing_ms_approx"] = round((time.perf_counter() - started) * 1000, 3)
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, default=_json_value,
-                          check_circular=False)
+        text = "".join(_encode(report, "\n", []))
     except ValueError:
         # int -> str refuses a number longer than sys.get_int_max_str_digits()
         raise NumberTooLarge(

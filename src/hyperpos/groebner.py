@@ -27,8 +27,9 @@ modulus and kept on it beside its cache-key digest (`_member_terms`).
 The on-disk cache is one SQLite table per cache directory.  It holds settled
 dimensions, one row per versioned key.  `projective_dimensions` hashes each
 key of a batch, such as a walk level, once and reads the batch's rows in one
-statement per _PREFETCH_CHUNK keys.  Stores are held in memory and written by
-`close_cache` in one transaction.  Reduced bases are never cached.
+statement per _PREFETCH_CHUNK keys; a family's walk summary is one more row
+(`summary_key`).  Stores are held in memory and written by `close_cache` in
+one transaction.  Reduced bases are never cached.
 """
 
 from __future__ import annotations
@@ -784,6 +785,35 @@ def cache_key(gens: Sequence[HomoPoly], num_vars: int) -> str:
     # read per call: CACHE_FORMAT and __version__ may be rebound
     head = f"{CACHE_FORMAT}\n{__version__}\n{num_vars}\n".encode()
     return hashlib.sha256(head + b"".join(sorted(map(_key_digest, gens)))).hexdigest()
+
+
+def summary_key(generators: Sequence[HomoPoly], members: Sequence[HomoPoly], num_vars: int,
+                budget: int) -> str:
+    """SHA-256 key of the walk summary of `members` on V(`generators`): the
+    lines "walk-summary", CACHE_FORMAT, __version__, num_vars, the walk's
+    budget and len(generators), then the generators' digests sorted and the
+    members' in family order, as a witness names members by their place."""
+    head = (f"walk-summary\n{CACHE_FORMAT}\n{__version__}\n{num_vars}\n{budget}\n"
+            f"{len(generators)}\n").encode()
+    return hashlib.sha256(head + b"".join(sorted(map(_key_digest, generators)))
+                          + b"".join(map(_key_digest, members))).hexdigest()
+
+
+def read_summary(generators, members, num_vars, budget):
+    """(key, stored value or None) of a walk summary, read in one statement;
+    (None, None) with the cache off."""
+    if _CACHE_DIR is None:
+        return None, None
+    key = summary_key(generators, members, num_vars, budget)
+    session = _cache_session()
+    session.prefetch([key])
+    return key, session.fetch(key)
+
+
+def store_summary(key, text):
+    """Hold a walk summary's text under `key` for the invocation's one write."""
+    if _CACHE_DIR is not None:
+        _cache_session().stored[key] = text
 
 
 def _cache_fetch(key):

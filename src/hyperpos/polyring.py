@@ -417,7 +417,11 @@ class HomoPoly:
 # factor  := var ('^' uint)?
 # var     := 'x' uint
 # coeff   := int ('/' uint)?
+# uint    := ASCII digits 0-9, one or more; int is a uint with an optional sign
 # whitespace ignored
+
+_DIGITS = frozenset("0123456789")
+
 
 class _Scanner:
     __slots__ = ("text", "pos")
@@ -442,7 +446,7 @@ class _Scanner:
 
     def digits(self, what):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise PolySyntaxError(start, what)
@@ -479,12 +483,12 @@ def _parse_term(sc: _Scanner, num_vars):
             sc.take()
             _parse_factor(sc, num_vars, exp)
         return Fraction(1), tuple(exp)
-    if ch.isdigit() or ch in ("+", "-"):
+    if ch in _DIGITS or ch in ("+", "-"):
         sign = 1
         if ch in ("+", "-"):
             pos = sc.pos
             sign = -1 if sc.take() == "-" else 1
-            if not sc.peek().isdigit():
+            if sc.peek() not in _DIGITS:
                 raise PolySyntaxError(pos, "digits after sign")
         num = sc.digits("integer coefficient")
         coef = Fraction(sign * num)

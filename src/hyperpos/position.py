@@ -5,13 +5,20 @@ reduce to projective dimensions of subset intersections.  `meet_dimensions`
 answers a batch of them, for the replacement search and `weights` too, with
 V's generators and the proven lower bounds that let the mod-p pass settle
 each answer, always the answer over Q.  Subset dimensions are memoized per
-family.  `delta` and `classify` share one walk over the non-void subsets,
+family.  `delta` and `classify` read one walk summary (`walk_summary`): for
+each size m with a non-void subset, D(m), the largest dimension of an
+m-subset, and W(m), the lexicographically least m-subset of that dimension.
+Delta is max_m m/(n - D(m)) with witness W(m) for the least maximizing m, and
+the class reads l, kappa and the t-vector off D.  With a cache directory the
+summary is one record, read before any walk and stored after a walk that
+completed, so a warm `delta` or `classify` walks nothing; `delta --table`
+always walks.  The walk goes over the non-void subsets,
 which are down-closed: a set is visited only when its immediate subsets
 S - {i} are all non-void and memoized, each tightening the bound.  A level is
 one batch, but level n + 1 is asked right after level 1 and settles the
 levels between where it can.  A subset of full dimension n ends its level,
-and the next level scans every combination one at a time.  The walk visits
-at most MAX_WALK_SUBSETS.
+and the next level scans every combination one at a time; `delta` stops at
+it.  The walk visits at most MAX_WALK_SUBSETS.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .groebner import (DIMENSION_COUNTS, EMPTY, GREVLEX, dim_at_most, groebner_basis,
-                       ideal_profile, normal_form, projective_dimensions)
+                       ideal_profile, normal_form, projective_dimensions, read_summary,
+                       store_summary)
 from .polyring import (ConstantMember, EmptyInput, HomoPoly, int_from_json, lcm_degree,
                        polys_from_json)
 
@@ -211,13 +219,7 @@ def intersection_dimension(v: Variety, fam: HypersurfaceFamily, subset):
 
 
 # ---------------------------------------------------------------------------
-# distributive constant
-
-class DistributiveReport(NamedTuple):
-    delta: Fraction
-    witness: tuple
-    per_subset: Optional[dict]
-
+# the non-void subset walk
 
 def _nonvoid_subsets(v, fam):
     """Yield (combo, dim) for the non-void subsets, by size, then lexicographically.
@@ -295,35 +297,109 @@ def _settle_below_void_level(v, fam):
                 DIMENSION_COUNTS["inferred"] += 1
 
 
+# ---------------------------------------------------------------------------
+# the walk summary: delta and classify
+
+class WalkSummary(NamedTuple):
+    """D(m) = `max_dims[m - 1]`, the largest dimension of a non-void m-subset,
+    and W(m) = `witnesses[m - 1]`, the lexicographically least m-subset of
+    dimension D(m), for each size m = 1..l that has a non-void subset."""
+    max_dims: tuple
+    witnesses: tuple
+
+
+def walk_summary(v: Variety, fam: HypersurfaceFamily, bounded: bool = False,
+                 table: Optional[list] = None) -> WalkSummary:
+    """The family's summary: its cache record when one holds it, else one walk.
+
+    A completed walk stores the record.  With `bounded` the walk stops at its
+    first subset of dimension n, which is a singleton (its members each cut
+    V in dimension n), and the summary so far, with D(1) = n, is not stored.
+    A `table` list gets every (combo, dim) of the walk; the record is then
+    neither read nor written.
+    """
+    key = None
+    if table is None:
+        key, text = read_summary(v.generators, fam.members, v.num_vars, MAX_WALK_SUBSETS)
+        summary = _decode_summary(text, v.dim_n, fam.q)
+        if summary is not None:
+            return summary
+    dims, witnesses = [], []
+    for combo, dim in _nonvoid_subsets(v, fam):
+        if table is not None:
+            table.append((combo, dim))
+        if len(combo) > len(dims):
+            dims.append(dim)
+            witnesses.append(combo)
+        elif dim > dims[-1]:
+            dims[-1], witnesses[-1] = dim, combo
+        if bounded and dim == v.dim_n:
+            return WalkSummary(tuple(dims), tuple(witnesses))
+    summary = WalkSummary(tuple(dims), tuple(witnesses))
+    if key is not None:
+        store_summary(key, _encode_summary(summary))
+    return summary
+
+
+def _encode_summary(summary):
+    """The record's text: "D(m):W(m)" per size, sizes joined by ";"."""
+    return ";".join(f"{dim}:{','.join(map(str, combo))}"
+                    for dim, combo in zip(summary.max_dims, summary.witnesses))
+
+
+def _decode_summary(text, n, q):
+    """The summary of a record, or None when there is no record or it is not
+    one the walk could store for q members on a V of dimension n: the
+    canonical text of sizes 1..l <= q, D non-increasing in 0..n, each W(m) an
+    increasing m-tuple of indices below q."""
+    if type(text) is not str:
+        return None
+    try:
+        levels = [level.split(":") for level in text.split(";")]
+        dims = tuple(int(dim) for dim, _ in levels)
+        witnesses = tuple(tuple(map(int, combo.split(","))) for _, combo in levels)
+    except ValueError:
+        return None
+    summary = WalkSummary(dims, witnesses)
+    if (len(dims) > q or _encode_summary(summary) != text
+            or any(not 0 <= d <= n for d in dims)
+            or any(a < b for a, b in zip(dims, dims[1:]))
+            or any(len(combo) != m or list(combo) != sorted(set(combo))
+                   or not 0 <= combo[0] <= combo[-1] < q
+                   for m, combo in enumerate(witnesses, 1))):
+        return None
+    return summary
+
+
+class DistributiveReport(NamedTuple):
+    delta: Fraction
+    witness: tuple
+    per_subset: Optional[dict]
+
+
 def distributive_constant(v: Variety, fam: HypersurfaceFamily,
                           include_table: bool = False) -> DistributiveReport:
     """Exact distributive constant with a deterministic maximizing witness.
 
-    Void subsets carry dim = -infinity and are left out of the max; ties
-    go to the smallest subset, then the lexicographically least one.
+    Delta = max_m m/(n - D(m)) over the walk summary; the witness is W(m) for
+    the least m that attains it, the smallest, then lexicographically least,
+    maximizing subset.  `include_table` walks, for the ratio of every
+    non-void subset.
     """
     n = v.dim_n
-    best = None
-    witness = None
-    table = {} if include_table else None
-    for combo, dim in _nonvoid_subsets(v, fam):
-        drop = n - dim
-        if drop <= 0:
-            # a member vanishes on a whole component: Def 3.3's ratio
-            # has no finite value, so surface it instead of guessing
-            raise UnboundedRatio(
-                f"subset {combo} meets the variety in dimension {dim}, not below {n}")
-        ratio = Fraction(len(combo), drop)
-        if table is not None:
-            table[combo] = (len(combo), dim, ratio)
-        if best is None or ratio > best:
-            best = ratio
-            witness = combo
-    return DistributiveReport(best, witness, table)
+    table = [] if include_table else None
+    summary = walk_summary(v, fam, bounded=True, table=table)
+    if summary.max_dims[0] == n:
+        # a member vanishes on a whole component: Def 3.3's ratio
+        # has no finite value, so surface it instead of guessing
+        raise UnboundedRatio(
+            f"subset {summary.witnesses[0]} meets the variety in dimension {n}, not below {n}")
+    ratios = [Fraction(m, n - dim) for m, dim in enumerate(summary.max_dims, 1)]
+    best = max(ratios)
+    per_subset = None if table is None else {
+        combo: (len(combo), dim, Fraction(len(combo), n - dim)) for combo, dim in table}
+    return DistributiveReport(best, summary.witnesses[ratios.index(best)], per_subset)
 
-
-# ---------------------------------------------------------------------------
-# position classification
 
 class PositionClass(NamedTuple):
     l_value: Optional[int]
@@ -334,12 +410,10 @@ class PositionClass(NamedTuple):
 
 def classify_position(v: Variety, fam: HypersurfaceFamily) -> PositionClass:
     n = v.dim_n
-    # max_dims[m]: largest dimension over the non-void size-m subsets; a size
-    # with none is left out and reads as -1, below every dimension compared
-    max_dims = {}
-    for combo, dim in _nonvoid_subsets(v, fam):
-        max_dims[len(combo)] = max(dim, max_dims.get(len(combo), 0))
-    s_max = max(max_dims)  # size 1 always present
+    # D(m) of the walk summary; a size with no non-void subset is left out
+    # and reads as -1, below every dimension compared
+    max_dims = dict(enumerate(walk_summary(v, fam).max_dims, 1))
+    s_max = len(max_dims)  # size 1 always present
     l_value = s_max if s_max < fam.q else None
     general = l_value == n
 

@@ -68,3 +68,22 @@ def write_rows(directory, *rows):
         db.execute(groebner_mod._CREATE_TABLE)
         db.execute("DELETE FROM dimensions")
         db.executemany("INSERT INTO dimensions VALUES (?, ?)", rows)
+
+
+def is_summary(value):
+    """Whether a row value is a walk summary: every other row holds an int or "EMPTY"."""
+    return isinstance(value, str) and value != "EMPTY"
+
+
+def dimension_rows(directory):
+    """The rows of `cache_rows` that hold a dimension."""
+    return [row for row in cache_rows(directory) if not is_summary(row[1])]
+
+
+def drop_summary_rows(directory):
+    """Delete the walk-summary rows of the cache database in `directory`, so
+    that the next `delta` or `classify` on it walks; the rows deleted."""
+    summaries = [row for row in cache_rows(directory) if is_summary(row[1])]
+    with closing(sqlite3.connect(directory / groebner_mod.CACHE_FILE)) as db, db:
+        db.executemany("DELETE FROM dimensions WHERE key = ?", [(key,) for key, _ in summaries])
+    return summaries

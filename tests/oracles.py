@@ -36,6 +36,12 @@ one place at a time, where `heights` strips every prime of S in one pass; and
 cross products a_num^m * b_den^k and b_num^k * a_den^m as ints: it forms the
 lifted Fractions a^m and b^k.
 
+`walk_distributive_constant` and `walk_classify_position` are
+`position.distributive_constant` and `position.classify_position` as they
+stood before both read the walk summary: each runs its own loop over every
+subset that `position._nonvoid_subsets` yields.  `render` is `cli._render`'s
+printer as it stood before its own encoder: one `json.dumps` with `indent=2`.
+
 What they still share with `heights`: the checked `LogRational` constructor,
 `LogRational.scale` (the oracle margin's right side, through
 `heights._power`), and `compare`'s power budget and, past it,
@@ -44,6 +50,7 @@ What they still share with `heights`: the checked `LogRational` constructor,
 
 import hashlib
 import heapq
+import json
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -51,7 +58,8 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from hyperpos import groebner, heights
+from hyperpos import groebner, heights, position
+from hyperpos.cli import _json_value
 from hyperpos.errors import DomainError
 from hyperpos.heights import (INFINITE, LogRational, MarginReport, PointNotOnVariety,
                               PointOnHypersurface, ZeroInput, _coefficient_places,
@@ -478,3 +486,48 @@ def theorem15_margin(v, fam, delta, eps, places, points):
         slack = float(log_value(rhs) - log_value(lhs))
         reports.append(MarginReport(x, lhs, rhs, slack))
     return reports
+
+
+def walk_distributive_constant(v, fam, include_table=False):
+    """Delta and the first maximizing subset, by size then lexicographically,
+    of the walk; it refuses at the first subset of full dimension n."""
+    n = v.dim_n
+    best = None
+    witness = None
+    table = {} if include_table else None
+    for combo, dim in position._nonvoid_subsets(v, fam):
+        drop = n - dim
+        if drop <= 0:
+            raise position.UnboundedRatio(
+                f"subset {combo} meets the variety in dimension {dim}, not below {n}")
+        ratio = Fraction(len(combo), drop)
+        if table is not None:
+            table[combo] = (len(combo), dim, ratio)
+        if best is None or ratio > best:
+            best = ratio
+            witness = combo
+    return position.DistributiveReport(best, witness, table)
+
+
+def walk_classify_position(v, fam):
+    """The class from the largest dimension of each size the walk yields."""
+    n = v.dim_n
+    max_dims = {}
+    for combo, dim in position._nonvoid_subsets(v, fam):
+        max_dims[len(combo)] = max(dim, max_dims.get(len(combo), 0))
+    s_max = max(max_dims)
+    l_value = s_max if s_max < fam.q else None
+    kappa = 0
+    for m in range(1, n + 1):
+        if max_dims.get(m, -1) > n - m:
+            break
+        kappa = m
+    t_vector = tuple(max((m for m, d in max_dims.items() if d > n - s - 1), default=0)
+                     for s in range(1, n + 1))
+    return position.PositionClass(l_value, l_value == n, kappa, t_vector)
+
+
+def render(report):
+    """The report's text by `json.dumps`, keys sorted, two-space indent."""
+    return json.dumps(report, indent=2, sort_keys=True, default=_json_value,
+                      check_circular=False) + "\n"

@@ -13,15 +13,19 @@ import subprocess
 import sys
 import time
 from contextlib import closing
+from fractions import Fraction
 from pathlib import Path
 
+import oracles
 import pytest
-from conftest import cache_rows
+from conftest import cache_rows, drop_summary_rows, is_summary, write_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_walk import dense_plane_family
 
 import hyperpos
 from hyperpos import __version__, cli, groebner, polyring, position, replace
-from hyperpos.groebner import DIMENSION_COUNTS
+from hyperpos.groebner import DIMENSION_COUNTS, EMPTY
 from hyperpos.polyring import poly_to_json
 
 
@@ -151,6 +155,12 @@ class TestExitCodes:
         code, report = runj("parse", "--poly", poly, "--nvars", "2", "--no-cache")
         assert code == 2
         assert report["payload"]["error"] == error
+
+    def test_non_ascii_digit_is_two(self, runj):
+        # str.isdigit once read the Arabic-Indic three as an exponent of 3
+        code, report = runj("parse", "--poly", "x0^٣", "--nvars", "2", "--no-cache")
+        assert (code, report["payload"]) == (
+            2, {"error": "SyntaxError", "message": "at position 3: expected exponent"})
 
     def test_term_budget_is_two(self, runj, monkeypatch):
         monkeypatch.setattr(polyring, "MAX_TERMS", 1)
@@ -817,6 +827,57 @@ class TestM0FactorialBudget:
         assert payload["message"].startswith("factor exceeds 2^")
 
 
+def printed(tree):
+    """The encoder's text of `tree`, as `_render` prints a report, or the
+    type of the exception it raises."""
+    try:
+        return "".join(cli._encode(tree, "\n", [])) + "\n"
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def printed_by_json(tree):
+    try:
+        return oracles.render(tree)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                    st.fractions(), st.just(EMPTY),
+                    st.integers(10 ** 4299, 10 ** 4301))  # about int -> str's limit
+TREES = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(), children, max_size=4)), max_leaves=20)
+
+
+class TestPrinter:
+    """`_render`'s encoder prints what `json.dumps(indent=2, sort_keys=True)` did."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(TREES)
+    def test_same_text_as_json_dumps(self, tree):
+        assert printed(tree) == printed_by_json(tree)
+
+    @pytest.mark.parametrize("tree", [
+        {}, [], (), {"a": [], "b": {}, "c": ()}, [[[]]], {"z": 1, "a": 2, "A": 3, "": 4},
+        [True, False, None, 0, 1, -1], [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+        {"x": object()}, [10 ** 4300], [10 ** 4299],
+        ["\u00e9", "\ud83d\ude00", "\"\\\n\t\x00\x7f"], [Fraction(-3, 4), Fraction(5), EMPTY]])
+    def test_edge_cases(self, tree):
+        assert printed(tree) == printed_by_json(tree)
+
+    def test_margin_reports(self, run, coord_config, tmp_path):
+        points = tmp_path / "pts.txt"
+        points.write_text("".join(f"{a},{b},{a + b + 1}\n" for a in range(1, 9) for b in range(1, 9)))
+        for argv in (["margin", "--config", coord_config, "--points", str(points), "--eps", "1/2"],
+                     ["delta", "--table", "--config", coord_config],
+                     ["classify", "--config", coord_config]):
+            code, out = run(*argv, "--no-cache")
+            assert code == 0
+            assert out == oracles.render(json.loads(out))
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -958,17 +1019,20 @@ class TestBatchedRead:
 
     def test_one_select_per_level(self, run, family, statements, tmp_path):
         config, levels, _ = family
-        cache = str(tmp_path / "cache")
+        cache = tmp_path / "cache"
         DIMENSION_COUNTS.clear()
-        assert run("delta", "--config", config, "--cache-dir", cache)[0] == 0
+        assert run("delta", "--config", config, "--cache-dir", str(cache))[0] == 0
         walked = sum(DIMENSION_COUNTS.values())  # every subset the walk memoizes
         for command in ("delta", "classify"):
             expected = run(command, "--config", config, "--no-cache")
+            [(summary, _)] = drop_summary_rows(cache)  # so that the warm command walks
             DIMENSION_COUNTS.clear()
             statements.clear()
-            assert run(command, "--config", config, "--cache-dir", cache) == expected
+            assert run(command, "--config", config, "--cache-dir", str(cache)) == expected
             assert DIMENSION_COUNTS == {"cached": walked - 55, "inferred": 55}
-            assert len(self.selects(statements)) == levels
+            # the summary row's read, which misses, then one read per level
+            assert statements[0][1] == (summary,)
+            assert len(self.selects(statements)) == 1 + levels
             assert all(" IN (" in s for s in self.selects(statements))
 
     def test_prefetched_miss_computed_and_written_once(self, run, family, statements, tmp_path):
@@ -976,9 +1040,12 @@ class TestBatchedRead:
         cache = tmp_path / "cache"
         expected = run("delta", "--config", config, "--cache-dir", str(cache))
         rows = cache_rows(cache)
+        # without the summary row, so that both warm commands walk
+        [summary] = drop_summary_rows(cache)
         DIMENSION_COUNTS.clear()
         assert run("delta", "--config", config, "--cache-dir", str(cache)) == expected
         warm = dict(DIMENSION_COUNTS)
+        drop_summary_rows(cache)
         row = next(row for row in rows if row[0] == key)
         with closing(sqlite3.connect(cache / groebner.CACHE_FILE)) as db, db:
             db.execute("DELETE FROM dimensions WHERE key = ?", (key,))
@@ -986,8 +1053,11 @@ class TestBatchedRead:
         statements.clear()
         assert run("delta", "--config", config, "--cache-dir", str(cache)) == expected
         assert DIMENSION_COUNTS == {**warm, "cached": warm["cached"] - 1, "modp": 1}
-        assert len(self.selects(statements)) == levels
-        assert [params for sql, params in statements if sql.startswith("INSERT")] == [row]
+        # the summary row's read, which misses, then one read per level
+        assert len(self.selects(statements)) == 1 + levels
+        # the walk that completed writes its summary again after the one miss
+        assert [params for sql, params in statements if sql.startswith("INSERT")] == \
+            [row, summary]
         assert cache_rows(cache) == rows
 
     @pytest.mark.parametrize("broken", ["locked", "garbage"])
@@ -1024,6 +1094,7 @@ class TestOneKeyPerQuery:
         argv = (command, "--config", str(conf), "--cache-dir", str(tmp_path / "cache"))
         expected = run(command, "--config", str(conf), "--no-cache")
         assert run(*argv) == expected
+        drop_summary_rows(tmp_path / "cache")  # so that the warm command walks
         keys = []
         cache_key = groebner.cache_key
         monkeypatch.setattr(groebner, "cache_key", lambda *a: keys.append(a) or cache_key(*a))
@@ -1055,6 +1126,126 @@ class TestOneKeyPerQuery:
             json.loads(expected[1])["payload"]["prefix_dims"]
         assert DIMENSION_COUNTS == {"cached": v.dim_n + 1}
         assert len(TestBatchedRead.selects(statements)) == 1
+
+
+class TestWalkSummary:
+    """`delta` and `classify` read one summary row per family, which the first
+    completed walk on a directory stores."""
+
+    @pytest.fixture()
+    def conics(self, bench_pool, tmp_path):
+        """A P^2 q=11 family of the benchmark's pool: D = (1, 0), every triple void."""
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"ambient": 2, "variety": [],
+                                    "family": bench_pool.quadric_family(3, 11, 6)}))
+        return str(path)
+
+    def test_classify_after_delta_asks_nothing(self, run, conics, statements, tmp_path):
+        cache = str(tmp_path / "cache")
+        expected = run("classify", "--config", conics, "--no-cache")
+        assert run("delta", "--config", conics, "--cache-dir", cache)[0] == 0
+        DIMENSION_COUNTS.clear()
+        statements.clear()
+        assert run("classify", "--config", conics, "--cache-dir", cache) == expected
+        assert DIMENSION_COUNTS == {}
+        assert len(statements) == 1 and statements[0][0].startswith("SELECT")
+
+    @pytest.mark.parametrize("value", [
+        "garbage", "", "EMPTY", 7, 2.5, b"1:0;0:0,1", None,
+        # wrongly shaped
+        "1:0;0:0", "1:0,1;0:0,1", "1:0;0:1,0", "1:0;0:0,0", "1:0:1;0:0,1", "1;0", "1:0;",
+        # out of range
+        "3:0;0:0,1", "1:0;0:0,11", "1:-1;0:0,1", "-1:0", "0:0;1:0,1",
+        ";".join(["1:0"] + [f"0:{','.join(map(str, range(m)))}" for m in range(2, 13)]),
+        # not the text the walk writes
+        "01:0;0:0,1", " 1:0;0:0,1", "1:0;0:0, 1", "1:0;0:0,1\n"])
+    def test_malformed_summary_is_recomputed(self, run, conics, tmp_path, value):
+        cache = tmp_path / "cache"
+        expected = {c: run(c, "--config", conics, "--no-cache") for c in ("delta", "classify")}
+        assert run("delta", "--config", conics, "--cache-dir", str(cache)) == expected["delta"]
+        rows = cache_rows(cache)
+        [key] = [key for key, text in rows if is_summary(text)]
+        for command in ("delta", "classify"):
+            write_rows(cache, *[(k, value if k == key else v) for k, v in rows])
+            DIMENSION_COUNTS.clear()
+            assert run(command, "--config", conics, "--cache-dir", str(cache)) == expected[command]
+            assert DIMENSION_COUNTS["cached"] > 0  # it walked
+            assert cache_rows(cache) == rows  # and overwrote the row
+
+    def test_key_follows_order_variety_and_budget(self, monkeypatch):
+        members = [polyring.parse_poly(t, 3) for t in ("x0", "x1 + x2", "x0*x2 - x1^2")]
+        conic = [polyring.parse_poly("x0*x2 - x1^2", 3)]
+
+        def key(gens=(), fam=members):
+            return groebner.summary_key(gens, fam, 3, position.MAX_WALK_SUBSETS)
+
+        base = key()
+        assert key(fam=members[::-1]) != base
+        assert key(fam=members[1:] + members[:1]) != base
+        assert key(gens=conic) != base
+        # the generators are a set, the members a sequence
+        assert key(gens=conic + members[:1]) == key(gens=members[:1] + conic)
+        assert key(gens=members[:1], fam=members[1:]) != key(fam=members)
+        assert key(fam=[members[0] * 3, members[1] * Fraction(1, 2), members[2]]) == base
+        assert key(fam=[-members[0]] + members[1:]) != base
+        assert groebner.summary_key((), members, 4, position.MAX_WALK_SUBSETS) != base
+        monkeypatch.setattr(position, "MAX_WALK_SUBSETS", position.MAX_WALK_SUBSETS - 1)
+        assert key() != base
+        monkeypatch.setattr(groebner, "CACHE_FORMAT", "hyperpos-cache/other")
+        monkeypatch.setattr(position, "MAX_WALK_SUBSETS", position.MAX_WALK_SUBSETS + 1)
+        assert key() != base
+
+    def test_order_and_budget_reach_the_key(self, run, conics, tmp_path, monkeypatch):
+        # a warm directory misses the summary of the reversed family, and of
+        # the same family under another budget, and answers each as uncached
+        cache = str(tmp_path / "cache")
+        texts = json.loads(Path(conics).read_text())
+        texts["family"].reverse()
+        reversed_conics = tmp_path / "reversed.json"
+        reversed_conics.write_text(json.dumps(texts))
+        expected = {}
+        for config in (conics, str(reversed_conics)):
+            expected[config] = run("delta", "--config", config, "--no-cache")
+            assert run("delta", "--config", config, "--cache-dir", cache) == expected[config]
+            DIMENSION_COUNTS.clear()
+            assert run("delta", "--config", config, "--cache-dir", cache) == expected[config]
+            assert DIMENSION_COUNTS == {}
+        assert expected[conics] != expected[str(reversed_conics)]
+        assert len([row for row in cache_rows(tmp_path / "cache") if is_summary(row[1])]) == 2
+        monkeypatch.setattr(position, "MAX_WALK_SUBSETS", position.MAX_WALK_SUBSETS - 1)
+        DIMENSION_COUNTS.clear()
+        assert run("delta", "--config", conics, "--cache-dir", cache) == expected[conics]
+        assert DIMENSION_COUNTS["cached"] > 0
+
+    @pytest.mark.parametrize("command", ["delta", "classify"])
+    def test_refused_walk_stores_no_summary(self, run, conics, tmp_path, monkeypatch, command):
+        # 11 members and 55 pairs fit in the budget, the 165 triples do not
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(position, "MAX_WALK_SUBSETS", 100)
+        code, out = run(command, "--config", conics, "--cache-dir", str(cache))
+        assert (code, json.loads(out)["payload"]["error"]) == (2, "SubsetCapExceeded")
+        rows = cache_rows(cache)
+        assert rows and not any(is_summary(value) for _, value in rows)
+
+    def test_unbounded_delta_stores_no_summary(self, run, tmp_path):
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps({"ambient": 2, "variety": ["x1*x2"],
+                                    "family": ["x0 + x2", "x1", "x0"]}))
+        code, out = run("delta", "--config", str(path), "--cache-dir", str(tmp_path / "cache"))
+        assert (code, json.loads(out)["payload"]["error"]) == (2, "UnboundedRatio")
+        assert not any(is_summary(value) for _, value in cache_rows(tmp_path / "cache"))
+
+    def test_table_walks_and_stores_no_summary(self, run, conics, tmp_path):
+        fresh, warm = tmp_path / "fresh", tmp_path / "warm"
+        expected = run("delta", "--table", "--config", conics, "--no-cache")
+        assert run("delta", "--table", "--config", conics, "--cache-dir", str(fresh)) == expected
+        assert not any(is_summary(value) for _, value in cache_rows(fresh))
+        DIMENSION_COUNTS.clear()
+        assert run("delta", "--config", conics, "--cache-dir", str(warm))[0] == 0
+        walked = sum(DIMENSION_COUNTS.values())
+        DIMENSION_COUNTS.clear()
+        assert run("delta", "--table", "--config", conics, "--cache-dir", str(warm)) == expected
+        assert DIMENSION_COUNTS == {"cached": walked - 55, "inferred": 55}
 
 
 def test_bench_smoke_lattice_ops_print_the_same_bytes_cached_or_not(run, bench_pool, tmp_path):

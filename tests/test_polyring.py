@@ -78,6 +78,21 @@ class TestParser:
             P("x0 + ", 2)
         assert err.value.position == 5
 
+    @pytest.mark.parametrize("text, position, expected", [
+        ("x0^\u00b2", 3, "exponent"),  # superscript two
+        ("x0^\u0663", 3, "exponent"),  # Arabic-Indic three
+        ("x\u0661", 1, "variable index"),
+        ("\u00b2x0", 0, "coefficient or variable"),
+        ("-\u0663*x0", 0, "digits after sign"),
+        ("3/\u0663*x0", 2, "denominator"),
+        ("x0^1\uff10 + x1^2", 4, "'+', '-' or end of input"),  # fullwidth zero
+    ])
+    def test_digits_are_ascii(self, text, position, expected):
+        with pytest.raises(PolySyntaxError) as err:
+            P(text, 2)
+        assert err.value.position == position
+        assert err.value.message == f"at position {position}: expected {expected}"
+
     def test_implicit_product_after_coefficient(self):
         assert P("3x0x1", 2).terms == {(1, 1): Fraction(3)}
         assert P("3*x0*x1", 2) == P("3x0x1", 2)

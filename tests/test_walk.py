@@ -14,8 +14,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import oracles
 import pytest
-from conftest import cache_rows
+from conftest import dimension_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_form
@@ -37,6 +38,7 @@ from hyperpos.position import (
     classify_position,
     distributive_constant,
     intersection_dimension,
+    remark_bounds,
 )
 
 
@@ -284,6 +286,117 @@ def test_walk_matches_scan_on_coincident_families(case):
     check_small_family(*case)
 
 
+# ---------------------------------------------------------------------------
+# the walk summary against the loops it replaced
+
+def assert_summary_matches_oracle(v, fam):
+    """`delta` with and without its table, and `classify`, equal the oracle
+    loops over the walk, and ask the same queries; a finite delta equals the
+    class's t-vector bound max_s t_s/s."""
+    pairs = ((distributive_constant, oracles.walk_distributive_constant),
+             (lambda v, f: distributive_constant(v, f, include_table=True),
+              lambda v, f: oracles.walk_distributive_constant(v, f, include_table=True)),
+             (classify_position, oracles.walk_classify_position))
+    members = [str(m) for m in fam.members]
+    for run, oracle in pairs:
+        got, got_counts, _ = counted(run, v, fam)
+        expected, expected_counts, _ = counted(oracle, v, fam)
+        assert got == expected, members
+        assert got_counts == expected_counts, members
+        if isinstance(got, DistributiveReport) and got.per_subset is not None:
+            assert list(got.per_subset) == list(expected.per_subset), members
+    rep = counted(distributive_constant, v, fam)[0]
+    if isinstance(rep, DistributiveReport):
+        cls = counted(classify_position, v, fam)[0]
+        assert remark_bounds(v, cls).t_vector == rep.delta, members
+
+
+def check_summary(nvars, variety, members):
+    v = build_variety([parse_poly(t, nvars) for t in variety], num_vars=nvars)
+    try:
+        fam = build_family(v, members)
+    except DomainError:
+        return
+    assert_summary_matches_oracle(v, fam)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(coincident_families())
+def test_summary_matches_oracle_on_coincident_families(case):
+    check_summary(*case)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(walk_members(3, lines=("x1", "x2")))
+def test_summary_matches_oracle_on_cut_walks(members):
+    # V = {x1*x2 = 0}: a member through a line vanishes on a component of V,
+    # and the walk cuts its level there
+    check_summary(3, ("x1*x2",), members)
+
+
+def cut_families():
+    """Families whose walk cuts a level at a subset of full dimension n."""
+    yield family_of(3, ("x1", "x0 + x2", "x0"), variety=("x1*x2",))
+    yield family_of(3, [on_line(k) for k in range(6)] + ["x0 + x1 + 2*x2", "x2"],
+                    variety=("x1*x2",))
+    yield family_of(3, ["x0 + x2", "x2"] + [on_line(k) for k in range(4)], variety=("x1*x2",))
+
+
+@pytest.mark.parametrize("families", [criterion_03_families, other_gate_families, cut_families])
+def test_summary_matches_oracle_on_gate_and_cut_families(families):
+    for v, fam in families():
+        assert_summary_matches_oracle(v, fam)
+
+
+def test_summary_record_reads_back_what_the_walk_found(tmp_path):
+    # a walk stores the summary; a family with an empty memo then reads it
+    # back, with no query, and derives the same answers
+    groebner.set_cache_dir(str(tmp_path))
+    families = list(criterion_03_families()) + list(cut_families())
+    for v, fam in families:
+        expected = [counted(run, v, fam)[0] for run in (distributive_constant, classify_position)]
+        groebner.close_cache()
+        for run, answer in zip((distributive_constant, classify_position), expected):
+            got, counts, memo = counted(run, v, fam)
+            assert (got, counts, memo) == (answer, {}, {}), [str(m) for m in fam.members]
+
+
+def refusing_family(first):
+    """V = {x0*x1 = 0} in P^3 with the plane x0 = 0, which holds a component
+    of V, and 27 planes in general position; x0 first or last."""
+    rng = random.Random(7)
+    planes = [HomoPoly(4, {tuple(int(i == k) for i in range(4)): rng.choice((-1, 1)) *
+                           rng.randint(1, 99) for k in range(4)}) for _ in range(27)]
+    x0 = parse_poly("x0", 4)
+    v = build_variety([parse_poly("x0*x1", 4)], num_vars=4)
+    return v, build_family(v, [x0] + planes if first else planes + [x0])
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_delta_refuses_from_level_one(first):
+    # the singleton {x0} has dimension n: delta refuses as soon as the walk
+    # meets it, after as many queries as members up to it, and asks no pair
+    v, fam = refusing_family(first)
+    index = 0 if first else fam.q - 1
+    out, counts, memo = counted(distributive_constant, v, fam)
+    assert out == ("UnboundedRatio",
+                   f"subset ({index},) meets the variety in dimension 2, not below 2")
+    assert sum(counts.values()) == len(memo) == index + 1
+    assert out == counted(oracles.walk_distributive_constant, v, fam)[0]
+
+
+def test_delta_refuses_from_a_stored_summary(tmp_path):
+    # classify completes its walk and stores the summary, D(1) = n; delta
+    # then refuses from the record, asking nothing
+    v, fam = refusing_family(False)
+    groebner.set_cache_dir(str(tmp_path))
+    classify_position(v, fresh(fam))
+    refused = counted(distributive_constant, v, fam)
+    assert refused[0][0] == "UnboundedRatio"
+    groebner.close_cache()
+    assert counted(distributive_constant, v, fam) == (refused[0], {}, {})
+
+
 def test_cache_filled_by_the_scan_reads_the_same_bytes(tmp_path, capsys):
     # a cache holding a record for every subset the scan asked, at every
     # level; the walk settles some of them instead of reading them
@@ -293,7 +406,7 @@ def test_cache_filled_by_the_scan_reads_the_same_bytes(tmp_path, capsys):
     scan_distributive_constant(v, fresh(fam))
     groebner.close_cache()
     groebner.set_cache_dir(None)
-    scanned = len(cache_rows(cache))
+    scanned = len(dimension_rows(cache))
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"ambient": 2, "variety": [],
                                 "family": [poly_to_json(m) for m in fam.members]}))
@@ -306,7 +419,8 @@ def test_cache_filled_by_the_scan_reads_the_same_bytes(tmp_path, capsys):
         assert capsys.readouterr().out == expected
         assert set(DIMENSION_COUNTS) == {"cached", "inferred"}
         assert DIMENSION_COUNTS["cached"] < scanned
-        assert len(cache_rows(cache)) == scanned
+        # `classify` adds its summary row; the dimension rows are the scan's
+        assert len(dimension_rows(cache)) == scanned
 
 
 # ---------------------------------------------------------------------------
