@@ -24,7 +24,7 @@ from .groebner import EMPTY, GREVLEX, groebner_basis, hilbert_function, ideal_pr
 from .heights import (INFINITE, Place, RationalPoint, height_point,
                       height_poly, height_scalar, product_formula_check,
                       summarize_margins, theorem15_margin, weil_function)
-from .polyring import (int_from_json, parse_poly, poly_to_json, polys_from_json,
+from .polyring import (ascii_int, int_from_json, parse_poly, poly_to_json, polys_from_json,
                        rat_from_str, rat_to_str)
 from .position import (IndexOutOfRange, build_variety, classify_position, dimension_profile,
                        distributive_constant, load_configuration, remark_bounds)
@@ -41,34 +41,24 @@ _DEFAULT_PRECISION = 12
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
-def _rat_arg(text):
-    try:
-        return rat_from_str(text)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(exc.message)
+def _arg(read, refusal=None):
+    """An argparse type: `read(text)`, with a ValueError or DomainError
+    refused as `refusal`, formatted with the text, or as the error's message."""
+    def convert(text):
+        try:
+            return read(text)
+        except (ValueError, DomainError) as exc:
+            raise argparse.ArgumentTypeError(refusal.format(text) if refusal else exc.message)
+    return convert
 
 
-def _int_list(text):
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _rat_list(text):
-    try:
-        return tuple(rat_from_str(tok) for tok in text.split(","))
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(exc.message)
-
-
-def _place_arg(text):
-    if text.strip().lower() in ("oo", "inf", "infinity"):
-        return INFINITE
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'oo' or a prime, got {text!r}")
+_rat_arg = _arg(rat_from_str)
+_rat_list = _arg(lambda text: tuple(rat_from_str(tok) for tok in text.split(",")))
+_int = _arg(ascii_int, "invalid int value: {!r}")
+_int_list = _arg(lambda text: tuple(ascii_int(tok) for tok in text.split(",")),
+                 "expected comma-separated integers, got {!r}")
+_place_arg = _arg(lambda text: INFINITE if text.strip().lower() in ("oo", "inf", "infinity")
+                  else ascii_int(text), "expected 'oo' or a prime, got {!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +105,7 @@ def _load_points(path, num_vars):
         if not text:
             continue
         try:
-            coords = tuple(int(tok) for tok in text.split(","))
+            coords = tuple(ascii_int(tok) for tok in text.split(","))
         except ValueError:
             raise DomainError(f"{path}:{line_no}: expected comma-separated integers")
         if len(coords) != num_vars:
@@ -338,7 +328,7 @@ def _build_parser():
 
     p = sub.add_parser("parse", parents=[common], help="parse one polynomial")
     p.add_argument("--poly", required=True)
-    p.add_argument("--nvars", type=int, required=True)
+    p.add_argument("--nvars", type=_int, required=True)
 
     p = sub.add_parser("dim", parents=[common], help="projective dimension and degree")
     p.add_argument("--ideal", required=True)
@@ -367,47 +357,47 @@ def _build_parser():
 
     p = sub.add_parser("hilbert", parents=[common], help="Hilbert function value")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--u", type=int, required=True)
+    p.add_argument("--u", type=_int, required=True)
 
     p = sub.add_parser("hweight", parents=[common], help="Hilbert weight")
     p.add_argument("--variety", required=True)
-    p.add_argument("--u", type=int, required=True)
+    p.add_argument("--u", type=_int, required=True)
     p.add_argument("--c", type=_rat_list, required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    p.add_argument("--cap", type=int, help="oracle monomial-count cap")
+    p.add_argument("--cap", type=_int, help="oracle monomial-count cap")
 
     p = sub.add_parser("efcheck", parents=[common], help="chained lower-bound inequality")
     p.add_argument("--variety", required=True)
-    p.add_argument("--u", type=int, required=True)
+    p.add_argument("--u", type=_int, required=True)
     p.add_argument("--c", type=_rat_list, required=True)
     p.add_argument("--subset", type=_int_list, required=True,
                    help="0-based coordinate indices")
 
     p = sub.add_parser("m0", parents=[common], help="truncation level bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--degv", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--degv", type=_int, required=True)
     p.add_argument("--delta", type=_rat_arg, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.add_argument("--eps", type=_rat_arg, required=True)
 
     p = sub.add_parser("compare", parents=[common], help="defect bound comparison table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--ambient", type=_int, required=True)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--kappa", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
 
     p = sub.add_parser("height", parents=[common], help="logarithmic height")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", type=_int_list)
     group.add_argument("--scalar", type=_rat_arg)
     group.add_argument("--poly")
-    p.add_argument("--nvars", type=int)
+    p.add_argument("--nvars", type=_int)
 
     p = sub.add_parser("weil", parents=[common], help="Weil function at one place")
     p.add_argument("--poly", required=True)
-    p.add_argument("--nvars", type=int, required=True)
+    p.add_argument("--nvars", type=_int, required=True)
     p.add_argument("--point", type=_int_list, required=True)
     p.add_argument("--place", type=_place_arg, required=True, help="'oo' or a prime")
 

@@ -579,16 +579,16 @@ def _member_terms(g, p):
 def _modp_dimension(gens, num_vars, lower=None):
     """dim_p of the nonzero `gens`; None when a degree overflows a packed field.
 
-    `lower` is a proven lower bound on the dimension over Q, or None.  The
-    pass stops once its leads leave f variables free with f - 1 <= `lower`,
-    or f = 0 with no bound.  The leads so far lie in the leading-term ideal
+    `lower` is a proven lower bound on the dimension over Q (EMPTY read as
+    -1), or None.  The pass stops once its leads leave f variables free with
+    f - 1 <= `lower`, or f = 0 with no bound or a negative one.  The leads so far lie in the leading-term ideal
     mod p, so dim_p <= f - 1 <= lower <= dim_Q <= dim_p: dim_p is `lower`,
     or EMPTY when f = 0, and the leads so far read it off.
     """
     try:
         leads, _ = _buchberger([_member_terms(g, MODULUS) for g in gens],
                                _packing(GREVLEX, num_vars), MODULUS,
-                               0 if lower is None else lower + 1)
+                               0 if lower is None else max(lower + 1, 0))
     except PackedDegreeExceeded:
         return None
     return _dimension_of_leads(leads, num_vars)
@@ -598,13 +598,13 @@ def projective_dimensions(queries, num_vars: Optional[int] = None):
     """Projective dimensions over Q, or EMPTY, of the `(gens, lower)` queries,
     yielded lazily in their order.
 
-    `lower`, when not None, must be a proven lower bound on the answer, such
-    as dim W - 1 for V(gens) = W cut by one more hypersurface (Hartshorne
-    I.7.2).  The mod-p dimension is an upper bound, so it is the answer when
-    it is EMPTY or equals `lower`; otherwise the leads of a basis over Q
-    decide.  A zero-argument callable `lower` is a deferred bound: the mod-p
-    pass runs with none, and it is called only when that pass answers a
-    dimension.  The first answer asked for hashes each key once and reads
+    `lower`, when not None, must be a proven lower bound on the answer
+    (EMPTY as -1), such as dim W - 1 for V(gens) = W cut by one more
+    hypersurface (Hartshorne I.7.2).  The mod-p dimension is an upper bound,
+    so it is the answer when it is EMPTY or equals `lower`; otherwise the
+    leads of a basis over Q decide.  A zero-argument callable `lower` (the
+    walk's top level) is a deferred bound: the mod-p pass runs with none,
+    and it is called only when that pass answers a dimension.  The first answer asked for hashes each key once and reads
     the batch's rows in one prefetch; a query runs only when its answer is
     asked for.  Every settled dimension is cached under its key.
     """

@@ -165,28 +165,41 @@ def rat_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_DIGITS = frozenset("0123456789")
+
+
+def ascii_int(text: str) -> int:
+    """`text` read as an optional sign and ASCII digits, whitespace around them
+    allowed, else ValueError; `int` also takes `_` and any Unicode digit."""
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not digits or not _DIGITS.issuperset(digits):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(s)
+
+
 def rat_from_str(text: str) -> Fraction:
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
         try:
-            n, d = int(num), int(den)
+            n, d = ascii_int(num), ascii_int(den)
         except ValueError:
             raise PolySyntaxError(0, "rational of the form a/b", f"bad rational {text!r}")
         if d <= 0:
             raise PolySyntaxError(0, "positive denominator", f"bad rational {text!r}")
         return Fraction(n, d)
     try:
-        return Fraction(int(s))
+        return Fraction(ascii_int(s))
     except ValueError:
         raise PolySyntaxError(0, "integer or a/b rational", f"bad rational {text!r}")
 
 
 def int_from_json(value, name: str) -> int:
-    """A JSON integer or a string of one; a float or a bool is refused."""
+    """A JSON integer or a string of one (`ascii_int`); a float or a bool is refused."""
     if not isinstance(value, bool) and isinstance(value, (int, str)):
         try:
-            return int(value)
+            return ascii_int(value) if isinstance(value, str) else int(value)
         except ValueError:
             pass
     raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -417,10 +430,9 @@ class HomoPoly:
 # factor  := var ('^' uint)?
 # var     := 'x' uint
 # coeff   := int ('/' uint)?
-# uint    := ASCII digits 0-9, one or more; int is a uint with an optional sign
+# uint    := ASCII digits 0-9 (`_DIGITS`), one or more; int is a uint with an
+#            optional sign
 # whitespace ignored
-
-_DIGITS = frozenset("0123456789")
 
 
 class _Scanner:

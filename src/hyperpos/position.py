@@ -1,30 +1,26 @@
 """Variety-plus-family configurations and their position invariants.
 
 The distributive constant, position classes, and dimension profiles all
-reduce to projective dimensions of subset intersections.  `meet_dimensions`
-answers a batch of them, for the replacement search and `weights` too, with
-V's generators and the proven lower bounds that let the mod-p pass settle
-each answer, always the answer over Q.  Subset dimensions are memoized per
-family.  `delta` and `classify` read one walk summary (`walk_summary`): for
-each size m with a non-void subset, D(m), the largest dimension of an
-m-subset, and W(m), the lexicographically least m-subset of that dimension.
-Delta is max_m m/(n - D(m)) with witness W(m) for the least maximizing m, and
-the class reads l, kappa and the t-vector off D.  With a cache directory the
+reduce to projective dimensions of subset intersections, which
+`meet_dimensions` answers in batches, for the replacement search and
+`weights` too, always over Q.  Subset dimensions are memoized per family,
+and the memo bounds every subset S it does not hold yet: dim S lies in an
+interval [lo, hi] read off the memoized immediate subsets and supersets of S
+(`_interval`).  A subset whose interval closes is settled with no query; any
+other is asked with `lower = lo`, which lets its mod-p pass settle it.
+`delta` and `classify` read one walk summary (`walk_summary`): for each size
+m with a non-void subset, D(m), the largest dimension of an m-subset, and
+W(m), the lexicographically least m-subset of that dimension.  Delta is
+max_m m/(n - D(m)) with witness W(m) for the least maximizing m, and the
+class reads l, kappa and the t-vector off D.  With a cache directory the
 summary is one record, read before any walk and stored after a walk that
 completed, so a warm `delta` or `classify` walks nothing; `delta --table`
-always walks.  The walk goes over the non-void subsets,
-which are down-closed: a set is visited only when its immediate subsets
-S - {i} are all non-void and memoized, each tightening the bound.  A level is
-one batch, but level n + 1 is asked right after level 1 and settles the
-levels between where it can.  A subset of full dimension n ends its level,
-and the next level scans every combination one at a time; `delta` stops at
-it.  The walk visits at most MAX_WALK_SUBSETS.
+always walks.  The walk visits at most MAX_WALK_SUBSETS subsets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
@@ -75,9 +71,9 @@ MAX_WALK_SUBSETS = 2 ** 14 - 1
 # ---------------------------------------------------------------------------
 # configuration types
 
-# Plain slotted classes with identity equality and hashing: `_subset_dims`
-# keys its memo on the variety, and value equality would hash every generator
-# on every lookup.
+# Plain slotted classes with identity equality and hashing: the family's memo
+# is keyed on the variety, and `_interval` reads q keys a subset, so value
+# equality would hash every generator on every lookup.
 class Variety:
     """Projective variety V with cached basis, dimension n and degree."""
 
@@ -154,63 +150,64 @@ def _validate_subset(fam, subset):
 
 
 def meet_dimensions(v: Variety, queries):
-    """Projective dimensions of V cut by each `polys` of the `(polys, parents)`
-    queries, or EMPTY, yielded lazily in their order.
-
-    Each member cuts at most one dimension (Hartshorne I.7.2), so an answer is
-    at least n - len(polys), and d - 1 for each known d in `parents`, the
-    dimensions of V cut by all but one of `polys`.  A void parent makes it
-    EMPTY with no query; the other queries go to `projective_dimensions` as
-    one batch.  `parents` may be a zero-argument callable, returning no void
-    parent, called only when the mod-p pass leaves the answer open.
-    """
-    void, batch = [], []
-    for polys, parents in queries:
-        void.append(not callable(parents) and any(parent is EMPTY for parent in parents))
-        if not void[-1]:
-            floor = v.dim_n - len(polys)
-            batch.append((list(v.generators) + list(polys), partial(_lower_bound, floor, parents)
-                          if callable(parents) else _lower_bound(floor, parents)))
-    dims = projective_dimensions(batch, v.num_vars)
-    for is_void in void:
-        yield EMPTY if is_void else next(dims)
-
-
-def _lower_bound(floor, parents):
-    parents = parents() if callable(parents) else parents
-    lower = max([floor] + [d - 1 for d in parents if d is not None])
-    return lower if lower >= 0 else None
+    """Projective dimensions of V cut by each `polys` of the `(polys, lower)`
+    queries, or EMPTY, yielded lazily in their order by one
+    `projective_dimensions` batch.  `lower` is a proven lower bound, a
+    zero-argument callable returning one, or None for n - len(polys): each
+    member cuts at most one dimension (Hartshorne I.7.2)."""
+    gens = list(v.generators)
+    return projective_dimensions([(gens + list(polys), v.dim_n - len(polys) if lower is None
+                                   else lower) for polys, lower in queries], v.num_vars)
 
 
 def meet_dimension(v: Variety, polys: Sequence[HomoPoly]):
-    """Projective dimension of V cut by `polys`, or EMPTY: a batch of one with
-    no parents."""
-    return next(meet_dimensions(v, [(polys, ())]))
+    """Projective dimension of V cut by `polys`, or EMPTY: a batch of one."""
+    return next(meet_dimensions(v, [(polys, None)]))
 
 
-def _subset_dims(v, fam, subsets, deferred=False):
+def _interval(v, fam, idxs):
+    """[lo, hi] on dim S, S = V cut by the members `idxs`, off the memoized
+    S - {i} and S + {j}.  A member cuts at most one dimension (Hartshorne
+    I.7.2) and never raises one, so with EMPTY read as -1,
+    lo = max(n - |S|, dim(S - {i}) - 1, dim(S + {j})) and
+    hi = min(n, dim(S + {j}) + 1); hi is EMPTY under a void S - {i}."""
+    memo, n = fam._memo, v.dim_n
+    below = [memo.get((v, idxs - {i})) for i in idxs]
+    if any(dim is EMPTY for dim in below):
+        return n - len(idxs), EMPTY
+    above = [memo.get((v, idxs | {j})) for j in range(fam.q) if j not in idxs]
+    above = [-1 if dim is EMPTY else dim for dim in above if dim is not None]
+    return (max([n - len(idxs)] + [dim - 1 for dim in below if dim is not None] + above),
+            min([n] + [dim + 1 for dim in above]))
+
+
+def _settle(v, fam, idxs):
+    """Memoize S when its interval closes, EMPTY when hi is, and lo = hi
+    counted "inferred"; the lo of an open interval, or None when S is known."""
+    if (v, idxs) in fam._memo:
+        return None
+    lo, hi = _interval(v, fam, idxs)
+    if hi is not EMPTY and lo != hi:
+        return lo
+    fam._memo[v, idxs] = hi
+    if lo == hi:
+        DIMENSION_COUNTS["inferred"] += 1
+
+
+def _subset_dims(v, fam, subsets):
     """Memoized dimensions of V cut by each frozenset of member indices in
-    `subsets`, yielded lazily in order; the ones not memoized yet are one
-    `meet_dimensions` batch, with the memoized immediate subsets as parents.
-    With `deferred` (subsets of one size), parents are asked only for a
-    query that its mod-p pass leaves open (`_asked_parents`)."""
-    memo = fam._memo
-    todo = [idxs for idxs in dict.fromkeys(subsets) if (v, idxs) not in memo]
-    dims = meet_dimensions(v, [([fam.members[i] for i in sorted(idxs)],
-                                partial(_asked_parents, v, fam, idxs) if deferred
-                                else [memo.get((v, idxs - {i})) for i in idxs])
-                               for idxs in todo])
+    `subsets`, yielded lazily in order.  One not memoized is settled, or asked
+    with `lower = lo`; the asked ones are one `meet_dimensions` batch."""
+    memo, lowers = fam._memo, {}
+    for idxs in subsets:
+        if (lo := _settle(v, fam, idxs)) is not None:
+            lowers[idxs] = lo
+    dims = meet_dimensions(v, [([fam.members[i] for i in sorted(idxs)], lo)
+                               for idxs, lo in lowers.items()])
     for idxs in subsets:
         if (v, idxs) not in memo:
             memo[v, idxs] = next(dims)
         yield memo[v, idxs]
-
-
-def _asked_parents(v, fam, idxs):
-    """Dimensions of the immediate subsets of `idxs`, every proper subset asked bottom-up."""
-    for size in range(1, len(idxs)):
-        list(_subset_dims(v, fam, [frozenset(c) for c in combinations(sorted(idxs), size)]))
-    return [fam._memo[v, idxs - {i}] for i in idxs]
 
 
 def intersection_dimension(v: Variety, fam: HypersurfaceFamily, subset):
@@ -226,17 +223,13 @@ def _nonvoid_subsets(v, fam):
 
     A size-(k+1) candidate extends a non-void k-set c by some j > max(c) and
     is kept only when its k-subsets holding j are non-void too (the Apriori
-    candidate rule); extending the k-sets in order keeps each level sorted.
-    A subset of full dimension n (its members vanish on a component of V)
-    ends its level: no subset of its size can pass it, and `delta` refuses
-    it.  That level is then only partly known, so the next one scans every
-    combination, lazily, and void immediate subsets settle what they can.
-    A fully known level is asked as one `_subset_dims` batch; the lazy scan
-    asks one subset at a time.  Either way no subset after a cut is asked.
-
-    With no cut at level 1 and 2 <= n < q, levels 2..n+1 hold every
-    combination: they are counted against the budget, then settled from
-    level n + 1 where it can (`_settle_below_void_level`) before the walk.
+    candidate rule); extending the k-sets in order keeps each level sorted,
+    and a level is one `_subset_dims` batch.  A subset of full dimension n
+    (its members vanish on a component of V) ends its level, and `delta`
+    refuses it; the next level then scans every combination, one at a time.
+    No subset after a cut is asked.  With no cut at level 1 and 2 <= n < q,
+    levels 2..n+1 hold every combination: they are counted against the
+    budget, and level n + 1 is asked before level 2 (`_ask_top_level`).
     """
     visited = 0
 
@@ -257,7 +250,7 @@ def _nonvoid_subsets(v, fam):
             # the walk below visits them again
             list(visit(c for k in range(2, n + 2) for c in combinations(range(fam.q), k)))
             visited = fam.q
-            _settle_below_void_level(v, fam)
+            _ask_top_level(v, fam)
         if cut:
             found = ((c, intersection_dimension(v, fam, c))
                      for c in visit(combinations(range(fam.q), size)))
@@ -279,22 +272,25 @@ def _nonvoid_subsets(v, fam):
             return
 
 
-def _settle_below_void_level(v, fam):
-    """Ask every (n+1)-subset as one deferred batch, then settle levels n..2
-    downward: S has dim n - |S| when a memoized S + {j} has dim n - |S| - 1
-    (EMPTY as -1), as dim S <= dim(S + {j}) + 1 (Hartshorne I.7.2) meets
-    dim S >= n - |S|.  A settled subset is counted "inferred", never cached."""
-    n, memo, members = v.dim_n, fam._memo, range(fam.q)
-    list(_subset_dims(v, fam, [frozenset(c) for c in combinations(members, n + 1)],
-                      deferred=True))
+def _ask_top_level(v, fam):
+    """Ask every (n+1)-subset as one batch, then settle levels n..2 downward,
+    each off the level above.  A top subset asks its proper subsets, bottom-up,
+    for its bound only when its mod-p pass answers a dimension."""
+    n, memo = v.dim_n, fam._memo
+
+    def asked_bound(idxs):
+        for size in range(2, n + 1):
+            list(_subset_dims(v, fam, [frozenset(c) for c in combinations(sorted(idxs), size)]))
+        return _interval(v, fam, idxs)[0]
+
+    tops = [s for s in map(frozenset, combinations(range(fam.q), n + 1)) if (v, s) not in memo]
+    dims = meet_dimensions(v, [([fam.members[i] for i in sorted(s)], lambda s=s: asked_bound(s))
+                               for s in tops])
+    for idxs, dim in zip(tops, dims):
+        memo[v, idxs] = dim
     for size in range(n, 1, -1):
-        below = EMPTY if size == n else n - size - 1
-        for combo in combinations(members, size):
-            idxs = frozenset(combo)
-            if (v, idxs) not in memo and any(memo.get((v, idxs | {j})) == below
-                                             for j in members if j not in idxs):
-                memo[v, idxs] = n - size
-                DIMENSION_COUNTS["inferred"] += 1
+        for idxs in map(frozenset, combinations(range(fam.q), size)):
+            _settle(v, fam, idxs)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +433,7 @@ class BoundSet(NamedTuple):
 def remark_bounds(v: Variety, cls: PositionClass) -> BoundSet:
     """Upper bounds on the distributive constant implied by the class."""
     n = v.dim_n
-    sub = None
-    idx = None
+    sub = idx = None
     if cls.l_value is not None:
         sub = Fraction(cls.l_value - n + 1)
         if cls.kappa >= 1:

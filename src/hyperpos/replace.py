@@ -179,9 +179,9 @@ def verify_replacement(v: Variety, sys: ReplacementSystem) -> ReplacementVerdict
     n = v.dim_n
     profile = sys.source_profile
     ordered = [sys.family.members[i] for i in profile.ordering]
-    # no parents: t + 1 <= n hypersurfaces always meet V, and while the earlier
-    # bounds hold, d_{t-1} - 1 is at most the batch's bound n - t - 1
-    dims = tuple(meet_dimensions(v, [(sys.replacements[:t + 1], ()) for t in range(n + 1)]))
+    # no bound beyond n - t - 1: t + 1 <= n hypersurfaces always meet V, and
+    # while the earlier bounds hold, d_{t-1} - 1 is at most n - t - 1
+    dims = tuple(meet_dimensions(v, [(sys.replacements[:t + 1], None) for t in range(n + 1)]))
     met = [dim_at_most(dim, n - t - 1) for t, dim in enumerate(dims)]
     combo_ok = len(sys.replacements) == n + 1 and len(sys.coeff_matrix) == n + 1
     if combo_ok and sys.coeff_matrix[0][0] != 1:

@@ -162,6 +162,41 @@ class TestExitCodes:
         assert (code, report["payload"]) == (
             2, {"error": "SyntaxError", "message": "at position 3: expected exponent"})
 
+    @pytest.mark.parametrize("argv, bad, other", [
+        (("pfcheck", "--x", "{}"), ["1_0/\u0663", "\u0663"], "a/3"),
+        (("schedule", "--t", "{}"), ["0,1_0,\u0663\u0663"], "0,a"),
+        (("hilbert", "--ideal", "missing.json", "--u", "{}"), ["\u0663", "1_0"], "x"),
+        (("weil", "--poly", "x0 + x1", "--nvars", "2", "--point", "1,1", "--place", "{}"),
+         ["\u0663", "1_1"], "p"),
+    ])
+    def test_non_ascii_integer_argument_is_malformed(self, run, argv, bad, other, capsys):
+        # int() took underscores and every Unicode digit: pfcheck answered for
+        # 10/3, schedule for t = (0, 10, 33), hilbert for u = 3
+        def refusal(text):
+            code, out = run(*[a.format(text) for a in argv], "--no-cache")
+            err = capsys.readouterr().err
+            return code, out, err.split(":")[:3]
+        expected = refusal(other)
+        assert expected[:2] == (1, "")
+        for text in bad:
+            assert refusal(text) == expected, text
+
+    @pytest.mark.parametrize("ambient", ["\u0662", "2_0"])
+    def test_non_ascii_integer_in_json_is_malformed(self, runj, tmp_path, ambient):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"ambient": ambient, "variety": [], "family": ["x0", "x1"]}))
+        code, report = runj("delta", "--config", str(config), "--no-cache")
+        assert (code, report["payload"]) == (2, {
+            "error": "DomainError", "message": f"ambient must be an integer, got {ambient!r}"})
+        pts = tmp_path / "pts.txt"
+        config.write_text(json.dumps({"ambient": 1, "variety": [], "family": ["x0", "x1"]}))
+        for line in ("1,\u0663", "1,1_0", "1,a"):
+            pts.write_text(line + "\n")
+            code, report = runj("margin", "--config", str(config), "--points", str(pts),
+                                "--eps", "1/2", "--no-cache")
+            assert (code, report["payload"]["message"]) == (
+                2, f"{pts}:1: expected comma-separated integers"), line
+
     def test_term_budget_is_two(self, runj, monkeypatch):
         monkeypatch.setattr(polyring, "MAX_TERMS", 1)
         code, report = runj("parse", "--poly", "x0 + x1", "--nvars", "2", "--no-cache")
@@ -1059,6 +1094,25 @@ class TestBatchedRead:
         assert [params for sql, params in statements if sql.startswith("INSERT")] == \
             [row, summary]
         assert cache_rows(cache) == rows
+
+    def test_cold_walk_sends_the_queries_a_warm_walk_reads(self, run, family, statements,
+                                                           tmp_path):
+        # a pair is settled from a void triple known before its top subset's
+        # bound is asked, so the cold walk queries exactly the rows it writes
+        # and the warm walk reads
+        config, _, _ = family
+        argv = ("delta", "--table", "--config", config, "--cache-dir", str(tmp_path / "cache"))
+        DIMENSION_COUNTS.clear()
+        expected = run(*argv)
+        cold = dict(DIMENSION_COUNTS)
+        written = {params[0] for sql, params in statements if sql.startswith("INSERT")}
+        DIMENSION_COUNTS.clear()
+        statements.clear()
+        assert run(*argv) == expected
+        read = {key for sql, params in statements if sql.startswith("SELECT") for key in params}
+        assert read == written
+        assert len(written) == cold["modp"] + cold.get("exact", 0)
+        assert DIMENSION_COUNTS == {"cached": len(written), "inferred": cold["inferred"]}
 
     @pytest.mark.parametrize("broken", ["locked", "garbage"])
     def test_unreadable_database_runs_uncached(self, run, family, statements, tmp_path, broken):

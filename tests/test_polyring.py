@@ -13,6 +13,7 @@ import oracles
 import test_golden
 from oracles import content_free
 from hyperpos import polyring
+from hyperpos.errors import DomainError
 from hyperpos.groebner import GREVLEX, groebner_basis, normal_form
 from hyperpos.polyring import (
     MAX_DEGREE,
@@ -28,6 +29,8 @@ from hyperpos.polyring import (
     VariableBudgetExceeded,
     VariableOutOfRange,
     ZeroPolynomial,
+    ascii_int,
+    int_from_json,
     lcm_degree,
     parse_poly,
     poly_combine,
@@ -481,6 +484,35 @@ def test_rational_arithmetic_exact(num, den):
     x = Fraction(num, den)
     assert x * (1 / x) == 1
     assert rat_from_str(rat_to_str(x)) == x
+
+
+class TestAsciiInt:
+    """One reader for every integer of the CLI and of JSON input: an optional
+    sign and ASCII digits; `int` alone takes underscores and Unicode digits."""
+
+    @given(st.from_regex(r" ?[+-]?[0-9]{1,30} ?", fullmatch=True))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_sign_and_ascii_digits_read_as_int_does(self, text):
+        assert ascii_int(text) == int(text)
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "1\u0663", "\uff11", "", "-", "+-1",
+                                      "1 0", "0x10", "1.0", "\u00b2"])
+    def test_anything_else_is_refused(self, text):
+        with pytest.raises(ValueError):
+            ascii_int(text)
+
+    @pytest.mark.parametrize("text", ["1_0/\u0663", "\u0663", "1/1_0", "1_0"])
+    def test_rational_refuses_them(self, text):
+        with pytest.raises(PolySyntaxError):
+            rat_from_str(text)
+
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", " \u0661\u0660"])
+    def test_json_integer_refuses_them(self, value):
+        with pytest.raises(DomainError, match="must be an integer"):
+            int_from_json(value, "ambient")
+
+    def test_json_integer_reads_as_before(self):
+        assert [int_from_json(x, "n") for x in (7, -3, "12", " -4 ", "+5")] == [7, -3, 12, -4, 5]
 
 
 COEFS = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 2),

@@ -20,8 +20,8 @@ from conftest import dimension_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_form
-from test_dimension import (criterion_01_families, criterion_03_families, family_of,
-                            other_gate_families)
+from test_dimension import (bench_pool_families, criterion_01_families, criterion_03_families,
+                            dense_quadric, family_of, other_gate_families)
 
 from hyperpos import cli, groebner, position
 from hyperpos.errors import DomainError
@@ -476,3 +476,128 @@ def test_budget_refuses_a_level_before_its_first_query(monkeypatch):
     monkeypatch.setattr(position, "MAX_WALK_SUBSETS", 7)
     assert distributive_constant(v, fam).delta == 1
     assert fam._memo[(v, frozenset((0, 1, 2)))] is EMPTY
+
+
+# ---------------------------------------------------------------------------
+# what the walk answers does not depend on how the family is written down
+
+def substituted(form, g):
+    """`form` after the coordinate change x_i -> sum_j g[i][j] x_j."""
+    nvars = form.nvars
+    images = [HomoPoly(nvars, {tuple(int(k == j) for k in range(nvars)): c
+                               for j, c in enumerate(row) if c}) for row in g]
+    out = HomoPoly(nvars)
+    for mono, coef in form.terms.items():
+        term = HomoPoly(nvars, {(0,) * nvars: coef})
+        for image, e in zip(images, mono):
+            term = term * image ** e
+        out = out + term
+    return out
+
+
+def invariants(v, fam):
+    """Delta, the witness's size and dimension, the class and the multiset of
+    `--table` (size, dim) rows; or the error a command refuses with."""
+    fam = fresh(fam)
+    try:
+        rep = distributive_constant(v, fam, include_table=True)
+    except DomainError as exc:
+        return exc.code
+    witness = (len(rep.witness), intersection_dimension(v, fam, rep.witness))
+    rows = sorted((size, dim) for size, dim, _ in rep.per_subset.values())
+    return rep.delta, witness, classify_position(v, fresh(fam)), rows
+
+
+@st.composite
+def written_differently(draw):
+    """A small family on P^2, P^3 or the plane conic, and the same family
+    with its members permuted, with each member scaled by a nonzero rational,
+    and under a general integer coordinate change g (det g != 0, and not
+    unimodular, so that it can expose an unlucky prime)."""
+    nvars, variety = draw(st.sampled_from(((3, ()), (4, ()), (3, ("x0*x2 - x1^2",)))))
+    members = draw(walk_members(nvars))[:5]
+    order = draw(st.permutations(range(len(members))))
+    scales = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9)
+                           .filter(bool), min_size=len(members), max_size=len(members)))
+    g = draw(st.lists(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars),
+                      min_size=nvars, max_size=nvars)
+             .filter(lambda g: abs(round(_det(g))) > 1))
+    return nvars, variety, members, (
+        (variety, [members[i] for i in order]),
+        (variety, [m.scale(c) for m, c in zip(members, scales)]),
+        ([str(substituted(parse_poly(t, nvars), g)) for t in variety],
+         [substituted(m, g) for m in members]))
+
+
+def _det(g):
+    g = [[Fraction(x) for x in row] for row in g]
+    det = Fraction(1)
+    for col in range(len(g)):
+        pivot = next((r for r in range(col, len(g)) if g[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            g[col], g[pivot], det = g[pivot], g[col], -det
+        det *= g[col][col]
+        for r in range(col + 1, len(g)):
+            f = g[r][col] / g[col][col]
+            g[r] = [a - f * b for a, b in zip(g[r], g[col])]
+    return det
+
+
+@pytest.mark.parametrize("prime", [None, 7])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=written_differently())
+def test_walk_answers_do_not_depend_on_how_the_family_is_written(prime, case):
+    with pytest.MonkeyPatch.context() as patch:
+        if prime:
+            patch.setattr(groebner, "MODULUS", prime)
+        check_written_differently(*case)
+
+
+def check_written_differently(nvars, variety, members, rewritten):
+    v = build_variety([parse_poly(t, nvars) for t in variety], num_vars=nvars)
+    try:
+        expected = invariants(v, build_family(v, members))
+    except DomainError:
+        return
+    for other_variety, other_members in rewritten:
+        w = build_variety([parse_poly(t, nvars) for t in other_variety], num_vars=nvars)
+        assert invariants(w, build_family(w, other_members)) == expected, \
+            [str(m) for m in members]
+
+
+# ---------------------------------------------------------------------------
+# how many queries the walk sends
+
+def line_quadrics(k, extra, seed=1):
+    """k quadrics x0*L + x1*L' of P^3 through the line x0 = x1 = 0, with
+    random linear forms L, L' (coefficients in -3..3), and `extra` dense ones."""
+    rng = random.Random(seed)
+
+    def linear():
+        return HomoPoly(4, {tuple(int(i == j) for i in range(4)): c for j in range(4)
+                            if (c := rng.randint(-3, 3))})
+
+    x0, x1 = parse_poly("x0", 4), parse_poly("x1", 4)
+    members = []
+    while len(members) < k:
+        member = x0 * linear() + x1 * linear()
+        if not member.is_zero and member.degree == 2:
+            members.append(member)
+    return members + [dense_quadric(rng, 4) for _ in range(extra)]
+
+
+def test_query_counts_stay_within_their_guard():
+    # the bench pools' 32 families and a subgeneral family: a change to the
+    # walk may settle more subsets, but must not send more queries
+    DIMENSION_COUNTS.clear()
+    for nvars, members in bench_pool_families():
+        v = build_variety([], num_vars=nvars)
+        distributive_constant(v, build_family(v, members))
+    assert DIMENSION_COUNTS["modp"] <= 3170 and DIMENSION_COUNTS["exact"] <= 13
+    v = build_variety([], num_vars=4)
+    DIMENSION_COUNTS.clear()
+    report = distributive_constant(v, build_family(v, line_quadrics(8, 2)))
+    assert (report.delta, report.witness) == (4, tuple(range(8)))
+    assert DIMENSION_COUNTS["exact"] <= 219
