@@ -98,8 +98,11 @@ def _load_ideal(path):
 
 def _load_points(path, num_vars):
     points = []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}")
     for line_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:

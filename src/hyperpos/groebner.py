@@ -28,8 +28,8 @@ The on-disk cache is one SQLite table per cache directory.  It holds settled
 dimensions, one row per versioned key.  `projective_dimensions` hashes each
 key of a batch, such as a walk level, once and reads the batch's rows in one
 statement per _PREFETCH_CHUNK keys; a family's walk summary is one more row
-(`summary_key`).  Stores are held in memory and written by `close_cache` in
-one transaction.  Reduced bases are never cached.
+(`summary_key`).  One `_session` per directory holds the stores in memory
+until `close_cache` writes them in one transaction.  Reduced bases are never cached.
 """
 
 from __future__ import annotations
@@ -612,9 +612,9 @@ def projective_dimensions(queries, num_vars: Optional[int] = None):
     for gens, lower in queries:
         nv = _ring_size(gens, num_vars)
         gens = [g for g in gens if not g.is_zero]
-        batch.append((gens, nv, lower, cache_key(gens, nv) if _CACHE_DIR is not None else None))
-    if _CACHE_DIR is not None:
-        _cache_session().prefetch([key for *_, key in batch])
+        batch.append((gens, nv, lower, cache_key(gens, nv) if _session is not None else None))
+    if _session is not None:
+        _session.prefetch([key for *_, key in batch])
     for gens, nv, lower, key in batch:
         dim = _cache_fetch(key)
         if dim is None:
@@ -642,7 +642,6 @@ def projective_dimension(gens: Sequence[HomoPoly], num_vars: Optional[int] = Non
 # ---------------------------------------------------------------------------
 # on-disk cache of settled dimensions
 
-_CACHE_DIR = None
 # bump when the meaning of a key changes
 CACHE_FORMAT = "hyperpos-cache/4"
 # the one database file in a cache directory; its number is the storage
@@ -655,43 +654,45 @@ _BUSY_TIMEOUT_S = 0.25
 # most keys one batched read names, below SQLite's historic limit of 999
 # parameters per statement
 _PREFETCH_CHUNK = 500
-_session = None
+_session = None  # the cache directory's _CacheSession; None while the cache is off
 
 
 def set_cache_dir(path: Optional[str]) -> None:
     """Enable (or with None disable) the on-disk dimension cache.
 
-    The dimensions stored under the previous directory are written first.  A
-    directory that cannot be made leaves the cache disabled.
+    The old directory's session writes its stores first; the new directory's
+    session then lasts until the next call.  A directory that cannot be made
+    leaves the cache disabled.
     """
-    global _CACHE_DIR
+    global _session
     close_cache()
-    _CACHE_DIR = None
+    _session = None
     if path is not None:
         try:
             os.makedirs(path, exist_ok=True)
         except OSError:
             return
-        _CACHE_DIR = path
+        _session = _CacheSession(path)
 
 
 def close_cache() -> None:
-    """Write the dimensions stored since the cache was opened, and close it.
+    """Write the dimensions stored since the last flush, and close the database.
 
     The rows go in one transaction.  A busy lock or a broken database file
-    drops them, and the dimensions are recomputed when next asked for.  The
-    cache stays enabled: the next fetch or store opens it again.
+    drops them, and they are recomputed when next asked for.  The session
+    stays, so the cache stays enabled: the next read opens the database again.
     """
-    global _session
-    session, _session = _session, None
-    if session is not None:
-        atexit.unregister(close_cache)
-        session.close()
+    if _session is not None:
+        _session.close()
+
+
+# a library caller that never calls close_cache still gets its rows written
+atexit.register(close_cache)
 
 
 class _CacheSession:
-    """The cache database between two flushes: rows read a query batch at a
-    time, stores held in memory."""
+    """One cache directory's database from set_cache_dir to the next call: rows
+    read a query batch at a time, stores held in memory until a flush."""
 
     __slots__ = ("path", "stored", "read", "db", "readable")
 
@@ -700,8 +701,7 @@ class _CacheSession:
         self.stored = {}  # key -> "EMPTY" or int, as the row will hold it
         self.read = {}  # key -> the value a read found, or None for no row
         self.db = None
-        # a new directory has nothing to read: the database is made by the first flush
-        self.readable = os.path.isfile(self.path)
+        self.readable = None  # whether reads may open the database; None: not asked yet
 
     def connect(self):
         import sqlite3
@@ -719,6 +719,9 @@ class _CacheSession:
         """Read the records of `keys` that this session does not know yet,
         _PREFETCH_CHUNK keys per statement, into `read`."""
         keys = [k for k in keys if k not in self.stored and k not in self.read]
+        if self.readable is None:
+            # the first read since a flush: a database made by then is read
+            self.readable = os.path.isfile(self.path)
         if not keys or not self.readable:
             return
         import sqlite3
@@ -734,31 +737,24 @@ class _CacheSession:
             self.readable = False  # busy, unreadable or not a database: no more reads
 
     def close(self):
-        if not self.stored and self.db is None:
-            return
-        import sqlite3
-        try:
-            if self.stored:
+        """Write the stored rows in one transaction, close the database and
+        forget what was stored and read."""
+        if self.stored:
+            import sqlite3
+            try:
                 db = self.connect()
                 db.execute("BEGIN IMMEDIATE")
                 db.execute(_CREATE_TABLE)
                 db.executemany("INSERT OR REPLACE INTO dimensions VALUES (?, ?)",
                                self.stored.items())
                 db.execute("COMMIT")
-        except (sqlite3.Error, OSError):
-            pass  # the rows are dropped; closing rolls back an open transaction
-        finally:
-            if self.db is not None:
-                self.db.close()
-
-
-def _cache_session():
-    global _session
-    if _session is None:
-        _session = _CacheSession(_CACHE_DIR)
-        # a library caller that never calls close_cache still gets its rows written
-        atexit.register(close_cache)
-    return _session
+            except (sqlite3.Error, OSError):
+                pass  # the rows are dropped; closing rolls back an open transaction
+        if self.db is not None:
+            self.db.close()
+        self.db = self.readable = None
+        self.stored.clear()
+        self.read.clear()
 
 
 def _key_digest(g):
@@ -802,18 +798,17 @@ def summary_key(generators: Sequence[HomoPoly], members: Sequence[HomoPoly], num
 def read_summary(generators, members, num_vars, budget):
     """(key, stored value or None) of a walk summary, read in one statement;
     (None, None) with the cache off."""
-    if _CACHE_DIR is None:
+    if _session is None:
         return None, None
     key = summary_key(generators, members, num_vars, budget)
-    session = _cache_session()
-    session.prefetch([key])
-    return key, session.fetch(key)
+    _session.prefetch([key])
+    return key, _session.fetch(key)
 
 
 def store_summary(key, text):
     """Hold a walk summary's text under `key` for the invocation's one write."""
-    if _CACHE_DIR is not None:
-        _cache_session().stored[key] = text
+    if _session is not None:
+        _session.stored[key] = text
 
 
 def _cache_fetch(key):
@@ -822,9 +817,9 @@ def _cache_fetch(key):
     A stored value that is neither "EMPTY" nor a non-negative int is a miss
     and gets recomputed; so is every read that the database refuses.
     """
-    if _CACHE_DIR is None or key is None:
+    if _session is None or key is None:
         return None
-    value = _cache_session().fetch(key)
+    value = _session.fetch(key)
     if value == "EMPTY":
         value = EMPTY
     elif type(value) is not int or value < 0:
@@ -834,7 +829,7 @@ def _cache_fetch(key):
 
 
 def _cache_store(key, value):
-    if _CACHE_DIR is None or key is None:
+    if _session is None or key is None:
         return
     # called only after a miss, so the flush also replaces a malformed row
-    _cache_session().stored[key] = "EMPTY" if value is EMPTY else value
+    _session.stored[key] = "EMPTY" if value is EMPTY else value

@@ -517,6 +517,15 @@ class TestMarginCommand:
                             "--points", str(pts), "--eps", "1/2", "--no-cache")
         assert code == 2
 
+    def test_non_utf8_points_file_is_domain_error(self, runj, coord_config, tmp_path):
+        pts = tmp_path / "pts.txt"
+        pts.write_bytes(b"1,2,3\n\xff\xfe,3,1\n")
+        code, report = runj("margin", "--config", coord_config,
+                            "--points", str(pts), "--eps", "1/2", "--no-cache")
+        assert code == 2
+        assert report["payload"]["error"] == "DomainError"
+        assert str(pts) in report["payload"]["message"]
+
     def test_delta_override_moves_rhs(self, runj, coord_config, tmp_path):
         pts = tmp_path / "pts.txt"
         pts.write_text("1,1,2\n")
@@ -585,6 +594,41 @@ class TestMarginRefusalOrder:
                            "message": "(0:1:1) does not satisfy a defining equation"}
         code, payload = self.margin(runj, tmp_path, *self.CONIC, ["1,1,1"], "-1")
         assert payload["message"] == "scale factor must be non-negative, got -3/2"
+
+
+# every command that reads a file; BAD marks the file under test and GOOD a
+# well-formed one, each of the kind its flag reads
+FILE_COMMANDS = [
+    ("delta", "--config", "BAD"),
+    ("classify", "--config", "BAD"),
+    ("profile", "--config", "BAD"),
+    ("replace", "--config", "BAD"),
+    ("margin", "--config", "BAD", "--points", "GOOD", "--eps", "1/2"),
+    ("margin", "--config", "GOOD", "--points", "BAD", "--eps", "1/2"),
+    ("dim", "--ideal", "BAD"),
+    ("hilbert", "--ideal", "BAD", "--u", "3"),
+    ("hweight", "--variety", "BAD", "--u", "2", "--c", "1,0,0"),
+    ("efcheck", "--variety", "BAD", "--u", "3", "--c", "1,1,0", "--subset", "0,2"),
+]
+MALFORMED_FILES = {"non-utf8": b"1,2\n\xff\xfe,3\n", "array": b"[1, 2]",
+                   "string": b'"x0"', "number": b"3", "no-keys": b"{}"}
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: " ".join(argv[:argv.index("BAD")]))
+def test_malformed_input_file_is_refused_not_internal(run, coord_config, conic_ideal, tmp_path,
+                                                      argv):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1,1,2\n")
+    good = {"--config": coord_config, "--points": str(pts), "--ideal": conic_ideal,
+            "--variety": conic_ideal}
+    args = [good[argv[i - 1]] if arg in ("BAD", "GOOD") else arg for i, arg in enumerate(argv)]
+    assert run(*args, "--no-cache")[0] == 0  # the arguments are well formed
+    for name, content in MALFORMED_FILES.items():
+        bad = tmp_path / f"{name}.bad"
+        bad.write_bytes(content)
+        args[argv.index("BAD")] = str(bad)
+        code, out = run(*args, "--no-cache")
+        assert code in (1, 2), (name, out)
 
 
 class TestInputHandling:

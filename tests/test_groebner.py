@@ -1,8 +1,10 @@
 """Groebner engine: bases, normal forms, dimension, degree, Hilbert counts."""
 
+import copy
 import hashlib
 import json
 import os
+import pickle
 import random
 import sqlite3
 import subprocess
@@ -437,6 +439,14 @@ class TestStandardMonomials:
             groebner._all_monomials(3, 100000)
 
 
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_empty_survives_copies(clone):
+    # answers are compared with `is EMPTY`, so a copy must be the one sentinel
+    assert clone(EMPTY) is EMPTY
+
+
 class TestDiskCache:
     # two conics meeting in finitely many points: dimension 0, settled over Q
     GENS = ("x0^2 - x1^2", "x0*x1 - x2^2")
@@ -497,6 +507,24 @@ class TestDiskCache:
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout == "0\n"
         assert cache_rows(tmp_path) == [(groebner.cache_key(parse_many(self.GENS, 3), 3), 0)]
+
+    def test_one_exit_hook_writes_each_directory(self, tmp_path):
+        # a library caller that moves to a second directory and never closes
+        # the cache: the move writes the first, the exit hook the second
+        first, second = tmp_path / "a", tmp_path / "b"
+        script = ("import sys\n"
+                  "from hyperpos.groebner import projective_dimension, set_cache_dir\n"
+                  "from hyperpos.polyring import parse_poly\n"
+                  "set_cache_dir(sys.argv[1])\n"
+                  f"print(projective_dimension([parse_poly(t, 3) for t in {self.GENS!r}], 3))\n"
+                  "set_cache_dir(sys.argv[2])\n"
+                  "print(projective_dimension([parse_poly('x0', 3)], 3))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(groebner.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(first), str(second)], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == "0\n1\n"
+        assert cache_rows(first) == [(groebner.cache_key(parse_many(self.GENS, 3), 3), 0)]
+        assert cache_rows(second) == [(groebner.cache_key(parse_many(("x0",), 3), 3), 1)]
 
     def test_busy_database_misses_and_drops_the_write(self, tmp_path):
         gens = parse_many(self.GENS, 3)

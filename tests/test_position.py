@@ -1,5 +1,6 @@
 """Position invariants: distributive constant, classes, profiles, bounds."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,12 @@ class TestDimensionProfile:
         assert prof.prefix_dims == (1, 0, EMPTY)
         assert prof.t_values == (0, 1, 2)
         assert prof.l_value == 2
+
+    def test_void_prefix_survives_a_pickle(self):
+        v = plane()
+        fam = family(v, ["x0", "x1", "x2"])
+        prof = pickle.loads(pickle.dumps(dimension_profile(v, fam, (0, 1, 2))))
+        assert prof.prefix_dims[-1] is EMPTY
 
     def test_never_empty(self):
         v = plane()
