@@ -9,8 +9,10 @@ so all outputs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
@@ -160,6 +162,10 @@ def grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+# m -> m[::-1]: ascending in it is grevlex-descending among monomials of one degree
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
 def rat_to_str(x: Fraction) -> str:
     """Serialize as "a/b" with the denominator always present."""
     return f"{x.numerator}/{x.denominator}"
@@ -279,8 +285,9 @@ class HomoPoly:
         return self._degree
 
     def sorted_terms(self):
-        """Terms as (monomial, coefficient), grevlex-descending."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=grevlex_key, reverse=True)]
+        """Terms as (monomial, coefficient), grevlex-descending: as every
+        monomial has one degree, ascending in the reversed exponent tuple."""
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=_REVERSED)]
 
     def __eq__(self, other):
         return isinstance(other, HomoPoly) and self.nvars == other.nvars and self.terms == other.terms
@@ -430,119 +437,154 @@ class HomoPoly:
 # factor  := var ('^' uint)?
 # var     := 'x' uint
 # coeff   := int ('/' uint)?
-# uint    := ASCII digits 0-9 (`_DIGITS`), one or more; int is a uint with an
-#            optional sign
-# whitespace ignored
+# uint    := ASCII digits 0-9, one or more; int is a uint with an optional sign
+#
+# The grammar reads tokens: a run of ASCII digits (`[0-9]`, never `\d`, which
+# takes any Unicode digit) or one other character that is not whitespace
+# (`\S`: exactly the characters for which `str.isspace` is false).
+# Whitespace only separates tokens, so "x0 ^ 2" reads as "x0^2" while
+# "1 2*x0" is the integer 1 followed by the token 2.  A long text is read
+# in chunks of about _CHUNK characters, each cut before a '+' or '-' that
+# follows a digit: there one term has ended and the next begins, so the
+# walk decides as it would on the whole list, and the list stays short.
+
+_TOKENS = re.compile(r"[0-9]+|\S")
+_TERM_BREAK = re.compile(r"[0-9]\s*[+-]")
+_CHUNK = 1 << 16
 
 
-class _Scanner:
-    __slots__ = ("text", "pos")
+class _Unparsed(Exception):
+    """A syntax error at a token, with args (its index in the chunk, what was
+    expected, whether its digits were too many); only a failure needs its
+    position."""
 
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.skip_ws()
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.text[self.pos]
-        self.pos += 1
-        self.skip_ws()
-        return ch
-
-    def digits(self, what):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            raise PolySyntaxError(start, what)
-        s = self.text[start:self.pos]
-        self.skip_ws()
-        try:
-            return int(s)
-        except ValueError:  # longer than the interpreter's int digit limit
-            raise PolySyntaxError(start, what, f"{what} at position {start} has too many digits")
+    def error(self, text, start, end):
+        """The PolySyntaxError at the token's position in the chunk
+        text[start:end]; the end marker, one past its last token, stands at `end`."""
+        index, expected, *too_long = self.args
+        position = next((m.start() for k, m in enumerate(_TOKENS.finditer(text, start, end))
+                         if k == index), end)
+        message = f"{expected} at position {position} has too many digits" if too_long else None
+        return PolySyntaxError(position, expected, message)
 
 
-def _parse_factor(sc: _Scanner, num_vars, exp):
-    """Read one factor x<index>^<power> and add its power to `exp`."""
-    if sc.peek() != "x":
-        raise PolySyntaxError(sc.pos, "variable 'x<index>'")
-    sc.take()
-    index = sc.digits("variable index")
+def _chunk(text, start):
+    """The tokens of text[start:end], with the end marker "", and `end`."""
+    end = len(text)
+    if end - start > _CHUNK:
+        cut = _TERM_BREAK.search(text, start + _CHUNK)
+        if cut:
+            end = cut.end() - 1
+    toks = _TOKENS.findall(text, start, end)
+    toks.append("")
+    return toks, end
+
+
+def _uint(toks, i, what):
+    """The integer of the digit token toks[i]."""
+    tok = toks[i]
+    if not "0" <= tok < ":":  # the one kind of token that starts with 0-9
+        raise _Unparsed(i, what)
+    try:
+        return int(tok)
+    except ValueError:  # longer than the interpreter's int digit limit
+        raise _Unparsed(i, what, True) from None
+
+
+def _parse_factor(toks, i, num_vars, exp):
+    """Read the factor x<index>^<power> at toks[i], add its power to `exp` and
+    return the index past it."""
+    if toks[i] != "x":
+        raise _Unparsed(i, "variable 'x<index>'")
+    index = _uint(toks, i + 1, "variable index")
     if index >= num_vars:
         raise VariableOutOfRange(index, num_vars)
-    power = 1
-    if sc.peek() == "^":
-        sc.take()
-        power = sc.digits("exponent")
-    exp[index] += power
+    if toks[i + 2] == "^":
+        exp[index] += _uint(toks, i + 3, "exponent")
+        return i + 4
+    exp[index] += 1
+    return i + 2
 
 
-def _parse_term(sc: _Scanner, num_vars):
-    """One term as (coefficient, exponent tuple)."""
+def _parse_term(toks, i, num_vars):
+    """The term at toks[i] as (index past it, numerator, denominator, exponent list)."""
     exp = [0] * num_vars
-    ch = sc.peek()
-    if ch == "x":
-        _parse_factor(sc, num_vars, exp)
-        while sc.peek() == "*":
-            sc.take()
-            _parse_factor(sc, num_vars, exp)
-        return Fraction(1), tuple(exp)
-    if ch in _DIGITS or ch in ("+", "-"):
-        sign = 1
-        if ch in ("+", "-"):
-            pos = sc.pos
-            sign = -1 if sc.take() == "-" else 1
-            if sc.peek() not in _DIGITS:
-                raise PolySyntaxError(pos, "digits after sign")
-        num = sc.digits("integer coefficient")
-        coef = Fraction(sign * num)
-        if sc.peek() == "/":
-            sc.take()
-            dpos = sc.pos
-            den = sc.digits("denominator")
-            if den == 0:
-                raise PolySyntaxError(dpos, "positive denominator")
-            coef = Fraction(sign * num, den)
-        while sc.peek() in ("*", "x"):
-            if sc.peek() == "*":
-                sc.take()
-            _parse_factor(sc, num_vars, exp)
-        return coef, tuple(exp)
-    raise PolySyntaxError(sc.pos, "coefficient or variable")
+    tok = toks[i]
+    if tok == "x":
+        i = _parse_factor(toks, i, num_vars, exp)
+        while toks[i] == "*":
+            i = _parse_factor(toks, i + 1, num_vars, exp)
+        return i, 1, 1, exp
+    if tok == "+" or tok == "-":
+        if not "0" <= toks[i + 1] < ":":
+            raise _Unparsed(i, "digits after sign")
+        i += 1
+    elif not "0" <= tok < ":":
+        raise _Unparsed(i, "coefficient or variable")
+    num = _uint(toks, i, "integer coefficient")
+    if tok == "-":
+        num = -num
+    den = 1
+    i += 1
+    if toks[i] == "/":
+        den = _uint(toks, i + 1, "denominator")
+        if not den:
+            raise _Unparsed(i + 1, "positive denominator")
+        i += 2
+    while True:
+        tok = toks[i]
+        if tok == "*":
+            i = _parse_factor(toks, i + 1, num_vars, exp)
+        elif tok == "x":
+            i = _parse_factor(toks, i, num_vars, exp)
+        else:
+            return i, num, den, exp
 
 
 def parse_poly(text: str, num_vars: int) -> HomoPoly:
-    """Parse the grammar above; rejects non-homogeneous input."""
+    """Parse the grammar above; rejects non-homogeneous input.  Each written
+    term is merged into the result as it is read; homogeneity, a property of
+    the written terms before any cancellation, is refused only once the whole
+    text has parsed, so a syntax error anywhere wins."""
     check_num_vars(num_vars)
-    sc = _Scanner(text)
-    terms = []  # (coefficient, monomial) with duplicates allowed
-    coef, mono = _parse_term(sc, num_vars)
-    terms.append((coef, mono))
-    while sc.peek() in ("+", "-"):
-        sign = -1 if sc.take() == "-" else 1
-        coef, mono = _parse_term(sc, num_vars)
-        terms.append((sign * coef, mono))
-    if sc.pos != len(sc.text):
-        raise PolySyntaxError(sc.pos, "'+', '-' or end of input")
-    # homogeneity is a property of the written terms, before any cancellation
-    degree = mono_degree(terms[0][1])
-    for _, mono in terms[1:]:
-        if mono_degree(mono) != degree:
-            raise NotHomogeneous(degree, mono_degree(mono))
-    check_degree(degree)
+    start = 0
+    toks, end = _chunk(text, start)
     merged = {}
-    for coef, mono in terms:
-        merged[mono] = merged.get(mono, Fraction(0)) + coef
+    degree = mismatch = None
+    negate = False
+    i = 0
+    try:
+        while True:
+            i, num, den, exp = _parse_term(toks, i, num_vars)
+            mono = tuple(exp)
+            coef = Fraction(-num if negate else num, den)
+            prior = merged.get(mono)
+            merged[mono] = coef if prior is None else prior + coef
+            d = sum(exp)
+            if degree is None:
+                degree = d
+            elif d != degree and mismatch is None:
+                mismatch = d
+            tok = toks[i]
+            if not tok and end < len(text):  # the next chunk starts with '+' or '-'
+                start = end
+                toks, end = _chunk(text, start)
+                i, tok = 0, toks[0]
+            if tok != "+" and tok != "-":
+                break
+            negate = tok == "-"
+            i += 1
+        if tok:
+            raise _Unparsed(i, "'+', '-' or end of input")
+    except _Unparsed as stop:
+        raise stop.error(text, start, end) from None
+    if mismatch is not None:
+        raise NotHomogeneous(degree, mismatch)
+    check_degree(degree)
     _check_terms(len(merged))
-    return HomoPoly._trusted(num_vars, {m: c for m, c in merged.items() if c})
+    if not all(merged.values()):
+        merged = {m: c for m, c in merged.items() if c}
+    return HomoPoly._trusted(num_vars, merged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import sqlite3
+import sys
 from contextlib import closing
 
 import pytest
@@ -23,6 +24,15 @@ def _no_disk_cache():
     groebner_mod.set_cache_dir(None)
     yield
     groebner_mod.set_cache_dir(None)
+
+
+@pytest.fixture()
+def default_digit_limit():
+    """`int` at its default limit on the digits of a string, whatever the environment set."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def parse_many(texts, nvars):

@@ -17,6 +17,11 @@ passes over the coefficients and a scale on every call.
 out from its definition, on `content_free` and its own grevlex sort, so it
 shares neither the memoized digests nor `HomoPoly.sorted_terms`.
 
+`parse_poly_scanner` is `polyring.parse_poly` as it stood before it read the
+text as one list of tokens: a scanner that steps one character per call,
+skipping whitespace after each token, and a list of every written term,
+merged and checked for one degree once the text has parsed.
+
 `fold_combine` is `polyring.poly_combine` as it stood before it summed every
 scaled member into one dict: a fold of `+` over `HomoPoly.scale`, from the
 zero polynomial.
@@ -64,8 +69,10 @@ from hyperpos.errors import DomainError
 from hyperpos.heights import (INFINITE, LogRational, MarginReport, PointNotOnVariety,
                               PointOnHypersurface, ZeroInput, _coefficient_places,
                               default_places)
-from hyperpos.polyring import (DimensionMismatch, HomoPoly, PowerBudgetExceeded, ZeroPolynomial,
-                               mono_divides, mono_mul)
+from hyperpos.polyring import (_DIGITS, DimensionMismatch, HomoPoly, NotHomogeneous,
+                               PolySyntaxError, PowerBudgetExceeded, VariableOutOfRange,
+                               ZeroPolynomial, _check_terms, check_degree, check_num_vars,
+                               mono_degree, mono_divides, mono_mul)
 
 
 def mono_div(b, a):
@@ -314,6 +321,116 @@ def dimension_of_leads(lead_monomials, num_vars):
     """Projective dimension, or EMPTY, read off exponent-tuple leads by `cone_dimension`."""
     cone = cone_dimension(lead_monomials, num_vars)
     return groebner.EMPTY if cone <= 0 else cone - 1
+
+
+class _Scanner:
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.skip_ws()
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self):
+        ch = self.text[self.pos]
+        self.pos += 1
+        self.skip_ws()
+        return ch
+
+    def digits(self, what):
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+            self.pos += 1
+        if self.pos == start:
+            raise PolySyntaxError(start, what)
+        s = self.text[start:self.pos]
+        self.skip_ws()
+        try:
+            return int(s)
+        except ValueError:  # longer than the interpreter's int digit limit
+            raise PolySyntaxError(start, what, f"{what} at position {start} has too many digits")
+
+
+def _scan_factor(sc, num_vars, exp):
+    """Read one factor x<index>^<power> and add its power to `exp`."""
+    if sc.peek() != "x":
+        raise PolySyntaxError(sc.pos, "variable 'x<index>'")
+    sc.take()
+    index = sc.digits("variable index")
+    if index >= num_vars:
+        raise VariableOutOfRange(index, num_vars)
+    power = 1
+    if sc.peek() == "^":
+        sc.take()
+        power = sc.digits("exponent")
+    exp[index] += power
+
+
+def _scan_term(sc, num_vars):
+    """One term as (coefficient, exponent tuple)."""
+    exp = [0] * num_vars
+    ch = sc.peek()
+    if ch == "x":
+        _scan_factor(sc, num_vars, exp)
+        while sc.peek() == "*":
+            sc.take()
+            _scan_factor(sc, num_vars, exp)
+        return Fraction(1), tuple(exp)
+    if ch in _DIGITS or ch in ("+", "-"):
+        sign = 1
+        if ch in ("+", "-"):
+            pos = sc.pos
+            sign = -1 if sc.take() == "-" else 1
+            if sc.peek() not in _DIGITS:
+                raise PolySyntaxError(pos, "digits after sign")
+        num = sc.digits("integer coefficient")
+        coef = Fraction(sign * num)
+        if sc.peek() == "/":
+            sc.take()
+            dpos = sc.pos
+            den = sc.digits("denominator")
+            if den == 0:
+                raise PolySyntaxError(dpos, "positive denominator")
+            coef = Fraction(sign * num, den)
+        while sc.peek() in ("*", "x"):
+            if sc.peek() == "*":
+                sc.take()
+            _scan_factor(sc, num_vars, exp)
+        return coef, tuple(exp)
+    raise PolySyntaxError(sc.pos, "coefficient or variable")
+
+
+def parse_poly_scanner(text, num_vars):
+    """`polyring.parse_poly` read one character at a time."""
+    check_num_vars(num_vars)
+    sc = _Scanner(text)
+    terms = []  # (coefficient, monomial) with duplicates allowed
+    coef, mono = _scan_term(sc, num_vars)
+    terms.append((coef, mono))
+    while sc.peek() in ("+", "-"):
+        sign = -1 if sc.take() == "-" else 1
+        coef, mono = _scan_term(sc, num_vars)
+        terms.append((sign * coef, mono))
+    if sc.pos != len(sc.text):
+        raise PolySyntaxError(sc.pos, "'+', '-' or end of input")
+    # homogeneity is a property of the written terms, before any cancellation
+    degree = mono_degree(terms[0][1])
+    for _, mono in terms[1:]:
+        if mono_degree(mono) != degree:
+            raise NotHomogeneous(degree, mono_degree(mono))
+    check_degree(degree)
+    merged = {}
+    for coef, mono in terms:
+        merged[mono] = merged.get(mono, Fraction(0)) + coef
+    _check_terms(len(merged))
+    return HomoPoly._trusted(num_vars, {m: c for m, c in merged.items() if c})
 
 
 def fold_combine(coeffs, polys):

@@ -21,6 +21,7 @@ import pytest
 from conftest import cache_rows, drop_summary_rows, is_summary, write_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_polyring import TOO_LONG, TOO_MANY_DIGITS
 from test_walk import dense_plane_family
 
 import hyperpos
@@ -155,6 +156,13 @@ class TestExitCodes:
         code, report = runj("parse", "--poly", poly, "--nvars", "2", "--no-cache")
         assert code == 2
         assert report["payload"]["error"] == error
+
+    @pytest.mark.usefixtures("default_digit_limit")
+    @pytest.mark.parametrize("poly, expected", TOO_MANY_DIGITS)
+    def test_too_many_digits_is_two_at_their_position(self, runj, poly, expected):
+        code, report = runj("parse", "--poly", poly, "--nvars", "2", "--no-cache")
+        message = f"{expected} at position {poly.index(TOO_LONG)} has too many digits"
+        assert (code, report["payload"]) == (2, {"error": "SyntaxError", "message": message})
 
     def test_non_ascii_digit_is_two(self, runj):
         # str.isdigit once read the Arabic-Indic three as an exponent of 3

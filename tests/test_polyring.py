@@ -1,6 +1,7 @@
 """Polynomial ring layer: parser, arithmetic, JSON round-trips."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -30,6 +31,7 @@ from hyperpos.polyring import (
     VariableOutOfRange,
     ZeroPolynomial,
     ascii_int,
+    grevlex_key,
     int_from_json,
     lcm_degree,
     parse_poly,
@@ -186,6 +188,126 @@ class TestParseBuildsUnchecked:
         assert P("x0 - x0", 2) == HomoPoly.zero(2)
 
 
+# the grammar's alphabet, and characters on which a tokenizer may disagree
+# with `str.isdigit` or `str.isspace`: Unicode digits, a fullwidth zero, the
+# ideographic and no-break spaces, the file separator and the next-line mark
+PARSER_ALPHABET = ["x", *"0123456789", "+", "-", "*", "/", "^", " ", "\t", "\n",
+                   "\u00b2", "\u0663", "\uff10", "\u3000", "\xa0", "\x1c", "\x85"]
+PARSER_FRAGMENTS = ["x0", "x1", "x2", "x3", "^2", "^3", " + ", " - ", "*", "/0", "/3",
+                    "12", "1 2", "-1", "x 1", " ^ ", "\t\n"]
+
+
+def parse_outcome(parse, text, nvars):
+    """The terms in insertion order and the degree, or the refusal's class,
+    message and position."""
+    try:
+        p = parse(text, nvars)
+    except DomainError as exc:
+        return type(exc), exc.message, getattr(exc, "position", None)
+    return list(p.terms.items()), None if p.is_zero else p.degree
+
+
+@st.composite
+def parser_texts(draw):
+    """Text of single characters and fragments, mostly outside the grammar."""
+    pieces = st.sampled_from(PARSER_ALPHABET) | st.sampled_from(PARSER_FRAGMENTS)
+    return "".join(draw(st.lists(pieces, max_size=24))), draw(st.integers(1, 4))
+
+
+@st.composite
+def spoiled_polys(draw):
+    """A written polynomial with up to three characters or fragments put in."""
+    text, nvars = draw(written_polys())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(PARSER_ALPHABET) | st.sampled_from(PARSER_FRAGMENTS))
+        text = text[:at] + piece + text[at:]
+    return text, nvars
+
+
+class TestAgainstTheScanner:
+    """parse_poly reads a token list; the scanner it replaced read one
+    character per call.  Both give the same terms in the same order, or the
+    same refusal at the same position."""
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(parser_texts() | spoiled_polys())
+    @example(("1 2*x0", 2))
+    @example(("x0^2 + x1 + *", 2))
+    @example(("x0^1\u0663 + x1^2", 2))
+    @example(("2\u00b2*x0", 2))
+    @example(("x0 +\u3000x1\xa0-\x1c3*x2\x85", 3))
+    @example(("\t1/0*x0", 1))
+    @example(("x0^2 \n- x1^2 +", 2))
+    @example(("x0 + x9 + x0^2 +", 4))
+    def test_same_terms_or_same_refusal(self, case):
+        text, nvars = case
+        assert parse_outcome(parse_poly, text, nvars) == parse_outcome(
+            oracles.parse_poly_scanner, text, nvars)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(parser_texts() | spoiled_polys(), st.integers(0, 8))
+    @example(("x0 + 3*x1 -\t-2*x0^2 + *", 2), 2)
+    @example(("x0^2 + x1 - 3*x1", 2), 0)
+    def test_same_in_chunks_of_any_size(self, case, chunk):
+        # chunks of `chunk` characters and more, each cut where a term ends
+        text, nvars = case
+        default, polyring._CHUNK = polyring._CHUNK, chunk
+        try:
+            ours = parse_outcome(parse_poly, text, nvars)
+        finally:
+            polyring._CHUNK = default
+        assert ours == parse_outcome(oracles.parse_poly_scanner, text, nvars)
+
+    @pytest.mark.parametrize("tail", ["", " + x1^2", " + x2 x1", " - 1/0*x0*x1", " + x0"])
+    def test_same_on_a_text_of_many_chunks(self, tail):
+        rng = random.Random(3)
+        text = " ".join(f"{rng.choice('+-')} {rng.randint(1, 99)}*x{rng.randrange(3)}*x{rng.randrange(3)}"
+                        for _ in range(20000)) + tail
+        assert len(text) > 3 * polyring._CHUNK
+        assert parse_outcome(parse_poly, text, 3) == parse_outcome(oracles.parse_poly_scanner, text, 3)
+
+    def test_whitespace_is_what_str_isspace_says(self):
+        # every code point is either whitespace or the start of a token
+        token = polyring._TOKENS.match
+        assert [c for c in map(chr, range(sys.maxunicode + 1))
+                if (token(c) is None) != c.isspace()] == []
+
+
+# each integer of the grammar written with one digit more than `int` reads at
+# the default limit, as (text, what the parser expected there)
+TOO_LONG = "9" * (sys.int_info.default_max_str_digits + 1)
+TOO_MANY_DIGITS = [
+    (f"{TOO_LONG}*x0", "integer coefficient"),
+    (f"x1 - {TOO_LONG}*x0", "integer coefficient"),
+    (f"1/{TOO_LONG}*x0", "denominator"),
+    (f"x0 + x{TOO_LONG}", "variable index"),
+    (f"x0^ {TOO_LONG} + x1", "exponent"),
+]
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+@pytest.mark.parametrize("text, expected", TOO_MANY_DIGITS)
+def test_too_many_digits_refused_where_written(text, expected):
+    position = text.index(TOO_LONG)
+    with pytest.raises(PolySyntaxError) as err:
+        P(text, 2)
+    assert err.value.position == position
+    assert err.value.message == f"{expected} at position {position} has too many digits"
+    assert parse_outcome(parse_poly, text, 2) == parse_outcome(oracles.parse_poly_scanner, text, 2)
+
+
+@st.composite
+def one_degree_polys(draw):
+    """A polynomial in 1 to 4 variables: up to 12 monomials of one degree,
+    the zero polynomial among them."""
+    nvars = draw(st.integers(1, 4))
+    monos = [tuple(combo.count(i) for i in range(nvars))
+             for combo in combinations_with_replacement(range(nvars), draw(st.integers(0, 4)))]
+    terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(-5, 5), max_size=12))
+    return HomoPoly(nvars, terms)
+
+
 class TestPrinting:
     CASES = ["x0^2 - x1*x2", "x0", "1/2*x0 + x1", "-1*x0^2 + 3*x1*x2", "2*x0^3", "0"]
 
@@ -223,6 +345,16 @@ class TestPrinting:
         p = P("x2^2 + x0*x2 + x1^2", 3)
         monos = [m for m, _ in p.sorted_terms()]
         assert monos == [(0, 2, 0), (1, 0, 1), (0, 0, 2)]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(one_degree_polys())
+    @example(HomoPoly(1, {(3,): 2}))
+    @example(HomoPoly.zero(1))
+    @example(HomoPoly.zero(4))
+    def test_sorted_terms_match_the_grevlex_key(self, p):
+        # one degree: grevlex-descending is ascending in the reversed exponents
+        monos = sorted(p.terms, key=grevlex_key, reverse=True)
+        assert p.sorted_terms() == [(m, p.terms[m]) for m in monos]
 
 
 class TestEval:
